@@ -4,12 +4,12 @@ reachability verdicts for families of vector fields on coordinate charts."""
 from .space import Ball, ChartSpace, L1Coefficients, ball, norm1, truncate
 from .fields import (FieldFamily, LbRecord, VectorField, constant_field,
                      estimate_lb_bound, eval_jet_norm, polynomial_field)
-from .flow import (Control, ExistenceCertificate, FlowResult, check_existence,
+from .flow import (Control, ExistenceCertificate, FlowResult, FlowWord, check_existence,
                    constant_control, flow_control, flow_single)
 from .compose import (BangBangControl, CompositionResult, L1Curve, compose_flows,
                       compose_inverse, d_psi, extract_l1_curve, gamma_control,
                       psi_chart)
-from .algebra import (EnlargedField, FlowWord, StructureReport, bracket_chain,
+from .algebra import (EnlargedField, StructureReport, bracket_chain,
                       certify_h_prime, enlarge_field, lie_bracket,
                       lie_bracket_via_flows)
 from .orbit import (BracketChain, DistributionBasis, InvarianceReport, OrbitSample,

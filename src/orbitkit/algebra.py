@@ -15,55 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
+from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
 from .fields import FD_STEP_1, FieldFamily, LbRecord, VectorField, eval_jet_norm
-from .flow import flow_single
+from .flow import DEFAULT_TOL, FlowWord, flow_single
 from .orbit import BracketChain, DistributionBasis, numerical_rank
 from .space import Ball
 
 ENLARGED_FD_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class FlowWord:
-    """A finite flow composition, letters applied first to last."""
-
-    letters: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters",
-                           tuple((int(i), float(t)) for i, t in self.letters))
-
-    @property
-    def total_duration(self) -> float:
-        return sum(abs(t) for _, t in self.letters)
-
-    def inverse(self) -> "FlowWord":
-        return FlowWord(tuple((i, -t) for i, t in reversed(self.letters)))
-
-    def then(self, other: "FlowWord") -> "FlowWord":
-        """Composition applying ``self`` first, then ``other``."""
-        return FlowWord(self.letters + other.letters)
-
-    def apply(self, family: FieldFamily, x: np.ndarray, tol: float = 1e-9,
-              region: Ball | None = None) -> np.ndarray:
-        y = np.asarray(x, dtype=float)
-        for idx, t in self.letters:
-            y = flow_single(family.members[idx], y, t, tol=tol, region=region).endpoint
-        return y
-
-    def apply_with_variational(self, family: FieldFamily, x: np.ndarray,
-                               tol: float = 1e-9,
-                               region: Ball | None = None) -> tuple[np.ndarray, np.ndarray]:
-        y = np.asarray(x, dtype=float)
-        dim = y.size
-        M = np.eye(dim)
-        for idx, t in self.letters:
-            res = flow_single(family.members[idx], y, t, tol=tol,
-                              with_variational=True, region=region)
-            M = res.endpoint_variational @ M
-            y = res.endpoint
-        return y, M
 
 
 def lie_bracket(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
@@ -123,7 +81,7 @@ class EnlargedField(VectorField):
 
 
 def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: float,
-                  lb: LbRecord, tol: float = 1e-9) -> EnlargedField:
+                  lb: LbRecord, tol: float = DEFAULT_TOL) -> EnlargedField:
     """Pushforward of ``nu`` times a member through ``word``.
 
     eval(x) transports the scaled member value from the backward-word image
@@ -187,7 +145,7 @@ def bracket_chain(family: FieldFamily, x: np.ndarray, k_max: int,
     rank saturates the chart dimension.
     """
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise InvalidArgument("k_max must be >= 1")
     x = np.asarray(x, dtype=float)
     dim = family.space.dimension
 

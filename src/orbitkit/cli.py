@@ -5,13 +5,12 @@ executes the scenario's commands in order, writing one report per command
 plus any point-cloud files into the output directory.  ``orbitkit catalog``
 lists the builtin systems; ``orbitkit check <scenario>`` parses and
 validates only.  Exit codes: 0 success, 1 any command errored, 2 parse
-error.  ORBITKIT_THREADS caps internal worker pools.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -21,14 +20,10 @@ from . import algebra, compose, flow, orbit
 from .catalog import BUILTIN_SUMMARIES
 from .errors import OrbitKitError, ParseError
 from .fields import FieldFamily, LbRecord, estimate_lb_bound
-from .flow import Control, existence_radius
+from .flow import Control, guard
 from .report import Report, leaf, section, vector_leaf, write_point_cloud
-from .scenario import Node, Scenario, parse_scenario
+from .scenario import Node, Scenario, _floats, parse_scenario
 from .space import L1Coefficients
-
-
-def _floats(node: Node) -> list[float]:
-    return [float(a) for a in node.args]
 
 
 def _get(cmd: Node, key: str):
@@ -89,15 +84,13 @@ def _build_lb(scenario: Scenario, family: FieldFamily, defaults: dict) -> LbReco
 
 
 def _guard_section(lb: LbRecord, x: np.ndarray, c: float, T0: float) -> Node:
-    r = existence_radius(lb, x)
-    time_bound = math.inf if c == 0.0 else r / (lb.bound_k * c)
-    margin = time_bound - T0
+    cert = guard(lb, x, c, T0)
     return section("guard", [
-        leaf("r", float(r)),
-        leaf("k", float(lb.bound_k)),
+        leaf("r", float(cert.r)),
+        leaf("k", float(cert.k)),
         leaf("c", float(c)),
         leaf("T0", float(T0)),
-        leaf("margin", float(margin)),
+        leaf("margin", float(cert.margin)),
         leaf("provenance", lb.method),
         leaf("order", lb.order_s),
     ])

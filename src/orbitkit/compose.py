@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardViolated, TailNotSummable
+from .errors import GuardViolated, InvalidArgument, TailNotSummable
 from .fields import FieldFamily, LbRecord
-from .flow import Control, existence_radius, flow_control, flow_single
+# flow_single stays bound here so that tracing can wrap every binding of it
+from .flow import DEFAULT_TOL, Control, FlowWord, flow_control, flow_single, guard  # noqa: F401
 from .space import Ball, L1Coefficients
-
-DEFAULT_TOL = 1e-9
 
 TAIL_FACTOR_NOTE = "k*exp(k*norm1(tau)) times dropped l1 mass"
 
@@ -52,25 +51,26 @@ class BangBangControl:
     def as_control(self) -> Control:
         return Control(pieces=self.pieces, interval=None)
 
-    def negated(self) -> Control:
-        """Same schedule with all coefficient signs flipped."""
-        return Control(pieces=tuple((a, b, c.scaled(-1.0)) for a, b, c in self.pieces),
-                       interval=None)
+
+def _unit_speed_pieces(word) -> list[tuple[float, float, L1Coefficients]]:
+    """One piece ``sign(t) e_i`` of length ``|t|`` per letter, back to back from 0."""
+    pieces = []
+    t = 0.0
+    for idx, val in word:
+        dur = abs(val)
+        sign = 1.0 if val > 0 else -1.0
+        pieces.append((t, t + dur, L1Coefficients(((idx, sign),))))
+        t += dur
+    return pieces
 
 
 def gamma_control(tau: L1Coefficients, direction: str = "forward") -> BangBangControl:
     """Build the bang-bang switching control for ``tau``."""
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
-    pieces = []
-    t = 0.0
-    for idx, val in tau.entries:
-        dur = abs(val)
-        sign = 1.0 if val > 0 else -1.0
-        pieces.append((t, t + dur, L1Coefficients(((idx, sign),))))
-        t += dur
+    pieces = _unit_speed_pieces(tau.entries)
     if direction == "reverse":
-        total = t
+        total = pieces[-1][1] if pieces else 0.0
         pieces = [(total - b, total - a, c) for a, b, c in reversed(pieces)]
     return BangBangControl(tau=tau, direction=direction, pieces=tuple(pieces))
 
@@ -129,16 +129,40 @@ def _choose_truncation(tau: L1Coefficients, factor: float, tol: float) -> int:
     return n
 
 
-def _guard(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray,
-           unsafe: bool) -> dict:
-    r = existence_radius(lb, x)
-    limit = r / lb.bound_k
-    ok = tau.norm1 < limit
-    if not ok and not unsafe:
+def _plan(lb: LbRecord, tau: L1Coefficients, x: np.ndarray, tol: float,
+          truncation_n: int | None, unsafe: bool) -> tuple[L1Coefficients, float, int, dict]:
+    """Guard, tail factor and truncation shared by every composition.
+
+    Returns the kept coefficients, the certified tail bound, the truncation
+    level and the diagnostics.
+    """
+    cert = guard(lb, x, 1.0, tau.norm1)
+    limit = cert.r / cert.k
+    if not cert.satisfied and not unsafe:
         raise GuardViolated(
             f"norm1(tau)={tau.norm1:.6g} is not below the smallness bound r/k={limit:.6g}")
-    return {"r": r, "k": lb.bound_k, "smallness_limit": limit,
-            "guard_satisfied": ok, "unsafe": unsafe}
+    factor = _tail_factor(cert.k, tau.norm1)
+    if truncation_n is None:
+        truncation_n = _choose_truncation(tau, factor, tol)
+    kept, tail = tau.truncate(truncation_n)
+    diag = {"r": cert.r, "k": cert.k, "smallness_limit": limit,
+            "guard_satisfied": cert.satisfied, "unsafe": unsafe,
+            "tail_factor": factor, "tail_factor_note": TAIL_FACTOR_NOTE}
+    return kept, factor * tail, truncation_n, diag
+
+
+def _run_word(family: FieldFamily, lb: LbRecord, word, x, tol, path) -> np.ndarray:
+    """Endpoint of ``word`` from x: one bang-bang control flow (``"control"``)
+    or one single-field flow per letter (``"sequential"``)."""
+    if path not in ("control", "sequential"):
+        raise InvalidArgument("path must be 'control' or 'sequential'")
+    if not word:
+        return np.asarray(x, dtype=float).copy()
+    if path == "sequential":
+        return FlowWord(word).apply(family, x, tol=tol, region=lb.region)
+    control = Control(pieces=tuple(_unit_speed_pieces(word)))
+    return flow_control(family, control, x, 0.0, control.pieces[-1][1],
+                        tol=tol, region=lb.region).endpoint
 
 
 def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray,
@@ -154,78 +178,30 @@ def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.
     accuracy and the second serves as a cross-check.
     """
     x = np.asarray(x, dtype=float)
-    diag = _guard(family, lb, tau, x, unsafe)
-    factor = _tail_factor(lb.bound_k, tau.norm1)
-    diag["tail_factor"] = factor
-    diag["tail_factor_note"] = TAIL_FACTOR_NOTE
+    kept, bound, truncation_n, diag = _plan(lb, tau, x, tol, truncation_n, unsafe)
     diag["path"] = path
-
-    if truncation_n is None:
-        truncation_n = _choose_truncation(tau, factor, tol)
-    kept, tail = tau.truncate(truncation_n)
-    bound = factor * tail
-    word = tuple((i, v) for i, v in kept.entries)
-
+    word = kept.entries
     endpoint = _run_word(family, lb, word, x, tol, path)
     curve = None
     if l1_curve_samples > 0:
-        curve = _sample_l1_curve(family, word, x, tol, l1_curve_samples, lb.region)
+        curve = _l1_curve(family, word, x, tol, l1_curve_samples, lb.region)
     return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
                              tail_error_bound=bound, word=word, seed_point=x.copy(),
                              family=family, tol=tol, diagnostics=diag, l1_curve=curve)
-
-
-def _run_word(family: FieldFamily, lb: LbRecord, word, x, tol, path) -> np.ndarray:
-    if not word:
-        return np.asarray(x, dtype=float).copy()
-    if path == "control":
-        kept = L1Coefficients(tuple(word))
-        control = gamma_control(kept, "forward").as_control()
-        res = flow_control(family, control, x, 0.0, control.pieces[-1][1],
-                           tol=tol, lb=None, region=lb.region)
-        return res.endpoint
-    if path == "sequential":
-        y = np.asarray(x, dtype=float)
-        for idx, dur in word:
-            y = flow_single(family.members[idx], y, dur, tol=tol, region=lb.region).endpoint
-        return y
-    raise ValueError("path must be 'control' or 'sequential'")
 
 
 def compose_inverse(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, y: np.ndarray,
                     tol: float = DEFAULT_TOL, truncation_n: int | None = None,
                     path: str = "control", unsafe: bool = False) -> CompositionResult:
     """Inverse of :func:`compose_flows`: the word replayed in reverse order
-    with negated durations (equivalently, the time-reflected bang-bang
+    with sign-flipped durations (equivalently, the time-reflected bang-bang
     control with flipped signs)."""
     y = np.asarray(y, dtype=float)
-    diag = _guard(family, lb, tau, y, unsafe)
-    factor = _tail_factor(lb.bound_k, tau.norm1)
-    diag["tail_factor"] = factor
-    diag["tail_factor_note"] = TAIL_FACTOR_NOTE
+    kept, bound, truncation_n, diag = _plan(lb, tau, y, tol, truncation_n, unsafe)
     diag["path"] = path
     diag["inverse"] = True
-
-    if truncation_n is None:
-        truncation_n = _choose_truncation(tau, factor, tol)
-    kept, tail = tau.truncate(truncation_n)
-    bound = factor * tail
-    word = tuple((i, -v) for i, v in reversed(kept.entries))
-
-    if not word:
-        endpoint = y.copy()
-    elif path == "control":
-        control = gamma_control(kept, "reverse").negated()
-        res = flow_control(family, control, y, 0.0, control.pieces[-1][1],
-                           tol=tol, lb=None, region=lb.region)
-        endpoint = res.endpoint
-    elif path == "sequential":
-        z = y
-        for idx, dur in word:
-            z = flow_single(family.members[idx], z, dur, tol=tol, region=lb.region).endpoint
-        endpoint = z
-    else:
-        raise ValueError("path must be 'control' or 'sequential'")
+    word = FlowWord(kept.entries).inverse().letters
+    endpoint = _run_word(family, lb, word, y, tol, path)
     return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
                              tail_error_bound=bound, word=word, seed_point=y.copy(),
                              family=family, tol=tol, diagnostics=diag)
@@ -243,7 +219,8 @@ def d_psi(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
     """Directional derivative of the chart map at tau along sigma.
 
     Walks the merged support in index order, accumulating the prefix
-    variational matrices P_p of the word.  Each sigma term contributes
+    variational matrices P_p of the word (indices only in sigma are
+    zero-duration letters).  Each sigma term contributes
     ``sigma_p * P_p^{-1} X_p(x_p)`` (the backward-transported field value at
     the prefix endpoint) and the sum is pushed forward through the full-word
     variational matrix.  At tau = 0 every prefix matrix is exactly the
@@ -255,30 +232,18 @@ def d_psi(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
     conditioning validity.
     """
     x = np.asarray(x, dtype=float)
-    _guard(family, lb, tau, x, unsafe)
-
-    factor = _tail_factor(lb.bound_k, tau.norm1)
-    n_keep = _choose_truncation(tau, factor, tol)
-    kept, _ = tau.truncate(n_keep)
+    kept, _, _, _ = _plan(lb, tau, x, tol, None, unsafe)
     tau_map = dict(kept.entries)
-    merged = sorted(set(tau_map) | set(sigma.support))
-
-    dim = family.space.dimension
-    x_cur = x.copy()
-    P_cur = np.eye(dim)
-    acc = np.zeros(dim)
-    for idx in merged:
-        dur = tau_map.get(idx, 0.0)
-        if dur != 0.0:
-            leg = flow_single(family.members[idx], x_cur, dur, tol=tol,
-                              with_variational=True, region=lb.region)
-            P_cur = leg.endpoint_variational @ P_cur
-            x_cur = leg.endpoint
+    word = FlowWord(tuple((i, tau_map.get(i, 0.0))
+                          for i in sorted(set(tau_map) | set(sigma.support))))
+    P = np.eye(x.size)
+    acc = np.zeros(x.size)
+    legs = word.legs(family.members, x, tol, lb.region, with_variational=True)
+    for (idx, _), (x_cur, P) in zip(word.letters, legs):
         s = sigma.get(idx)
         if s != 0.0:
-            v = family.members[idx](x_cur)
-            acc += s * np.linalg.solve(P_cur, v)
-    return P_cur @ acc
+            acc += s * np.linalg.solve(P, family.members[idx](x_cur))
+    return P @ acc
 
 
 def extract_l1_curve(result: CompositionResult, samples_per_piece: int,
@@ -290,33 +255,23 @@ def extract_l1_curve(result: CompositionResult, samples_per_piece: int,
     if result.family is None:
         raise ValueError("result does not carry its family")
     if samples_per_piece < 1:
-        raise ValueError("samples_per_piece must be >= 1")
-    tol = result.tol if tol is None else tol
-    family = result.family
+        raise InvalidArgument("samples_per_piece must be >= 1")
+    return _l1_curve(result.family, result.word, result.seed_point,
+                     result.tol if tol is None else tol, samples_per_piece, None)
+
+
+def _l1_curve(family: FieldFamily, word, x: np.ndarray, tol: float,
+              samples_per_piece: int, region: Ball | None) -> L1Curve:
+    """Run ``word`` with each letter cut into ``samples_per_piece`` legs."""
+    letters = []
     times = [0.0]
-    points = [result.seed_point.copy()]
-    knot_times = [0.0]
-    knot_points = [result.seed_point.copy()]
     t_base = 0.0
-    x = result.seed_point.copy()
-    for idx, dur in result.word:
-        sub = np.linspace(0.0, dur, samples_per_piece + 1)[1:]
-        prev_local = 0.0
-        for s_local in sub:
-            res = flow_single(family.members[idx], x, s_local - prev_local, tol=tol)
-            x = res.endpoint
-            prev_local = s_local
-            times.append(t_base + abs(s_local))
-            points.append(x.copy())
+    for idx, dur in word:
+        sub = np.linspace(0.0, dur, samples_per_piece + 1)
+        letters.extend((idx, b - a) for a, b in zip(sub, sub[1:]))
+        times.extend(t_base + abs(s) for s in sub[1:])
         t_base += abs(dur)
-        knot_times.append(t_base)
-        knot_points.append(x.copy())
-    return L1Curve(times=np.asarray(times), points=np.asarray(points),
-                   knot_times=np.asarray(knot_times), knot_points=np.asarray(knot_points))
-
-
-def _sample_l1_curve(family: FieldFamily, word, x, tol, samples_per_piece, region: Ball) -> L1Curve:
-    stub = CompositionResult(endpoint=np.asarray(x, dtype=float), truncation_n=len(word),
-                             tail_error_bound=0.0, word=tuple(word),
-                             seed_point=np.asarray(x, dtype=float), family=family, tol=tol)
-    return extract_l1_curve(stub, samples_per_piece, tol=tol)
+    points = [x.copy()] + [y for y, _ in FlowWord(letters).legs(family.members, x, tol, region)]
+    times, points = np.asarray(times), np.asarray(points)
+    return L1Curve(times=times, points=points, knot_times=times[::samples_per_piece],
+                   knot_points=points[::samples_per_piece])

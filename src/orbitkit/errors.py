@@ -42,6 +42,10 @@ class WordNotIntegrable(OrbitKitError):
     """A flow word could not be integrated from the requested point."""
 
 
+class InvalidArgument(OrbitKitError, ValueError):
+    """An argument is outside the values an operation accepts."""
+
+
 class ParseError(OrbitKitError):
     """Scenario text failed to parse."""
 

@@ -24,19 +24,19 @@ from .space import Ball, L1Coefficients
 DEFAULT_TOL = 1e-9
 DOMAIN_INFLATE = 1e-12
 
-# Dormand-Prince 5(4) tableau (FSAL: stage 7 equals stage 1 of the next step)
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau (FSAL: stage 7 equals stage 1 of the next step,
+# and its input is the fifth-order solution, since row 7 of A is the B5 row)
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
+_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 @dataclass(frozen=True)
@@ -123,22 +123,31 @@ def existence_radius(lb: LbRecord, x0: np.ndarray) -> float:
     return r
 
 
+def guard(lb: LbRecord, x: np.ndarray, c: float, T0: float,
+          t_prime: float = math.inf) -> ExistenceCertificate:
+    """The one existence/smallness guard: flows driven with coefficient mass
+    at most ``c`` from ``x`` stay defined for times below ``min(r/(k c), T')``.
+
+    A composition along tau is the case ``c = 1, T0 = norm1(tau)``, where
+    the bound reads ``norm1(tau) < r/k``.
+    """
+    r = existence_radius(lb, np.asarray(x, dtype=float))
+    k = lb.bound_k
+    time_bound = math.inf if c == 0.0 else r / (k * c)
+    margin = min(time_bound, t_prime) - T0
+    return ExistenceCertificate(r=r, k=k, c=c, T_prime=t_prime, T0=T0,
+                                satisfied=margin > 0, margin=margin)
+
+
 def check_existence(family: FieldFamily, lb: LbRecord, u: Control, x0: np.ndarray,
                     T0: float, t0: float = 0.0) -> ExistenceCertificate:
     """Pure guard predicate; no integration happens here."""
-    x0 = np.asarray(x0, dtype=float)
-    r = existence_radius(lb, x0)
-    k = lb.bound_k
-    c = u.sup_norm
     if u.interval is None:
         t_prime = math.inf
     else:
         lo, hi = u.interval
         t_prime = min(t0 - lo, hi - t0)
-    time_bound = math.inf if c == 0.0 else r / (k * c)
-    margin = min(time_bound, t_prime) - T0
-    return ExistenceCertificate(r=r, k=k, c=c, T_prime=t_prime, T0=T0,
-                                satisfied=margin > 0, margin=margin)
+    return guard(lb, x0, u.sup_norm, T0, t_prime)
 
 
 @dataclass(frozen=True)
@@ -166,83 +175,102 @@ class FlowResult:
 
 
 class _Rhs:
-    """Right-hand side for one control piece: support-local sum of members."""
+    """Right-hand side ``sum_a w_a X_a`` for one control piece, with the
+    variational equation ``V' = (sum_a w_a DX_a) V`` stacked behind it."""
 
-    __slots__ = ("members", "idxs", "vals", "with_var", "dim")
+    __slots__ = ("members", "weights", "with_var", "dim")
 
-    def __init__(self, family: FieldFamily, coeff: L1Coefficients, with_var: bool):
-        self.members = [family.members[i] for i in coeff.support]
-        self.idxs = coeff.support
-        self.vals = [v for _, v in coeff.entries]
+    def __init__(self, members, weights, with_var: bool, dim: int):
+        self.members = members
+        self.weights = weights
         self.with_var = with_var
-        self.dim = family.space.dimension
+        self.dim = dim
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         d = self.dim
         x = y[:d]
         out = np.zeros_like(y)
-        for m, v in zip(self.members, self.vals):
-            out[:d] += v * m(x)
+        for m, w in zip(self.members, self.weights):
+            out[:d] += w * m(x)
         if self.with_var:
-            V = y[d:].reshape(d, d)
             J = np.zeros((d, d))
-            for m, v in zip(self.members, self.vals):
-                J += v * m.jacobian(x)
-            out[d:] = (J @ V).ravel()
+            for m, w in zip(self.members, self.weights):
+                J += w * m.jacobian(x)
+            out[d:] = (J @ y[d:].reshape(d, d)).ravel()
         return out
 
 
 def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol: float,
-                       region: Ball | None, times: list[float], states: list[np.ndarray],
+                       region: Ball, times: list[float], states: list[np.ndarray],
                        stats: dict) -> np.ndarray:
     """Advance y through [t0, t1] (either direction) with DP 5(4) steps."""
     span = t1 - t0
-    if span == 0.0:
-        return y0
     direction = 1.0 if span > 0 else -1.0
     t = t0
     y = y0
     h = direction * min(abs(span), max(abs(span) * 0.1, 1e-3))
-    k1 = rhs(t, y)
-    ks = [None] * 7
+    K = np.empty((7, y.size))
+    K[0] = rhs(t, y)
     while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
         if abs(h) > abs(t1 - t):
             h = t1 - t
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             raise StepUnderflow(f"step size underflow at t={t}")
-        ks[0] = k1
+        hA = h * _A
         for i in range(1, 7):
-            yi = y.copy()
-            for j, a in enumerate(_A[i]):
-                if a:
-                    yi += (h * a) * ks[j]
-            ks[i] = rhs(t + _C[i] * h, yi)
-        y5 = y.copy()
-        for j, b in enumerate(_B5):
-            if b:
-                y5 += (h * b) * ks[j]
-        err_vec = np.zeros_like(y)
-        for j, e in enumerate(_E):
-            if e:
-                err_vec += (h * e) * ks[j]
+            yi = y + hA[i, :i] @ K[:i]
+            K[i] = rhs(t + _C[i] * h, yi)
         scale = tol * abs(h) * (1.0 + float(np.max(np.abs(y))))
-        err = float(np.max(np.abs(err_vec)))
+        err = float(np.max(np.abs(h * (_E @ K))))
         if err <= scale:
             t = t + h
-            y = y5
-            k1 = ks[6]  # FSAL
+            y = yi  # the stage-7 input is the fifth-order solution
+            K[0] = K[6]  # FSAL
             stats["steps"] += 1
             stats["err"] += err
-            if region is not None and not region.contains(y[:dim], inflate=DOMAIN_INFLATE):
+            if not region.contains(y[:dim], inflate=DOMAIN_INFLATE):
                 raise LeftDomain(f"trajectory left the working region at t={t}",
                                  last_point=y[:dim].copy(), last_time=t)
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
             h *= grow
         else:
             h *= max(0.2, 0.9 * (scale / err) ** 0.2)
     return y
+
+
+def _flow(x0: np.ndarray, t0: float, segments, with_var: bool, tol: float,
+          region: Ball, diagnostics: dict) -> FlowResult:
+    """The one integration core behind :func:`flow_control` and
+    :func:`flow_single`.
+
+    ``segments`` are consecutive ``(t_end, rhs)`` pieces starting at ``t0``;
+    ``rhs=None`` is the zero control, over which the state is stationary.
+    A flow without segments returns its start point without stepping.
+    """
+    dim = x0.size
+    if segments and not region.contains(x0, inflate=DOMAIN_INFLATE):
+        raise LeftDomain("start point outside the working region", last_point=x0, last_time=t0)
+    y = x0.copy()
+    if with_var:
+        y = np.concatenate([y, np.eye(dim).ravel()])
+    times = [t0]
+    states = [y]
+    stats = {"steps": 0, "err": 0.0}
+    a = t0
+    for b, rhs in segments:
+        if rhs is not None:
+            y = _integrate_segment(rhs, a, b, y, dim, tol, region, times, states, stats)
+        if abs(times[-1] - b) > 1e-12 * max(1.0, abs(b)):
+            times.append(b)
+            states.append(y)
+        a = b
+    pts = np.array([s[:dim] for s in states])
+    var = [s[dim:].reshape(dim, dim) for s in states] if with_var else None
+    return FlowResult(times=np.array(times), points=pts, endpoint=pts[-1].copy(),
+                      variational=var, steps_taken=stats["steps"],
+                      est_local_error=stats["err"], diagnostics=diagnostics)
 
 
 def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0: float,
@@ -271,82 +299,84 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
                 f"existence guard failed: margin {cert.margin:.6g} "
                 f"(r={cert.r:.6g}, k={cert.k:.6g}, c={cert.c:.6g}, T0={cert.T0:.6g})")
     work_region = region if region is not None else (lb.region if lb is not None else family.common_domain)
-    if not work_region.contains(x0, inflate=DOMAIN_INFLATE):
-        raise LeftDomain("start point outside the working region", last_point=x0, last_time=t0)
 
     t_end = t0 + T0
     direction = 1.0 if T0 >= 0 else -1.0
     cuts = [t0] + [b for b in u.boundaries() if (t0 - b) * direction < 0 and (t_end - b) * direction > 0]
     cuts = sorted(set(cuts + [t_end]), reverse=(direction < 0))
-
-    y = x0.copy()
-    if with_variational:
-        y = np.concatenate([y, np.eye(dim).ravel()])
-    times = [t0]
-    states = [y.copy()]
-    stats = {"steps": 0, "err": 0.0}
-
+    segments = []
     for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        coeff = u.piece_at(mid)
-        if coeff is None or not coeff.entries:
-            # zero control: the trajectory is stationary on this span
-            times.append(b)
-            states.append(states[-1].copy())
-            y = states[-1]
-            continue
-        rhs = _Rhs(family, coeff, with_variational)
-        y = _integrate_segment(rhs, a, b, y, dim, tol, work_region, times, states, stats)
-        if abs(times[-1] - b) > 1e-12 * max(1.0, abs(b)):
-            times.append(b)
-            states.append(y.copy())
-
-    pts = np.array([s[:dim] for s in states])
-    var = None
-    if with_variational:
-        var = [s[dim:].reshape(dim, dim) for s in states]
-    return FlowResult(times=np.array(times), points=pts, endpoint=pts[-1].copy(),
-                      variational=var, steps_taken=stats["steps"],
-                      est_local_error=stats["err"], diagnostics=diagnostics)
+        coeff = u.piece_at(0.5 * (a + b))
+        rhs = None
+        if coeff is not None and coeff.entries:
+            rhs = _Rhs([family.members[i] for i in coeff.support],
+                       [v for _, v in coeff.entries], with_variational, dim)
+        segments.append((b, rhs))
+    return _flow(x0, t0, segments, with_variational, tol, work_region, diagnostics)
 
 
 def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_TOL,
                 with_variational: bool = False, region: Ball | None = None) -> FlowResult:
     """Flow of a single field for a signed time.
 
-    Negative ``t`` integrates the reversed field; ``t == 0`` returns the
-    start point (and an exact identity variational matrix) without stepping.
+    Negative ``t`` integrates backwards; ``t == 0`` returns the start point
+    (and an exact identity variational matrix) without stepping.
     """
     x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    if t == 0.0:
-        var = [np.eye(dim)] if with_variational else None
-        return FlowResult(times=np.array([0.0]), points=x0[None, :].copy(),
-                          endpoint=x0.copy(), variational=var, steps_taken=0,
-                          est_local_error=0.0, diagnostics={"unsafe": False, "guard_checked": False})
-    work_region = region if region is not None else X.domain
-    if not work_region.contains(x0, inflate=DOMAIN_INFLATE):
-        raise LeftDomain("start point outside the working region", last_point=x0, last_time=0.0)
-    sign = 1.0 if t > 0 else -1.0
+    segments = [(t, _Rhs((X,), (1.0,), with_variational, x0.size))] if t else []
+    return _flow(x0, 0.0, segments, with_variational, tol,
+                 region if region is not None else X.domain,
+                 {"unsafe": False, "guard_checked": False})
 
-    class _SingleRhs:
-        def __call__(self, s, y):
-            out = np.empty_like(y)
-            out[:dim] = sign * X(y[:dim])
+
+@dataclass(frozen=True)
+class FlowWord:
+    """A finite flow composition, letters applied first to last."""
+
+    letters: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "letters",
+                           tuple((int(i), float(t)) for i, t in self.letters))
+
+    @property
+    def total_duration(self) -> float:
+        return sum(abs(t) for _, t in self.letters)
+
+    def inverse(self) -> "FlowWord":
+        return FlowWord(tuple((i, -t) for i, t in reversed(self.letters)))
+
+    def then(self, other: "FlowWord") -> "FlowWord":
+        """Composition applying ``self`` first, then ``other``."""
+        return FlowWord(self.letters + other.letters)
+
+    def legs(self, members, x: np.ndarray, tol: float = DEFAULT_TOL,
+             region: Ball | None = None, with_variational: bool = False):
+        """The one word runner: flow ``members[i]`` for ``t`` per letter and
+        yield ``(point, M)`` after each, ``M`` being the variational matrix of
+        the word prefix (``None`` without ``with_variational``)."""
+        y = np.asarray(x, dtype=float)
+        M = np.eye(y.size) if with_variational else None
+        for idx, t in self.letters:
+            res = flow_single(members[idx], y, t, tol=tol,
+                              with_variational=with_variational, region=region)
+            y = res.endpoint
             if with_variational:
-                V = y[dim:].reshape(dim, dim)
-                out[dim:] = (sign * X.jacobian(y[:dim]) @ V).ravel()
-            return out
+                M = res.endpoint_variational @ M
+            yield y, M
 
-    y0 = x0.copy()
-    if with_variational:
-        y0 = np.concatenate([y0, np.eye(dim).ravel()])
-    times = [0.0]
-    states = [y0.copy()]
-    stats = {"steps": 0, "err": 0.0}
-    y = _integrate_segment(_SingleRhs(), 0.0, abs(t), y0, dim, tol, work_region, times, states, stats)
-    pts = np.array([s[:dim] for s in states])
-    var = [s[dim:].reshape(dim, dim) for s in states] if with_variational else None
-    return FlowResult(times=np.array(times) * sign, points=pts, endpoint=pts[-1].copy(),
-                      variational=var, steps_taken=stats["steps"],
-                      est_local_error=stats["err"], diagnostics={"unsafe": False, "guard_checked": False})
+    def apply(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
+              region: Ball | None = None) -> np.ndarray:
+        return self._last_leg(family, x, tol, region, False)[0]
+
+    def apply_with_variational(self, family: FieldFamily, x: np.ndarray,
+                               tol: float = DEFAULT_TOL,
+                               region: Ball | None = None) -> tuple[np.ndarray, np.ndarray]:
+        return self._last_leg(family, x, tol, region, True)
+
+    def _last_leg(self, family, x, tol, region, with_variational):
+        y = np.asarray(x, dtype=float)
+        last = (y, np.eye(y.size) if with_variational else None)
+        for last in self.legs(family.members, y, tol, region, with_variational):
+            pass
+        return last

@@ -10,18 +10,16 @@ drives the controllability verdicts.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import GuardViolated, LeftDomain, OutOfDomain, StepUnderflow
+from .errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
 from .compose import compose_flows
 from .fields import FieldFamily, LbRecord, VectorField
-from .flow import existence_radius, flow_single
+from .flow import DEFAULT_TOL, FlowWord, existence_radius, flow_single, guard
 from .space import L1Coefficients
 
 RANK_REL_TOL = 1e-8
@@ -182,7 +180,7 @@ class SliceGrid:
 
 def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
                grid_per_axis: int, axes: Sequence[int],
-               tol: float = 1e-9) -> SliceGrid:
+               tol: float = DEFAULT_TOL) -> SliceGrid:
     """Map the parameter box ``|w_axis| <= rho`` through the chart map.
 
     ``rho`` must stay below the smallness radius r/k.  At the origin the
@@ -193,10 +191,10 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
     x = np.asarray(x, dtype=float)
     axes = tuple(int(a) for a in axes)
     if len(axes) > 3:
-        raise ValueError("at most 3 grid axes are supported")
-    r = existence_radius(lb, x)
-    limit = r / lb.bound_k
-    if not rho < limit:
+        raise InvalidArgument("at most 3 grid axes are supported")
+    cert = guard(lb, x, 1.0, rho)
+    limit = cert.r / cert.k
+    if not cert.satisfied:
         raise GuardViolated(f"rho={rho:.6g} is not below the smallness bound r/k={limit:.6g}")
     grids = np.meshgrid(*[np.linspace(-rho, rho, grid_per_axis)] * len(axes), indexing="ij")
     params = np.stack([g.ravel() for g in grids], axis=1)
@@ -212,14 +210,6 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
     return SliceGrid(params=params, points=np.array(pts), axes=axes,
                      jacobian_rank_at_zero=rank0,
                      diagnostics={"rho": rho, "smallness_limit": limit})
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ORBITKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
@@ -239,12 +229,11 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     the seed and extends the nearest stored point whose word is still below
     ``max_word_len``, which spreads the cloud far more evenly than blind
     words.  ``mode="independent"`` integrates ``budget`` unrelated words of
-    ``max_word_len`` legs each, storing every leg endpoint; independent
-    words may fan out over a worker pool capped by ORBITKIT_THREADS, with
-    the cloud assembled in generation order regardless of completion order.
+    ``max_word_len`` legs each, storing every leg endpoint in generation
+    order.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise InvalidArgument("budget must be >= 1")
     x = np.asarray(x, dtype=float)
     r = existence_radius(lb, x)
     if d_max is None:
@@ -258,7 +247,7 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
         cloud = _sample_independent(family, lb, x, budget, max_word_len, rng_seed,
                                     tol, d_max)
     else:
-        raise ValueError("mode must be 'explore' or 'independent'")
+        raise InvalidArgument("mode must be 'explore' or 'independent'")
     return OrbitSample(seed=x.copy(), cloud=cloud, budget_used=budget,
                        rng_seed=rng_seed, d_max=d_max)
 
@@ -302,69 +291,37 @@ def _sample_independent(family, lb, x, budget, max_word_len, rng_seed, tol, d_ma
     rng = np.random.default_rng(rng_seed)
     labels = family.labels()
     m = len(family.members)
-    proposals = []
-    for _ in range(budget):
-        proposals.append([(int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
-                          for _ in range(max_word_len)])
-
-    def integrate(word):
-        y = x.copy()
-        out = []
-        executed: tuple[tuple[str, float], ...] = ()
-        for idx, dur in word:
-            try:
-                y_new = flow_single(family.members[idx], y, dur, tol=tol,
-                                    region=lb.region).endpoint
-            except (LeftDomain, StepUnderflow):
-                out.append((y.copy(), executed, True))
-                return out
-            y = y_new
-            executed = executed + ((labels[idx], dur),)
-            out.append((y.copy(), executed, False))
-        return out
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(integrate, proposals))
-    else:
-        chunks = [integrate(w) for w in proposals]
     cloud: list[tuple[np.ndarray, tuple[tuple[str, float], ...], bool]] = [(x.copy(), (), False)]
-    for ch in chunks:
-        cloud.extend(ch)
+    for _ in range(budget):
+        word = FlowWord([(int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
+                         for _ in range(max_word_len)])
+        legs = word.legs(family.members, x, tol, lb.region)
+        y, executed = x, ()
+        try:
+            for (idx, dur), (y, _) in zip(word.letters, legs):
+                executed = executed + ((labels[idx], dur),)
+                cloud.append((y, executed, False))
+        except (LeftDomain, StepUnderflow):
+            # the last valid point of the attempted word
+            cloud.append((y.copy(), executed, True))
     return tuple(cloud)
 
 
 def replay_word(family: FieldFamily, seed: np.ndarray, word: Sequence[tuple[str, float]],
                 tol: float = 1e-6, region=None) -> np.ndarray:
     """Re-integrate a stored (label, duration) word from the seed."""
-    by_label = {m.label: m for m in family.members}
-    y = np.asarray(seed, dtype=float)
-    for label, dur in word:
-        y = flow_single(by_label[label], y, dur, tol=tol, region=region).endpoint
-    return y
+    index = {m.label: i for i, m in enumerate(family.members)}
+    return FlowWord(tuple((index[label], dur) for label, dur in word)).apply(
+        family, seed, tol=tol, region=region)
 
 
 def spot_check_sample(family: FieldFamily, sample: OrbitSample, fraction: float = 0.05,
                       tol: float = 1e-6) -> float:
     """Replay a deterministic fraction of the cloud's words and return the
-    largest distance between a stored point and its replay.  Replays may fan
-    out over a worker pool capped by ORBITKIT_THREADS."""
+    largest distance between a stored point and its replay."""
     stride = max(1, int(round(1.0 / max(fraction, 1e-9))))
-    picked = [entry for i, entry in enumerate(sample.cloud) if i % stride == 0]
-
-    def check(entry):
-        point, word, _ = entry
-        rep = replay_word(family, sample.seed, word, tol=tol)
-        return float(np.linalg.norm(rep - point))
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gaps = list(pool.map(check, picked))
-    else:
-        gaps = [check(e) for e in picked]
-    return max(gaps, default=0.0)
+    return max((float(np.linalg.norm(replay_word(family, sample.seed, word, tol=tol) - point))
+                for point, word, _ in sample.cloud[::stride]), default=0.0)
 
 
 def accessibility_verdict(family: FieldFamily, lb: LbRecord, x: np.ndarray, k_max: int,
@@ -419,7 +376,7 @@ class InvarianceReport:
 
 def invariance_residual(family: FieldFamily, x: np.ndarray, flow_index: int, t: float,
                         lb: LbRecord, include_enlarged: Sequence[VectorField] = (),
-                        tol: float = 1e-9) -> InvarianceReport:
+                        tol: float = DEFAULT_TOL) -> InvarianceReport:
     """Push the basis at x through one member flow and measure how far the
     pushed vectors leave the span at the target point.
 
@@ -435,10 +392,11 @@ def invariance_residual(family: FieldFamily, x: np.ndarray, flow_index: int, t: 
     M = res.endpoint_variational
     tgt = distribution_at(family, y, include_enlarged)
     # residual of each pushed vector against the orthogonal projector onto
-    # the target span (euclidean geometry is enough for a rank statement)
-    Q, _ = np.linalg.qr(tgt.vectors)
-    keep = numerical_rank(tgt.vectors)
-    Q = Q[:, :keep]
+    # the target span (euclidean geometry is enough for a rank statement);
+    # the leading left singular vectors span it even when the leading
+    # columns are dependent
+    U, _, _ = np.linalg.svd(tgt.vectors, full_matrices=False)
+    Q = U[:, :tgt.rank]
     residuals = []
     for j in range(src.vectors.shape[1]):
         v = M @ src.vectors[:, j]

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from .catalog import BUILTINS, build
 from .errors import DimensionMismatch, ParseError, UnknownBuiltin
 from .fields import FieldFamily, polynomial_field
+from .flow import DEFAULT_TOL
 from .space import Ball, ChartSpace, ball
 
 FORMAT_VERSION = "1"
@@ -43,7 +44,6 @@ FORMAT_VERSION = "1"
 COMMANDS = ("flow", "compose", "invert", "slice", "bracket-chain",
             "certify-hprime", "orbit-sample", "verdict", "check-lb")
 
-DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 200
 DEFAULT_SAFETY = 1.25

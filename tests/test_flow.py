@@ -237,6 +237,60 @@ class TestFlowLaws:
             flow_control(heis, u, x0, 0.0, T0, lb=heis_lb, tol=1e-7)  # must not raise
 
 
+# Dormand-Prince 5(4) as scalar loops over the tableau: the reference the
+# stacked-stage stepper must reproduce up to summation order.
+_REF_A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+          (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+          (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+          (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_REF_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _reference_flow(X, x0, t, tol):
+    """Flow of X for signed time t with its variational matrix, integrating
+    the sign-flipped field forward; returns (endpoint, matrix, steps)."""
+    d = x0.size
+    sign = 1.0 if t > 0 else -1.0
+
+    def rhs(y):
+        V = y[d:].reshape(d, d)
+        return np.concatenate([sign * X(y[:d]), (sign * X.jacobian(y[:d]) @ V).ravel()])
+
+    y = np.concatenate([x0, np.eye(d).ravel()])
+    s, end, steps = 0.0, abs(t), 0
+    h = min(end, max(end * 0.1, 1e-3))
+    k1 = rhs(y)
+    while end - s > 1e-15 * max(1.0, end):
+        h = min(h, end - s)
+        ks = [k1]
+        for row in _REF_A[1:]:
+            ks.append(rhs(y + sum(h * a * k for a, k in zip(row, ks) if a)))
+        scale = tol * h * (1.0 + np.abs(y).max())
+        err = np.abs(sum(h * e * k for e, k in zip(_REF_E, ks) if e)).max()
+        if err <= scale:
+            y = y + sum(h * b * k for b, k in zip(_REF_A[6], ks) if b)
+            s, k1, steps = s + h, ks[6], steps + 1
+            h *= 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
+        else:
+            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
+    return y[:d], y[d:].reshape(d, d), steps
+
+
+class TestStepperReference:
+    def test_matches_scalar_tableau_loops(self, rng):
+        fields = _law_catalog()
+        for _ in range(20):
+            X = fields[int(rng.integers(0, len(fields)))]
+            x = rng.uniform(-0.5, 0.5, X.domain.center.size)
+            t = float(rng.uniform(-0.8, 0.8))
+            tol = float(10.0 ** rng.uniform(-12, -6))
+            res = flow_single(X, x, t, tol=tol, with_variational=True)
+            ref_x, ref_M, ref_steps = _reference_flow(X, x, t, tol)
+            assert res.steps_taken == ref_steps
+            assert np.abs(res.endpoint - ref_x).max() <= 1e-13 * (1 + np.abs(ref_x).max())
+            assert np.abs(res.endpoint_variational - ref_M).max() <= 1e-13 * (1 + np.abs(ref_M).max())
+
+
 def polynomial_like_scale(X, factor):
     from orbitkit.fields import VectorField
 

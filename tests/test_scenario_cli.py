@@ -162,6 +162,32 @@ command compose {
         assert "status error" in text
         assert "type GuardViolated" in text
 
+    def test_bad_arguments_give_error_reports(self, tmp_path):
+        sc_file = tmp_path / "bad.scn"
+        sc_file.write_text(HEIS_SCENARIO.split("command")[0] + """\
+command flow {
+  point 0 0 zz
+  piece 0 1 0 1
+}
+command compose {
+  point 0 0 0
+  entry 0 0.1
+  path bogus
+}
+command orbit-sample {
+  point 0 0 0
+  budget 0
+}
+""")
+        assert main(["run", str(sc_file), "--out", str(tmp_path / "out")]) == 1
+        reports = sorted((tmp_path / "out").glob("report-*.txt"))
+        assert [r.name for r in reports] == ["report-01-flow.txt", "report-02-compose.txt",
+                                             "report-03-orbit-sample.txt"]
+        for r, kind in zip(reports, ("ParseError", "InvalidArgument", "InvalidArgument")):
+            text = r.read_text()
+            assert "status error" in text
+            assert f"type {kind}" in text
+
     def test_unsafe_override(self, tmp_path):
         sc = parse_scenario(HEIS_SCENARIO + """\
 command compose {
