@@ -22,7 +22,7 @@ from .errors import OrbitKitError, ParseError
 from .fields import FieldFamily, LbRecord, estimate_lb_bound
 from .flow import Control, guard
 from .report import Report, leaf, section, vector_leaf, write_point_cloud
-from .scenario import Node, Scenario, _floats, parse_scenario
+from .scenario import Node, Scenario, _floats, _integer, _one_float, _one_int, parse_scenario
 from .space import L1Coefficients
 
 
@@ -46,22 +46,30 @@ def _coefficients(cmd: Node, member_count: int) -> L1Coefficients:
         vals = _floats(n)
         if len(vals) != 2:
             raise ParseError("'entry' takes an index and a value")
-        if not 0 <= int(vals[0]) < member_count:
-            raise ParseError(f"'entry' index {int(vals[0])} has no family member")
-        pairs.append((int(vals[0]), vals[1]))
-    tail_node = cmd.child("tail")
-    tail = _floats(tail_node)[0] if tail_node else 0.0
-    return L1Coefficients.from_pairs(pairs, tail)
+        i = _integer(vals[0], "entry")
+        if not 0 <= i < member_count:
+            raise ParseError(f"'entry' index {i} has no family member")
+        pairs.append((i, vals[1]))
+    return L1Coefficients.from_pairs(pairs, _opt_float(cmd, "tail", 0.0))
 
 
-def _opt_float(cmd: Node, key: str, default: float) -> float:
+def _opt_float(cmd: Node, key: str, default: float | None) -> float | None:
     n = cmd.child(key)
-    return _floats(n)[0] if n else default
+    return _one_float(n) if n else default
 
 
 def _opt_int(cmd: Node, key: str, default: int | None) -> int | None:
     n = cmd.child(key)
-    return int(_floats(n)[0]) if n else default
+    return _one_int(n) if n else default
+
+
+def _opt_word(cmd: Node, key: str, default: str | None) -> str | None:
+    n = cmd.child(key)
+    if n is None:
+        return default
+    if len(n.args) != 1:
+        raise ParseError(f"'{key}' takes exactly one value")
+    return n.args[0]
 
 
 def _flag(cmd: Node, key: str, default: bool = False) -> bool:
@@ -72,7 +80,7 @@ def _flag(cmd: Node, key: str, default: bool = False) -> bool:
 
 
 def _build_lb(scenario: Scenario, family: FieldFamily, defaults: dict) -> LbRecord:
-    p = scenario.lb_params()
+    p = scenario.lb_params(family.space)
     region = p["region"] or family.common_domain
     samples = p["samples"] or defaults["samples"]
     if p["declared"] not in ("auto", "off"):
@@ -141,7 +149,7 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
             vals = _floats(pn)
             if len(vals) < 4 or len(vals) % 2 != 0:
                 raise ParseError("'piece' takes t_start t_end then index/value pairs")
-            idx_vals = [(int(vals[i]), vals[i + 1]) for i in range(2, len(vals), 2)]
+            idx_vals = [(_integer(vals[i], "piece"), vals[i + 1]) for i in range(2, len(vals), 2)]
             if any(not 0 <= i < len(family.members) for i, _ in idx_vals):
                 raise ParseError("'piece' references an index with no family member")
             pieces.append((vals[0], vals[1], L1Coefficients.from_pairs(idx_vals)))
@@ -166,7 +174,7 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         x0 = _point(cmd, dim)
         tau = _coefficients(cmd, len(family.members))
         trunc = _opt_int(cmd, "truncation", None)
-        path = (cmd.child("path").args[0] if cmd.child("path") else "control")
+        path = _opt_word(cmd, "path", "control")
         if name == "compose":
             res = compose.compose_flows(family, lb, tau, x0, tol=tol, truncation_n=trunc,
                                         path=path, unsafe=unsafe,
@@ -183,11 +191,10 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                    leaf("tail-factor-note", *res.diagnostics["tail_factor_note"].split()),
                    leaf("unsafe", unsafe)]
         results.extend(_word_nodes(res.word))
-        out_node = cmd.child("out")
-        if res.l1_curve is not None and out_node is not None:
-            path_out = out_dir / out_node.args[0]
-            write_point_cloud(path_out, res.l1_curve.points)
-            results.append(leaf("curve-file", out_node.args[0]))
+        out_name = _opt_word(cmd, "out", None)
+        if res.l1_curve is not None and out_name is not None:
+            write_point_cloud(out_dir / out_name, res.l1_curve.points)
+            results.append(leaf("curve-file", out_name))
             results.append(leaf("curve-samples", res.l1_curve.points.shape[0]))
         return Report(cmd, cfg, results)
 
@@ -196,7 +203,9 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         rho = _opt_float(cmd, "rho", 0.1)
         grid = _opt_int(cmd, "grid", 5)
         axes_node = cmd.child("axes")
-        axes = [int(a) for a in (axes_node.args if axes_node else ["0"])]
+        axes = [_integer(a, "axes") for a in _floats(axes_node)] if axes_node else [0]
+        if not axes:
+            raise ParseError("'axes' needs at least one index")
         if any(not 0 <= a < len(family.members) for a in axes):
             raise ParseError("'axes' references an index with no family member")
         res = orbit.slice_grid(family, lb, x0, rho, grid, axes, tol=tol)
@@ -205,10 +214,10 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                    leaf("axes", *axes), leaf("rho", rho),
                    leaf("points", res.points.shape[0]),
                    leaf("point-tolerance", tol * (1.0 + rho * len(axes)))]
-        out_node = cmd.child("out")
-        if out_node is not None:
-            write_point_cloud(out_dir / out_node.args[0], res.points)
-            results.append(leaf("cloud-file", out_node.args[0]))
+        out_name = _opt_word(cmd, "out", None)
+        if out_name is not None:
+            write_point_cloud(out_dir / out_name, res.points)
+            results.append(leaf("cloud-file", out_name))
         return Report(cmd, cfg, results)
 
     if name == "bracket-chain":
@@ -241,9 +250,8 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         x0 = _point(cmd, dim)
         budget = _opt_int(cmd, "budget", 1000)
         mwl = _opt_int(cmd, "max-word-len", 8)
-        mode = cmd.child("mode").args[0] if cmd.child("mode") else "explore"
-        er_node = cmd.child("exploration-radius")
-        er = _floats(er_node)[0] if er_node else None
+        mode = _opt_word(cmd, "mode", "explore")
+        er = _opt_float(cmd, "exploration-radius", None)
         samp = orbit.orbit_sample(family, lb, x0, budget, mwl, defaults["seed"],
                                   tol=tol, mode=mode, exploration_radius=er)
         cfg = _configuration(family, lb, defaults, x0, 1.0, samp.d_max, tol)
@@ -257,10 +265,10 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         if _flag(cmd, "spot-check"):
             gap = orbit.spot_check_sample(family, samp, 0.05, tol=tol)
             results.append(leaf("spot-check-max-gap", gap))
-        out_node = cmd.child("out")
-        if out_node is not None:
-            write_point_cloud(out_dir / out_node.args[0], pts)
-            results.append(leaf("cloud-file", out_node.args[0]))
+        out_name = _opt_word(cmd, "out", None)
+        if out_name is not None:
+            write_point_cloud(out_dir / out_name, pts)
+            results.append(leaf("cloud-file", out_name))
         return Report(cmd, cfg, results)
 
     if name == "verdict":

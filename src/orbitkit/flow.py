@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainTooSmall, GuardViolated, LeftDomain, StepUnderflow
+from .errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain, StepUnderflow
 from .fields import FieldFamily, LbRecord, VectorField
 from .space import Ball, L1Coefficients
 
@@ -57,15 +57,15 @@ class Control:
                           key=lambda p: p[0]))
         for (a, b, _) in ps:
             if not b > a:
-                raise ValueError("piece must have positive length")
+                raise InvalidArgument("piece must have positive length")
         for (_, b, _), (a2, _, _) in zip(ps, ps[1:]):
             if a2 < b - 1e-15:
-                raise ValueError("pieces overlap")
+                raise InvalidArgument("pieces overlap")
         object.__setattr__(self, "pieces", ps)
         if self.interval is not None:
             lo, hi = self.interval
             if ps and (ps[0][0] < lo - 1e-15 or ps[-1][1] > hi + 1e-15):
-                raise ValueError("pieces exceed declared interval")
+                raise InvalidArgument("pieces exceed declared interval")
 
     @property
     def sup_norm(self) -> float:

@@ -128,9 +128,12 @@ def _one_float(node: Node) -> float:
 
 
 def _one_int(node: Node) -> int:
-    v = _one_float(node)
-    if v != int(v):
-        raise ParseError(f"'{node.key}' takes an integer")
+    return _integer(_one_float(node), node.key)
+
+
+def _integer(v: float, key: str) -> int:
+    if not v.is_integer():
+        raise ParseError(f"'{key}' takes integers")
     return int(v)
 
 
@@ -279,7 +282,8 @@ class Scenario:
             members.append(polynomial_field(dom, comps, label=label))
         return FieldFamily(space=declared_space, members=tuple(members), common_domain=dom)
 
-    def lb_params(self) -> dict:
+    def lb_params(self, space: ChartSpace) -> dict:
+        """The ``lb`` section; its ``region`` is a ball of the chart ``space``."""
         out = {"order": 2, "samples": None, "declared": "auto", "region": None}
         sec = self._section("lb")
         if sec is not None:
@@ -291,7 +295,7 @@ class Scenario:
                 elif c.key == "declared":
                     out["declared"] = c.args[0] if c.args else "auto"
                 elif c.key == "region":
-                    out["region"] = _region_from(c)
+                    out["region"] = _region_from(c, space)
                 else:
                     raise ParseError(f"unknown lb entry '{c.key}'")
         return out
@@ -304,12 +308,15 @@ class Scenario:
         return cmds
 
 
-def _region_from(node: Node) -> Ball:
+def _region_from(node: Node, space: ChartSpace) -> Ball:
     center_node = node.child("center")
     radius_node = node.child("radius")
     if center_node is None or radius_node is None:
         raise ParseError("'region' needs 'center' and 'radius'")
-    return ball(_floats(center_node), _one_float(radius_node))
+    center = _floats(center_node)
+    if len(center) != space.dimension:
+        raise DimensionMismatch("region center dimension mismatch")
+    return ball(center, _one_float(radius_node), space.norm_kind)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -324,8 +331,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(f"unsupported format version {ver.args[0]!r}")
     # force validation of each typed section now, not at run time
     sc.defaults()
-    sc.build_family()
-    sc.lb_params()
+    sc.lb_params(sc.build_family().space)
     sc.commands()
     return sc
 

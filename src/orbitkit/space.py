@@ -35,17 +35,36 @@ def vector_norm(v: np.ndarray, kind: str) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def operator_norm(m: np.ndarray, kind: str) -> float:
-    """Exact induced operator norm of a matrix for the supported norms."""
-    m = np.asarray(m, dtype=float)
+def _row_norms(v: np.ndarray, kind: str) -> np.ndarray:
+    """:func:`vector_norm` of each row of ``v``, bit for bit."""
     if kind == "euclidean":
-        return float(np.linalg.norm(m, 2))
+        # row-wise dot products round like np.linalg.norm of each row
+        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
     if kind == "l1":
+        return np.sum(np.abs(v), axis=-1)
+    return np.max(np.abs(v), axis=-1)
+
+
+def operator_norm(m: np.ndarray, kind: str) -> float | np.ndarray:
+    """Exact induced operator norm of a matrix for the supported norms.
+
+    A stack ``(..., n, n)`` gives the array of its matrices' norms, of shape
+    ``(...)``, in one batched call; a single matrix gives a float.
+    """
+    m = np.asarray(m, dtype=float)
+    if kind not in NORM_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if m.shape[-2] == 0 or m.shape[-1] == 0:
+        out = np.zeros(m.shape[:-2])
+    elif kind == "euclidean":
+        # largest singular value
+        out = np.linalg.svd(m, compute_uv=False)[..., 0]
+    elif kind == "l1":
         # induced by the l1 vector norm: max absolute column sum
-        return float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
-    if kind == "sup":
-        return float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
-    raise ValueError(f"unknown norm kind {kind!r}")
+        out = np.max(np.sum(np.abs(m), axis=-2), axis=-1)
+    else:
+        out = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
+    return float(out) if m.ndim == 2 else out
 
 
 @dataclass(frozen=True)
@@ -81,12 +100,22 @@ class ChartSpace:
 
     def unit_vector(self, rng: np.random.Generator) -> np.ndarray:
         """A random vector of norm 1 under this chart's norm."""
-        v = rng.standard_normal(self.dimension)
-        n = self.norm(v)
-        while n < 1e-12:  # essentially never
-            v = rng.standard_normal(self.dimension)
-            n = self.norm(v)
-        return v / n
+        return self.unit_vectors(rng, 1)[0]
+
+    def unit_vectors(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` random unit vectors as the rows of one array.
+
+        The rows come from one ``standard_normal`` call, which reads the
+        stream exactly as ``count`` successive :meth:`unit_vector` draws do.
+        """
+        v = rng.standard_normal((count, self.dimension))
+        n = _row_norms(v, self.norm_kind)
+        bad = n < 1e-12
+        while bad.any():  # essentially never
+            v[bad] = rng.standard_normal((int(bad.sum()), self.dimension))
+            n[bad] = _row_norms(v[bad], self.norm_kind)
+            bad = n < 1e-12
+        return v / n[:, None]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg
+from orbitkit.algebra import FlowWord, enlarge_field
+from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, heisenberg_full
 from orbitkit.errors import OrderTooHigh, OutOfDomain
-from orbitkit.fields import (FieldFamily, constant_field, estimate_lb_bound,
-                             eval_jet_norm, finite_difference_jacobian,
-                             polynomial_field)
-from orbitkit.space import ChartSpace, ball
+from orbitkit.fields import (FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily, _unit_vectors,
+                             constant_field, estimate_lb_bound, eval_jet_norm,
+                             finite_difference_jacobian, polynomial_field)
+from orbitkit.space import ChartSpace, ball, operator_norm, vector_norm
 
 
 @pytest.fixture
@@ -47,6 +48,121 @@ class TestEvalJetNorm:
         X = constant_field(ball([0, 0], 1.0), [1.0, 0.0])
         with pytest.raises(OrderTooHigh):
             eval_jet_norm(X, np.zeros(2), 4, plane)
+
+
+def reference_jet_norm(field, x, s, space, rng, tuple_samples=MIN_UNIT_TUPLES):
+    """Per-direction nested differences: for every sampled direction v, the
+    Jacobian difference along v (2|V| Jacobians at order 2), and for every
+    pair (v, w) its difference along w (4|V||W| Jacobians at order 3)."""
+    def diff(y, v, h):
+        return (field.jacobian(y + h * v) - field.jacobian(y - h * v)) / (2.0 * h)
+
+    vecs = [space.unit_vector(rng) for _ in range(tuple_samples)]
+    for j in range(space.dimension):
+        e = np.zeros(space.dimension)
+        e[j] = 1.0
+        vecs += [e, -e]
+    total = vector_norm(field(x), space.norm_kind)
+    if s >= 1:
+        total += operator_norm(field.jacobian(x), space.norm_kind)
+    scale = 1.0 + float(np.linalg.norm(x))
+    h2, h3 = FD_STEP_2 * scale, FD_STEP_3 * scale
+    if s >= 2:
+        total += max(operator_norm(diff(x, v, h2), space.norm_kind) for v in vecs)
+    if s >= 3:
+        total += max(operator_norm((diff(x + h3 * w, v, h2) - diff(x - h3 * w, v, h2))
+                                   / (2.0 * h3), space.norm_kind)
+                     for v in vecs for w in vecs[: max(4, len(vecs) // 8)])
+    return total
+
+
+def chain_family(dim, rng):
+    # X1 = e1, X2 = e2 + sum_k c_k x0^k e_{k+2}
+    dom = ball(np.zeros(dim), 1.5)
+    zero = (0,) * dim
+    coeffs = rng.uniform(0.5, 1.5, dim - 2) * rng.choice([-1.0, 1.0], dim - 2)
+    comps1 = [((1.0, zero),)] + [()] * (dim - 1)
+    comps2 = [(), ((1.0, zero),)] + [((c, (k,) + zero[1:]),) for k, c in enumerate(coeffs, 1)]
+    members = (polynomial_field(dom, comps1, "X1"), polynomial_field(dom, comps2, "X2"))
+    return FieldFamily(space=ChartSpace(dim), members=members, common_domain=dom)
+
+
+def _monomial_derivative(terms, axes):
+    """Monomial table of the partial derivative along each axis in turn."""
+    for j in axes:
+        terms = [(c * e[j], e[:j] + (e[j] - 1,) + e[j + 1:]) for c, e in terms if e[j]]
+    return terms
+
+
+def _monomial_value(terms, x):
+    return sum(c * float(np.prod(x ** np.array(e))) for c, e in terms)
+
+
+class TestTensorJets:
+    def _cases(self, rng):
+        for dim in (4, 5, 6, 7):
+            fam = chain_family(dim, rng)
+            yield fam, [rng.uniform(-0.5, 0.5, dim) for _ in range(2)]
+        fam = heisenberg_full(radius=2.0)
+        yield fam, [rng.uniform(-1, 1, 3) for _ in range(2)]
+        fam = grushin(radius=2.0)
+        yield fam, [np.array([0.0, 0.4]), rng.uniform(-1, 1, 2)]
+        fam = affine_l1(6, 4, decay=0.5, linear_part=True, radius=2.0)
+        yield fam, [np.zeros(6), 0.1 * fam.space.unit_vector(rng)]
+
+    @pytest.mark.parametrize("s, rel", [(0, 1e-12), (1, 1e-12), (2, 1e-5), (3, 1e-3)])
+    def test_matches_nested_difference_reference(self, s, rel, rng):
+        for fam, points in self._cases(rng):
+            for x in points:
+                for m in fam.members:
+                    seed = int(rng.integers(0, 2 ** 31))
+                    got = eval_jet_norm(m, x, s, fam.space, rng=np.random.default_rng(seed))
+                    ref = reference_jet_norm(m, x, s, fam.space, np.random.default_rng(seed))
+                    assert got == pytest.approx(ref, rel=rel), (m.label, x, s)
+
+    @pytest.mark.parametrize("s, rel", [(2, 1e-5), (3, 1e-3)])
+    def test_enlarged_field_matches_reference(self, heis, heis_lb, s, rel):
+        Z = enlarge_field(heis, FlowWord(((0, 0.4), (1, -0.3))), 1, 1.5, heis_lb)
+        x = np.array([0.2, -0.1, 0.3])
+        got = eval_jet_norm(Z, x, s, heis.space, rng=np.random.default_rng(3), tuple_samples=8)
+        ref = reference_jet_norm(Z, x, s, heis.space, np.random.default_rng(3), tuple_samples=8)
+        assert got == pytest.approx(ref, rel=rel)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "l1", "sup"])
+    def test_cubic_field_order_three_is_analytic(self, kind):
+        dim = 3
+        comps = [[(1.5, (3, 0, 0)), (-2.0, (1, 1, 1))],
+                 [(0.7, (0, 2, 1)), (1.0, (1, 0, 0))],
+                 [(-1.2, (0, 0, 3)), (0.5, (2, 1, 0))]]
+        space = ChartSpace(dim, norm_kind=kind)
+        X = polynomial_field(ball(np.zeros(dim), 4.0, kind), comps, label="cubic")
+        x = np.array([0.3, -0.6, 0.2])
+        axes = range(dim)
+        d1 = np.array([[_monomial_value(_monomial_derivative(t, (j,)), x) for j in axes]
+                       for t in comps])
+        d2 = np.array([[[_monomial_value(_monomial_derivative(t, (j, k)), x) for k in axes]
+                        for j in axes] for t in comps])
+        d3 = np.array([[[[_monomial_value(_monomial_derivative(t, (j, k, l)), x) for l in axes]
+                         for k in axes] for j in axes] for t in comps])
+        dirs = _unit_vectors(space, np.random.default_rng(11), MIN_UNIT_TUPLES)
+        expected = (vector_norm(X(x), kind) + operator_norm(d1, kind)
+                    + max(operator_norm(d2 @ v, kind) for v in dirs)
+                    + max(operator_norm(d3 @ w @ v, kind)
+                          for v in dirs for w in dirs[: max(4, len(dirs) // 8)]))
+        got = eval_jet_norm(X, x, 3, space, rng=np.random.default_rng(11))
+        assert got == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "l1", "sup"])
+    def test_unit_vectors_match_sequential_draws(self, kind):
+        space = ChartSpace(5, norm_kind=kind)
+        got = _unit_vectors(space, np.random.default_rng(4), 40)
+        rng, normals = np.random.default_rng(4), np.random.default_rng(4)
+        assert got.shape == (40 + 2 * 5, 5)
+        for row in got[:40]:
+            assert np.array_equal(row, space.unit_vector(rng))
+            v = normals.standard_normal(5)
+            assert np.array_equal(row, v / vector_norm(v, kind))
+        assert np.array_equal(got[40:], np.repeat(np.eye(5), 2, axis=0) * np.tile([1, -1], 5)[:, None])
 
 
 class TestJacobians:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orbitkit.catalog import commuting_constants, grushin, heisenberg
-from orbitkit.errors import DomainTooSmall, GuardViolated, LeftDomain
+from orbitkit.errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain
 from orbitkit.fields import FieldFamily, LbRecord, polynomial_field
 from orbitkit.flow import (Control, check_existence, constant_control, flow_control,
                            flow_single)
@@ -54,6 +54,22 @@ class TestCheckExistence:
         u = Control(pieces=())
         with pytest.raises(DomainTooSmall):
             check_existence(fam, lb, u, np.array([1.0, 0.0]), 1.0)
+
+
+class TestControl:
+    @pytest.mark.parametrize("pieces", [
+        ((0.0, 1.0), (0.5, 2.0)),  # overlap
+        ((0.0, 0.0),),  # zero length
+        ((1.0, 0.5),),  # negative length
+    ])
+    def test_bad_pieces_are_invalid_arguments(self, pieces):
+        coeffs = L1Coefficients(((0, 1.0),))
+        with pytest.raises(InvalidArgument):
+            Control(pieces=tuple((a, b, coeffs) for a, b in pieces))
+
+    def test_pieces_outside_interval(self):
+        with pytest.raises(InvalidArgument):
+            Control(pieces=((0.0, 2.0, L1Coefficients(((0, 1.0),))),), interval=(0.0, 1.0))
 
 
 class TestFlowControl:

@@ -162,31 +162,82 @@ command compose {
         assert "status error" in text
         assert "type GuardViolated" in text
 
+    BAD_COMMANDS = [
+        ("flow", "point 0 0 zz\n  piece 0 1 0 1", "ParseError"),
+        ("flow", "point 0 0 0\n  piece 0 1 0 1\n  piece 0.5 2 1 1", "InvalidArgument"),
+        ("flow", "point 0 0 0\n  piece 0 0 0 1", "InvalidArgument"),
+        ("flow", "point 0 0 0\n  piece 0 1 nan 1", "ParseError"),
+        ("compose", "point 0 0 0\n  entry 0 0.1\n  path bogus", "InvalidArgument"),
+        ("compose", "point 0 0 0\n  entry 0 0.1\n  path", "ParseError"),
+        ("compose", "point 0 0 0\n  entry 0 0.1\n  tail", "ParseError"),
+        ("compose", "point 0 0 0\n  entry nan 0.1", "ParseError"),
+        ("compose", "point 0 0 0\n  entry 0 0.1\n  curve-samples 3\n  out", "ParseError"),
+        ("orbit-sample", "point 0 0 0\n  budget 0", "InvalidArgument"),
+        ("orbit-sample", "point 0 0 0\n  budget", "ParseError"),
+        ("orbit-sample", "point 0 0 0\n  budget nan", "ParseError"),
+        ("orbit-sample", "point 0 0 0\n  mode", "ParseError"),
+        ("orbit-sample", "point 0 0 0\n  budget 3\n  out", "ParseError"),
+        ("check-lb", "order", "ParseError"),
+        ("check-lb", "samples", "ParseError"),
+        ("slice", "point 0 0 0\n  grid", "ParseError"),
+        ("slice", "point 0 0 0\n  axes x", "ParseError"),
+        ("slice", "point 0 0 0\n  axes", "ParseError"),
+        ("slice", "point 0 0 0\n  grid 2\n  out", "ParseError"),
+        ("certify-hprime", "grid", "ParseError"),
+    ]
+
     def test_bad_arguments_give_error_reports(self, tmp_path):
         sc_file = tmp_path / "bad.scn"
-        sc_file.write_text(HEIS_SCENARIO.split("command")[0] + """\
-command flow {
-  point 0 0 zz
-  piece 0 1 0 1
-}
-command compose {
-  point 0 0 0
-  entry 0 0.1
-  path bogus
-}
-command orbit-sample {
-  point 0 0 0
-  budget 0
-}
-""")
+        sc_file.write_text(HEIS_SCENARIO.split("command")[0] + "".join(
+            f"command {name} {{\n  {body}\n}}\n" for name, body, _ in self.BAD_COMMANDS))
         assert main(["run", str(sc_file), "--out", str(tmp_path / "out")]) == 1
         reports = sorted((tmp_path / "out").glob("report-*.txt"))
-        assert [r.name for r in reports] == ["report-01-flow.txt", "report-02-compose.txt",
-                                             "report-03-orbit-sample.txt"]
-        for r, kind in zip(reports, ("ParseError", "InvalidArgument", "InvalidArgument")):
+        assert [r.name for r in reports] == [f"report-{i:02d}-{name}.txt" for i, (name, _, _)
+                                             in enumerate(self.BAD_COMMANDS, start=1)]
+        for r, (_, body, kind) in zip(reports, self.BAD_COMMANDS):
             text = r.read_text()
-            assert "status error" in text
-            assert f"type {kind}" in text
+            assert "status error" in text, body
+            assert f"type {kind}" in text, body
+
+    def test_lb_region_is_a_ball_of_the_chart_norm(self, tmp_path):
+        # r is half the distance from (1.9, 1.9, 0, 0) to the region's
+        # boundary: 0.1 / 2 in l1; a euclidean ball would give (3.9 - 2.687) / 2
+        sc = parse_scenario("""\
+space {
+  dim 4
+  norm l1
+  l1-truncation on
+}
+family {
+  builtin affine-l1 {
+    dim 4
+    count 2
+  }
+}
+lb {
+  region {
+    center 0 0 0 0
+    radius 3.9
+  }
+}
+command flow {
+  point 1.9 1.9 0 0
+  piece 0 0.01 0 1
+  unsafe on
+}
+""")
+        assert sc.lb_params(sc.build_family().space)["region"].norm_kind == "l1"
+        assert run_scenario(sc, tmp_path / "out") == 0
+        text = (tmp_path / "out" / "report-01-flow.txt").read_text()
+        r = [float(line.split()[1]) for line in text.splitlines() if line.split()[:1] == ["r"]]
+        assert r == [pytest.approx(0.05)]
+
+    def test_lb_region_dimension_checked(self):
+        bad = HEIS_SCENARIO.replace("  order 2\n", "  order 2\n  region {\n    center 0 0\n"
+                                    "    radius 1\n  }\n")
+        assert "region" in bad
+        with pytest.raises(DimensionMismatch):
+            parse_scenario(bad)
 
     def test_unsafe_override(self, tmp_path):
         sc = parse_scenario(HEIS_SCENARIO + """\

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from orbitkit.space import Ball, ChartSpace, L1Coefficients, ball, norm1, truncate, vector_norm
+from orbitkit.space import (Ball, ChartSpace, L1Coefficients, ball, norm1, operator_norm, truncate,
+                            vector_norm)
 
 
 class TestNorm1:
@@ -101,6 +102,22 @@ class TestChartSpace:
             nu, nv = vector_norm(u, kind), vector_norm(v, kind)
             assert vector_norm(u + v, kind) <= nu + nv + 1e-12
             assert abs(vector_norm(a * u, kind) - abs(a) * nu) <= 1e-12
+
+
+    @pytest.mark.parametrize("kind", ["sup", "euclidean", "l1"])
+    def test_operator_norm_of_a_stack(self, kind, rng):
+        stack = rng.standard_normal((3, 5, 4, 4))
+        got = operator_norm(stack, kind)
+        assert got.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            m = stack[idx]
+            assert isinstance(operator_norm(m, kind), float)
+            assert got[idx] == operator_norm(m, kind)
+            # the induced norm is attained on some unit vector and bounds all
+            u = [ChartSpace(4, norm_kind=kind).unit_vector(rng) for _ in range(50)]
+            assert max(vector_norm(m @ v, kind) for v in u) <= got[idx] * (1 + 1e-12)
+        e = np.eye(4)
+        assert operator_norm(e, kind) == pytest.approx(1.0)
 
 
 class TestBall:
