@@ -1,6 +1,13 @@
 """Lie brackets, flow-conjugated field enlargement, bracket chains, and the
 sampled structure-constant certification.
 
+Brackets of two fields that carry monomial tables are exact: the bracket is
+a tabled field again, so iterated brackets carry no finite-difference error.
+On families of tabled fields, :func:`bracket_chain` drops brackets that lie
+in the span of the fields already accumulated, and :func:`certify_h_prime`
+evaluates the whole grid in batches.  Brackets of any other field are
+evaluated by finite differences of Jacobian-vector products.
+
 Enlarged fields are pushforwards of scaled members through finite flow
 words.  Their evaluation runs one backward word integration to find the
 source point and one forward variational integration to transport the field
@@ -16,12 +23,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
-from .fields import FD_STEP_1, FieldFamily, LbRecord, VectorField, eval_jet_norm
+from .fields import (FD_STEP_1, FieldFamily, LbRecord, MonomialTable, VectorField, calculus,
+                     eval_jet_norm)
 from .flow import DEFAULT_TOL, FlowWord, flow_single
-from .orbit import BracketChain, DistributionBasis, numerical_rank
+from .orbit import BracketChain, DistributionBasis, rank_of_singular_values
+from .orbit import numerical_rank  # noqa: F401  (perfbench's tracer wraps algebra.numerical_rank)
 from .space import Ball
 
 ENLARGED_FD_STEP = 1e-6
+
+# A tabled bracket whose coefficient vector is within this relative distance
+# of the span of the fields already in a chain is dropped.  It sits far
+# below orbit.RANK_REL_TOL, so no rank decision can depend on it.
+SPAN_REL_TOL = 1e-12
+
+
+def _check_domains(fields, x: np.ndarray) -> None:
+    for f in {id(f.domain): f for f in fields}.values():  # each distinct domain once
+        if not f.domain.contains(x, inflate=1e-12):
+            raise OutOfDomain(f"{f.label}: point outside domain")
 
 
 def lie_bracket(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
@@ -31,9 +51,7 @@ def lie_bracket(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
     differences of the Jacobian-vector products.
     """
     x = np.asarray(x, dtype=float)
-    for f in (X, Y):
-        if not f.domain.contains(x, inflate=1e-12):
-            raise OutOfDomain(f"{f.label}: point outside domain")
+    _check_domains((X, Y), x)
     if X.has_analytic_jacobian and Y.has_analytic_jacobian:
         return Y.jacobian(x) @ X(x) - X.jacobian(x) @ Y(x)
     return _jvp(Y, x, X(x)) - _jvp(X, x, Y(x))
@@ -126,14 +144,72 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
 
 
 def bracket_field(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y] as an evaluable field (no analytic Jacobian of its own)."""
-    dom = X.domain if Y.domain.contains_ball(X.domain) else Y.domain
+    """[X, Y] as an evaluable field.
+
+    When both fields carry monomial tables the bracket is exact and tabled
+    again, with an exact Jacobian; otherwise each evaluation is a
+    :func:`lie_bracket` and the field has no analytic Jacobian.  Either way
+    evaluation outside the domains of X and Y raises :class:`OutOfDomain`.
+    """
+    dom = X.domain if X.domain is Y.domain or Y.domain.contains_ball(X.domain) else Y.domain
+    label = f"[{X.label},{Y.label}]"
+    if X.table is not None and Y.table is not None:
+        table = X.table.bracket(Y.table)
+
+        def ev_exact(x: np.ndarray) -> np.ndarray:
+            _check_domains((X, Y), x)
+            return table(x)
+
+        def jac_exact(x: np.ndarray) -> np.ndarray:
+            return table.derivative(x)
+
+        return VectorField(domain=dom, eval_fn=ev_exact, jacobian_fn=jac_exact,
+                           label=label, table=table)
 
     def ev(x: np.ndarray) -> np.ndarray:
         return lie_bracket(X, Y, x)
 
-    return VectorField(domain=dom, eval_fn=ev, jacobian_fn=None,
-                       label=f"[{X.label},{Y.label}]")
+    return VectorField(domain=dom, eval_fn=ev, jacobian_fn=None, label=label)
+
+
+class _CoefficientSpan:
+    """The span of tabled fields' coefficient vectors, kept as orthonormal
+    rows over (monomial, component) pairs.  Monomials are numbered in the
+    order they are first seen, so a new monomial only appends coordinates,
+    which are zero in every stored row."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.monomials: dict[bytes, int] = {}
+        self.basis = np.zeros((0, 0))
+
+    def add(self, exponents: np.ndarray, coefficients: np.ndarray) -> bool:
+        """Add the coefficient vector that the rows of a table sum to (as in
+        :meth:`MonomialTable.from_rows`); False when it already lies in the
+        span (relative distance at most ``SPAN_REL_TOL``)."""
+        exponents = np.ascontiguousarray(exponents)
+        keys = exponents.view(np.dtype((np.void, exponents.itemsize * exponents.shape[1])))
+        rows = np.array([self.monomials.setdefault(key, len(self.monomials))
+                         for key in keys.ravel().tolist()], dtype=np.int64)
+        # entry (monomial, component) of the vector, summed in row order
+        index = (rows[:, None] * self.dim + np.arange(self.dim)).ravel()
+        v = np.bincount(index, weights=coefficients.ravel(),
+                        minlength=len(self.monomials) * self.dim)
+        norm = math.sqrt(v @ v)
+        if norm == 0.0:
+            return False
+        q = self.basis
+        if q.shape[1] < v.size:
+            q = np.concatenate([q, np.zeros((len(q), v.size - q.shape[1]))], axis=1)
+        r = v
+        for _ in range(2):  # orthogonalise twice: one pass loses orthogonality
+            r = r - (q @ r) @ q
+        rn = math.sqrt(r @ r)
+        if rn <= SPAN_REL_TOL * norm:
+            self.basis = q
+            return False
+        self.basis = np.concatenate([q, (r / rn)[None]])
+        return True
 
 
 def bracket_chain(family: FieldFamily, x: np.ndarray, k_max: int,
@@ -143,42 +219,62 @@ def bracket_chain(family: FieldFamily, x: np.ndarray, k_max: int,
     Generation 1 is the family itself; generation k adds brackets of family
     members against the new fields of generation k-1.  Stops early once the
     rank saturates the chart dimension.
+
+    When every member carries a monomial table the brackets are exact, and
+    a bracket whose coefficient vector lies in the span of the fields
+    accumulated so far is dropped.  Brackets are bilinear, so the dropped
+    field's own brackets lie in the span of later generations: no
+    generation's span changes, and the chain still emits one generation per
+    step.  Raises :class:`OutOfDomain` when x lies outside a member's domain.
     """
     if k_max < 1:
         raise InvalidArgument("k_max must be >= 1")
     x = np.asarray(x, dtype=float)
+    _check_domains(family.members, x)
     dim = family.space.dimension
+    members = family.members
+    span = None
+    if calculus(members) == "exact":
+        span = _CoefficientSpan(dim)
+        for m in members:
+            span.add(m.table.exponents, m.table.coefficients)
 
-    fields_acc: list[VectorField] = list(family.members)
-    new_fields: list[VectorField] = list(family.members)
+    fields_acc: list[VectorField] = list(members)
+    columns: list[np.ndarray] = [f(x) for f in members]
+    new_fields: list[VectorField] = list(members)
     generations: list[DistributionBasis] = []
     ranks: list[int] = []
 
-    def basis_from(fields_list) -> DistributionBasis:
-        vecs = np.stack([f(x) for f in fields_list], axis=1)
-        return DistributionBasis(anchor=x.copy(), vectors=vecs,
-                                 source_labels=tuple(f.label for f in fields_list),
-                                 source_fields=tuple(fields_list))
+    def basis() -> DistributionBasis:
+        return DistributionBasis(anchor=x.copy(), vectors=np.stack(columns, axis=1),
+                                 source_labels=tuple(f.label for f in fields_acc),
+                                 source_fields=tuple(fields_acc))
 
-    gen = basis_from(fields_acc)
+    gen = basis()
     generations.append(gen)
     ranks.append(gen.rank)
-    for _ in range(2, k_max + 1):
+    for k in range(2, k_max + 1):
         if ranks[-1] >= dim:
             break
         created: list[VectorField] = []
-        for X in family.members:
-            for Y in new_fields:
-                if X is Y:
+        for i, X in enumerate(members):
+            for j, Y in enumerate(new_fields):
+                # an exact [X_j, X_i] = -[X_i, X_j], formed first, is in the span
+                if X is Y or (span is not None and k == 2 and j < i):
                     continue
-                created.append(bracket_field(X, Y))
-        fields_acc = fields_acc + created
+                # the span test reads the bracket's rows unmerged, so only a
+                # kept bracket is built as a field
+                if span is None or span.add(*X.table.bracket_rows(Y.table)):
+                    created.append(bracket_field(X, Y))
+        if created:
+            fields_acc = fields_acc + created
+            columns = columns + [f(x) for f in created]
+            gen = basis()
         new_fields = created
-        gen = basis_from(fields_acc)
         generations.append(gen)
         ranks.append(gen.rank)
-        if not created:
-            break
+        if len(members) == 1:
+            break  # a lone field brackets with nothing
     return BracketChain(anchor=x.copy(), generations=tuple(generations),
                         rank_profile=tuple(ranks))
 
@@ -209,41 +305,43 @@ def _grid_in_region(region: Ball, dim: int, grid_size: int) -> np.ndarray:
     # tensor grid over the inscribed box of the region ball
     half = region.radius if region.norm_kind == "sup" else region.radius / math.sqrt(dim) \
         if region.norm_kind == "euclidean" else region.radius / dim
-    axes = [np.linspace(-half, half, grid_size) + region.center[i] for i in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    offsets = np.linspace(-half, half, grid_size)
+    # row-major over the axes, as a meshgrid with indexing="ij" ravels
+    return offsets[np.indices((grid_size,) * dim).reshape(dim, -1).T] + region.center
 
 
 def certify_h_prime(family: FieldFamily, region: Ball, grid_size: int = 5,
                     tol: float = 1e-8) -> StructureReport:
     """Solve bracket = coefficient-combination-of-members at each grid point.
 
-    Not raising on rank-deficient dictionaries: such points are flagged in
-    the report instead.
+    Each pair bracket is built once and, like the members, evaluated over the
+    whole grid (one batched table evaluation for tabled fields); the rank
+    decisions and least-squares solves then share one stacked SVD, with the
+    cutoffs of :func:`numerical_rank` and ``np.linalg.lstsq``.  Not raising
+    on rank-deficient dictionaries: such points are flagged in the report
+    instead.
     """
+    if not family.common_domain.contains_ball(region):
+        raise OutOfDomain("region not contained in the family's common domain")
     dim = family.space.dimension
     members = family.members
     m = len(members)
     pairs = tuple((i, j) for i in range(m) for j in range(i + 1, m))
     grid = _grid_in_region(region, dim, grid_size)
-    coeffs = np.zeros((grid.shape[0], len(pairs), m))
-    residuals = np.zeros((grid.shape[0], len(pairs)))
-    rank_flags: list[int] = []
-    certified = True
-    bound = 0.0
-    for p_idx, y in enumerate(grid):
-        A = np.stack([f(y) for f in members], axis=1)
-        if numerical_rank(A) < min(A.shape):
-            rank_flags.append(p_idx)
-        for q_idx, (i, j) in enumerate(pairs):
-            b = lie_bracket(members[i], members[j], y)
-            c, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-            r = float(np.linalg.norm(A @ c - b))
-            coeffs[p_idx, q_idx] = c
-            residuals[p_idx, q_idx] = r
-            bound = max(bound, float(np.sum(np.abs(c))))
-            if r > tol * (1.0 + float(np.linalg.norm(b))):
-                certified = False
-    return StructureReport(grid=grid, coefficients=coeffs, residuals=residuals,
-                           pairs=pairs, bound_C=bound, certified=certified,
-                           tolerance=tol, rank_deficient_points=tuple(rank_flags))
+    A = np.stack([f.eval_many(grid) for f in members], axis=2)  # (points, dim, m)
+    b = np.zeros((len(grid), len(pairs), dim))
+    for q, (i, j) in enumerate(pairs):
+        b[:, q] = bracket_field(members[i], members[j]).eval_many(grid)
+    # one SVD per point serves the rank decision and the least squares, which
+    # drops singular values at or below lstsq's cutoff eps * max(dim, m) * s_max
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    rank_flags = np.flatnonzero(rank_of_singular_values(sv) < min(dim, m))
+    keep = sv > np.finfo(float).eps * max(dim, m) * sv[:, :1]
+    inv = np.where(keep, 1.0 / np.where(keep, sv, 1.0), 0.0)
+    coeffs = (b @ U) * inv[:, None, :] @ Vt  # (points, pairs, m)
+    b_norm = np.linalg.norm(b, axis=2)
+    residuals = np.linalg.norm(coeffs @ A.transpose(0, 2, 1) - b, axis=2)
+    return StructureReport(grid=grid, coefficients=coeffs, residuals=residuals, pairs=pairs,
+                           bound_C=float(np.abs(coeffs).sum(axis=2).max(initial=0.0)),
+                           certified=bool(np.all(residuals <= tol * (1.0 + b_norm))),
+                           tolerance=tol, rank_deficient_points=tuple(int(p) for p in rank_flags))

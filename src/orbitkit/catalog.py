@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import UnknownBuiltin
-from .fields import FieldFamily, VectorField, constant_field, polynomial_field
+from .errors import InvalidArgument, UnknownBuiltin
+from .fields import (FieldFamily, MonomialTable, VectorField, _exponents, constant_field,
+                     polynomial_field)
 from .space import ChartSpace, ball
 
 
@@ -83,6 +84,8 @@ def affine_l1(dim: int, count: int, decay: float = 0.5, linear_part: bool = Fals
     """
     if not 1 <= count <= dim:
         raise ValueError("count must be between 1 and dim")
+    if not math.isfinite(decay):
+        raise InvalidArgument("decay must be finite")
     space = ChartSpace(dim, truncation_of_l1=True)
     dom = ball(np.zeros(dim), radius, space.norm_kind)
     T = np.eye(dim) if operator is None else np.asarray(operator, dtype=float)
@@ -96,9 +99,12 @@ def affine_l1(dim: int, count: int, decay: float = 0.5, linear_part: bool = Fals
         if linear_part:
             def ev(x, d=direction.copy()):
                 return x + d
+            # x + d: the identity on the degree-1 monomials plus a constant row
+            table = MonomialTable.from_rows(np.vstack([np.zeros(dim), np.eye(dim)]),
+                                            np.vstack([direction, np.eye(dim)]))
             members.append(VectorField(domain=dom, eval_fn=ev,
                                        jacobian_fn=lambda x, n=dim: np.eye(n),
-                                       label=f"A{a}"))
+                                       label=f"A{a}", table=table))
         else:
             members.append(constant_field(dom, direction, label=f"A{a}"))
     if linear_part:
@@ -119,15 +125,20 @@ def operator_family(dim: int, count: int,
     """Family X_a(x) = Phi_x(a_a) for a polynomial operator-valued map Phi.
 
     ``matrix_terms`` lists ``(coeff, exponents, row, col)`` monomial entries
-    of the dim-by-dim matrix Phi_x; directions are a_a = decay^a e_a.  Jet
-    bounds are sampled, not declared.
+    of the dim-by-dim matrix Phi_x, with one non-negative integer exponent
+    per coordinate; directions are a_a = decay^a e_a.  Jet bounds are
+    sampled, not declared.
     """
     if not 1 <= count <= dim:
         raise ValueError("count must be between 1 and dim")
+    if not math.isfinite(decay):
+        raise InvalidArgument("decay must be finite")
     space = ChartSpace(dim)
     dom = ball(np.zeros(dim), radius, space.norm_kind)
-    terms = [(float(c), tuple(int(e) for e in exps), int(r), int(col))
+    terms = [(float(c), _exponents(exps, dim), int(r), int(col))
              for c, exps, r, col in matrix_terms]
+    if any(not (0 <= r < dim and 0 <= col < dim) for _, _, r, col in terms):
+        raise InvalidArgument(f"matrix-term row and column must lie in 0..{dim - 1}")
 
     members = []
     for a in range(count):

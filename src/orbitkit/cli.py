@@ -19,7 +19,7 @@ import numpy as np
 from . import algebra, compose, flow, orbit
 from .catalog import BUILTIN_SUMMARIES
 from .errors import OrbitKitError, ParseError
-from .fields import FieldFamily, LbRecord, estimate_lb_bound
+from .fields import FieldFamily, LbRecord, calculus, estimate_lb_bound
 from .flow import Control, guard
 from .report import Report, leaf, section, vector_leaf, write_point_cloud
 from .scenario import Node, Scenario, _floats, _integer, _one_float, _one_int, parse_scenario
@@ -137,7 +137,7 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         cfg = _configuration(family, rec, defaults, rec.region.center, 0.0, 0.0, tol)
         results = [leaf("bound-k", rec.bound_k), leaf("order", rec.order_s),
                    leaf("method", rec.method), leaf("region-radius", rec.region.radius),
-                   leaf("samples", samples)]
+                   leaf("samples", samples), leaf("calculus", calculus(family.members))]
         return Report(cmd, cfg, results)
 
     if name == "flow":
@@ -228,7 +228,8 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         results = [leaf("ranks", *chain.rank_profile),
                    leaf("rank-tolerance", orbit.RANK_REL_TOL),
                    leaf("generations", len(chain.generations)),
-                   leaf("final-rank", chain.final_rank)]
+                   leaf("final-rank", chain.final_rank),
+                   leaf("calculus", calculus(family.members))]
         return Report(cmd, cfg, results)
 
     if name == "certify-hprime":
@@ -243,6 +244,7 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                    leaf("tolerance", rep.tolerance),
                    leaf("grid-points", rep.grid.shape[0]),
                    leaf("rank-deficient-points", len(rep.rank_deficient_points)),
+                   leaf("calculus", calculus(family.members)),
                    leaf("note", *rep.note.split())]
         return Report(cmd, cfg, results)
 
@@ -279,7 +281,8 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         results = [leaf("kind", v.kind),
                    leaf("ranks", *v.evidence["rank_profile"]),
                    leaf("dimension", v.evidence["dimension"]),
-                   leaf("rank-tolerance", orbit.RANK_REL_TOL)]
+                   leaf("rank-tolerance", orbit.RANK_REL_TOL),
+                   leaf("calculus", calculus(family.members))]
         if "saturation_k" in v.evidence:
             results.append(leaf("saturation-k", v.evidence["saturation_k"]))
         if "final_rank" in v.evidence:
@@ -301,20 +304,29 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
     if tol is not None:
         defaults["tol"] = tol
     family = scenario.build_family()
-    lb = _build_lb(scenario, family, defaults)
+    # an lb that cannot be built (a region outside the family's domain, say)
+    # fails every command, each with its own error report
+    try:
+        lb, lb_error = _build_lb(scenario, family, defaults), None
+    except OrbitKitError as exc:
+        lb, lb_error = None, exc
     out_dir.mkdir(parents=True, exist_ok=True)
     any_error = False
     for i, cmd in enumerate(scenario.commands(), start=1):
-        try:
-            report = run_command(cmd, family, lb, defaults, out_dir, i, unsafe)
-        except OrbitKitError as exc:
+        error = lb_error
+        if error is None:
+            try:
+                report = run_command(cmd, family, lb, defaults, out_dir, i, unsafe)
+            except OrbitKitError as exc:
+                error = exc
+        if error is not None:
             any_error = True
             cfg = [leaf("norm", family.space.norm_kind),
                    leaf("dimension", family.space.dimension),
                    leaf("tol", float(defaults["tol"])),
                    leaf("seed", defaults["seed"])]
             report = Report(cmd, cfg, [], status="error",
-                            error=(type(exc).__name__, str(exc)))
+                            error=(type(error).__name__, str(error)))
         path = out_dir / f"report-{i:02d}-{cmd.args[0]}.txt"
         path.write_text(report.render(timestamp=timestamp))
     return 1 if any_error else 0

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
 from .compose import compose_flows
@@ -27,14 +26,25 @@ SOLVER_RESIDUAL_TOL = 1e-8
 CONDITION_LIMIT = 1e6
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: importing
+    scipy.optimize costs more than the rest of orbitkit's start-up, and only
+    the least-l1 coefficient solver needs it."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
+
+
 def numerical_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Rank with singular values below rel_tol * s_max counted as zero."""
+    """Rank with singular values at or below rel_tol * s_max counted as zero."""
     if matrix.size == 0:
         return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(rank_of_singular_values(np.linalg.svd(matrix, compute_uv=False), rel_tol))
+
+
+def rank_of_singular_values(s: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+    """The :func:`numerical_rank` rule applied to singular values sorted in
+    decreasing order along the last axis; a stack gives an array of ranks."""
+    return np.sum(s > rel_tol * s[..., :1], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,23 @@ def _integer(v: float, key: str) -> int:
     return int(v)
 
 
+def _exponents(vals: list[float], key: str) -> tuple[int, ...]:
+    exps = tuple(_integer(v, key) for v in vals)
+    if any(e < 0 for e in exps):
+        raise ParseError(f"'{key}' exponents must be non-negative")
+    return exps
+
+
+def _built(constructor, *args, **kwargs):
+    """Call a library constructor on parsed values; a value it rejects
+    (``ValueError``: a radius of 0, an unknown norm, a count out of range)
+    is an error in the scenario."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 @dataclass
 class Scenario:
     """A validated scenario: the canonical tree plus typed accessors."""
@@ -186,7 +203,7 @@ class Scenario:
             norm = norm_node.args[0] if norm_node and norm_node.args else None
             trunc_node = space_sec.child("l1-truncation")
             trunc = bool(trunc_node and trunc_node.args and trunc_node.args[0] == "on")
-            declared_space = ChartSpace(dim, norm_kind=norm, truncation_of_l1=trunc)
+            declared_space = _built(ChartSpace, dim, norm_kind=norm, truncation_of_l1=trunc)
 
         builtins = fam_sec.all("builtin")
         polys = fam_sec.all("poly")
@@ -222,19 +239,21 @@ class Scenario:
             elif key in ("linear_part",):
                 params[key] = bool(c.args and c.args[0] == "on")
             elif key == "norm_kind":
+                if len(c.args) != 1:
+                    raise ParseError("'norm-kind' takes exactly one value")
                 params[key] = c.args[0]
             elif key == "matrix_term":
                 # coeff, one exponent per coordinate, row, col
                 vals = _floats(c)
                 if len(vals) < 4:
                     raise ParseError("'matrix-term' takes coeff exponents... row col")
-                matrix_terms.append((vals[0], tuple(int(e) for e in vals[1:-2]),
-                                     int(vals[-2]), int(vals[-1])))
+                matrix_terms.append((vals[0], _exponents(vals[1:-2], c.key),
+                                     _integer(vals[-2], c.key), _integer(vals[-1], c.key)))
             else:
                 raise ParseError(f"unknown builtin parameter '{c.key}'")
         if matrix_terms:
             params["matrix_terms"] = matrix_terms
-        return build(name, **params)
+        return _built(build, name, **params)
 
     def _build_poly(self, polys: list[Node], fam_sec: Node,
                     declared_space: ChartSpace | None) -> FieldFamily:
@@ -251,7 +270,7 @@ class Scenario:
         center = _floats(center_node)
         if len(center) != dim:
             raise DimensionMismatch("domain center dimension mismatch")
-        dom = ball(center, _one_float(radius_node), declared_space.norm_kind)
+        dom = _built(ball, center, _one_float(radius_node), declared_space.norm_kind)
 
         members = []
         labels = set()
@@ -266,9 +285,7 @@ class Scenario:
             for c in p.children or []:
                 if c.key != "component":
                     raise ParseError(f"unknown poly entry '{c.key}'")
-                if not c.args:
-                    raise ParseError("'component' needs an index")
-                ci = int(c.args[0])
+                ci = _one_int(c)
                 if not 0 <= ci < dim:
                     raise DimensionMismatch(f"component index {ci} out of range")
                 for t in c.children or []:
@@ -278,7 +295,7 @@ class Scenario:
                     if len(vals) != dim + 1:
                         raise DimensionMismatch(
                             "'term' takes a coefficient plus one exponent per coordinate")
-                    comps[ci].append((vals[0], tuple(int(e) for e in vals[1:])))
+                    comps[ci].append((vals[0], _exponents(vals[1:], t.key)))
             members.append(polynomial_field(dom, comps, label=label))
         return FieldFamily(space=declared_space, members=tuple(members), common_domain=dom)
 
@@ -316,7 +333,7 @@ def _region_from(node: Node, space: ChartSpace) -> Ball:
     center = _floats(center_node)
     if len(center) != space.dimension:
         raise DimensionMismatch("region center dimension mismatch")
-    return ball(center, _one_float(radius_node), space.norm_kind)
+    return _built(ball, center, _one_float(radius_node), space.norm_kind)
 
 
 def parse_scenario(text: str) -> Scenario:

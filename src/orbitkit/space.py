@@ -130,8 +130,8 @@ class Ball:
         c = np.asarray(self.center, dtype=float)
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
 

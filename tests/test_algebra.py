@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from orbitkit.catalog import commuting_constants, heisenberg_full
-from orbitkit.algebra import (FlowWord, bracket_chain, bracket_field, certify_h_prime,
-                              enlarge_field, lie_bracket, lie_bracket_via_flows)
-from orbitkit.fields import VectorField, estimate_lb_bound, polynomial_field
+from orbitkit.catalog import (affine_l1, commuting_constants, grushin, heisenberg,
+                              heisenberg_full, operator_family)
+from orbitkit.algebra import (FlowWord, _grid_in_region, bracket_chain, bracket_field,
+                              certify_h_prime, enlarge_field, lie_bracket, lie_bracket_via_flows)
+from orbitkit.errors import OutOfDomain
+from orbitkit.fields import (FieldFamily, LbRecord, VectorField, estimate_lb_bound,
+                             polynomial_field)
 from orbitkit.flow import flow_single
-from orbitkit.space import ball
+from orbitkit.orbit import accessibility_verdict, numerical_rank
+from orbitkit.space import ChartSpace, ball
 
 TOL = 1e-9
 
@@ -178,7 +182,140 @@ class TestBracketChain:
         assert g2.source_labels[:len(g1.source_labels)] == g1.source_labels
 
 
+def chain_family(dim, coeffs=None):
+    """X1 = e1, X2 = e2 + sum_k c_k x0^k e_{k+2}: generation k of the bracket
+    chain adds exactly one direction, so the exact profile is (2, 3, ..., dim)."""
+    dom = ball(np.zeros(dim), 1.5)
+    zero = (0,) * dim
+    if coeffs is None:
+        coeffs = [(-1.0) ** k * (0.5 + 0.2 * k) for k in range(dim - 2)]
+    comps1 = [((1.0, zero),)] + [()] * (dim - 1)
+    comps2 = [(), ((1.0, zero),)] + [((c, (k,) + zero[1:]),) for k, c in enumerate(coeffs, 1)]
+    members = (polynomial_field(dom, comps1, "X1"), polynomial_field(dom, comps2, "X2"))
+    return FieldFamily(space=ChartSpace(dim), members=members, common_domain=dom)
+
+
+def reference_chain(family, x, k_max):
+    """The bracket chain with no bracket dropped: every member against every
+    new field of the previous generation."""
+    fields_acc, new_fields = list(family.members), list(family.members)
+    profile = [numerical_rank(np.stack([f(x) for f in fields_acc], axis=1))]
+    for _ in range(2, k_max + 1):
+        if profile[-1] >= family.space.dimension:
+            break
+        new_fields = [bracket_field(X, Y) for X in family.members for Y in new_fields
+                      if X is not Y]
+        fields_acc += new_fields
+        profile.append(numerical_rank(np.stack([f(x) for f in fields_acc], axis=1)))
+        if not new_fields:
+            break
+    return tuple(profile)
+
+
+def catalog_cases():
+    """(family, points, k_max) for every catalog family, as pytest params."""
+    rng = np.random.default_rng(7)
+    affine = affine_l1(8, 4, decay=0.7, linear_part=True)
+    cases = {
+        "heisenberg": (heisenberg(), [np.zeros(3), rng.uniform(-1, 1, 3)], 3),
+        "heisenberg-full": (heisenberg_full(), [rng.uniform(-1, 1, 3)], 3),
+        "grushin": (grushin(), [np.zeros(2), np.array([0.0, 0.7]), rng.uniform(-1, 1, 2)], 3),
+        "commuting-constants": (commuting_constants(4, 3), [rng.uniform(-1, 1, 4)], 3),
+        "commuting-constants-one": (commuting_constants(3, 1), [np.zeros(3)], 3),
+        "affine-l1": (affine_l1(8, 4, decay=0.7), [np.zeros(8)], 3),
+        "affine-l1-linear": (affine, [np.zeros(8), 0.5 * affine.space.unit_vector(rng)], 3),
+        "operator-family": (operator_family(3, 3, [(1.0, (0, 0, 0), 0, 0), (1.0, (0, 0, 0), 1, 1),
+                                                   (1.0, (1, 0, 0), 1, 0), (0.5, (0, 2, 0), 2, 1),
+                                                   (1.0, (0, 0, 0), 2, 2)]),
+                            [rng.uniform(-1, 1, 3)], 3),
+    }
+    for dim in (4, 5, 6, 7):
+        cases[f"chain-{dim}"] = (chain_family(dim), [rng.uniform(-0.5, 0.5, dim)], dim - 1)
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+class TestExactBrackets:
+    def test_vanishing_brackets_keep_the_rank(self):
+        # X2 = (0, 1, x^4 y^2): every bracket up to generation 3 vanishes at
+        # (0, 3, 0); nested finite differences reported (2, 2, 3)
+        dom = ball([0, 0, 0], 8.0)
+        X1 = polynomial_field(dom, [((1.0, (0, 0, 0)),), (), ()], "X1")
+        X2 = polynomial_field(dom, [(), ((1.0, (0, 0, 0)),), ((1.0, (4, 2, 0)),)], "X2")
+        fam = FieldFamily(space=ChartSpace(3), members=(X1, X2), common_domain=dom)
+        x = np.array([0.0, 3.0, 0.0])
+        assert bracket_chain(fam, x, 3).rank_profile == (2, 2, 2)
+        verdict = accessibility_verdict(fam, LbRecord(2, 10.0, dom, "declared"), x, 3)
+        assert verdict.kind == "rank_deficient"
+
+    def test_dimension_seven_chain_profile(self):
+        fam = chain_family(7, [0.9, -1.3, 0.7, 1.1, -0.6])
+        for x in np.random.default_rng(11).uniform(-0.5, 0.5, (5, 7)):
+            chain = bracket_chain(fam, x, 6)
+            assert chain.rank_profile == (2, 3, 4, 5, 6, 7)
+
+    @pytest.mark.parametrize("fam, points, k_max", catalog_cases())
+    def test_dropping_brackets_in_the_span_keeps_the_profile(self, fam, points, k_max):
+        for x in points:
+            chain = bracket_chain(fam, x, k_max)
+            ref = reference_chain(fam, x, k_max)
+            assert chain.rank_profile == ref
+            assert len(chain.generations) == len(ref)
+
+    def test_affine_brackets_are_dropped(self):
+        # [x + a, x + b] = a - b lies in the span of the members
+        fam = affine_l1(8, 4, linear_part=True)
+        chain = bracket_chain(fam, np.zeros(8), 3)
+        assert chain.rank_profile == (4, 4, 4)
+        assert all(len(g.source_fields) == 4 for g in chain.generations)
+
+    def test_point_outside_the_domain(self, heis):
+        with pytest.raises(OutOfDomain):
+            bracket_chain(heis, np.array([9.0, 0.0, 0.0]), 2)
+
+
+def reference_certify(family, region, grid_size, tol):
+    """Per-point dictionary, bracket, rank and ``np.linalg.lstsq``."""
+    grid = _grid_in_region(region, family.space.dimension, grid_size)
+    members = family.members
+    pairs = [(i, j) for i in range(len(members)) for j in range(i + 1, len(members))]
+    coeffs, residuals, flags = [], [], []
+    for p, y in enumerate(grid):
+        A = np.stack([f(y) for f in members], axis=1)
+        if numerical_rank(A) < min(A.shape):
+            flags.append(p)
+        row_c, row_r = [], []
+        for i, j in pairs:
+            b = lie_bracket(members[i], members[j], y)
+            c = np.linalg.lstsq(A, b, rcond=None)[0]
+            row_c.append(c)
+            row_r.append(float(np.linalg.norm(A @ c - b)))
+        coeffs.append(row_c)
+        residuals.append(row_r)
+    return np.array(coeffs), np.array(residuals), tuple(flags)
+
+
 class TestCertifyHPrime:
+    @pytest.mark.parametrize("build, grid", [(heisenberg_full, 4), (grushin, 5),
+                                             (lambda: chain_family(4), 3),
+                                             (lambda: commuting_constants(3, 2), 3)])
+    def test_batched_matches_per_point_reference(self, build, grid):
+        fam = build()
+        region = ball(fam.common_domain.center, 0.5)
+        rep = certify_h_prime(fam, region, grid_size=grid, tol=1e-8)
+        coeffs, residuals, flags = reference_certify(fam, region, grid, 1e-8)
+        assert np.abs(rep.coefficients - coeffs).max(initial=0.0) <= 1e-12
+        assert np.abs(rep.residuals - residuals).max(initial=0.0) <= 1e-12
+        assert rep.rank_deficient_points == flags
+
+    def test_fields_without_tables(self, heis):
+        # the same fields behind plain callables take the finite-difference path
+        plain = FieldFamily(space=heis.space, common_domain=heis.common_domain,
+                            members=tuple(VectorField(m.domain, m.eval_fn, label=m.label)
+                                          for m in heisenberg_full().members))
+        rep = certify_h_prime(plain, ball([0, 0, 0], 0.5), grid_size=3, tol=1e-6)
+        assert rep.certified
+        assert rep.bound_C == pytest.approx(1.0, abs=1e-6)
+
     def test_commuting_certified_zero(self):
         fam = commuting_constants(3, 2)
         rep = certify_h_prime(fam, fam.common_domain, grid_size=3, tol=1e-8)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitkit.algebra import FlowWord, enlarge_field
+from orbitkit.algebra import FlowWord, bracket_field, enlarge_field, lie_bracket
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, heisenberg_full
-from orbitkit.errors import OrderTooHigh, OutOfDomain
+from orbitkit.errors import InvalidArgument, OrderTooHigh, OutOfDomain
 from orbitkit.fields import (FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily, _unit_vectors,
-                             constant_field, estimate_lb_bound, eval_jet_norm,
+                             calculus, constant_field, estimate_lb_bound, eval_jet_norm,
                              finite_difference_jacobian, polynomial_field)
 from orbitkit.space import ChartSpace, ball, operator_norm, vector_norm
 
@@ -163,6 +165,85 @@ class TestTensorJets:
             v = normals.standard_normal(5)
             assert np.array_equal(row, v / vector_norm(v, kind))
         assert np.array_equal(got[40:], np.repeat(np.eye(5), 2, axis=0) * np.tile([1, -1], 5)[:, None])
+
+
+@st.composite
+def tabled_fields(draw, count):
+    """``count`` random polynomial fields on a common small chart, with their
+    monomial terms, and a few points of the unit box."""
+    dim = draw(st.integers(2, 3))
+    coeff = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    term = st.tuples(coeff, st.tuples(*[st.integers(0, 3)] * dim))
+    comps = [[draw(st.lists(term, max_size=3)) for _ in range(dim)] for _ in range(count)]
+    seed = draw(st.integers(0, 2 ** 31))
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, dim))
+    dom = ball(np.zeros(dim), 4.0)
+    fields = [polynomial_field(dom, c, label=f"F{i}") for i, c in enumerate(comps)]
+    return fields, comps, points
+
+
+def _close(got, ref, rel):
+    return np.abs(got - ref).max() <= rel * (1.0 + np.abs(ref).max())
+
+
+class TestMonomialTable:
+    @settings(max_examples=60, deadline=None)
+    @given(tabled_fields(1))
+    def test_closure_matches_eval_many(self, case):
+        (X,), _, points = case
+        assert _close(X.eval_many(points), np.array([X(x) for x in points]), 1e-12)
+        assert _close(X.table.derivative.eval_many(points),
+                      np.array([X.jacobian(x) for x in points]), 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tabled_fields(1))
+    def test_derivative_tensors_are_analytic(self, case):
+        (X,), (comps,), points = case
+        axes = range(len(comps))
+        d2 = X.table.derivative.derivative
+        for x in points:
+            ref2 = np.array([[[_monomial_value(_monomial_derivative(t, (j, k)), x) for k in axes]
+                              for j in axes] for t in comps])
+            ref3 = np.array([[[[_monomial_value(_monomial_derivative(t, (j, k, l)), x)
+                                for l in axes] for k in axes] for j in axes] for t in comps])
+            assert _close(d2(x), ref2, 1e-12)
+            assert _close(d2.derivative(x), ref3, 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tabled_fields(2))
+    def test_bracket_matches_analytic_jacobians(self, case):
+        (X, Y), _, points = case
+        Z = bracket_field(X, Y)
+        assert Z.table is not None
+        for x in points:
+            assert _close(Z(x), lie_bracket(X, Y, x), 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tabled_fields(3))
+    def test_bracket_antisymmetry_and_jacobi_identity(self, case):
+        (X, Y, Z), _, points = case
+        tX, tY, tZ = X.table, Y.table, Z.table
+        terms = (tX.bracket(tY.bracket(tZ)), tY.bracket(tZ.bracket(tX)),
+                 tZ.bracket(tX.bracket(tY)))
+        for x in points:
+            assert _close(tX.bracket(tY)(x), -tY.bracket(tX)(x), 1e-12)
+            values = [t(x) for t in terms]
+            scale = max(np.abs(v).max() for v in values)
+            assert np.abs(sum(values)).max() <= 1e-12 * (1.0 + scale)
+
+    def test_exact_zero_bracket_has_no_rows(self):
+        X, Y = heisenberg_full().members[1:]
+        assert X.table.bracket(Y.table).exponents.shape == (0, 3)
+
+    @pytest.mark.parametrize("exps", [(0.5, 0), (-1, 0), (1,), (1, 0, 0), (float("nan"), 0)])
+    def test_exponents_must_be_non_negative_integers(self, exps):
+        with pytest.raises(InvalidArgument):
+            polynomial_field(ball([0, 0], 1.0), [((1.0, exps),), ()])
+
+    def test_calculus_names_the_derivatives_used(self, heis, heis_lb):
+        assert calculus(heis.members) == "exact"
+        Z = enlarge_field(heis, FlowWord(((0, 0.4),)), 1, 1.0, heis_lb)
+        assert calculus(heis.members + (Z,)) == "finite-difference"
 
 
 class TestJacobians:

@@ -6,7 +6,8 @@ from orbitkit.algebra import FlowWord, enlarge_field
 from orbitkit.errors import GuardViolated, OutOfDomain
 from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
 from orbitkit.orbit import (accessibility_verdict, distribution_at, invariance_residual,
-                            orbit_sample, replay_word, slice_grid, spot_check_sample,
+                            numerical_rank, orbit_sample, rank_of_singular_values,
+                            replay_word, slice_grid, spot_check_sample,
                             trivialization_eval)
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
@@ -153,6 +154,15 @@ class TestOrbitSample:
         point, word, _ = samp.cloud[len(samp.cloud) // 2]
         rep = replay_word(grush, samp.seed, word, tol=1e-6)
         assert np.abs(rep - point).max() <= 1e-5
+
+
+def test_rank_of_a_stack_of_singular_values(rng):
+    stack = rng.standard_normal((6, 4, 3))
+    stack[1, :, 2] = stack[1, :, 0] - 2.0 * stack[1, :, 1]
+    stack[2] = 0.0
+    stack[3, :, 1:] = 1e-10 * stack[3, :, 1:]
+    ranks = rank_of_singular_values(np.linalg.svd(stack, compute_uv=False))
+    assert ranks.tolist() == [numerical_rank(m) for m in stack] == [3, 2, 0, 1, 3, 3]
 
 
 class TestVerdicts:

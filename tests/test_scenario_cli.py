@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,8 @@ from orbitkit.cli import main, run_scenario
 from orbitkit.errors import DimensionMismatch, ParseError, UnknownBuiltin
 from orbitkit.report import read_point_cloud, strip_timestamp
 from orbitkit.scenario import parse_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEIS_SCENARIO = """\
 version 1
@@ -334,6 +341,94 @@ command flow {
         text = (tmp_path / "out" / "report-02-flow.txt").read_text()
         assert "endpoint 0.25 0.0 0.0" in text
         assert "variational-row-0 1.0 0.0 0.0" in text
+
+
+def _builtin(body, space=""):
+    return f"{space}family {{\n  builtin {body}\n  }}\n}}\ncommand check-lb {{\n}}\n"
+
+
+def _poly(domain_radius="4", component="0", term="1.0 0 0"):
+    return (f"space {{\n  dim 2\n}}\nfamily {{\n  domain {{\n    center 0 0\n"
+            f"    radius {domain_radius}\n  }}\n  poly X1 {{\n    component {component} {{\n"
+            f"      term {term}\n    }}\n  }}\n}}\ncommand check-lb {{\n}}\n")
+
+
+def _region(radius):
+    return HEIS_SCENARIO.replace("  order 2\n", f"  order 2\n  region {{\n    center 0 0 0\n"
+                                 f"    radius {radius}\n  }}\n")
+
+
+L1_SPACE = "space {\n  dim 4\n  norm l1\n  l1-truncation on\n}\n"
+
+# scenarios whose family or lb section a library constructor used to reject
+# with a ValueError or IndexError traceback
+BAD_SCENARIOS = {
+    "lb-region-radius-0": _region("0"),
+    "lb-region-radius-nan": _region("nan"),
+    "domain-radius-0": _poly(domain_radius="0"),
+    "domain-radius-nan": _poly(domain_radius="nan"),
+    "builtin-radius-0": _builtin("heisenberg {\n    radius 0"),
+    "builtin-radius-nan": _builtin("heisenberg {\n    radius nan"),
+    "builtin-decay-nan": _builtin("affine-l1 {\n    dim 4\n    count 2\n    decay nan", L1_SPACE),
+    "builtin-count-0": _builtin("affine-l1 {\n    dim 4\n    count 0", L1_SPACE),
+    "norm-kind-without-value": _builtin("heisenberg {\n    norm-kind"),
+    "norm-kind-unknown": _builtin("heisenberg {\n    norm-kind taxicab"),
+    "space-dim-0": "space {\n  dim 0\n}\n" + _builtin("heisenberg {\n    radius 8"),
+    "component-not-a-number": _poly(component="x"),
+    "term-exponent-fractional": _poly(term="1.0 0.5 0"),
+    "term-exponent-negative": _poly(term="1.0 -1 0"),
+    "matrix-term-exponent-fractional": _builtin(
+        "operator-family {\n    dim 2\n    count 1\n    matrix-term 1.0 0.5 0 0 0"),
+    "matrix-term-row-out-of-range": _builtin(
+        "operator-family {\n    dim 2\n    count 1\n    matrix-term 1.0 1 0 5 0"),
+    "matrix-term-exponent-count": _builtin(
+        "operator-family {\n    dim 2\n    count 1\n    matrix-term 1.0 1 0 0 0 0"),
+}
+
+
+class TestBadScenarios:
+    @pytest.mark.parametrize("text", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS.keys())
+    def test_check_and_run_report_a_parse_error(self, text, tmp_path, capsys):
+        p = tmp_path / "bad.okit"
+        p.write_text(text)
+        with pytest.raises(ParseError):
+            parse_scenario(text)
+        assert main(["check", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_lb_region_outside_the_domain_gives_error_reports(self, tmp_path):
+        p = tmp_path / "s.okit"
+        p.write_text(_region("100") + "command bracket-chain {\n  point 0 0 0\n}\n")
+        assert main(["check", str(p)]) == 0
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        reports = sorted((tmp_path / "out").glob("report-*.txt"))
+        assert [r.name for r in reports] == ["report-01-verdict.txt",
+                                             "report-02-bracket-chain.txt"]
+        for r in reports:
+            text = r.read_text()
+            assert "status error" in text and "type OutOfDomain" in text
+
+
+def test_reports_name_the_calculus(tmp_path):
+    sc = parse_scenario(HEIS_SCENARIO + "command bracket-chain {\n  point 0 0 0\n}\n"
+                        "command certify-hprime {\n  grid 2\n}\ncommand check-lb {\n}\n")
+    assert run_scenario(sc, tmp_path / "out") == 0
+    reports = sorted((tmp_path / "out").glob("report-*.txt"))
+    assert len(reports) == 4
+    for r in reports:
+        assert "calculus exact" in r.read_text(), r.name
+
+
+def test_importing_the_cli_leaves_the_lp_solver_unloaded():
+    code = ("import sys, orbitkit.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 class TestCliEntry:
