@@ -2,6 +2,9 @@
 
 Run:  python3 demos/06_scenario_files.py      (writes demo_scenario.out/)
 
+The demo writes its scenario to demo_scenario.out/demo.okit, checks it as
+``orbitkit check`` does, then runs it.
+
 Equivalent shell usage:
     orbitkit check demo.okit
     orbitkit run demo.okit --out demo_scenario.out --seed 42
@@ -9,7 +12,7 @@ Equivalent shell usage:
 
 from pathlib import Path
 
-from orbitkit.cli import run_scenario
+from orbitkit.cli import main, run_scenario
 from orbitkit.scenario import parse_scenario
 
 TEXT = """\
@@ -44,11 +47,18 @@ command orbit-sample {
 }
 """
 
+out = Path("demo_scenario.out")
+out.mkdir(exist_ok=True)
+scenario_file = out / "demo.okit"
+scenario_file.write_text(TEXT)
+# `check` reads every section and every command's options, running nothing
+if main(["check", str(scenario_file)]) != 0:
+    raise SystemExit("the demo scenario does not check")
+
 scenario = parse_scenario(TEXT)
-print("scenario validates; canonical form round-trips byte-identically:",
+print("canonical form round-trips byte-identically:",
       scenario.emit() == parse_scenario(scenario.emit()).emit())
 
-out = Path("demo_scenario.out")
 code = run_scenario(scenario, out)
 print(f"exit code {code}; wrote:")
 for p in sorted(out.iterdir()):

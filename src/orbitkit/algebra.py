@@ -212,8 +212,7 @@ class _CoefficientSpan:
         return True
 
 
-def bracket_chain(family: FieldFamily, x: np.ndarray, k_max: int,
-                  rank_rel_tol: float = 1e-8) -> BracketChain:
+def bracket_chain(family: FieldFamily, x: np.ndarray, k_max: int) -> BracketChain:
     """Iterated-bracket generations evaluated at x with their rank profile.
 
     Generation 1 is the family itself; generation k adds brackets of family

@@ -2,10 +2,13 @@
 
 ``orbitkit run <scenario> [--out DIR] [--seed N] [--unsafe] [--tol X]``
 executes the scenario's commands in order, writing one report per command
-plus any point-cloud files into the output directory.  ``orbitkit catalog``
-lists the builtin systems; ``orbitkit check <scenario>`` parses and
-validates only.  Exit codes: 0 success, 1 any command errored, 2 parse
-error.
+plus any point-cloud files into the output directory.  Each command's
+options are read through ``scenario.read_command`` when it runs, so a bad
+command gets its own error report and the rest still run.  ``orbitkit
+catalog`` lists the builtin systems; ``orbitkit check <scenario>`` parses
+the scenario and reads every command's options without running any.  Exit
+codes: 0 success, 1 any command errored, 2 parse error (for ``check``, also
+a command the option table rejects).
 """
 
 from __future__ import annotations
@@ -22,69 +25,16 @@ from .errors import OrbitKitError, ParseError
 from .fields import FieldFamily, LbRecord, calculus, estimate_lb_bound
 from .flow import Control, guard
 from .report import Report, leaf, section, vector_leaf, write_point_cloud
-from .scenario import Node, Scenario, _floats, _integer, _one_float, _one_int, parse_scenario
+from .scenario import Node, Scenario, parse_scenario, read_command
 from .space import L1Coefficients
-
-
-def _get(cmd: Node, key: str):
-    return cmd.child(key)
-
-
-def _point(cmd: Node, dim: int) -> np.ndarray:
-    n = cmd.child("point")
-    if n is None:
-        raise ParseError(f"command '{cmd.args[0]}' needs a 'point'")
-    vals = _floats(n)
-    if len(vals) != dim:
-        raise ParseError(f"'point' needs {dim} coordinates")
-    return np.array(vals)
-
-
-def _coefficients(cmd: Node, member_count: int) -> L1Coefficients:
-    pairs = []
-    for n in cmd.all("entry"):
-        vals = _floats(n)
-        if len(vals) != 2:
-            raise ParseError("'entry' takes an index and a value")
-        i = _integer(vals[0], "entry")
-        if not 0 <= i < member_count:
-            raise ParseError(f"'entry' index {i} has no family member")
-        pairs.append((i, vals[1]))
-    return L1Coefficients.from_pairs(pairs, _opt_float(cmd, "tail", 0.0))
-
-
-def _opt_float(cmd: Node, key: str, default: float | None) -> float | None:
-    n = cmd.child(key)
-    return _one_float(n) if n else default
-
-
-def _opt_int(cmd: Node, key: str, default: int | None) -> int | None:
-    n = cmd.child(key)
-    return _one_int(n) if n else default
-
-
-def _opt_word(cmd: Node, key: str, default: str | None) -> str | None:
-    n = cmd.child(key)
-    if n is None:
-        return default
-    if len(n.args) != 1:
-        raise ParseError(f"'{key}' takes exactly one value")
-    return n.args[0]
-
-
-def _flag(cmd: Node, key: str, default: bool = False) -> bool:
-    n = cmd.child(key)
-    if n is None:
-        return default
-    return bool(n.args and n.args[0] == "on")
 
 
 def _build_lb(scenario: Scenario, family: FieldFamily, defaults: dict) -> LbRecord:
     p = scenario.lb_params(family.space)
     region = p["region"] or family.common_domain
-    samples = p["samples"] or defaults["samples"]
+    samples = defaults["samples"] if p["samples"] is None else p["samples"]
     if p["declared"] not in ("auto", "off"):
-        return LbRecord(order_s=p["order"], bound_k=float(p["declared"]),
+        return LbRecord(order_s=p["order"], bound_k=p["declared"],
                         region=region, method="declared")
     return estimate_lb_bound(family, region, p["order"], samples,
                              rng_seed=defaults["seed"], safety=defaults["safety"],
@@ -117,23 +67,20 @@ def _configuration(family: FieldFamily, lb: LbRecord, defaults: dict, x: np.ndar
     ]
 
 
-def _word_nodes(word) -> list[Node]:
-    return [leaf("letter", int(i), float(d)) for i, d in word]
-
-
 def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                 out_dir: Path, index: int, unsafe: bool) -> Report:
     name = cmd.args[0]
-    dim = family.space.dimension
-    tol = _opt_float(cmd, "tol", defaults["tol"])
-    unsafe = unsafe or _flag(cmd, "unsafe")
+    o = read_command(cmd, family)
+    tol = defaults["tol"] if o["tol"] is None else o["tol"]
+    unsafe = unsafe or o["unsafe"]
+    x0 = o.get("point")
 
     if name == "check-lb":
-        order = _opt_int(cmd, "order", lb.order_s)
-        samples = _opt_int(cmd, "samples", defaults["samples"])
+        order = lb.order_s if o["order"] is None else o["order"]
+        samples = defaults["samples"] if o["samples"] is None else o["samples"]
         rec = estimate_lb_bound(family, lb.region, order, samples,
                                 rng_seed=defaults["seed"], safety=defaults["safety"],
-                                force_sampled=_flag(cmd, "force-sampled"))
+                                force_sampled=o["force-sampled"])
         cfg = _configuration(family, rec, defaults, rec.region.center, 0.0, 0.0, tol)
         results = [leaf("bound-k", rec.bound_k), leaf("order", rec.order_s),
                    leaf("method", rec.method), leaf("region-radius", rec.region.radius),
@@ -141,47 +88,32 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         return Report(cmd, cfg, results)
 
     if name == "flow":
-        x0 = _point(cmd, dim)
-        t0 = _opt_float(cmd, "t0", 0.0)
-        T0 = _opt_float(cmd, "duration", 1.0)
-        pieces = []
-        for pn in cmd.all("piece"):
-            vals = _floats(pn)
-            if len(vals) < 4 or len(vals) % 2 != 0:
-                raise ParseError("'piece' takes t_start t_end then index/value pairs")
-            idx_vals = [(_integer(vals[i], "piece"), vals[i + 1]) for i in range(2, len(vals), 2)]
-            if any(not 0 <= i < len(family.members) for i, _ in idx_vals):
-                raise ParseError("'piece' references an index with no family member")
-            pieces.append((vals[0], vals[1], L1Coefficients.from_pairs(idx_vals)))
-        if not pieces:
-            raise ParseError("'flow' needs at least one 'piece'")
-        control = Control(pieces=tuple(pieces))
-        with_var = _flag(cmd, "variational")
-        res = flow.flow_control(family, control, x0, t0, T0, with_variational=with_var,
-                                tol=tol, lb=lb, unsafe=unsafe)
+        T0 = o["duration"]
+        control = Control(pieces=tuple((a, b, L1Coefficients.from_pairs(pairs))
+                                       for a, b, pairs in o["piece"]))
+        res = flow.flow_control(family, control, x0, o["t0"], T0,
+                                with_variational=o["variational"], tol=tol, lb=lb, unsafe=unsafe)
         cfg = _configuration(family, lb, defaults, x0, control.sup_norm, abs(T0), tol)
         results = [vector_leaf("endpoint", res.endpoint),
                    leaf("endpoint-tolerance", tol * (1.0 + abs(T0))),
                    leaf("steps", res.steps_taken),
                    leaf("est-local-error", res.est_local_error),
                    leaf("unsafe", res.diagnostics.get("unsafe", False))]
-        if with_var:
+        if o["variational"]:
             for i, row in enumerate(res.endpoint_variational):
                 results.append(vector_leaf(f"variational-row-{i}", row))
         return Report(cmd, cfg, results)
 
     if name in ("compose", "invert"):
-        x0 = _point(cmd, dim)
-        tau = _coefficients(cmd, len(family.members))
-        trunc = _opt_int(cmd, "truncation", None)
-        path = _opt_word(cmd, "path", "control")
+        tau = L1Coefficients.from_pairs(o["entry"], o["tail"])
+        trunc = o["truncation"]
         if name == "compose":
             res = compose.compose_flows(family, lb, tau, x0, tol=tol, truncation_n=trunc,
-                                        path=path, unsafe=unsafe,
-                                        l1_curve_samples=_opt_int(cmd, "curve-samples", 0))
+                                        path=o["path"], unsafe=unsafe,
+                                        l1_curve_samples=o["curve-samples"])
         else:
             res = compose.compose_inverse(family, lb, tau, x0, tol=tol, truncation_n=trunc,
-                                          path=path, unsafe=unsafe)
+                                          path=o["path"], unsafe=unsafe)
         cfg = _configuration(family, lb, defaults, x0, 1.0 if tau.entries else 0.0,
                              tau.norm1, tol)
         results = [vector_leaf("endpoint", res.endpoint),
@@ -190,40 +122,28 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                    leaf("tail-error-bound", res.tail_error_bound),
                    leaf("tail-factor-note", *res.diagnostics["tail_factor_note"].split()),
                    leaf("unsafe", unsafe)]
-        results.extend(_word_nodes(res.word))
-        out_name = _opt_word(cmd, "out", None)
-        if res.l1_curve is not None and out_name is not None:
-            write_point_cloud(out_dir / out_name, res.l1_curve.points)
-            results.append(leaf("curve-file", out_name))
+        results.extend(leaf("letter", int(i), float(d)) for i, d in res.word)
+        if res.l1_curve is not None and o.get("out") is not None:
+            write_point_cloud(out_dir / o["out"], res.l1_curve.points)
+            results.append(leaf("curve-file", o["out"]))
             results.append(leaf("curve-samples", res.l1_curve.points.shape[0]))
         return Report(cmd, cfg, results)
 
     if name == "slice":
-        x0 = _point(cmd, dim)
-        rho = _opt_float(cmd, "rho", 0.1)
-        grid = _opt_int(cmd, "grid", 5)
-        axes_node = cmd.child("axes")
-        axes = [_integer(a, "axes") for a in _floats(axes_node)] if axes_node else [0]
-        if not axes:
-            raise ParseError("'axes' needs at least one index")
-        if any(not 0 <= a < len(family.members) for a in axes):
-            raise ParseError("'axes' references an index with no family member")
-        res = orbit.slice_grid(family, lb, x0, rho, grid, axes, tol=tol)
+        rho, axes = o["rho"], o["axes"]
+        res = orbit.slice_grid(family, lb, x0, rho, o["grid"], axes, tol=tol)
         cfg = _configuration(family, lb, defaults, x0, 1.0, rho * len(axes), tol)
         results = [leaf("rank-at-zero", res.jacobian_rank_at_zero),
                    leaf("axes", *axes), leaf("rho", rho),
                    leaf("points", res.points.shape[0]),
                    leaf("point-tolerance", tol * (1.0 + rho * len(axes)))]
-        out_name = _opt_word(cmd, "out", None)
-        if out_name is not None:
-            write_point_cloud(out_dir / out_name, res.points)
-            results.append(leaf("cloud-file", out_name))
+        if o["out"] is not None:
+            write_point_cloud(out_dir / o["out"], res.points)
+            results.append(leaf("cloud-file", o["out"]))
         return Report(cmd, cfg, results)
 
     if name == "bracket-chain":
-        x0 = _point(cmd, dim)
-        k_max = _opt_int(cmd, "k-max", 3)
-        chain = algebra.bracket_chain(family, x0, k_max)
+        chain = algebra.bracket_chain(family, x0, o["k-max"])
         cfg = _configuration(family, lb, defaults, x0, 0.0, 0.0, tol)
         results = [leaf("ranks", *chain.rank_profile),
                    leaf("rank-tolerance", orbit.RANK_REL_TOL),
@@ -233,10 +153,8 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         return Report(cmd, cfg, results)
 
     if name == "certify-hprime":
-        grid = _opt_int(cmd, "grid", 5)
-        ctol = _opt_float(cmd, "tolerance", 1e-8)
         region = lb.region
-        rep = algebra.certify_h_prime(family, region, grid_size=grid, tol=ctol)
+        rep = algebra.certify_h_prime(family, region, grid_size=o["grid"], tol=o["tolerance"])
         cfg = _configuration(family, lb, defaults, region.center, 0.0, 0.0, tol)
         results = [leaf("certified", rep.certified),
                    leaf("bound-C", rep.bound_C),
@@ -249,13 +167,10 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         return Report(cmd, cfg, results)
 
     if name == "orbit-sample":
-        x0 = _point(cmd, dim)
-        budget = _opt_int(cmd, "budget", 1000)
-        mwl = _opt_int(cmd, "max-word-len", 8)
-        mode = _opt_word(cmd, "mode", "explore")
-        er = _opt_float(cmd, "exploration-radius", None)
-        samp = orbit.orbit_sample(family, lb, x0, budget, mwl, defaults["seed"],
-                                  tol=tol, mode=mode, exploration_radius=er)
+        mode = o["mode"]
+        samp = orbit.orbit_sample(family, lb, x0, o["budget"], o["max-word-len"],
+                                  defaults["seed"], tol=tol, mode=mode,
+                                  exploration_radius=o["exploration-radius"])
         cfg = _configuration(family, lb, defaults, x0, 1.0, samp.d_max, tol)
         pts = samp.points()
         truncated = sum(1 for _, _, t in samp.cloud if t)
@@ -264,34 +179,29 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                    leaf("mode", mode),
                    leaf("truncated-words", truncated),
                    leaf("replay-tolerance", 10.0 * tol)]
-        if _flag(cmd, "spot-check"):
+        if o["spot-check"]:
             gap = orbit.spot_check_sample(family, samp, 0.05, tol=tol)
             results.append(leaf("spot-check-max-gap", gap))
-        out_name = _opt_word(cmd, "out", None)
-        if out_name is not None:
-            write_point_cloud(out_dir / out_name, pts)
-            results.append(leaf("cloud-file", out_name))
+        if o["out"] is not None:
+            write_point_cloud(out_dir / o["out"], pts)
+            results.append(leaf("cloud-file", o["out"]))
         return Report(cmd, cfg, results)
 
-    if name == "verdict":
-        x0 = _point(cmd, dim)
-        k_max = _opt_int(cmd, "k-max", 3)
-        v = orbit.accessibility_verdict(family, lb, x0, k_max)
-        cfg = _configuration(family, lb, defaults, x0, 0.0, 0.0, tol)
-        results = [leaf("kind", v.kind),
-                   leaf("ranks", *v.evidence["rank_profile"]),
-                   leaf("dimension", v.evidence["dimension"]),
-                   leaf("rank-tolerance", orbit.RANK_REL_TOL),
-                   leaf("calculus", calculus(family.members))]
-        if "saturation_k" in v.evidence:
-            results.append(leaf("saturation-k", v.evidence["saturation_k"]))
-        if "final_rank" in v.evidence:
-            results.append(leaf("final-rank", v.evidence["final_rank"]))
-        if "truncation_ranks" in v.evidence:
-            results.append(leaf("truncation-ranks", *v.evidence["truncation_ranks"]))
-        return Report(cmd, cfg, results)
-
-    raise ParseError(f"unknown command '{name}'")
+    # verdict: read_command accepts no other name
+    v = orbit.accessibility_verdict(family, lb, x0, o["k-max"])
+    cfg = _configuration(family, lb, defaults, x0, 0.0, 0.0, tol)
+    results = [leaf("kind", v.kind),
+               leaf("ranks", *v.evidence["rank_profile"]),
+               leaf("dimension", v.evidence["dimension"]),
+               leaf("rank-tolerance", orbit.RANK_REL_TOL),
+               leaf("calculus", calculus(family.members))]
+    if "saturation_k" in v.evidence:
+        results.append(leaf("saturation-k", v.evidence["saturation_k"]))
+    if "final_rank" in v.evidence:
+        results.append(leaf("final-rank", v.evidence["final_rank"]))
+    if "truncation_ranks" in v.evidence:
+        results.append(leaf("truncation-ranks", *v.evidence["truncation_ranks"]))
+    return Report(cmd, cfg, results)
 
 
 def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
@@ -303,7 +213,7 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
         defaults["seed"] = seed
     if tol is not None:
         defaults["tol"] = tol
-    family = scenario.build_family()
+    family = scenario.family
     # an lb that cannot be built (a region outside the family's domain, say)
     # fails every command, each with its own error report
     try:
@@ -364,6 +274,15 @@ def main(argv=None) -> int:
         return 2
 
     if args.action == "check":
+        bad = 0
+        for i, cmd in enumerate(scenario.commands(), start=1):
+            try:
+                read_command(cmd, scenario.family)
+            except ParseError as exc:
+                print(f"error: command {i} '{cmd.args[0]}': {exc}", file=sys.stderr)
+                bad += 1
+        if bad:
+            return 2
         print(f"ok: {len(scenario.commands())} command(s)")
         return 0
 

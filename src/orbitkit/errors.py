@@ -62,5 +62,5 @@ class UnknownBuiltin(OrbitKitError):
     """Scenario referenced a builtin system that does not exist."""
 
 
-class DimensionMismatch(OrbitKitError):
+class DimensionMismatch(ParseError):
     """Scenario data is inconsistent with the declared chart dimension."""

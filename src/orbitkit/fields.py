@@ -296,11 +296,11 @@ class LbRecord:
 
     def __post_init__(self):
         if self.order_s < 0:
-            raise ValueError("order must be >= 0")
+            raise InvalidArgument("order must be >= 0")
         if not self.bound_k > 0:
-            raise ValueError("bound must be positive")
+            raise InvalidArgument("bound must be positive")
         if self.method not in ("sampled", "declared"):
-            raise ValueError("method must be 'sampled' or 'declared'")
+            raise InvalidArgument("method must be 'sampled' or 'declared'")
 
 
 def _unit_vectors(space: ChartSpace, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -399,7 +399,7 @@ def estimate_lb_bound(family: FieldFamily, region: Ball, s: int, samples: int,
     ``rng_seed + 1``.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidArgument("samples must be >= 1")
     if not family.common_domain.contains_ball(region):
         raise OutOfDomain("region not contained in the family's common domain")
     if family.declared_lb and not force_sampled and s in family.declared_lb:

@@ -357,11 +357,10 @@ def accessibility_verdict(family: FieldFamily, lb: LbRecord, x: np.ndarray, k_ma
                                  "dimension": n, "k": lb.bound_k})
     if family.space.truncation_of_l1 and family.truncation_factory is not None:
         base = len(family.members)
-        ranks = []
-        for lvl in truncation_levels:
-            count = min(n, base + lvl)
-            fam = family.truncation_factory(count)
-            ranks.append(bracket_chain(fam, x, k_max).final_rank)
+        # at the base count the factory would rebuild the family itself
+        ranks = [chain.final_rank if count == base else
+                 bracket_chain(family.truncation_factory(count), x, k_max).final_rank
+                 for count in (min(n, base + lvl) for lvl in truncation_levels)]
         if all(b > a for a, b in zip(ranks, ranks[1:])):
             return Verdict(kind="approximately_controllable",
                            evidence={"rank_profile": chain.rank_profile,

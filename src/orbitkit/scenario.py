@@ -1,4 +1,4 @@
-"""Scenario file grammar: parsing, validation, canonical emission.
+"""Scenario file grammar: parsing, the option table, canonical emission.
 
 The format is line-oriented key-value text with brace-nested sections::
 
@@ -25,28 +25,32 @@ Rules: one entry per line; an entry is a key followed by whitespace-separated
 argument tokens; a trailing ``{`` opens a nested section closed by a lone
 ``}``; ``#`` starts a comment.  Emission is canonical (two-space indents,
 single spaces, shortest round-trip floats), so parse -> emit -> parse -> emit
-is byte-stable.  The parsed tree is the source of truth; typed accessors
-validate on demand.
+is byte-stable.
+
+``SCHEMA`` is the one table of options: it maps the ``space``, ``lb`` and
+``defaults`` sections, each builtin's parameters and each command to its
+options, each an :class:`Opt` with a kind and a default.  :func:`read_options`
+applies a table to a section and returns the typed values; anything the table
+does not accept is a :class:`ParseError`.  :func:`parse_scenario` reads every
+section and builds the family once (``Scenario.family``).  Commands are read
+by :func:`read_command`: ``orbitkit check`` reads them all up front, and
+``orbitkit run`` reads each as it runs it, so that a bad command gets its
+own error report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .catalog import BUILTINS, build
+import numpy as np
+
+from .catalog import build
 from .errors import DimensionMismatch, ParseError, UnknownBuiltin
-from .fields import FieldFamily, polynomial_field
+from .fields import DEFAULT_SAFETY, FieldFamily, polynomial_field
 from .flow import DEFAULT_TOL
 from .space import Ball, ChartSpace, ball
 
 FORMAT_VERSION = "1"
-
-COMMANDS = ("flow", "compose", "invert", "slice", "bracket-chain",
-            "certify-hprime", "orbit-sample", "verdict", "check-lb")
-
-DEFAULT_SEED = 0
-DEFAULT_SAMPLES = 200
-DEFAULT_SAFETY = 1.25
 
 
 @dataclass
@@ -113,35 +117,23 @@ def emit_tree(nodes: list[Node], indent: int = 0) -> str:
     return "\n".join(out)
 
 
-def _floats(node: Node, lineno_hint: str = "") -> list[float]:
+def _floats(node: Node, count: int | None = None) -> list[float]:
     try:
-        return [float(a) for a in node.args]
+        vals = [float(a) for a in node.args]
     except ValueError:
-        raise ParseError(f"expected numbers in '{node.key}'{lineno_hint}") from None
+        raise ParseError(f"expected numbers in '{node.key}'") from None
+    if count is not None and len(vals) != count:
+        raise ParseError(f"'{node.key}' takes {count} number(s)")
+    return vals
 
 
-def _one_float(node: Node) -> float:
-    vals = _floats(node)
-    if len(vals) != 1:
-        raise ParseError(f"'{node.key}' takes exactly one number")
-    return vals[0]
-
-
-def _one_int(node: Node) -> int:
-    return _integer(_one_float(node), node.key)
-
-
-def _integer(v: float, key: str) -> int:
+def _integer(v: float, key: str, members: int | None = None) -> int:
+    """``v`` as an integer; given ``members``, as the index of a family member."""
     if not v.is_integer():
         raise ParseError(f"'{key}' takes integers")
+    if members is not None and not 0 <= v < members:
+        raise ParseError(f"'{key}' index {int(v)} has no family member")
     return int(v)
-
-
-def _exponents(vals: list[float], key: str) -> tuple[int, ...]:
-    exps = tuple(_integer(v, key) for v in vals)
-    if any(e < 0 for e in exps):
-        raise ParseError(f"'{key}' exponents must be non-negative")
-    return exps
 
 
 def _built(constructor, *args, **kwargs):
@@ -154,11 +146,167 @@ def _built(constructor, *args, **kwargs):
         raise ParseError(str(exc)) from None
 
 
+# -- the option table ---------------------------------------------------------
+
+REQUIRED = object()  # an Opt default: the option must be given (a repeated one at least once)
+
+
+@dataclass(frozen=True)
+class Opt:
+    """One option: its kind (a key of ``_KINDS``) and its value when absent."""
+
+    kind: str
+    default: object = None
+
+
+def _word(n: Node, *_) -> str:
+    if len(n.args) != 1:
+        raise ParseError(f"'{n.key}' takes exactly one value")
+    return n.args[0]
+
+
+def _flag(n: Node, *_) -> bool:
+    if _word(n) not in ("on", "off"):
+        raise ParseError(f"'{n.key}' takes on or off")
+    return n.args[0] == "on"
+
+
+def _declared(n: Node, *_) -> str | float:
+    """``auto``, ``off`` or a number: the lb section's ``declared``."""
+    word = _word(n)
+    return word if word in ("auto", "off") else _floats(n, 1)[0]
+
+
+def _point(n: Node, space: ChartSpace, _members) -> np.ndarray:
+    vals = _floats(n)
+    if len(vals) != space.dimension:
+        raise DimensionMismatch(f"'{n.key}' needs {space.dimension} coordinates")
+    return np.array(vals)
+
+
+def _indices(n: Node, _space, members: int) -> tuple[int, ...]:
+    return tuple(_integer(v, n.key, members) for v in _floats(n))
+
+
+def _entry(n: Node, _space, members: int) -> tuple[int, float]:
+    i, v = _floats(n, 2)
+    return _integer(i, n.key, members), v
+
+
+def _piece(n: Node, _space, members: int) -> tuple[float, float, list[tuple[int, float]]]:
+    vals = _floats(n)
+    if len(vals) < 4 or len(vals) % 2:
+        raise ParseError("'piece' takes t_start t_end then index/value pairs")
+    pairs = [(_integer(i, n.key, members), v) for i, v in zip(vals[2::2], vals[3::2])]
+    return vals[0], vals[1], pairs
+
+
+def _matrix_term(n: Node, *_) -> tuple[float, tuple[int, ...], int, int]:
+    vals = _floats(n)
+    if len(vals) < 4:
+        raise ParseError("'matrix-term' takes coeff exponents... row col")
+    return vals[0], tuple(vals[1:-2]), _integer(vals[-2], n.key), _integer(vals[-1], n.key)
+
+
+def _ball(n: Node, space: ChartSpace, _members=0) -> Ball:
+    """A ``center``/``radius`` section as a ball of the chart norm."""
+    p = read_options(n, _BALL, space)
+    return _built(ball, p["center"], p["radius"], space.norm_kind)
+
+
+_KINDS = {
+    "float": lambda n, *_: _floats(n, 1)[0],
+    "int": lambda n, *_: _integer(_floats(n, 1)[0], n.key),
+    "word": _word, "flag": _flag, "declared": _declared, "point": _point,
+    "indices": _indices, "entry": _entry, "piece": _piece, "matrix-term": _matrix_term,
+    "ball": _ball,
+}
+_REPEATED = ("entry", "piece", "matrix-term")
+_BALL = {"center": Opt("point", REQUIRED), "radius": Opt("float", REQUIRED)}
+
+_RADIUS = {"radius": Opt("float"), "norm-kind": Opt("word")}
+_SHAPE = {"dim": Opt("int", REQUIRED), "count": Opt("int", REQUIRED),
+          "decay": Opt("float"), "radius": Opt("float")}
+_POINT = {"point": Opt("point", REQUIRED)}
+_COMPOSE = {**_POINT, "entry": Opt("entry"), "tail": Opt("float", 0.0),
+            "truncation": Opt("int"), "path": Opt("word", "control")}
+_EVERY_COMMAND = {"tol": Opt("float"), "unsafe": Opt("flag", False)}
+
+SCHEMA = {
+    "space": {"dim": Opt("int", REQUIRED), "norm": Opt("word"),
+              "l1-truncation": Opt("flag", False)},
+    "lb": {"order": Opt("int", 2), "samples": Opt("int"), "declared": Opt("declared", "auto"),
+           "region": Opt("ball")},
+    "defaults": {"tol": Opt("float", DEFAULT_TOL), "seed": Opt("int", 0),
+                 "samples": Opt("int", 200), "safety": Opt("float", DEFAULT_SAFETY)},
+    # a builtin parameter left out takes the catalog builder's default
+    "builtin": {
+        "heisenberg": _RADIUS, "heisenberg-full": _RADIUS, "grushin": _RADIUS,
+        "commuting-constants": {"dim": Opt("int", REQUIRED), "span": Opt("int", REQUIRED),
+                                **_RADIUS},
+        "affine-l1": {**_SHAPE, "linear-part": Opt("flag")},
+        "operator-family": {**_SHAPE, "matrix-term": Opt("matrix-term", REQUIRED)},
+    },
+    "command": {name: {**opts, **_EVERY_COMMAND} for name, opts in {
+        "check-lb": {"order": Opt("int"), "samples": Opt("int"),
+                     "force-sampled": Opt("flag", False)},
+        "flow": {**_POINT, "t0": Opt("float", 0.0), "duration": Opt("float", 1.0),
+                 "piece": Opt("piece", REQUIRED), "variational": Opt("flag", False)},
+        "compose": {**_COMPOSE, "curve-samples": Opt("int", 0), "out": Opt("word")},
+        "invert": _COMPOSE,
+        "slice": {**_POINT, "rho": Opt("float", 0.1), "grid": Opt("int", 5),
+                  "axes": Opt("indices", (0,)), "out": Opt("word")},
+        "bracket-chain": {**_POINT, "k-max": Opt("int", 3)},
+        "certify-hprime": {"grid": Opt("int", 5), "tolerance": Opt("float", 1e-8)},
+        "orbit-sample": {**_POINT, "budget": Opt("int", 1000), "max-word-len": Opt("int", 8),
+                         "mode": Opt("word", "explore"), "exploration-radius": Opt("float"),
+                         "spot-check": Opt("flag", False), "out": Opt("word")},
+        "verdict": {**_POINT, "k-max": Opt("int", 3)},
+    }.items()},
+}
+
+
+def read_options(node: Node | None, table: dict[str, Opt], space: ChartSpace | None = None,
+                 members: int = 0) -> dict:
+    """The typed value of every option of ``table`` in section ``node``
+    (``None``: an absent section).  Points have ``space``'s dimension and
+    indices name one of ``members`` family members.  Raises
+    :class:`ParseError` for an unknown or repeated key, a missing or extra
+    value, a value of the wrong kind or a missing required option."""
+    where = " ".join([node.key, *node.args]) if node else ""
+    given: dict[str, list[Node]] = {}
+    for c in (node.children or []) if node else []:
+        opt = table.get(c.key)
+        if opt is None:
+            raise ParseError(f"unknown option '{c.key}' in '{where}'")
+        if c.key in given and opt.kind not in _REPEATED:
+            raise ParseError(f"'{c.key}' given twice in '{where}'")
+        if (c.children is not None) != (opt.kind == "ball"):
+            raise ParseError(f"'{c.key}' in '{where}' "
+                             + ("must open a section" if opt.kind == "ball" else "takes no section"))
+        if not c.args and opt.kind != "ball":
+            raise ParseError(f"'{c.key}' in '{where}' needs a value")
+        given.setdefault(c.key, []).append(c)
+    out = {}
+    for key, opt in table.items():
+        vals = [_KINDS[opt.kind](n, space, members) for n in given.get(key, [])]
+        if not vals and opt.default is REQUIRED:
+            raise ParseError(f"'{where}' needs '{key}'")
+        out[key] = vals if opt.kind in _REPEATED else vals[0] if vals else opt.default
+    return out
+
+
+def read_command(cmd: Node, family: FieldFamily) -> dict:
+    """The typed options of one command over ``family``."""
+    return read_options(cmd, SCHEMA["command"][cmd.args[0]], family.space, len(family.members))
+
+
 @dataclass
 class Scenario:
-    """A validated scenario: the canonical tree plus typed accessors."""
+    """A validated scenario: the canonical tree, its family and typed accessors."""
 
     tree: list[Node]
+    family: FieldFamily | None = field(default=None, repr=False)
 
     def emit(self) -> str:
         return emit_tree(self.tree) + "\n"
@@ -171,22 +319,7 @@ class Scenario:
         return None
 
     def defaults(self) -> dict:
-        out = {"tol": DEFAULT_TOL, "seed": DEFAULT_SEED,
-               "samples": DEFAULT_SAMPLES, "safety": DEFAULT_SAFETY}
-        sec = self._section("defaults")
-        if sec is not None:
-            for c in sec.children or []:
-                if c.key == "tol":
-                    out["tol"] = _one_float(c)
-                elif c.key == "seed":
-                    out["seed"] = _one_int(c)
-                elif c.key == "samples":
-                    out["samples"] = _one_int(c)
-                elif c.key == "safety":
-                    out["safety"] = _one_float(c)
-                else:
-                    raise ParseError(f"unknown defaults entry '{c.key}'")
-        return out
+        return read_options(self._section("defaults"), SCHEMA["defaults"])
 
     def build_family(self) -> FieldFamily:
         fam_sec = self._section("family")
@@ -195,16 +328,13 @@ class Scenario:
         space_sec = self._section("space")
         declared_space = None
         if space_sec is not None:
-            dim_node = space_sec.child("dim")
-            if dim_node is None:
-                raise ParseError("'space' needs a 'dim' entry")
-            dim = _one_int(dim_node)
-            norm_node = space_sec.child("norm")
-            norm = norm_node.args[0] if norm_node and norm_node.args else None
-            trunc_node = space_sec.child("l1-truncation")
-            trunc = bool(trunc_node and trunc_node.args and trunc_node.args[0] == "on")
-            declared_space = _built(ChartSpace, dim, norm_kind=norm, truncation_of_l1=trunc)
+            s = read_options(space_sec, SCHEMA["space"])
+            declared_space = _built(ChartSpace, s["dim"], norm_kind=s["norm"],
+                                    truncation_of_l1=s["l1-truncation"])
 
+        for c in fam_sec.children or []:
+            if c.key not in ("builtin", "poly", "domain"):
+                raise ParseError(f"unknown family entry '{c.key}'")
         builtins = fam_sec.all("builtin")
         polys = fam_sec.all("poly")
         if builtins and polys:
@@ -226,33 +356,12 @@ class Scenario:
         if not node.args:
             raise ParseError("'builtin' needs a name")
         name = node.args[0]
-        if name not in BUILTINS:
+        if name not in SCHEMA["builtin"]:
             raise UnknownBuiltin(f"no builtin named {name!r}")
-        params: dict = {}
-        matrix_terms = []
-        for c in node.children or []:
-            key = c.key.replace("-", "_")
-            if key in ("dim", "span", "count", "grid"):
-                params[key] = _one_int(c)
-            elif key in ("radius", "decay"):
-                params[key] = _one_float(c)
-            elif key in ("linear_part",):
-                params[key] = bool(c.args and c.args[0] == "on")
-            elif key == "norm_kind":
-                if len(c.args) != 1:
-                    raise ParseError("'norm-kind' takes exactly one value")
-                params[key] = c.args[0]
-            elif key == "matrix_term":
-                # coeff, one exponent per coordinate, row, col
-                vals = _floats(c)
-                if len(vals) < 4:
-                    raise ParseError("'matrix-term' takes coeff exponents... row col")
-                matrix_terms.append((vals[0], _exponents(vals[1:-2], c.key),
-                                     _integer(vals[-2], c.key), _integer(vals[-1], c.key)))
-            else:
-                raise ParseError(f"unknown builtin parameter '{c.key}'")
-        if matrix_terms:
-            params["matrix_terms"] = matrix_terms
+        params = {k.replace("-", "_"): v for k, v in read_options(
+            node, SCHEMA["builtin"][name]).items() if v is not None}
+        if "matrix_term" in params:  # the builder's keyword is plural
+            params["matrix_terms"] = params.pop("matrix_term")
         return _built(build, name, **params)
 
     def _build_poly(self, polys: list[Node], fam_sec: Node,
@@ -263,14 +372,7 @@ class Scenario:
         dom_sec = fam_sec.child("domain")
         if dom_sec is None:
             raise ParseError("polynomial families need a 'domain' section")
-        center_node = dom_sec.child("center")
-        radius_node = dom_sec.child("radius")
-        if center_node is None or radius_node is None:
-            raise ParseError("'domain' needs 'center' and 'radius'")
-        center = _floats(center_node)
-        if len(center) != dim:
-            raise DimensionMismatch("domain center dimension mismatch")
-        dom = _built(ball, center, _one_float(radius_node), declared_space.norm_kind)
+        dom = _ball(dom_sec, declared_space)
 
         members = []
         labels = set()
@@ -285,59 +387,35 @@ class Scenario:
             for c in p.children or []:
                 if c.key != "component":
                     raise ParseError(f"unknown poly entry '{c.key}'")
-                ci = _one_int(c)
+                ci = _integer(_floats(c, 1)[0], c.key)
                 if not 0 <= ci < dim:
                     raise DimensionMismatch(f"component index {ci} out of range")
                 for t in c.children or []:
                     if t.key != "term":
                         raise ParseError(f"unknown component entry '{t.key}'")
                     vals = _floats(t)
-                    if len(vals) != dim + 1:
-                        raise DimensionMismatch(
-                            "'term' takes a coefficient plus one exponent per coordinate")
-                    comps[ci].append((vals[0], _exponents(vals[1:], t.key)))
-            members.append(polynomial_field(dom, comps, label=label))
+                    if not vals:
+                        raise ParseError("'term' needs a coefficient")
+                    comps[ci].append((vals[0], tuple(vals[1:])))
+            # polynomial_field checks each term's exponents
+            members.append(_built(polynomial_field, dom, comps, label=label))
         return FieldFamily(space=declared_space, members=tuple(members), common_domain=dom)
 
     def lb_params(self, space: ChartSpace) -> dict:
         """The ``lb`` section; its ``region`` is a ball of the chart ``space``."""
-        out = {"order": 2, "samples": None, "declared": "auto", "region": None}
-        sec = self._section("lb")
-        if sec is not None:
-            for c in sec.children or []:
-                if c.key == "order":
-                    out["order"] = _one_int(c)
-                elif c.key == "samples":
-                    out["samples"] = _one_int(c)
-                elif c.key == "declared":
-                    out["declared"] = c.args[0] if c.args else "auto"
-                elif c.key == "region":
-                    out["region"] = _region_from(c, space)
-                else:
-                    raise ParseError(f"unknown lb entry '{c.key}'")
-        return out
+        return read_options(self._section("lb"), SCHEMA["lb"], space)
 
     def commands(self) -> list[Node]:
         cmds = [n for n in self.tree if n.key == "command"]
         for c in cmds:
-            if not c.args or c.args[0] not in COMMANDS:
+            if len(c.args) != 1 or c.args[0] not in SCHEMA["command"]:
                 raise ParseError(f"unknown command '{' '.join(c.args) or '?'}'")
         return cmds
 
 
-def _region_from(node: Node, space: ChartSpace) -> Ball:
-    center_node = node.child("center")
-    radius_node = node.child("radius")
-    if center_node is None or radius_node is None:
-        raise ParseError("'region' needs 'center' and 'radius'")
-    center = _floats(center_node)
-    if len(center) != space.dimension:
-        raise DimensionMismatch("region center dimension mismatch")
-    return _built(ball, center, _one_float(radius_node), space.norm_kind)
-
-
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text."""
+    """Parse and validate scenario text and build its family.  Commands are
+    checked by name here and by :func:`read_command` for their options."""
     tree = parse_tree(text)
     sc = Scenario(tree=tree)
     for n in tree:
@@ -346,9 +424,9 @@ def parse_scenario(text: str) -> Scenario:
     ver = sc._section("version")
     if ver is not None and ver.args and ver.args[0] != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {ver.args[0]!r}")
-    # force validation of each typed section now, not at run time
     sc.defaults()
-    sc.lb_params(sc.build_family().space)
+    sc.family = sc.build_family()
+    sc.lb_params(sc.family.space)
     sc.commands()
     return sc
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orbitkit.catalog import affine_l1, commuting_constants, grushin
+from orbitkit.catalog import affine_l1, commuting_constants, grushin, operator_family
 from orbitkit.algebra import FlowWord, enlarge_field
 from orbitkit.errors import GuardViolated, OutOfDomain
 from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
@@ -190,6 +190,42 @@ class TestVerdicts:
         v = accessibility_verdict(fam, lb, np.zeros(30), 2)
         assert v.kind == "approximately_controllable"
         assert v.evidence["truncation_ranks"] == (10, 15, 20)
+
+    def test_truncation_levels_reuse_the_base_chain(self, monkeypatch):
+        import orbitkit.algebra as algebra
+        fam = affine_l1(24, 5)
+        inner, sizes = algebra.bracket_chain, []
+
+        def spy(family, x, k_max):
+            sizes.append(len(family.members))
+            return inner(family, x, k_max)
+
+        monkeypatch.setattr(algebra, "bracket_chain", spy)
+        v = accessibility_verdict(fam, LbRecord(2, 10.0, fam.common_domain, "declared"),
+                                  np.zeros(24), 2)
+        assert sizes == [5, 10, 15]
+        assert v.evidence["truncation_ranks"] == (5, 10, 15)
+
+    @pytest.mark.parametrize("fam", [
+        affine_l1(24, 5), affine_l1(12, 4, decay=0.7, linear_part=True),
+        operator_family(3, 3, [(1.0, (0, 0, 0), 0, 0), (1.0, (0, 0, 0), 1, 1),
+                               (1.0, (1, 0, 0), 2, 1)]),
+    ], ids=["affine-l1", "affine-l1-linear", "operator-family"])
+    def test_verdict_evidence_matches_a_chain_per_truncation_level(self, fam):
+        from orbitkit.algebra import bracket_chain
+        x = np.full(fam.space.dimension, 0.05)
+        v = accessibility_verdict(fam, LbRecord(2, 10.0, fam.common_domain, "declared"), x, 2)
+        chain = bracket_chain(fam, x, 2)
+        assert v.evidence["rank_profile"] == chain.rank_profile
+        n, base = fam.space.dimension, len(fam.members)
+        if fam.space.truncation_of_l1:
+            ranks = tuple(bracket_chain(fam.truncation_factory(min(n, base + lvl)), x, 2).final_rank
+                          for lvl in (0, 5, 10))
+            assert v.kind == "approximately_controllable"
+            assert v.evidence["truncation_ranks"] == ranks
+        else:
+            assert v.kind == "exactly_controllable"
+            assert v.evidence["saturation_k"] == chain.saturation_generation(n)
 
 
 class TestInvariance:

@@ -1,15 +1,19 @@
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbitkit.catalog import BUILTINS
 from orbitkit.cli import main, run_scenario
 from orbitkit.errors import DimensionMismatch, ParseError, UnknownBuiltin
 from orbitkit.report import read_point_cloud, strip_timestamp
-from orbitkit.scenario import parse_scenario
+from orbitkit.scenario import REQUIRED, SCHEMA, Node, emit_tree, parse_scenario, read_command
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -487,3 +491,228 @@ command check-lb {
         assert code == 0
         text = (tmp_path / "out" / "report-01-check-lb.txt").read_text()
         assert "region-radius 2.0" in text
+
+
+# -- the option table -----------------------------------------------------------
+
+HEIS_HEADER = HEIS_SCENARIO.split("command")[0]
+
+
+def _one_command(name, body, header=HEIS_HEADER):
+    return header + f"command {name} {{\n  {body}\n}}\n"
+
+
+def _check(text, tmp_path):
+    p = tmp_path / "s.okit"
+    p.write_text(text)
+    return main(["check", str(p)])
+
+
+@pytest.mark.parametrize("name, body, kind", TestRunner.BAD_COMMANDS)
+def test_check_rejects_the_commands_run_reports_as_parse_errors(name, body, kind, tmp_path,
+                                                                capsys):
+    code = _check(_one_command(name, body), tmp_path)
+    if kind == "ParseError":
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: command 1 '{name}': ")
+    else:  # the library rejects the value when the command runs
+        assert code == 0
+
+
+# options that were silently ignored or misread before commands were read
+# through the option table
+REJECTED_OPTIONS = [
+    ("flow", "point 0 0 zz\n  piece 0 1 0 1"),
+    ("orbit-sample", "point 0 0 0\n  budgt 5"),
+    ("flow", "point 0 0 0\n  piece 0 1 0 1\n  variational yes"),
+    ("orbit-sample", "point 0 0 0\n  spot-check yes"),
+    ("orbit-sample", "point 0 0 0\n  budget 5\n  budget 6"),
+    ("compose", "point 0 0 0\n  entry 7 0.1"),
+    ("slice", "point 0 0 0\n  axes 0 5"),
+    ("invert", "point 0 0 0\n  entry 0 0.1\n  out x"),
+    ("invert", "point 0 0 0\n  entry 0 0.1\n  curve-samples 3"),
+    ("verdict", "k-max 2"),
+    ("flow", "point 0 0 0"),
+    ("verdict", "point 0 0"),
+]
+
+
+@pytest.mark.parametrize("name, body", REJECTED_OPTIONS)
+def test_rejected_options_fail_check_and_get_a_parse_error_report(name, body, tmp_path):
+    text = _one_command(name, body) + "command bracket-chain {\n  point 0 0 0\n}\n"
+    assert _check(text, tmp_path) == 2
+    assert run_scenario(parse_scenario(text), tmp_path / "out") == 1
+    first, second = sorted((tmp_path / "out").glob("report-*.txt"))
+    assert "type ParseError" in first.read_text() or "type DimensionMismatch" in first.read_text()
+    assert "status ok" in second.read_text()
+
+
+def _with(section_line, extra):
+    return HEIS_HEADER.replace(section_line, section_line + extra)
+
+
+TWO_COMMANDS = "command verdict {\n  point 0 0 0\n}\ncommand check-lb {\n  %s\n}\n"
+
+# values a library call rejects when the scenario runs: each used to end
+# `orbitkit run` in a ValueError traceback (or, for `lb samples 0`, to be
+# replaced by the default); kinds are the report error types, None for ok
+LIBRARY_REJECTIONS = {
+    "check-lb-samples-0": (HEIS_HEADER + TWO_COMMANDS % "samples 0", 1, [None, "InvalidArgument"]),
+    "check-lb-order-negative": (HEIS_HEADER + TWO_COMMANDS % "order -1", 1,
+                                [None, "InvalidArgument"]),
+    "lb-declared-negative": (_with("  order 2\n", "  declared -3\n") + TWO_COMMANDS % "order 2",
+                             1, ["InvalidArgument"] * 2),
+    "lb-samples-0": (_with("  order 2\n", "  samples 0\n") + TWO_COMMANDS % "order 2", 1,
+                     ["InvalidArgument"] * 2),
+    "defaults-samples-0": (_with("  seed 42\n", "  samples 0\n") + TWO_COMMANDS % "order 2", 1,
+                           ["InvalidArgument"] * 2),
+    "lb-declared-word": (_with("  order 2\n", "  declared foo\n") + TWO_COMMANDS % "order 2", 2,
+                         []),
+}
+
+
+@pytest.mark.parametrize("text, code, kinds", LIBRARY_REJECTIONS.values(),
+                         ids=LIBRARY_REJECTIONS.keys())
+def test_library_rejections_give_reports_not_tracebacks(text, code, kinds, tmp_path, capsys):
+    p = tmp_path / "s.okit"
+    p.write_text(text)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == code
+    reports = sorted((tmp_path / "out").glob("report-*.txt"))
+    assert len(reports) == len(kinds)
+    for r, kind in zip(reports, kinds):
+        body = r.read_text()
+        assert "status ok" in body if kind is None else f"type {kind}" in body, r.name
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_builtin_parameters_are_read_per_builtin():
+    assert set(SCHEMA["builtin"]) == set(BUILTINS)
+    for body in ("heisenberg {\n    dim 3", "affine-l1 {\n    dim 4", "grushin {\n    radius 4\n"
+                 "    radius 5", "affine-l1 {\n    dim 4\n    count 2\n    linear-part yes",
+                 "heisenberg {\n  }\n  wat 3\n  nested {"):
+        with pytest.raises(ParseError):
+            parse_scenario(_builtin(body, L1_SPACE if "affine" in body else ""))
+
+
+def _readme_commands():
+    """Parameter names per command in README.md's '### Commands' table."""
+    text = (SRC.parent / "README.md").read_text().split("### Commands", 1)[1]
+    rows = {}
+    for line in text.splitlines():
+        if not line.startswith("| `"):
+            if rows:
+                break
+            continue
+        name, params = re.split(r"(?<!\\)\|", line)[1:3]
+        rows[name.strip(" `")] = {span.split()[0] for span in re.findall(r"`([^`]+)`", params)}
+    return rows, text
+
+
+def test_readme_command_table_matches_the_option_table():
+    rows, text = _readme_commands()
+    assert set(rows) == set(SCHEMA["command"])
+    for name, params in rows.items():
+        assert params | {"tol", "unsafe"} == set(SCHEMA["command"][name]), name
+    assert "Every command also takes `tol <x>` and `unsafe on|off`" in text
+
+
+# -- properties of the grammar ----------------------------------------------------
+
+HEIS_FAMILY = parse_scenario(HEIS_SCENARIO).family
+NUMBERS = st.floats(-1e3, 1e3, allow_nan=False).map(repr) | st.integers(-5, 5).map(str)
+
+
+def _valid_args(kind, dim, members):
+    """A strategy of argument lists the reader accepts for ``kind``."""
+    index = st.integers(0, members - 1).map(str)
+    pairs = st.lists(st.tuples(index, NUMBERS), min_size=1, max_size=3)
+    return {
+        "float": st.tuples(NUMBERS),
+        "int": st.tuples(st.integers(-3, 60).map(str)),
+        "word": st.tuples(st.sampled_from(["control", "explore", "cloud.txt"])),
+        "flag": st.tuples(st.sampled_from(["on", "off"])),
+        "point": st.lists(NUMBERS, min_size=dim, max_size=dim),
+        "indices": st.lists(index, min_size=1, max_size=3),
+        "entry": st.tuples(index, NUMBERS),
+        "piece": st.tuples(NUMBERS, NUMBERS, pairs).map(
+            lambda t: (t[0], t[1], *(a for pair in t[2] for a in pair))),
+    }[kind].map(list)
+
+
+@st.composite
+def valid_command(draw, dim, members):
+    name = draw(st.sampled_from(sorted(SCHEMA["command"])))
+    lines = []
+    for key, opt in SCHEMA["command"][name].items():
+        repeats = 0 if opt.default is not REQUIRED and draw(st.booleans()) else 1
+        if opt.kind in ("entry", "piece"):
+            repeats = draw(st.integers(repeats, 3))
+        for _ in range(repeats):
+            lines.append(" ".join([key, *draw(_valid_args(opt.kind, dim, members))]))
+    lines = draw(st.permutations(lines))
+    return f"command {name} {{\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
+
+
+@st.composite
+def valid_scenario(draw):
+    if draw(st.booleans()):
+        family, dim = HEIS_HEADER.split("lb {")[0], 3
+    else:
+        family, dim = POLY_SCENARIO.split("command")[0], 2
+    text = family
+    if draw(st.booleans()):
+        text += (f"lb {{\n  order {draw(st.integers(0, 3))}\n  samples {draw(st.integers(1, 300))}"
+                 f"\n  declared {draw(st.sampled_from(['auto', 'off', '2.5', '1e3']))}\n}}\n")
+    if draw(st.booleans()):
+        text += (f"defaults {{\n  tol {draw(st.sampled_from(['1e-09', '1e-06']))}\n"
+                 f"  seed {draw(st.integers(0, 99))}\n}}\n")
+    return text + "".join(draw(st.lists(valid_command(dim, 2), max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_scenario())
+def test_round_trip_parse_emit_parse(text):
+    sc = parse_scenario(text)
+    again = parse_scenario(sc.emit())
+    assert again.tree == sc.tree
+    assert again.emit() == sc.emit()
+    for cmd in again.commands():
+        read_command(cmd, again.family)
+
+
+JUNK = ["zz", "nan", "0.5", "0", "1", "-1", "2", "on", "off", "yes", "1e400", "control"]
+
+
+@st.composite
+def junk_command(draw):
+    name = draw(st.sampled_from(sorted(SCHEMA["command"])))
+    keys = st.sampled_from(sorted(SCHEMA["command"][name]) + ["budgt", "zz"])
+    entries = draw(st.lists(st.tuples(keys, st.lists(st.sampled_from(JUNK), max_size=4),
+                                      st.booleans()), max_size=6))
+    children = [Node(key, args, [] if section else None) for key, args, section in entries]
+    return Node("command", [name], children)
+
+
+@settings(max_examples=200, deadline=None)
+@given(junk_command())
+def test_the_reader_returns_or_raises_a_parse_error(cmd):
+    try:
+        out = read_command(cmd, HEIS_FAMILY)
+    except ParseError:
+        return
+    assert set(out) == set(SCHEMA["command"][cmd.args[0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(junk_command(), min_size=1, max_size=3))
+def test_check_exits_2_iff_the_reader_rejects_a_command(cmds):
+    text = HEIS_HEADER + emit_tree(cmds) + "\n"
+    rejected = False
+    for cmd in parse_scenario(text).commands():
+        try:
+            read_command(cmd, HEIS_FAMILY)
+        except ParseError:
+            rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _check(text, Path(tmp)) == (2 if rejected else 0)
