@@ -17,15 +17,13 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import algebra, compose, flow, orbit
 from .catalog import BUILTIN_SUMMARIES
 from .errors import OrbitKitError, ParseError
 from .fields import FieldFamily, LbRecord, calculus, estimate_lb_bound
-from .flow import Control, guard
+from .flow import Control, ExistenceCertificate
 from .report import Report, leaf, section, vector_leaf, write_point_cloud
-from .scenario import Node, Scenario, parse_scenario, read_command
+from .scenario import Node, Scenario, parse_scenario, positive_float, read_command
 from .space import L1Coefficients
 
 
@@ -41,30 +39,29 @@ def _build_lb(scenario: Scenario, family: FieldFamily, defaults: dict) -> LbReco
                              force_sampled=p["declared"] == "off")
 
 
-def _guard_section(lb: LbRecord, x: np.ndarray, c: float, T0: float) -> Node:
-    cert = guard(lb, x, c, T0)
-    return section("guard", [
-        leaf("r", float(cert.r)),
-        leaf("k", float(cert.k)),
-        leaf("c", float(c)),
-        leaf("T0", float(T0)),
-        leaf("margin", float(cert.margin)),
-        leaf("provenance", lb.method),
-        leaf("order", lb.order_s),
-    ])
-
-
-def _configuration(family: FieldFamily, lb: LbRecord, defaults: dict, x: np.ndarray,
-                   c: float, T0: float, tol: float) -> list[Node]:
-    return [
+def _configuration(family: FieldFamily, lb: LbRecord | None, defaults: dict,
+                   tol: float) -> list[Node]:
+    cfg = [
         leaf("norm", family.space.norm_kind),
         leaf("dimension", family.space.dimension),
         leaf("members", len(family.members)),
         leaf("l1-truncation", family.space.truncation_of_l1),
         leaf("tol", float(tol)),
         leaf("seed", defaults["seed"]),
-        _guard_section(lb, x, c, T0),
     ]
+    if lb is not None:
+        cfg.append(section("lb", [leaf("k", float(lb.bound_k)), leaf("order", lb.order_s),
+                                  leaf("provenance", lb.method)]))
+    return cfg
+
+
+def _guarded(cmd: Node, cfg: list[Node], cert: ExistenceCertificate,
+             results: list[Node]) -> Report:
+    """A report whose configuration ends with the guard the library enforced."""
+    guard = section("guard", [leaf(key, float(getattr(cert, key)))
+                              for key in ("r", "k", "c", "T0", "margin")]
+                    + [leaf("unsafe", cert.unsafe)])
+    return Report(cmd, cfg + [guard], results)
 
 
 def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
@@ -74,6 +71,7 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
     tol = defaults["tol"] if o["tol"] is None else o["tol"]
     unsafe = unsafe or o["unsafe"]
     x0 = o.get("point")
+    cfg = _configuration(family, lb, defaults, tol)
 
     if name == "check-lb":
         order = lb.order_s if o["order"] is None else o["order"]
@@ -81,7 +79,6 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         rec = estimate_lb_bound(family, lb.region, order, samples,
                                 rng_seed=defaults["seed"], safety=defaults["safety"],
                                 force_sampled=o["force-sampled"])
-        cfg = _configuration(family, rec, defaults, rec.region.center, 0.0, 0.0, tol)
         results = [leaf("bound-k", rec.bound_k), leaf("order", rec.order_s),
                    leaf("method", rec.method), leaf("region-radius", rec.region.radius),
                    leaf("samples", samples), leaf("calculus", calculus(family.members))]
@@ -93,16 +90,15 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                                        for a, b, pairs in o["piece"]))
         res = flow.flow_control(family, control, x0, o["t0"], T0,
                                 with_variational=o["variational"], tol=tol, lb=lb, unsafe=unsafe)
-        cfg = _configuration(family, lb, defaults, x0, control.sup_norm, abs(T0), tol)
         results = [vector_leaf("endpoint", res.endpoint),
                    leaf("endpoint-tolerance", tol * (1.0 + abs(T0))),
                    leaf("steps", res.steps_taken),
                    leaf("est-local-error", res.est_local_error),
-                   leaf("unsafe", res.diagnostics.get("unsafe", False))]
+                   leaf("unsafe", res.certificate.unsafe)]
         if o["variational"]:
             for i, row in enumerate(res.endpoint_variational):
                 results.append(vector_leaf(f"variational-row-{i}", row))
-        return Report(cmd, cfg, results)
+        return _guarded(cmd, cfg, res.certificate, results)
 
     if name in ("compose", "invert"):
         tau = L1Coefficients.from_pairs(o["entry"], o["tail"])
@@ -114,25 +110,22 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         else:
             res = compose.compose_inverse(family, lb, tau, x0, tol=tol, truncation_n=trunc,
                                           path=o["path"], unsafe=unsafe)
-        cfg = _configuration(family, lb, defaults, x0, 1.0 if tau.entries else 0.0,
-                             tau.norm1, tol)
         results = [vector_leaf("endpoint", res.endpoint),
                    leaf("endpoint-tolerance", tol * (1.0 + tau.norm1)),
                    leaf("truncation-n", res.truncation_n),
                    leaf("tail-error-bound", res.tail_error_bound),
-                   leaf("tail-factor-note", *res.diagnostics["tail_factor_note"].split()),
-                   leaf("unsafe", unsafe)]
+                   leaf("tail-factor-note", *compose.TAIL_FACTOR_NOTE.split()),
+                   leaf("unsafe", res.certificate.unsafe)]
         results.extend(leaf("letter", int(i), float(d)) for i, d in res.word)
         if res.l1_curve is not None and o.get("out") is not None:
             write_point_cloud(out_dir / o["out"], res.l1_curve.points)
             results.append(leaf("curve-file", o["out"]))
             results.append(leaf("curve-samples", res.l1_curve.points.shape[0]))
-        return Report(cmd, cfg, results)
+        return _guarded(cmd, cfg, res.certificate, results)
 
     if name == "slice":
         rho, axes = o["rho"], o["axes"]
-        res = orbit.slice_grid(family, lb, x0, rho, o["grid"], axes, tol=tol)
-        cfg = _configuration(family, lb, defaults, x0, 1.0, rho * len(axes), tol)
+        res = orbit.slice_grid(family, lb, x0, rho, o["grid"], axes, tol=tol, unsafe=unsafe)
         results = [leaf("rank-at-zero", res.jacobian_rank_at_zero),
                    leaf("axes", *axes), leaf("rho", rho),
                    leaf("points", res.points.shape[0]),
@@ -140,11 +133,10 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         if o["out"] is not None:
             write_point_cloud(out_dir / o["out"], res.points)
             results.append(leaf("cloud-file", o["out"]))
-        return Report(cmd, cfg, results)
+        return _guarded(cmd, cfg, res.certificate, results)
 
     if name == "bracket-chain":
         chain = algebra.bracket_chain(family, x0, o["k-max"])
-        cfg = _configuration(family, lb, defaults, x0, 0.0, 0.0, tol)
         results = [leaf("ranks", *chain.rank_profile),
                    leaf("rank-tolerance", orbit.RANK_REL_TOL),
                    leaf("generations", len(chain.generations)),
@@ -153,9 +145,7 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         return Report(cmd, cfg, results)
 
     if name == "certify-hprime":
-        region = lb.region
-        rep = algebra.certify_h_prime(family, region, grid_size=o["grid"], tol=o["tolerance"])
-        cfg = _configuration(family, lb, defaults, region.center, 0.0, 0.0, tol)
+        rep = algebra.certify_h_prime(family, lb.region, grid_size=o["grid"], tol=o["tolerance"])
         results = [leaf("certified", rep.certified),
                    leaf("bound-C", rep.bound_C),
                    leaf("max-residual", float(rep.residuals.max(initial=0.0))),
@@ -171,7 +161,6 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         samp = orbit.orbit_sample(family, lb, x0, o["budget"], o["max-word-len"],
                                   defaults["seed"], tol=tol, mode=mode,
                                   exploration_radius=o["exploration-radius"])
-        cfg = _configuration(family, lb, defaults, x0, 1.0, samp.d_max, tol)
         pts = samp.points()
         truncated = sum(1 for _, _, t in samp.cloud if t)
         results = [leaf("points", pts.shape[0]),
@@ -185,11 +174,10 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         if o["out"] is not None:
             write_point_cloud(out_dir / o["out"], pts)
             results.append(leaf("cloud-file", o["out"]))
-        return Report(cmd, cfg, results)
+        return _guarded(cmd, cfg, samp.certificate, results)
 
     # verdict: read_command accepts no other name
     v = orbit.accessibility_verdict(family, lb, x0, o["k-max"])
-    cfg = _configuration(family, lb, defaults, x0, 0.0, 0.0, tol)
     results = [leaf("kind", v.kind),
                leaf("ranks", *v.evidence["rank_profile"]),
                leaf("dimension", v.evidence["dimension"]),
@@ -231,11 +219,8 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
                 error = exc
         if error is not None:
             any_error = True
-            cfg = [leaf("norm", family.space.norm_kind),
-                   leaf("dimension", family.space.dimension),
-                   leaf("tol", float(defaults["tol"])),
-                   leaf("seed", defaults["seed"])]
-            report = Report(cmd, cfg, [], status="error",
+            report = Report(cmd, _configuration(family, lb, defaults, defaults["tol"]), [],
+                            status="error",
                             error=(type(error).__name__, str(error)))
         path = out_dir / f"report-{i:02d}-{cmd.args[0]}.txt"
         path.write_text(report.render(timestamp=timestamp))
@@ -252,7 +237,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--unsafe", action="store_true",
                        help="override existence guards (recorded in reports)")
-    p_run.add_argument("--tol", type=float, default=None)
+    p_run.add_argument("--tol", default=None, help="positive finite tolerance for every command")
 
     sub.add_parser("catalog", help="list builtin systems")
 
@@ -269,6 +254,8 @@ def main(argv=None) -> int:
     text = Path(args.scenario).read_text()
     try:
         scenario = parse_scenario(text)
+        tol = getattr(args, "tol", None)
+        tol = None if tol is None else positive_float(tol, "--tol")
     except OrbitKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -287,7 +274,7 @@ def main(argv=None) -> int:
         return 0
 
     out_dir = Path(args.out) if args.out else Path(args.scenario).with_suffix(".out")
-    code = run_scenario(scenario, out_dir, seed=args.seed, unsafe=args.unsafe, tol=args.tol)
+    code = run_scenario(scenario, out_dir, seed=args.seed, unsafe=args.unsafe, tol=tol)
     print(f"reports written to {out_dir}")
     return code
 

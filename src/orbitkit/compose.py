@@ -9,8 +9,7 @@ Tail control: dropping all legs beyond the first n moves the endpoint by at
 most ``k * (dropped l1 mass)``, since each omitted leg travels at most its
 duration times the field bound; the reported bound keeps a conservative
 ``k * exp(k * |tau|_1)`` factor on top of the dropped mass to cover any
-amplification by the legs that remain.  The factor in use is recorded on
-every result.
+amplification by the legs that remain (``TAIL_FACTOR_NOTE``).
 """
 
 from __future__ import annotations
@@ -20,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuardViolated, InvalidArgument, TailNotSummable
+from .errors import InvalidArgument, TailNotSummable
 from .fields import FieldFamily, LbRecord
 # flow_single stays bound here so that tracing can wrap every binding of it
-from .flow import DEFAULT_TOL, Control, FlowWord, flow_control, flow_single, guard  # noqa: F401
+from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, flow_control,  # noqa: F401
+                   flow_single, guard)
 from .space import Ball, L1Coefficients
 
 TAIL_FACTOR_NOTE = "k*exp(k*norm1(tau)) times dropped l1 mass"
@@ -81,7 +81,8 @@ class CompositionResult:
 
     ``word`` is the realized finite sequence of (member index, signed
     duration) in the order applied.  ``tail_error_bound`` dominates the
-    distance to the untruncated limit in the chart norm.
+    distance to the untruncated limit in the chart norm.  ``certificate`` is
+    the smallness guard ``norm1(tau) < r/k`` at the seed point, as enforced.
     """
 
     endpoint: np.ndarray
@@ -89,9 +90,9 @@ class CompositionResult:
     tail_error_bound: float
     word: tuple[tuple[int, float], ...]
     seed_point: np.ndarray
+    certificate: ExistenceCertificate
     family: FieldFamily = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
     tol: float = DEFAULT_TOL
-    diagnostics: dict = field(default_factory=dict, compare=False)
     l1_curve: "L1Curve | None" = None
 
 
@@ -130,25 +131,19 @@ def _choose_truncation(tau: L1Coefficients, factor: float, tol: float) -> int:
 
 
 def _plan(lb: LbRecord, tau: L1Coefficients, x: np.ndarray, tol: float,
-          truncation_n: int | None, unsafe: bool) -> tuple[L1Coefficients, float, int, dict]:
+          truncation_n: int | None, unsafe: bool
+          ) -> tuple[L1Coefficients, float, int, ExistenceCertificate]:
     """Guard, tail factor and truncation shared by every composition.
 
     Returns the kept coefficients, the certified tail bound, the truncation
-    level and the diagnostics.
+    level and the enforced certificate.
     """
-    cert = guard(lb, x, 1.0, tau.norm1)
-    limit = cert.r / cert.k
-    if not cert.satisfied and not unsafe:
-        raise GuardViolated(
-            f"norm1(tau)={tau.norm1:.6g} is not below the smallness bound r/k={limit:.6g}")
+    cert = guard(lb, x, 1.0, tau.norm1).enforce(unsafe)
     factor = _tail_factor(cert.k, tau.norm1)
     if truncation_n is None:
         truncation_n = _choose_truncation(tau, factor, tol)
     kept, tail = tau.truncate(truncation_n)
-    diag = {"r": cert.r, "k": cert.k, "smallness_limit": limit,
-            "guard_satisfied": cert.satisfied, "unsafe": unsafe,
-            "tail_factor": factor, "tail_factor_note": TAIL_FACTOR_NOTE}
-    return kept, factor * tail, truncation_n, diag
+    return kept, factor * tail, truncation_n, cert
 
 
 def _run_word(family: FieldFamily, lb: LbRecord, word, x, tol, path) -> np.ndarray:
@@ -178,8 +173,7 @@ def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.
     accuracy and the second serves as a cross-check.
     """
     x = np.asarray(x, dtype=float)
-    kept, bound, truncation_n, diag = _plan(lb, tau, x, tol, truncation_n, unsafe)
-    diag["path"] = path
+    kept, bound, truncation_n, cert = _plan(lb, tau, x, tol, truncation_n, unsafe)
     word = kept.entries
     endpoint = _run_word(family, lb, word, x, tol, path)
     curve = None
@@ -187,7 +181,7 @@ def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.
         curve = _l1_curve(family, word, x, tol, l1_curve_samples, lb.region)
     return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
                              tail_error_bound=bound, word=word, seed_point=x.copy(),
-                             family=family, tol=tol, diagnostics=diag, l1_curve=curve)
+                             certificate=cert, family=family, tol=tol, l1_curve=curve)
 
 
 def compose_inverse(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, y: np.ndarray,
@@ -197,14 +191,12 @@ def compose_inverse(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, y: n
     with sign-flipped durations (equivalently, the time-reflected bang-bang
     control with flipped signs)."""
     y = np.asarray(y, dtype=float)
-    kept, bound, truncation_n, diag = _plan(lb, tau, y, tol, truncation_n, unsafe)
-    diag["path"] = path
-    diag["inverse"] = True
+    kept, bound, truncation_n, cert = _plan(lb, tau, y, tol, truncation_n, unsafe)
     word = FlowWord(kept.entries).inverse().letters
     endpoint = _run_word(family, lb, word, y, tol, path)
     return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
                              tail_error_bound=bound, word=word, seed_point=y.copy(),
-                             family=family, tol=tol, diagnostics=diag)
+                             certificate=cert, family=family, tol=tol)
 
 
 def psi_chart(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,

@@ -13,7 +13,7 @@ field evaluation per stage regardless of family size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class ExistenceCertificate:
     ``margin = min(r/(k c), T') - T0``; the guard is satisfied exactly when
     the margin is positive (the time bound is strict) and the doubled ball
     around the start point fits in the working region, which is how ``r`` is
-    chosen in the first place.
+    chosen in the first place.  ``unsafe`` records an override given to
+    :meth:`enforce`.
     """
 
     r: float
@@ -112,6 +113,17 @@ class ExistenceCertificate:
     T0: float
     satisfied: bool
     margin: float
+    unsafe: bool = False
+
+    def enforce(self, unsafe: bool = False) -> "ExistenceCertificate":
+        """The one enforcement step: raise :class:`GuardViolated` when the
+        guard fails and ``unsafe`` does not override it; otherwise return the
+        certificate with ``unsafe`` recorded."""
+        if not self.satisfied and not unsafe:
+            raise GuardViolated(
+                f"existence guard failed: margin {self.margin:.6g} "
+                f"(r={self.r:.6g}, k={self.k:.6g}, c={self.c:.6g}, T0={self.T0:.6g})")
+        return replace(self, unsafe=unsafe)
 
 
 def existence_radius(lb: LbRecord, x0: np.ndarray) -> float:
@@ -152,26 +164,18 @@ def check_existence(family: FieldFamily, lb: LbRecord, u: Control, x0: np.ndarra
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Trajectory samples at accepted steps plus endpoint and diagnostics.
+    """Endpoint of a flow with its cost and the guard it enforced.
 
-    ``variational`` holds the first-derivative matrices of the endpoint map
-    with respect to the start point, aligned with ``times`` (identity at the
-    start).
+    ``endpoint_variational`` is the first-derivative matrix of the endpoint
+    map with respect to the start point (``None`` without variational
+    data); ``certificate`` is ``None`` for an unguarded flow.
     """
 
-    times: np.ndarray
-    points: np.ndarray
     endpoint: np.ndarray
-    variational: list[np.ndarray] | None
+    endpoint_variational: np.ndarray | None
     steps_taken: int
     est_local_error: float
-    diagnostics: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def endpoint_variational(self) -> np.ndarray:
-        if self.variational is None:
-            raise ValueError("flow was integrated without variational data")
-        return self.variational[-1]
+    certificate: ExistenceCertificate | None = None
 
 
 class _Rhs:
@@ -201,8 +205,7 @@ class _Rhs:
 
 
 def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol: float,
-                       region: Ball, times: list[float], states: list[np.ndarray],
-                       stats: dict) -> np.ndarray:
+                       region: Ball, stats: dict) -> np.ndarray:
     """Advance y through [t0, t1] (either direction) with DP 5(4) steps."""
     span = t1 - t0
     direction = 1.0 if span > 0 else -1.0
@@ -231,8 +234,6 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol:
             if not region.contains(y[:dim], inflate=DOMAIN_INFLATE):
                 raise LeftDomain(f"trajectory left the working region at t={t}",
                                  last_point=y[:dim].copy(), last_time=t)
-            times.append(t)
-            states.append(y)
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
             h *= grow
         else:
@@ -241,7 +242,7 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol:
 
 
 def _flow(x0: np.ndarray, t0: float, segments, with_var: bool, tol: float,
-          region: Ball, diagnostics: dict) -> FlowResult:
+          region: Ball, certificate: ExistenceCertificate | None) -> FlowResult:
     """The one integration core behind :func:`flow_control` and
     :func:`flow_single`.
 
@@ -249,28 +250,24 @@ def _flow(x0: np.ndarray, t0: float, segments, with_var: bool, tol: float,
     ``rhs=None`` is the zero control, over which the state is stationary.
     A flow without segments returns its start point without stepping.
     """
+    if not 0 < tol < math.inf:
+        raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
     dim = x0.size
     if segments and not region.contains(x0, inflate=DOMAIN_INFLATE):
         raise LeftDomain("start point outside the working region", last_point=x0, last_time=t0)
     y = x0.copy()
     if with_var:
         y = np.concatenate([y, np.eye(dim).ravel()])
-    times = [t0]
-    states = [y]
     stats = {"steps": 0, "err": 0.0}
     a = t0
     for b, rhs in segments:
         if rhs is not None:
-            y = _integrate_segment(rhs, a, b, y, dim, tol, region, times, states, stats)
-        if abs(times[-1] - b) > 1e-12 * max(1.0, abs(b)):
-            times.append(b)
-            states.append(y)
+            y = _integrate_segment(rhs, a, b, y, dim, tol, region, stats)
         a = b
-    pts = np.array([s[:dim] for s in states])
-    var = [s[dim:].reshape(dim, dim) for s in states] if with_var else None
-    return FlowResult(times=np.array(times), points=pts, endpoint=pts[-1].copy(),
-                      variational=var, steps_taken=stats["steps"],
-                      est_local_error=stats["err"], diagnostics=diagnostics)
+    return FlowResult(endpoint=y[:dim].copy(),
+                      endpoint_variational=y[dim:].reshape(dim, dim) if with_var else None,
+                      steps_taken=stats["steps"], est_local_error=stats["err"],
+                      certificate=certificate)
 
 
 def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0: float,
@@ -280,24 +277,18 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
     """Integrate the controlled combination of family members from t0 over T0.
 
     When ``lb`` is given, the existence guard is enforced before integration
-    (``unsafe=True`` overrides it, recorded in diagnostics) and the trajectory
-    is confined to ``lb.region``; otherwise it is confined to the family's
-    common domain.  ``T0`` may be negative for backward integration.
+    (``unsafe=True`` overrides it, recorded on the certificate) and the
+    trajectory is confined to ``lb.region``; otherwise it is confined to the
+    family's common domain.  ``T0`` may be negative for backward integration.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = family.space.dimension
     if x0.size != dim:
         raise ValueError("start point dimension mismatch")
 
-    diagnostics: dict = {"unsafe": unsafe, "guard_checked": False}
+    certificate = None
     if lb is not None:
-        cert = check_existence(family, lb, u, x0, abs(T0), t0=t0)
-        diagnostics["guard_checked"] = True
-        diagnostics["certificate"] = cert
-        if not cert.satisfied and not unsafe:
-            raise GuardViolated(
-                f"existence guard failed: margin {cert.margin:.6g} "
-                f"(r={cert.r:.6g}, k={cert.k:.6g}, c={cert.c:.6g}, T0={cert.T0:.6g})")
+        certificate = check_existence(family, lb, u, x0, abs(T0), t0=t0).enforce(unsafe)
     work_region = region if region is not None else (lb.region if lb is not None else family.common_domain)
 
     t_end = t0 + T0
@@ -312,7 +303,7 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
             rhs = _Rhs([family.members[i] for i in coeff.support],
                        [v for _, v in coeff.entries], with_variational, dim)
         segments.append((b, rhs))
-    return _flow(x0, t0, segments, with_variational, tol, work_region, diagnostics)
+    return _flow(x0, t0, segments, with_variational, tol, work_region, certificate)
 
 
 def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_TOL,
@@ -325,8 +316,7 @@ def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_T
     x0 = np.asarray(x0, dtype=float)
     segments = [(t, _Rhs((X,), (1.0,), with_variational, x0.size))] if t else []
     return _flow(x0, 0.0, segments, with_variational, tol,
-                 region if region is not None else X.domain,
-                 {"unsafe": False, "guard_checked": False})
+                 region if region is not None else X.domain, None)
 
 
 @dataclass(frozen=True)

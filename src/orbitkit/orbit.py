@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
+from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
 from .compose import compose_flows
 from .fields import FieldFamily, LbRecord, VectorField
-from .flow import DEFAULT_TOL, FlowWord, existence_radius, flow_single, guard
+from .flow import DEFAULT_TOL, ExistenceCertificate, FlowWord, flow_single, guard
 from .space import L1Coefficients
 
 RANK_REL_TOL = 1e-8
@@ -66,8 +66,8 @@ class DistributionBasis:
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "rank", numerical_rank(v))
         s = np.linalg.svd(v, compute_uv=False) if v.size else np.array([])
+        object.__setattr__(self, "rank", int(rank_of_singular_values(s)))
         nonzero = s[s > 0]
         cond = float(nonzero[0] / nonzero[-1]) if nonzero.size else float("inf")
         object.__setattr__(self, "condition", cond)
@@ -124,13 +124,17 @@ class BracketChain:
 
 @dataclass(frozen=True)
 class OrbitSample:
-    """A reachable cloud: endpoints of random admissible words from a seed."""
+    """A reachable cloud: endpoints of random admissible words from a seed.
+
+    ``certificate`` is the single-leg guard at the seed for legs of length
+    ``d_max`` (by default half its bound r/k)."""
 
     seed: np.ndarray
     cloud: tuple[tuple[np.ndarray, tuple[tuple[str, float], ...], bool], ...]
     budget_used: int
     rng_seed: int
     d_max: float
+    certificate: ExistenceCertificate
 
     def points(self) -> np.ndarray:
         return np.array([p for p, _, _ in self.cloud])
@@ -179,33 +183,32 @@ def trivialization_eval(basis: DistributionBasis, family: FieldFamily,
 
 @dataclass(frozen=True)
 class SliceGrid:
-    """Image of a parameter grid under the composition chart map."""
+    """Image of a parameter grid under the composition chart map, with the
+    per-axis smallness guard ``rho < r/k`` it enforced."""
 
     params: np.ndarray
     points: np.ndarray
     axes: tuple[int, ...]
     jacobian_rank_at_zero: int
-    diagnostics: dict = field(compare=False, default_factory=dict)
+    certificate: ExistenceCertificate
 
 
 def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
                grid_per_axis: int, axes: Sequence[int],
-               tol: float = DEFAULT_TOL) -> SliceGrid:
+               tol: float = DEFAULT_TOL, unsafe: bool = False) -> SliceGrid:
     """Map the parameter box ``|w_axis| <= rho`` through the chart map.
 
-    ``rho`` must stay below the smallness radius r/k.  At the origin the
-    differential sends the canonical directions to the field values, so the
-    reported rank at zero should equal the number of axes wherever the
-    slice is a genuine local parametrization.
+    ``rho`` must stay below the smallness radius r/k unless ``unsafe``
+    overrides the guard.  At the origin the differential sends the canonical
+    directions to the field values, so the reported rank at zero should
+    equal the number of axes wherever the slice is a genuine local
+    parametrization.
     """
     x = np.asarray(x, dtype=float)
     axes = tuple(int(a) for a in axes)
     if len(axes) > 3:
         raise InvalidArgument("at most 3 grid axes are supported")
-    cert = guard(lb, x, 1.0, rho)
-    limit = cert.r / cert.k
-    if not cert.satisfied:
-        raise GuardViolated(f"rho={rho:.6g} is not below the smallness bound r/k={limit:.6g}")
+    cert = guard(lb, x, 1.0, rho).enforce(unsafe)
     grids = np.meshgrid(*[np.linspace(-rho, rho, grid_per_axis)] * len(axes), indexing="ij")
     params = np.stack([g.ravel() for g in grids], axis=1)
     pts = []
@@ -218,8 +221,7 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
     base_vectors = np.stack([family.members[a](x) for a in axes], axis=1)
     rank0 = numerical_rank(base_vectors)
     return SliceGrid(params=params, points=np.array(pts), axes=axes,
-                     jacobian_rank_at_zero=rank0,
-                     diagnostics={"rho": rho, "smallness_limit": limit})
+                     jacobian_rank_at_zero=rank0, certificate=cert)
 
 
 def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
@@ -245,11 +247,11 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     if budget < 1:
         raise InvalidArgument("budget must be >= 1")
     x = np.asarray(x, dtype=float)
-    r = existence_radius(lb, x)
     if d_max is None:
-        d_max = 0.5 * r / lb.bound_k
+        d_max = 0.5 * guard(lb, x, 1.0, 0.0).margin
+    cert = guard(lb, x, 1.0, d_max)
     if exploration_radius is None:
-        exploration_radius = 0.2 * r
+        exploration_radius = 0.2 * cert.r
     if mode == "explore":
         cloud = _sample_explore(family, lb, x, budget, max_word_len, rng_seed,
                                 tol, d_max, exploration_radius)
@@ -259,7 +261,7 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     else:
         raise InvalidArgument("mode must be 'explore' or 'independent'")
     return OrbitSample(seed=x.copy(), cloud=cloud, budget_used=budget,
-                       rng_seed=rng_seed, d_max=d_max)
+                       rng_seed=rng_seed, d_max=d_max, certificate=cert)
 
 
 def _sample_explore(family, lb, x, budget, max_word_len, rng_seed, tol, d_max,

@@ -3,8 +3,10 @@
 Reports are structured text in the scenario grammar, rendered canonically so
 identical runs produce byte-identical files (the timestamp line is the one
 field excluded from comparisons).  Every floating-point result is
-accompanied by the tolerance it was computed at, and every guard quantity is
-echoed with its provenance.
+accompanied by the tolerance it was computed at.  Every report's
+configuration carries the lb record (``k``, ``order``, ``provenance``); the
+reports of guarded commands also carry the guard the library enforced, taken
+from the result's certificate.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ own error report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +137,17 @@ def _integer(v: float, key: str, members: int | None = None) -> int:
     return int(v)
 
 
+def positive_float(token: str, key: str) -> float:
+    """``token`` as a positive finite number, such as a tolerance."""
+    try:
+        v = float(token)
+    except ValueError:
+        v = math.nan
+    if not 0 < v < math.inf:
+        raise ParseError(f"'{key}' takes a positive finite number")
+    return v
+
+
 def _built(constructor, *args, **kwargs):
     """Call a library constructor on parsed values; a value it rejects
     (``ValueError``: a radius of 0, an unknown norm, a count out of range)
@@ -216,6 +228,7 @@ def _ball(n: Node, space: ChartSpace, _members=0) -> Ball:
 
 _KINDS = {
     "float": lambda n, *_: _floats(n, 1)[0],
+    "positive": lambda n, *_: positive_float(_word(n), n.key),
     "int": lambda n, *_: _integer(_floats(n, 1)[0], n.key),
     "word": _word, "flag": _flag, "declared": _declared, "point": _point,
     "indices": _indices, "entry": _entry, "piece": _piece, "matrix-term": _matrix_term,
@@ -230,14 +243,14 @@ _SHAPE = {"dim": Opt("int", REQUIRED), "count": Opt("int", REQUIRED),
 _POINT = {"point": Opt("point", REQUIRED)}
 _COMPOSE = {**_POINT, "entry": Opt("entry"), "tail": Opt("float", 0.0),
             "truncation": Opt("int"), "path": Opt("word", "control")}
-_EVERY_COMMAND = {"tol": Opt("float"), "unsafe": Opt("flag", False)}
+_EVERY_COMMAND = {"tol": Opt("positive"), "unsafe": Opt("flag", False)}
 
 SCHEMA = {
     "space": {"dim": Opt("int", REQUIRED), "norm": Opt("word"),
               "l1-truncation": Opt("flag", False)},
     "lb": {"order": Opt("int", 2), "samples": Opt("int"), "declared": Opt("declared", "auto"),
            "region": Opt("ball")},
-    "defaults": {"tol": Opt("float", DEFAULT_TOL), "seed": Opt("int", 0),
+    "defaults": {"tol": Opt("positive", DEFAULT_TOL), "seed": Opt("int", 0),
                  "samples": Opt("int", 200), "safety": Opt("float", DEFAULT_SAFETY)},
     # a builtin parameter left out takes the catalog builder's default
     "builtin": {

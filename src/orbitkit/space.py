@@ -246,9 +246,9 @@ class L1Coefficients:
         return L1Coefficients(ent, abs(a) * self.tail_bound + abs(b) * other.tail_bound)
 
     def scaled(self, a: float) -> "L1Coefficients":
-        if a == 0.0:
-            return L1Coefficients((), 0.0)
-        return L1Coefficients(tuple((i, a * v) for i, v in self.entries), abs(a) * self.tail_bound)
+        """a*self; values that underflow to zero are dropped, as in :meth:`combine`."""
+        return L1Coefficients(tuple((i, a * v) for i, v in self.entries if a * v != 0.0),
+                              abs(a) * self.tail_bound)
 
 
 def norm1(tau: L1Coefficients) -> float:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitkit.catalog import affine_l1, grushin, heisenberg
 from orbitkit.errors import GuardViolated, TailNotSummable
 from orbitkit.compose import (compose_flows, compose_inverse, d_psi, extract_l1_curve,
                               gamma_control, psi_chart)
-from orbitkit.fields import estimate_lb_bound
+from orbitkit.fields import LbRecord, estimate_lb_bound
+from orbitkit.flow import guard
 from orbitkit.space import L1Coefficients
 
 TOL = 1e-9
@@ -248,3 +250,45 @@ class TestL1Curve:
         # knots are the cumulative absolute durations
         assert curve.knot_times[1] == pytest.approx(0.2)
         assert curve.knot_times[2] == pytest.approx(0.4)
+
+
+# compose then inverse: small words with a tail, scaled to a quarter of the
+# smallness bound r/k at the start so that the inverse's guard holds too
+ROUND_TRIP_FAMILIES = {
+    "heisenberg": heisenberg(),
+    "affine-l1-linear": affine_l1(6, 4, decay=0.5, linear_part=True),
+}
+
+
+@st.composite
+def round_trip_case(draw):
+    name = draw(st.sampled_from(sorted(ROUND_TRIP_FAMILIES)))
+    fam = ROUND_TRIP_FAMILIES[name]
+    m, d = len(fam.members), fam.space.dimension
+    values = draw(st.dictionaries(st.integers(0, m - 2),
+                                  st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3),
+                                  min_size=1, max_size=m - 1))
+    mass = draw(st.floats(0.05, 0.25))
+    x = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=d, max_size=d)))
+    # a last entry small enough for the truncation to drop it, and a tail
+    last = draw(st.sampled_from([0.0, 1e-12]))
+    tail = draw(st.sampled_from([0.0, 1e-13]))
+    path = draw(st.sampled_from(["control", "sequential"]))
+    return fam, values, mass, x, last, tail, path
+
+
+@settings(max_examples=30, deadline=None)
+@given(round_trip_case())
+def test_compose_then_inverse_returns_within_tail_bound_and_tol(case):
+    fam, values, mass, x, last, tail, path = case
+    lb = LbRecord(order_s=2, bound_k=fam.declared_lb[2], region=fam.common_domain,
+                  method="declared")
+    limit = mass * guard(lb, x, 1.0, 0.0).margin
+    scale = limit / sum(abs(v) for v in values.values())
+    pairs = [(i, v * scale) for i, v in values.items()] + [(len(fam.members) - 1, last)]
+    tau = L1Coefficients.from_pairs(pairs, tail)
+    fwd = compose_flows(fam, lb, tau, x, tol=TOL, path=path)
+    assert fwd.truncation_n == len(tau.entries) - (last != 0.0)
+    back = compose_inverse(fam, lb, tau, fwd.endpoint, tol=TOL, path=path)
+    gap = fam.space.norm(back.endpoint - x)
+    assert gap <= fwd.tail_error_bound + back.tail_error_bound + TOL * (1 + tau.norm1)

@@ -97,19 +97,20 @@ class TestFlowControl:
         # the return legs at x=0 leave z alone
         assert np.allclose(res.endpoint, [0.0, 0.0, 1.0], atol=1e-6)
 
-    def test_variational_identity_at_start(self, heis):
-        res = flow_control(heis, heisenberg_rectangle_control(), np.zeros(3), 0.0, 1.0,
-                           with_variational=True, tol=TOL)
-        assert np.allclose(res.variational[0], np.eye(3))
-        assert res.times[0] == 0.0
-        assert np.allclose(res.points[0], np.zeros(3))
-
     def test_guard_enforced(self, heis, heis_lb):
         u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 100.0)
         with pytest.raises(GuardViolated):
             flow_control(heis, u, np.zeros(3), 0.0, 100.0, lb=heis_lb)
         res = flow_control(heis, u, np.zeros(3), 0.0, 0.1, lb=heis_lb, unsafe=True)
-        assert res.diagnostics["unsafe"]
+        assert res.certificate.unsafe
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, heis, tol):
+        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 0.1)
+        with pytest.raises(InvalidArgument):
+            flow_control(heis, u, np.zeros(3), 0.0, 0.1, tol=tol)
+        with pytest.raises(InvalidArgument):
+            flow_single(heis.members[0], np.zeros(3), 0.1, tol=tol)
 
     def test_left_domain(self):
         fam = commuting_constants(2, 2, radius=1.0)

@@ -108,6 +108,14 @@ class TestSliceGrid:
         with pytest.raises(GuardViolated):
             slice_grid(heis, heis_lb, np.zeros(3), rho=1.0, grid_per_axis=3, axes=[0, 1])
 
+    def test_unsafe_overrides_the_rho_guard(self, heis, heis_lb):
+        res = slice_grid(heis, heis_lb, np.zeros(3), rho=1.0, grid_per_axis=3, axes=[0, 1],
+                         unsafe=True)
+        assert res.certificate.unsafe and not res.certificate.satisfied
+        assert res.certificate.T0 == 1.0
+        for w, p in zip(res.params, res.points):
+            assert np.allclose(p, [w[0], w[1], w[0] * w[1]], atol=1e-7)
+
 
 class TestOrbitSample:
     def test_budget_one_word_length_zero(self, grush, grush_lb):

@@ -13,7 +13,8 @@ from orbitkit.catalog import BUILTINS
 from orbitkit.cli import main, run_scenario
 from orbitkit.errors import DimensionMismatch, ParseError, UnknownBuiltin
 from orbitkit.report import read_point_cloud, strip_timestamp
-from orbitkit.scenario import REQUIRED, SCHEMA, Node, emit_tree, parse_scenario, read_command
+from orbitkit.scenario import (REQUIRED, SCHEMA, Node, emit_tree, parse_scenario, parse_tree,
+                               read_command)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -195,6 +196,10 @@ command compose {
         ("slice", "point 0 0 0\n  axes", "ParseError"),
         ("slice", "point 0 0 0\n  grid 2\n  out", "ParseError"),
         ("certify-hprime", "grid", "ParseError"),
+        ("flow", "point 0 0 0\n  piece 0 1 0 0.1\n  tol -1", "ParseError"),
+        ("flow", "point 0 0 0\n  piece 0 1 0 0.1\n  tol 0", "ParseError"),
+        ("flow", "point 0 0 0\n  piece 0 1 0 0.1\n  tol nan", "ParseError"),
+        ("verdict", "point 0 0 0\n  tol inf", "ParseError"),
     ]
 
     def test_bad_arguments_give_error_reports(self, tmp_path):
@@ -378,6 +383,7 @@ BAD_SCENARIOS = {
     "norm-kind-without-value": _builtin("heisenberg {\n    norm-kind"),
     "norm-kind-unknown": _builtin("heisenberg {\n    norm-kind taxicab"),
     "space-dim-0": "space {\n  dim 0\n}\n" + _builtin("heisenberg {\n    radius 8"),
+    "defaults-tol-negative": "defaults {\n  tol -1\n}\n" + _builtin("heisenberg {\n    radius 8"),
     "component-not-a-number": _poly(component="x"),
     "term-exponent-fractional": _poly(term="1.0 0.5 0"),
     "term-exponent-negative": _poly(term="1.0 -1 0"),
@@ -457,6 +463,14 @@ class TestCliEntry:
         p.write_text(HEIS_SCENARIO)
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "report-01-verdict.txt").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "zz"])
+    def test_run_tol_must_be_positive_and_finite(self, tol, tmp_path, capsys):
+        p = tmp_path / "s.okit"
+        p.write_text(HEIS_SCENARIO)
+        assert main(["run", str(p), "--out", str(tmp_path / "out"), "--tol", tol]) == 2
+        assert capsys.readouterr().err.startswith("error: '--tol' takes a positive")
+        assert not (tmp_path / "out").exists()
 
     def test_global_unsafe_flag(self, tmp_path, capsys):
         p = tmp_path / "s.okit"
@@ -595,8 +609,9 @@ def test_builtin_parameters_are_read_per_builtin():
             parse_scenario(_builtin(body, L1_SPACE if "affine" in body else ""))
 
 
-def _readme_commands():
-    """Parameter names per command in README.md's '### Commands' table."""
+def _readme_commands(column=1):
+    """Backticked names per command in a column of README.md's '### Commands'
+    table: 1 for the parameters, 2 for the results."""
     text = (SRC.parent / "README.md").read_text().split("### Commands", 1)[1]
     rows = {}
     for line in text.splitlines():
@@ -604,8 +619,9 @@ def _readme_commands():
             if rows:
                 break
             continue
-        name, params = re.split(r"(?<!\\)\|", line)[1:3]
-        rows[name.strip(" `")] = {span.split()[0] for span in re.findall(r"`([^`]+)`", params)}
+        cells = re.split(r"(?<!\\)\|", line)[1:4]
+        rows[cells[0].strip(" `")] = {span.split()[0]
+                                      for span in re.findall(r"`([^`]+)`", cells[column])}
     return rows, text
 
 
@@ -615,6 +631,124 @@ def test_readme_command_table_matches_the_option_table():
     for name, params in rows.items():
         assert params | {"tol", "unsafe"} == set(SCHEMA["command"][name]), name
     assert "Every command also takes `tol <x>` and `unsafe on|off`" in text
+
+
+# every command, with the options that add optional results
+EVERY_COMMAND = HEIS_SCENARIO + """\
+command check-lb {
+}
+command flow {
+  point 0 0 0
+  duration 0.2
+  piece 0 0.2 0 1
+  variational on
+}
+command compose {
+  point 0 0 0
+  entry 0 0.1
+  entry 1 0.1
+  curve-samples 2
+  out curve.txt
+}
+command invert {
+  point 0 0 0
+  entry 0 0.1
+}
+command slice {
+  point 0 0 0
+  rho 0.2
+  grid 2
+  axes 0 1
+  out slice.txt
+}
+command bracket-chain {
+  point 0 0 0
+}
+command certify-hprime {
+  grid 2
+}
+command orbit-sample {
+  point 0 0 0
+  budget 20
+  max-word-len 3
+  spot-check on
+  out cloud.txt
+}
+command verdict {
+  point 0 0 0
+  k-max 1
+}
+"""
+GUARDED = {"flow", "compose", "invert", "slice", "orbit-sample"}
+
+
+def _report(path):
+    """A report file's ``report`` section."""
+    (root,) = parse_tree(path.read_text())
+    return root
+
+
+def _leaves(node):
+    return {c.key: c.args for c in node.children}
+
+
+def test_reports_match_the_readme_results_column_and_carry_lb_and_guard(tmp_path):
+    assert run_scenario(parse_scenario(EVERY_COMMAND), tmp_path / "out") == 0
+    written: dict[str, set] = {}
+    for path in sorted((tmp_path / "out").glob("report-*.txt")):
+        report = _report(path)
+        name = report.child("command").args[0]
+        keys = {re.sub(r"-\d+$", "-<i>", c.key) for c in report.child("results").children}
+        written.setdefault(name, set()).update(keys)
+        cfg = report.child("configuration")
+        assert set(_leaves(cfg.child("lb"))) == {"k", "order", "provenance"}, path.name
+        guard = cfg.child("guard")
+        assert (guard is not None) == (name in GUARDED), path.name
+        if guard is not None:
+            assert set(_leaves(guard)) == {"r", "k", "c", "T0", "margin", "unsafe"}
+    rows, _ = _readme_commands(column=2)
+    assert set(written) == set(rows)
+    for name, keys in written.items():
+        # one verdict kind per report: the scenario gives two of the three
+        missing = {"truncation-ranks"} if name == "verdict" else set()
+        assert keys == rows[name] - missing, name
+
+
+def test_error_reports_carry_the_configuration(tmp_path):
+    text = _one_command("compose", "point 0 0 0\n  entry 0 2.0\n  entry 1 2.0")
+    assert run_scenario(parse_scenario(text), tmp_path / "out") == 1
+    report = _report(tmp_path / "out" / "report-01-compose.txt")
+    cfg = _leaves(report.child("configuration"))
+    assert {"norm", "dimension", "members", "l1-truncation", "tol", "seed", "lb"} == set(cfg)
+    assert _leaves(report.child("error"))["type"] == ["GuardViolated"]
+    assert report.child("status").args == ["error"]
+
+
+@pytest.mark.parametrize("rho, unsafe", [("0.3", "off"), ("0.6", "on")])
+def test_slice_reports_the_guard_it_enforced(rho, unsafe, tmp_path):
+    # the per-axis guard rho < r/k, with r/k = 0.441 here
+    text = _one_command("slice", f"point 0 0 0\n  rho {rho}\n  grid 3\n  axes 0 1\n"
+                        f"  unsafe {unsafe}")
+    assert run_scenario(parse_scenario(text), tmp_path / "out") == 0
+    report = _report(tmp_path / "out" / "report-01-slice.txt")
+    assert report.child("status").args == ["ok"]
+    guard = {k: v[0] for k, v in _leaves(report.child("configuration").child("guard")).items()}
+    assert float(guard["T0"]) == float(rho)
+    limit = float(guard["r"]) / float(guard["k"])
+    assert float(guard["margin"]) == pytest.approx(limit - float(rho), rel=1e-12)
+    assert (float(guard["margin"]) > 0) == (unsafe == "off")
+    assert guard["unsafe"] == unsafe
+
+
+def test_unguarded_commands_run_outside_the_lb_region(tmp_path):
+    # bracket chains and verdicts integrate nothing, so no guard applies
+    text = _region("1") + ("command bracket-chain {\n  point 2 0 0\n}\n"
+                           "command verdict {\n  point 2 0 0\n}\n")
+    assert run_scenario(parse_scenario(text), tmp_path / "out") == 0
+    for path in sorted((tmp_path / "out").glob("report-*.txt")):
+        report = _report(path)
+        assert report.child("status").args == ["ok"], path.name
+        assert _leaves(report.child("results"))["ranks"] == ["2", "3"], path.name
 
 
 # -- properties of the grammar ----------------------------------------------------
@@ -629,6 +763,7 @@ def _valid_args(kind, dim, members):
     pairs = st.lists(st.tuples(index, NUMBERS), min_size=1, max_size=3)
     return {
         "float": st.tuples(NUMBERS),
+        "positive": st.tuples(st.sampled_from(["1e-09", "1e-06", "0.5"])),
         "int": st.tuples(st.integers(-3, 60).map(str)),
         "word": st.tuples(st.sampled_from(["control", "explore", "cloud.txt"])),
         "flag": st.tuples(st.sampled_from(["on", "off"])),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitkit.space import (Ball, ChartSpace, L1Coefficients, ball, norm1, operator_norm, truncate,
                             vector_norm)
@@ -140,3 +141,34 @@ class TestBall:
         b = ball([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):
             b.center[0] = 5.0
+
+
+# finitely supported coefficients with a tail bound, for the properties below
+VALUES = st.floats(-10.0, 10.0, allow_nan=False).filter(lambda v: v != 0.0)
+COEFFICIENTS = st.builds(
+    lambda pairs, tail: L1Coefficients(tuple(sorted(pairs.items())), tail),
+    st.dictionaries(st.integers(0, 40), VALUES, max_size=8),
+    st.floats(0.0, 5.0, allow_nan=False))
+
+
+class TestL1CoefficientsProperties:
+    @given(COEFFICIENTS, st.integers(0, 10))
+    def test_truncate_conserves_mass(self, tau, n):
+        kept, tail = tau.truncate(n)
+        assert kept.entries == tau.entries[:n] and kept.tail_bound == 0.0
+        assert abs(kept.norm1 + tail - tau.norm1) <= 1e-12
+
+    @given(COEFFICIENTS, COEFFICIENTS, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_combine_tail_arithmetic(self, p, q, a, b):
+        c = p.combine(q, a, b)
+        assert c.tail_bound == abs(a) * p.tail_bound + abs(b) * q.tail_bound
+        for i in set(p.support) | set(q.support):
+            assert c.get(i) == a * p.get(i) + b * q.get(i)
+        # the triangle inequality, with tails
+        assert c.norm1 <= abs(a) * p.norm1 + abs(b) * q.norm1 + 1e-12 * (1 + c.norm1)
+
+    @given(COEFFICIENTS, st.floats(-3.0, 3.0))
+    def test_scaled_tail_arithmetic(self, tau, a):
+        s = tau.scaled(a)
+        assert s.tail_bound == abs(a) * tau.tail_bound
+        assert s.norm1 == pytest.approx(abs(a) * tau.norm1, rel=1e-12, abs=1e-300)
