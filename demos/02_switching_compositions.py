@@ -18,7 +18,7 @@ print(f"coefficient mass: {tau.norm1:.8f}, smallness limit r/k = "
       f"{3.0 / lb.bound_k:.2f}")
 
 g = gamma_control(tau, "forward")
-print(f"switching control: {len(g.pieces)} pieces over [0, {g.total_time:.6f}]")
+print(f"switching control: {len(g.pieces)} pieces over [0, {g.l1_norm:.6f}]")
 
 for n in (4, 8, 16):
     res = compose_flows(fam, lb, tau, np.zeros(24), truncation_n=n)

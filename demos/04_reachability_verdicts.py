@@ -12,9 +12,8 @@ from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg
 for name, fam, x in (("heisenberg", heisenberg(), np.zeros(3)),
                      ("grushin", grushin(), np.zeros(2)),
                      ("commuting span-2", commuting_constants(3, 2), np.zeros(3))):
-    lb = estimate_lb_bound(fam, fam.common_domain, 2, 30)
     chain = bracket_chain(fam, x, 3)
-    v = accessibility_verdict(fam, lb, x, 3)
+    v = accessibility_verdict(fam, x, 3)
     print(f"{name:18s} ranks {chain.rank_profile} -> {v.kind}")
 
 # The degenerate line of the plane pair: rank drops, and pushing the basis
@@ -30,7 +29,6 @@ print(f"pushed-span residual into the degenerate line: {rep.max_residual:.3f} "
 # A family that never saturates its chart but keeps gaining rank as more of
 # the countable family is admitted: the asymptotic-density heuristic.
 fam = affine_l1(30, 10, decay=0.5, radius=6.0)
-lb = estimate_lb_bound(fam, fam.common_domain, 2, 20)
-v = accessibility_verdict(fam, lb, np.zeros(30), 2)
+v = accessibility_verdict(fam, np.zeros(30), 2)
 print(f"truncated summable family: {v.kind}, ranks across truncations "
-      f"{v.evidence['truncation_ranks']}")
+      f"{v.truncation_ranks}")

@@ -19,7 +19,7 @@ pts = samp.points()
 print(f"cloud: {pts.shape[0]} points, leg cap {samp.d_max:.3f}")
 print(f"bounding box: {np.round(pts.min(0), 3)} .. {np.round(pts.max(0), 3)}")
 
-gap = spot_check_sample(fam, samp, fraction=0.05)
+gap = spot_check_sample(fam, samp)
 print(f"replay spot check (5% of words): max gap {gap:.2e}")
 
 write_point_cloud("orbit_cloud.txt", pts)

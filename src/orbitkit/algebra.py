@@ -23,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
-from .fields import (FD_STEP_1, FieldFamily, LbRecord, MonomialTable, VectorField, calculus,
-                     eval_jet_norm)
+from .fields import FD_STEP_1, FieldFamily, LbRecord, VectorField, calculus, eval_jet_norm
 from .flow import DEFAULT_TOL, FlowWord, flow_single
 from .orbit import BracketChain, DistributionBasis, rank_of_singular_values
 from .orbit import numerical_rank  # noqa: F401  (perfbench's tracer wraps algebra.numerical_rank)
 from .space import Ball
-
-ENLARGED_FD_STEP = 1e-6
 
 # A tabled bracket whose coefficient vector is within this relative distance
 # of the span of the fields already in a chain is dropped.  It sits far
@@ -57,21 +54,21 @@ def lie_bracket(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
     return _jvp(Y, x, X(x)) - _jvp(X, x, Y(x))
 
 
-def _jvp(field_: VectorField, x: np.ndarray, v: np.ndarray,
-         step: float | None = None) -> np.ndarray:
+def _jvp(field_: VectorField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         return np.zeros_like(v)
-    h = (step if step is not None else FD_STEP_1 * (1.0 + float(np.linalg.norm(x))))
+    h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
     u = v / nv
     return nv * (field_(x + h * u) - field_(x - h * u)) / (2.0 * h)
 
 
-def lie_bracket_via_flows(X: VectorField, Y: VectorField, x: np.ndarray, t: float = 1e-4,
-                          tol: float = 1e-12) -> np.ndarray:
+def lie_bracket_via_flows(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
     """Diagnostic cross-check of the bracket through pushforwards along the
-    flow of X, symmetric in the time parameter for second-order accuracy."""
+    flow of X for times -t and t (t = 1e-4, integrated at tol 1e-12),
+    symmetric in the time parameter for second-order accuracy."""
     x = np.asarray(x, dtype=float)
+    t, tol = 1e-4, 1e-12
 
     def pushed(s: float) -> np.ndarray:
         back = flow_single(X, x, -s, tol=tol, with_variational=False).endpoint

@@ -73,14 +73,14 @@ def commuting_constants(dim: int, span: int, radius: float = 4.0,
 
 
 def affine_l1(dim: int, count: int, decay: float = 0.5, linear_part: bool = False,
-              radius: float = 4.0, operator: np.ndarray | None = None) -> FieldFamily:
-    """Family X_a(x) = [x +] T(a_a) on a truncated summable-sequence chart.
+              radius: float = 4.0) -> FieldFamily:
+    """Family X_a(x) = [x +] a_a on a truncated summable-sequence chart.
 
     Directions are a_a = decay^a e_a.  With ``linear_part`` off (the default)
     the members are constant, hence commuting, which is the regime whose
-    compositions have an exact closed form.  ``operator`` replaces the
-    identity T.  The family can be re-truncated through its factory, which is
-    what the approximate-controllability heuristic drives.
+    compositions have an exact closed form.  The family can be re-truncated
+    through its factory, which is what the approximate-controllability
+    heuristic drives.
     """
     if not 1 <= count <= dim:
         raise ValueError("count must be between 1 and dim")
@@ -88,13 +88,11 @@ def affine_l1(dim: int, count: int, decay: float = 0.5, linear_part: bool = Fals
         raise InvalidArgument("decay must be finite")
     space = ChartSpace(dim, truncation_of_l1=True)
     dom = ball(np.zeros(dim), radius, space.norm_kind)
-    T = np.eye(dim) if operator is None else np.asarray(operator, dtype=float)
     members = []
     amax = 0.0
     for a in range(count):
-        vec = np.zeros(dim)
-        vec[a] = decay ** a
-        direction = T @ vec
+        direction = np.zeros(dim)
+        direction[a] = decay ** a
         amax = max(amax, float(np.sum(np.abs(direction))))
         if linear_part:
             def ev(x, d=direction.copy()):
@@ -112,8 +110,8 @@ def affine_l1(dim: int, count: int, decay: float = 0.5, linear_part: bool = Fals
     else:
         declared = {s: amax for s in range(4)}
 
-    def factory(n: int, _dim=dim, _decay=decay, _lin=linear_part, _rad=radius, _op=operator):
-        return affine_l1(_dim, n, _decay, _lin, _rad, _op)
+    def factory(n: int):
+        return affine_l1(dim, n, decay, linear_part, radius)
 
     return FieldFamily(space=space, members=tuple(members), common_domain=dom,
                        declared_lb=declared, truncation_factory=factory)
@@ -173,7 +171,7 @@ BUILTIN_SUMMARIES = {
     "heisenberg-full": "heisenberg plus the vertical field (0,0,1)",
     "grushin": "R^2 pair (1,0), (0,x); rank drops on the x=0 line",
     "commuting-constants": "constant canonical fields e_1..e_span on R^dim",
-    "affine-l1": "X_a(x) = [x +] T(decay^a e_a) on a truncated l1 chart",
+    "affine-l1": "X_a(x) = [x +] decay^a e_a on a truncated l1 chart",
     "operator-family": "X_a(x) = Phi_x(a_a) for a polynomial matrix map Phi",
 }
 

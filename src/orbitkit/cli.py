@@ -28,7 +28,7 @@ from .space import L1Coefficients
 
 
 def _build_lb(scenario: Scenario, family: FieldFamily, defaults: dict) -> LbRecord:
-    p = scenario.lb_params(family.space)
+    p = scenario.lb_params()
     region = p["region"] or family.common_domain
     samples = defaults["samples"] if p["samples"] is None else p["samples"]
     if p["declared"] not in ("auto", "off"):
@@ -105,8 +105,7 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         trunc = o["truncation"]
         if name == "compose":
             res = compose.compose_flows(family, lb, tau, x0, tol=tol, truncation_n=trunc,
-                                        path=o["path"], unsafe=unsafe,
-                                        l1_curve_samples=o["curve-samples"])
+                                        path=o["path"], unsafe=unsafe)
         else:
             res = compose.compose_inverse(family, lb, tau, x0, tol=tol, truncation_n=trunc,
                                           path=o["path"], unsafe=unsafe)
@@ -117,10 +116,11 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                    leaf("tail-factor-note", *compose.TAIL_FACTOR_NOTE.split()),
                    leaf("unsafe", res.certificate.unsafe)]
         results.extend(leaf("letter", int(i), float(d)) for i, d in res.word)
-        if res.l1_curve is not None and o.get("out") is not None:
-            write_point_cloud(out_dir / o["out"], res.l1_curve.points)
+        if o.get("out") is not None and o["curve-samples"] > 0:
+            curve = compose.extract_l1_curve(res, o["curve-samples"])
+            write_point_cloud(out_dir / o["out"], curve.points)
             results.append(leaf("curve-file", o["out"]))
-            results.append(leaf("curve-samples", res.l1_curve.points.shape[0]))
+            results.append(leaf("curve-samples", curve.points.shape[0]))
         return _guarded(cmd, cfg, res.certificate, results)
 
     if name == "slice":
@@ -169,7 +169,7 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                    leaf("truncated-words", truncated),
                    leaf("replay-tolerance", 10.0 * tol)]
         if o["spot-check"]:
-            gap = orbit.spot_check_sample(family, samp, 0.05, tol=tol)
+            gap = orbit.spot_check_sample(family, samp, tol=tol)
             results.append(leaf("spot-check-max-gap", gap))
         if o["out"] is not None:
             write_point_cloud(out_dir / o["out"], pts)
@@ -177,18 +177,18 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         return _guarded(cmd, cfg, samp.certificate, results)
 
     # verdict: read_command accepts no other name
-    v = orbit.accessibility_verdict(family, lb, x0, o["k-max"])
+    v = orbit.accessibility_verdict(family, x0, o["k-max"])
     results = [leaf("kind", v.kind),
-               leaf("ranks", *v.evidence["rank_profile"]),
-               leaf("dimension", v.evidence["dimension"]),
+               leaf("ranks", *v.rank_profile),
+               leaf("dimension", v.dimension),
                leaf("rank-tolerance", orbit.RANK_REL_TOL),
                leaf("calculus", calculus(family.members))]
-    if "saturation_k" in v.evidence:
-        results.append(leaf("saturation-k", v.evidence["saturation_k"]))
-    if "final_rank" in v.evidence:
-        results.append(leaf("final-rank", v.evidence["final_rank"]))
-    if "truncation_ranks" in v.evidence:
-        results.append(leaf("truncation-ranks", *v.evidence["truncation_ranks"]))
+    if v.saturation_k is not None:
+        results.append(leaf("saturation-k", v.saturation_k))
+    if v.final_rank is not None:
+        results.append(leaf("final-rank", v.final_rank))
+    if v.truncation_ranks is not None:
+        results.append(leaf("truncation-ranks", *v.truncation_ranks))
     return Report(cmd, cfg, results)
 
 
@@ -202,7 +202,7 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
     if tol is not None:
         defaults["tol"] = tol
     family = scenario.family
-    # an lb that cannot be built (a region outside the family's domain, say)
+    # an lb that cannot be built (a declared bound of -3 or `samples 0`, say)
     # fails every command, each with its own error report
     try:
         lb, lb_error = _build_lb(scenario, family, defaults), None

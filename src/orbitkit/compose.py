@@ -4,6 +4,8 @@ Turns a summable coefficient family tau into a bang-bang control that walks
 the indexed fields one at a time, integrates the resulting flow to realize
 the limit composition and its inverse, and differentiates the parameter-to-
 endpoint chart map by accumulating variational matrices along the word.
+:func:`extract_l1_curve` replays a realized word as a sampled curve, in the
+region the word ran in.
 
 Tail control: dropping all legs beyond the first n moves the endpoint by at
 most ``k * (dropped l1 mass)``, since each omitted leg travels at most its
@@ -29,29 +31,6 @@ from .space import Ball, L1Coefficients
 TAIL_FACTOR_NOTE = "k*exp(k*norm1(tau)) times dropped l1 mass"
 
 
-@dataclass(frozen=True)
-class BangBangControl:
-    """Unit-speed switching control derived from a coefficient family.
-
-    Forward direction: piece i occupies ``[sum_{j<i} |tau_j|, sum_{j<=i}
-    |tau_j|)`` and carries the single coefficient ``sign(tau_i) e_i``.  The
-    reverse direction replays the same signed pieces in mirrored order (the
-    time reflection ``s -> norm1(tau) - s`` of the forward control).  Zero
-    entries produce no pieces; the sup norm is 1 whenever tau is nonzero.
-    """
-
-    tau: L1Coefficients
-    direction: str  # "forward" | "reverse"
-    pieces: tuple[tuple[float, float, L1Coefficients], ...]
-
-    @property
-    def total_time(self) -> float:
-        return sum(abs(v) for _, v in self.tau.entries)
-
-    def as_control(self) -> Control:
-        return Control(pieces=self.pieces, interval=None)
-
-
 def _unit_speed_pieces(word) -> list[tuple[float, float, L1Coefficients]]:
     """One piece ``sign(t) e_i`` of length ``|t|`` per letter, back to back from 0."""
     pieces = []
@@ -64,15 +43,20 @@ def _unit_speed_pieces(word) -> list[tuple[float, float, L1Coefficients]]:
     return pieces
 
 
-def gamma_control(tau: L1Coefficients, direction: str = "forward") -> BangBangControl:
-    """Build the bang-bang switching control for ``tau``."""
+def gamma_control(tau: L1Coefficients, direction: str = "forward") -> Control:
+    """The unit-speed bang-bang switching control of ``tau``.
+
+    Forward direction: piece i occupies ``[sum_{j<i} |tau_j|, sum_{j<=i}
+    |tau_j|)`` and carries the single coefficient ``sign(tau_i) e_i``.  The
+    reverse direction is the forward control of the letters in reverse
+    order, the time reflection ``s -> norm1(tau) - s`` of the forward one.
+    Zero entries produce no pieces; the sup norm is 1 whenever tau has
+    entries, and the control's ``l1_norm`` is the total switching time.
+    """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be 'forward' or 'reverse'")
-    pieces = _unit_speed_pieces(tau.entries)
-    if direction == "reverse":
-        total = pieces[-1][1] if pieces else 0.0
-        pieces = [(total - b, total - a, c) for a, b, c in reversed(pieces)]
-    return BangBangControl(tau=tau, direction=direction, pieces=tuple(pieces))
+    letters = tau.entries if direction == "forward" else tau.entries[::-1]
+    return Control(pieces=tuple(_unit_speed_pieces(letters)))
 
 
 @dataclass(frozen=True)
@@ -83,6 +67,8 @@ class CompositionResult:
     duration) in the order applied.  ``tail_error_bound`` dominates the
     distance to the untruncated limit in the chart norm.  ``certificate`` is
     the smallness guard ``norm1(tau) < r/k`` at the seed point, as enforced.
+    ``family``, ``region`` (the lb region) and ``tol`` are what the word ran
+    with, so that :func:`extract_l1_curve` can replay it.
     """
 
     endpoint: np.ndarray
@@ -91,9 +77,9 @@ class CompositionResult:
     word: tuple[tuple[int, float], ...]
     seed_point: np.ndarray
     certificate: ExistenceCertificate
-    family: FieldFamily = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
-    tol: float = DEFAULT_TOL
-    l1_curve: "L1Curve | None" = None
+    family: FieldFamily = field(compare=False, repr=False)
+    region: Ball
+    tol: float
 
 
 @dataclass(frozen=True)
@@ -162,8 +148,7 @@ def _run_word(family: FieldFamily, lb: LbRecord, word, x, tol, path) -> np.ndarr
 
 def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray,
                   tol: float = DEFAULT_TOL, truncation_n: int | None = None,
-                  path: str = "control", unsafe: bool = False,
-                  l1_curve_samples: int = 0) -> CompositionResult:
+                  path: str = "control", unsafe: bool = False) -> CompositionResult:
     """Realize the truncated limit composition of the family along tau.
 
     The truncation level is chosen so the certified tail bound falls under
@@ -176,12 +161,9 @@ def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.
     kept, bound, truncation_n, cert = _plan(lb, tau, x, tol, truncation_n, unsafe)
     word = kept.entries
     endpoint = _run_word(family, lb, word, x, tol, path)
-    curve = None
-    if l1_curve_samples > 0:
-        curve = _l1_curve(family, word, x, tol, l1_curve_samples, lb.region)
     return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
                              tail_error_bound=bound, word=word, seed_point=x.copy(),
-                             certificate=cert, family=family, tol=tol, l1_curve=curve)
+                             certificate=cert, family=family, region=lb.region, tol=tol)
 
 
 def compose_inverse(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, y: np.ndarray,
@@ -196,7 +178,7 @@ def compose_inverse(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, y: n
     endpoint = _run_word(family, lb, word, y, tol, path)
     return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
                              tail_error_bound=bound, word=word, seed_point=y.copy(),
-                             certificate=cert, family=family, tol=tol)
+                             certificate=cert, family=family, region=lb.region, tol=tol)
 
 
 def psi_chart(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
@@ -238,32 +220,26 @@ def d_psi(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
     return P @ acc
 
 
-def extract_l1_curve(result: CompositionResult, samples_per_piece: int,
-                     tol: float | None = None) -> L1Curve:
-    """Replay the realized word as a sampled piecewise trajectory.
+def extract_l1_curve(result: CompositionResult, samples_per_piece: int) -> L1Curve:
+    """Replay the realized word as a sampled piecewise trajectory, each
+    letter cut into ``samples_per_piece`` legs, in the region and at the
+    tolerance the word ran with.
 
     The subdivision knots are the cumulative absolute durations.
     """
-    if result.family is None:
-        raise ValueError("result does not carry its family")
     if samples_per_piece < 1:
         raise InvalidArgument("samples_per_piece must be >= 1")
-    return _l1_curve(result.family, result.word, result.seed_point,
-                     result.tol if tol is None else tol, samples_per_piece, None)
-
-
-def _l1_curve(family: FieldFamily, word, x: np.ndarray, tol: float,
-              samples_per_piece: int, region: Ball | None) -> L1Curve:
-    """Run ``word`` with each letter cut into ``samples_per_piece`` legs."""
+    x = result.seed_point
     letters = []
     times = [0.0]
     t_base = 0.0
-    for idx, dur in word:
+    for idx, dur in result.word:
         sub = np.linspace(0.0, dur, samples_per_piece + 1)
         letters.extend((idx, b - a) for a, b in zip(sub, sub[1:]))
         times.extend(t_base + abs(s) for s in sub[1:])
         t_base += abs(dur)
-    points = [x.copy()] + [y for y, _ in FlowWord(letters).legs(family.members, x, tol, region)]
-    times, points = np.asarray(times), np.asarray(points)
+    legs = FlowWord(letters).legs(result.family.members, x, result.tol, result.region)
+    points = np.asarray([x.copy()] + [y for y, _ in legs])
+    times = np.asarray(times)
     return L1Curve(times=times, points=points, knot_times=times[::samples_per_piece],
                    knot_points=points[::samples_per_piece])

@@ -161,10 +161,9 @@ class VectorField:
         return self.jacobian_fn is not None
 
 
-def finite_difference_jacobian(field: VectorField, x: np.ndarray, step: float | None = None) -> np.ndarray:
+def finite_difference_jacobian(field: VectorField, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    h = step if step is not None else FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
-    return _axis_differences(field, x, h)
+    return _axis_differences(field, x, FD_STEP_1 * (1.0 + float(np.linalg.norm(x))))
 
 
 def _axis_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -242,7 +241,6 @@ def constant_field(domain: Ball, vector, label: str = "c") -> VectorField:
     return VectorField(domain=domain, eval_fn=lambda x: v.copy(),
                        jacobian_fn=lambda x: np.zeros((n, n)), label=label,
                        table=MonomialTable.from_rows(np.zeros((1, n)), v[None]))
-
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ DEFAULT_TOL = 1e-9
 DOMAIN_INFLATE = 1e-12
 
 # Dormand-Prince 5(4) tableau (FSAL: stage 7 equals stage 1 of the next step,
-# and its input is the fifth-order solution, since row 7 of A is the B5 row)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# and its input is the fifth-order solution, since row 7 of A is the B5 row).
+# The right-hand side is autonomous within a control piece, so the node
+# vector c of the tableau is never needed.
 _A = np.array([
     [0, 0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0, 0],
@@ -180,7 +181,8 @@ class FlowResult:
 
 class _Rhs:
     """Right-hand side ``sum_a w_a X_a`` for one control piece, with the
-    variational equation ``V' = (sum_a w_a DX_a) V`` stacked behind it."""
+    variational equation ``V' = (sum_a w_a DX_a) V`` stacked behind it.
+    Autonomous: it reads the state only."""
 
     __slots__ = ("members", "weights", "with_var", "dim")
 
@@ -190,7 +192,7 @@ class _Rhs:
         self.with_var = with_var
         self.dim = dim
 
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+    def __call__(self, y: np.ndarray) -> np.ndarray:
         d = self.dim
         x = y[:d]
         out = np.zeros_like(y)
@@ -213,7 +215,7 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol:
     y = y0
     h = direction * min(abs(span), max(abs(span) * 0.1, 1e-3))
     K = np.empty((7, y.size))
-    K[0] = rhs(t, y)
+    K[0] = rhs(y)
     while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
         if abs(h) > abs(t1 - t):
             h = t1 - t
@@ -222,7 +224,7 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol:
         hA = h * _A
         for i in range(1, 7):
             yi = y + hA[i, :i] @ K[:i]
-            K[i] = rhs(t + _C[i] * h, yi)
+            K[i] = rhs(yi)
         scale = tol * abs(h) * (1.0 + float(np.max(np.abs(y))))
         err = float(np.max(np.abs(h * (_E @ K))))
         if err <= scale:
@@ -328,10 +330,6 @@ class FlowWord:
     def __post_init__(self):
         object.__setattr__(self, "letters",
                            tuple((int(i), float(t)) for i, t in self.letters))
-
-    @property
-    def total_duration(self) -> float:
-        return sum(abs(t) for _, t in self.letters)
 
     def inverse(self) -> "FlowWord":
         return FlowWord(tuple((i, -t) for i, t in reversed(self.letters)))

@@ -22,8 +22,8 @@ from .flow import DEFAULT_TOL, ExistenceCertificate, FlowWord, flow_single, guar
 from .space import L1Coefficients
 
 RANK_REL_TOL = 1e-8
-SOLVER_RESIDUAL_TOL = 1e-8
-CONDITION_LIMIT = 1e6
+# member counts added to the base count for accessibility_verdict's truncation chains
+TRUNCATION_LEVELS = (0, 5, 10)
 
 
 def linprog(*args, **kwargs):
@@ -34,17 +34,17 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Rank with singular values at or below rel_tol * s_max counted as zero."""
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Rank with singular values at or below RANK_REL_TOL * s_max counted as zero."""
     if matrix.size == 0:
         return 0
-    return int(rank_of_singular_values(np.linalg.svd(matrix, compute_uv=False), rel_tol))
+    return int(rank_of_singular_values(np.linalg.svd(matrix, compute_uv=False)))
 
 
-def rank_of_singular_values(s: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+def rank_of_singular_values(s: np.ndarray) -> np.ndarray:
     """The :func:`numerical_rank` rule applied to singular values sorted in
     decreasing order along the last axis; a stack gives an array of ranks."""
-    return np.sum(s > rel_tol * s[..., :1], axis=-1)
+    return np.sum(s > RANK_REL_TOL * s[..., :1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,6 @@ class DistributionBasis:
             coeff = ls
         return coeff, residual
 
-    def contains(self, vector: np.ndarray, rel_tol: float = 1e-8) -> bool:
-        _, residual = self.coefficient_solver(vector)
-        scale = max(float(np.linalg.norm(vector)), 1e-300)
-        return residual <= rel_tol * scale
-
 
 @dataclass(frozen=True)
 class BracketChain:
@@ -127,12 +122,10 @@ class OrbitSample:
     """A reachable cloud: endpoints of random admissible words from a seed.
 
     ``certificate`` is the single-leg guard at the seed for legs of length
-    ``d_max`` (by default half its bound r/k)."""
+    ``d_max``, half its bound r/k."""
 
     seed: np.ndarray
     cloud: tuple[tuple[np.ndarray, tuple[tuple[str, float], ...], bool], ...]
-    budget_used: int
-    rng_seed: int
     d_max: float
     certificate: ExistenceCertificate
 
@@ -142,10 +135,20 @@ class OrbitSample:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Controllability conclusion with the rank evidence that produced it."""
+    """Controllability conclusion with the rank evidence that produced it.
 
-    kind: str  # exactly_controllable | approximately_controllable | rank_deficient
-    evidence: dict
+    ``kind`` is ``exactly_controllable`` (with ``saturation_k``, the
+    generation whose rank reaches ``dimension``), ``approximately_controllable``
+    (with ``truncation_ranks``, the final ranks at the truncation levels) or
+    ``rank_deficient`` (with ``final_rank``); the other two are ``None``.
+    """
+
+    kind: str
+    rank_profile: tuple[int, ...]
+    dimension: int
+    saturation_k: int | None = None
+    final_rank: int | None = None
+    truncation_ranks: tuple[int, ...] | None = None
 
 
 def distribution_at(family: FieldFamily, x: np.ndarray,
@@ -226,8 +229,7 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
 
 def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
                  max_word_len: int, rng_seed: int, tol: float = 1e-6,
-                 d_max: float | None = None, mode: str = "explore",
-                 exploration_radius: float | None = None) -> OrbitSample:
+                 mode: str = "explore", exploration_radius: float | None = None) -> OrbitSample:
     """Sample the reachable cloud by integrating random words from x.
 
     Word letters always pick a uniform member index and a duration uniform
@@ -247,8 +249,7 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     if budget < 1:
         raise InvalidArgument("budget must be >= 1")
     x = np.asarray(x, dtype=float)
-    if d_max is None:
-        d_max = 0.5 * guard(lb, x, 1.0, 0.0).margin
+    d_max = 0.5 * guard(lb, x, 1.0, 0.0).margin
     cert = guard(lb, x, 1.0, d_max)
     if exploration_radius is None:
         exploration_radius = 0.2 * cert.r
@@ -260,8 +261,7 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
                                     tol, d_max)
     else:
         raise InvalidArgument("mode must be 'explore' or 'independent'")
-    return OrbitSample(seed=x.copy(), cloud=cloud, budget_used=budget,
-                       rng_seed=rng_seed, d_max=d_max, certificate=cert)
+    return OrbitSample(seed=x.copy(), cloud=cloud, d_max=d_max, certificate=cert)
 
 
 def _sample_explore(family, lb, x, budget, max_word_len, rng_seed, tol, d_max,
@@ -327,22 +327,19 @@ def replay_word(family: FieldFamily, seed: np.ndarray, word: Sequence[tuple[str,
         family, seed, tol=tol, region=region)
 
 
-def spot_check_sample(family: FieldFamily, sample: OrbitSample, fraction: float = 0.05,
-                      tol: float = 1e-6) -> float:
-    """Replay a deterministic fraction of the cloud's words and return the
-    largest distance between a stored point and its replay."""
-    stride = max(1, int(round(1.0 / max(fraction, 1e-9))))
+def spot_check_sample(family: FieldFamily, sample: OrbitSample, tol: float = 1e-6) -> float:
+    """Replay every 20th word of the cloud (5%, the first included) and
+    return the largest distance between a stored point and its replay."""
     return max((float(np.linalg.norm(replay_word(family, sample.seed, word, tol=tol) - point))
-                for point, word, _ in sample.cloud[::stride]), default=0.0)
+                for point, word, _ in sample.cloud[::20]), default=0.0)
 
 
-def accessibility_verdict(family: FieldFamily, lb: LbRecord, x: np.ndarray, k_max: int,
-                          truncation_levels: tuple[int, ...] = (0, 5, 10)) -> Verdict:
+def accessibility_verdict(family: FieldFamily, x: np.ndarray, k_max: int) -> Verdict:
     """Run the bracket chain and classify reachability at x.
 
     Rank saturation at the chart dimension gives an exact verdict.  On charts
     flagged as truncations of a summable sequence space with an extendable
-    family, strictly growing final ranks across three truncation levels are
+    family, strictly growing final ranks across the ``TRUNCATION_LEVELS`` are
     taken as evidence of approximate controllability (a documented heuristic:
     density can only manifest asymptotically).  Anything else reports the
     limiting rank.
@@ -354,25 +351,17 @@ def accessibility_verdict(family: FieldFamily, lb: LbRecord, x: np.ndarray, k_ma
     n = family.space.dimension
     sat = chain.saturation_generation(n)
     if sat is not None:
-        return Verdict(kind="exactly_controllable",
-                       evidence={"rank_profile": chain.rank_profile, "saturation_k": sat,
-                                 "dimension": n, "k": lb.bound_k})
+        return Verdict("exactly_controllable", chain.rank_profile, n, saturation_k=sat)
     if family.space.truncation_of_l1 and family.truncation_factory is not None:
         base = len(family.members)
         # at the base count the factory would rebuild the family itself
-        ranks = [chain.final_rank if count == base else
-                 bracket_chain(family.truncation_factory(count), x, k_max).final_rank
-                 for count in (min(n, base + lvl) for lvl in truncation_levels)]
+        ranks = tuple(chain.final_rank if count == base else
+                      bracket_chain(family.truncation_factory(count), x, k_max).final_rank
+                      for count in (min(n, base + lvl) for lvl in TRUNCATION_LEVELS))
         if all(b > a for a, b in zip(ranks, ranks[1:])):
-            return Verdict(kind="approximately_controllable",
-                           evidence={"rank_profile": chain.rank_profile,
-                                     "truncation_ranks": tuple(ranks),
-                                     "truncation_levels": truncation_levels,
-                                     "dimension": n, "k": lb.bound_k})
-    return Verdict(kind="rank_deficient",
-                   evidence={"rank_profile": chain.rank_profile,
-                             "final_rank": chain.final_rank, "dimension": n,
-                             "k": lb.bound_k})
+            return Verdict("approximately_controllable", chain.rank_profile, n,
+                           truncation_ranks=ranks)
+    return Verdict("rank_deficient", chain.rank_profile, n, final_rank=chain.final_rank)
 
 
 @dataclass(frozen=True)

@@ -414,9 +414,13 @@ class Scenario:
             members.append(_built(polynomial_field, dom, comps, label=label))
         return FieldFamily(space=declared_space, members=tuple(members), common_domain=dom)
 
-    def lb_params(self, space: ChartSpace) -> dict:
-        """The ``lb`` section; its ``region`` is a ball of the chart ``space``."""
-        return read_options(self._section("lb"), SCHEMA["lb"], space)
+    def lb_params(self) -> dict:
+        """The ``lb`` section; its ``region`` is a ball of the family's chart
+        that lies in the family's domain."""
+        p = read_options(self._section("lb"), SCHEMA["lb"], self.family.space)
+        if p["region"] is not None and not self.family.common_domain.contains_ball(p["region"]):
+            raise ParseError("lb region not contained in the family's common domain")
+        return p
 
     def commands(self) -> list[Node]:
         cmds = [n for n in self.tree if n.key == "command"]
@@ -439,10 +443,6 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(f"unsupported format version {ver.args[0]!r}")
     sc.defaults()
     sc.family = sc.build_family()
-    sc.lb_params(sc.family.space)
+    sc.lb_params()
     sc.commands()
     return sc
-
-
-def emit_scenario(scenario: Scenario) -> str:
-    return scenario.emit()

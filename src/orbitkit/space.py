@@ -20,8 +20,6 @@ import numpy as np
 
 NORM_KINDS = ("sup", "euclidean", "l1")
 
-_NORM_CONSERVATION_TOL = 1e-12
-
 
 def vector_norm(v: np.ndarray, kind: str) -> float:
     """Norm of a coordinate vector under one of the supported norm kinds."""
@@ -92,12 +90,6 @@ class ChartSpace:
     def norm(self, v: np.ndarray) -> float:
         return vector_norm(v, self.norm_kind)
 
-    def op_norm(self, m: np.ndarray) -> float:
-        return operator_norm(m, self.norm_kind)
-
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.dimension)
-
     def unit_vector(self, rng: np.random.Generator) -> np.ndarray:
         """A random vector of norm 1 under this chart's norm."""
         return self.unit_vectors(rng, 1)[0]
@@ -143,9 +135,9 @@ class Ball:
         """radius - ||point - center||; negative outside the ball."""
         return self.radius - vector_norm(np.asarray(point) - self.center, self.norm_kind)
 
-    def contains_ball(self, other: "Ball", slack: float = 1e-12) -> bool:
+    def contains_ball(self, other: "Ball") -> bool:
         d = vector_norm(other.center - self.center, self.norm_kind)
-        return d + other.radius <= self.radius + slack
+        return d + other.radius <= self.radius + 1e-12
 
 
 def ball(center, radius: float, norm_kind: str = "euclidean") -> Ball:
@@ -159,11 +151,13 @@ class L1Coefficients:
     ``entries`` is a sorted tuple of ``(index, value)`` pairs with no
     duplicate indices and no stored zeros.  ``tail_bound`` dominates the mass
     of everything beyond the stored support (0 for exactly finite support).
+    ``norm1``, the sum of absolute stored values plus the tail bound, is
+    computed once on construction.
     """
 
     entries: tuple[tuple[int, float], ...] = ()
     tail_bound: float = 0.0
-    cached_norm1: float = field(default=None, compare=False)  # type: ignore[assignment]
+    norm1: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ent = tuple((int(i), float(v)) for i, v in self.entries)
@@ -177,11 +171,7 @@ class L1Coefficients:
         if self.tail_bound < 0:
             raise ValueError("tail bound must be non-negative")
         object.__setattr__(self, "entries", ent)
-        n1 = sum(abs(v) for _, v in ent) + self.tail_bound
-        if self.cached_norm1 is None:
-            object.__setattr__(self, "cached_norm1", n1)
-        elif abs(self.cached_norm1 - n1) > _NORM_CONSERVATION_TOL:
-            raise ValueError("cached_norm1 inconsistent with entries")
+        object.__setattr__(self, "norm1", sum(abs(v) for _, v in ent) + self.tail_bound)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]], tail_bound: float = 0.0) -> "L1Coefficients":
@@ -190,18 +180,6 @@ class L1Coefficients:
             acc[int(i)] = acc.get(int(i), 0.0) + float(v)
         ent = tuple(sorted((i, v) for i, v in acc.items() if v != 0.0))
         return cls(ent, float(tail_bound))
-
-    @classmethod
-    def from_dense(cls, values, tail_bound: float = 0.0) -> "L1Coefficients":
-        return cls.from_pairs(enumerate(np.asarray(values, dtype=float)), tail_bound)
-
-    @classmethod
-    def zero(cls) -> "L1Coefficients":
-        return cls()
-
-    @property
-    def norm1(self) -> float:
-        return self.cached_norm1
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -212,14 +190,6 @@ class L1Coefficients:
             if i == index:
                 return v
         return 0.0
-
-    def to_dense(self, dimension: int) -> np.ndarray:
-        out = np.zeros(dimension)
-        for i, v in self.entries:
-            if i >= dimension:
-                raise IndexError(f"index {i} exceeds dimension {dimension}")
-            out[i] = v
-        return out
 
     def truncate(self, n: int) -> tuple["L1Coefficients", float]:
         """Keep the first ``n`` entries in index order.
@@ -249,13 +219,3 @@ class L1Coefficients:
         """a*self; values that underflow to zero are dropped, as in :meth:`combine`."""
         return L1Coefficients(tuple((i, a * v) for i, v in self.entries if a * v != 0.0),
                               abs(a) * self.tail_bound)
-
-
-def norm1(tau: L1Coefficients) -> float:
-    """Sum of absolute stored values plus the tail bound."""
-    return tau.norm1
-
-
-def truncate(tau: L1Coefficients, n: int) -> tuple[L1Coefficients, float]:
-    """Module-level alias for :meth:`L1Coefficients.truncate`."""
-    return tau.truncate(n)

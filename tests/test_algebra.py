@@ -244,7 +244,7 @@ class TestExactBrackets:
         fam = FieldFamily(space=ChartSpace(3), members=(X1, X2), common_domain=dom)
         x = np.array([0.0, 3.0, 0.0])
         assert bracket_chain(fam, x, 3).rank_profile == (2, 2, 2)
-        verdict = accessibility_verdict(fam, LbRecord(2, 10.0, dom, "declared"), x, 3)
+        verdict = accessibility_verdict(fam, x, 3)
         assert verdict.kind == "rank_deficient"
 
     def test_dimension_seven_chain_profile(self):

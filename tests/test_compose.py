@@ -35,12 +35,13 @@ class TestGammaControl:
         assert g.pieces[0][2].entries == ((0, 1.0),)
         assert g.pieces[1][:2] == (1.0, 3.0)
         assert g.pieces[1][2].entries == ((1, -1.0),)
-        assert g.as_control().sup_norm == 1.0
+        assert g.sup_norm == 1.0
+        assert g.l1_norm == 3.0
 
     def test_empty(self):
         g = gamma_control(L1Coefficients(()), "forward")
         assert g.pieces == ()
-        assert g.total_time == 0.0
+        assert g.l1_norm == 0.0
 
     def test_reverse_reflects(self):
         g = gamma_control(L1Coefficients(((0, 1.0), (1, -2.0))), "reverse")
@@ -51,8 +52,8 @@ class TestGammaControl:
 
     def test_reverse_is_time_reflection(self):
         tau = L1Coefficients(((0, 0.5), (2, -1.5), (3, 0.25)))
-        fwd = gamma_control(tau, "forward").as_control()
-        rev = gamma_control(tau, "reverse").as_control()
+        fwd = gamma_control(tau, "forward")
+        rev = gamma_control(tau, "reverse")
         T = tau.norm1
         for s in (0.1, 0.6, 1.3, 2.0):
             a = fwd.piece_at(T - s)
@@ -229,22 +230,21 @@ class TestChartDifferential:
 
 class TestL1Curve:
     def test_singleton_word_single_segment(self, heis, heis_lb):
-        res = compose_flows(heis, heis_lb, L1Coefficients(((0, 0.4),)), np.zeros(3),
-                            l1_curve_samples=5)
-        assert res.l1_curve is not None
-        assert len(res.l1_curve.knot_times) == 2
-        assert res.l1_curve.knot_times[-1] == pytest.approx(0.4)
+        res = compose_flows(heis, heis_lb, L1Coefficients(((0, 0.4),)), np.zeros(3))
+        curve = extract_l1_curve(res, 5)
+        assert len(curve.knot_times) == 2
+        assert curve.knot_times[-1] == pytest.approx(0.4)
 
     def test_heisenberg_knot(self, heis, heis_lb):
         res = compose_flows(heis, heis_lb, L1Coefficients(((0, 1.0), (1, 1.0))),
-                            np.zeros(3), unsafe=True, l1_curve_samples=4)
-        knots = res.l1_curve.knot_points
+                            np.zeros(3), unsafe=True)
+        knots = extract_l1_curve(res, 4).knot_points
         assert np.allclose(knots[1], [1.0, 0.0, 0.0], atol=1e-8)
 
     def test_curve_endpoint_matches_result(self, heis, heis_lb):
         res = compose_flows(heis, heis_lb, L1Coefficients(((0, 0.2), (1, -0.2))),
-                            np.zeros(3), l1_curve_samples=7)
-        assert np.abs(res.l1_curve.points[-1] - res.endpoint).max() <= 10 * TOL
+                            np.zeros(3))
+        assert np.abs(extract_l1_curve(res, 7).points[-1] - res.endpoint).max() <= 10 * TOL
         curve = extract_l1_curve(res, 3)
         assert np.abs(curve.points[-1] - res.endpoint).max() <= 10 * TOL
         # knots are the cumulative absolute durations

@@ -146,7 +146,7 @@ class TestOrbitSample:
     def test_replay_invariant(self, grush, grush_lb):
         samp = orbit_sample(grush, grush_lb, np.zeros(2), budget=200, max_word_len=6,
                             rng_seed=9)
-        gap = spot_check_sample(grush, samp, fraction=0.05, tol=1e-6)
+        gap = spot_check_sample(grush, samp, tol=1e-6)
         assert gap <= 10 * 1e-6
 
     def test_independent_mode_deterministic(self, grush, grush_lb):
@@ -174,30 +174,37 @@ def test_rank_of_a_stack_of_singular_values(rng):
 
 
 class TestVerdicts:
-    def test_heisenberg_exact(self, heis, heis_lb):
-        v = accessibility_verdict(heis, heis_lb, np.zeros(3), 3)
+    def test_heisenberg_exact(self, heis):
+        v = accessibility_verdict(heis, np.zeros(3), 3)
         assert v.kind == "exactly_controllable"
-        assert v.evidence["rank_profile"] == (2, 3)
-        assert v.evidence["saturation_k"] == 2
+        assert v.rank_profile == (2, 3)
+        assert v.saturation_k == 2
 
-    def test_grushin_origin_exact(self, grush, grush_lb):
-        v = accessibility_verdict(grush, grush_lb, np.zeros(2), 3)
+    def test_grushin_origin_exact(self, grush):
+        v = accessibility_verdict(grush, np.zeros(2), 3)
         assert v.kind == "exactly_controllable"
-        assert v.evidence["rank_profile"] == (1, 2)
+        assert v.rank_profile == (1, 2)
 
     def test_commuting_rank_deficient(self):
         fam = commuting_constants(3, 2)
-        lb = estimate_lb_bound(fam, fam.common_domain, 2, 20)
-        v = accessibility_verdict(fam, lb, np.zeros(3), 3)
+        v = accessibility_verdict(fam, np.zeros(3), 3)
         assert v.kind == "rank_deficient"
-        assert v.evidence["final_rank"] == 2
+        assert v.final_rank == 2
 
     def test_affine_truncation_approximately_controllable(self):
         fam = affine_l1(30, 10, decay=0.5, radius=6.0)
-        lb = estimate_lb_bound(fam, fam.common_domain, 2, 20)
-        v = accessibility_verdict(fam, lb, np.zeros(30), 2)
+        v = accessibility_verdict(fam, np.zeros(30), 2)
         assert v.kind == "approximately_controllable"
-        assert v.evidence["truncation_ranks"] == (10, 15, 20)
+        assert v.truncation_ranks == (10, 15, 20)
+
+    def test_evidence_a_kind_does_not_have_is_none(self, heis):
+        exact = accessibility_verdict(heis, np.zeros(3), 3)
+        deficient = accessibility_verdict(commuting_constants(3, 2), np.zeros(3), 3)
+        approximate = accessibility_verdict(affine_l1(24, 5), np.zeros(24), 2)
+        assert (exact.final_rank, exact.truncation_ranks) == (None, None)
+        assert (deficient.saturation_k, deficient.truncation_ranks) == (None, None)
+        assert (approximate.saturation_k, approximate.final_rank) == (None, None)
+        assert (exact.dimension, deficient.dimension, approximate.dimension) == (3, 3, 24)
 
     def test_truncation_levels_reuse_the_base_chain(self, monkeypatch):
         import orbitkit.algebra as algebra
@@ -209,10 +216,9 @@ class TestVerdicts:
             return inner(family, x, k_max)
 
         monkeypatch.setattr(algebra, "bracket_chain", spy)
-        v = accessibility_verdict(fam, LbRecord(2, 10.0, fam.common_domain, "declared"),
-                                  np.zeros(24), 2)
+        v = accessibility_verdict(fam, np.zeros(24), 2)
         assert sizes == [5, 10, 15]
-        assert v.evidence["truncation_ranks"] == (5, 10, 15)
+        assert v.truncation_ranks == (5, 10, 15)
 
     @pytest.mark.parametrize("fam", [
         affine_l1(24, 5), affine_l1(12, 4, decay=0.7, linear_part=True),
@@ -222,18 +228,18 @@ class TestVerdicts:
     def test_verdict_evidence_matches_a_chain_per_truncation_level(self, fam):
         from orbitkit.algebra import bracket_chain
         x = np.full(fam.space.dimension, 0.05)
-        v = accessibility_verdict(fam, LbRecord(2, 10.0, fam.common_domain, "declared"), x, 2)
+        v = accessibility_verdict(fam, x, 2)
         chain = bracket_chain(fam, x, 2)
-        assert v.evidence["rank_profile"] == chain.rank_profile
+        assert v.rank_profile == chain.rank_profile
         n, base = fam.space.dimension, len(fam.members)
         if fam.space.truncation_of_l1:
             ranks = tuple(bracket_chain(fam.truncation_factory(min(n, base + lvl)), x, 2).final_rank
                           for lvl in (0, 5, 10))
             assert v.kind == "approximately_controllable"
-            assert v.evidence["truncation_ranks"] == ranks
+            assert v.truncation_ranks == ranks
         else:
             assert v.kind == "exactly_controllable"
-            assert v.evidence["saturation_k"] == chain.saturation_generation(n)
+            assert v.saturation_k == chain.saturation_generation(n)
 
 
 class TestInvariance:

@@ -242,7 +242,7 @@ command flow {
   unsafe on
 }
 """)
-        assert sc.lb_params(sc.build_family().space)["region"].norm_kind == "l1"
+        assert sc.lb_params()["region"].norm_kind == "l1"
         assert run_scenario(sc, tmp_path / "out") == 0
         text = (tmp_path / "out" / "report-01-flow.txt").read_text()
         r = [float(line.split()[1]) for line in text.splitlines() if line.split()[:1] == ["r"]]
@@ -409,17 +409,14 @@ class TestBadScenarios:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
-    def test_lb_region_outside_the_domain_gives_error_reports(self, tmp_path):
+    def test_lb_region_outside_the_domain_is_a_parse_error(self, tmp_path, capsys):
         p = tmp_path / "s.okit"
         p.write_text(_region("100") + "command bracket-chain {\n  point 0 0 0\n}\n")
-        assert main(["check", str(p)]) == 0
-        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
-        reports = sorted((tmp_path / "out").glob("report-*.txt"))
-        assert [r.name for r in reports] == ["report-01-verdict.txt",
-                                             "report-02-bracket-chain.txt"]
-        for r in reports:
-            text = r.read_text()
-            assert "status error" in text and "type OutOfDomain" in text
+        for argv in (["check", str(p)], ["run", str(p), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "lb region" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_reports_name_the_calculus(tmp_path):
@@ -722,6 +719,25 @@ def test_error_reports_carry_the_configuration(tmp_path):
     assert {"norm", "dimension", "members", "l1-truncation", "tol", "seed", "lb"} == set(cfg)
     assert _leaves(report.child("error"))["type"] == ["GuardViolated"]
     assert report.child("status").args == ["error"]
+
+
+@pytest.mark.parametrize("out", [None, "curve.txt"])
+def test_compose_replays_its_curve_in_the_lb_region_only_to_write_it(out, tmp_path, monkeypatch):
+    from orbitkit import compose
+    regions, replay = [], compose.extract_l1_curve
+
+    def spy(res, samples_per_piece):
+        regions.append(res.region)
+        return replay(res, samples_per_piece)
+
+    monkeypatch.setattr(compose, "extract_l1_curve", spy)
+    header = _region("4").split("command")[0]
+    body = "point 0 0 0\n  entry 0 0.1\n  entry 1 0.1\n  curve-samples 3"
+    text = _one_command("compose", body + (f"\n  out {out}" if out else ""), header)
+    assert run_scenario(parse_scenario(text), tmp_path / "out") == 0
+    assert [(r.radius, r.center.tolist()) for r in regions] == ([(4.0, [0, 0, 0])] if out else [])
+    if out:
+        assert read_point_cloud(tmp_path / "out" / out).shape == (7, 3)
 
 
 @pytest.mark.parametrize("rho, unsafe", [("0.3", "off"), ("0.6", "on")])

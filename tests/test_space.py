@@ -2,42 +2,41 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitkit.space import (Ball, ChartSpace, L1Coefficients, ball, norm1, operator_norm, truncate,
-                            vector_norm)
+from orbitkit.space import Ball, ChartSpace, L1Coefficients, ball, operator_norm, vector_norm
 
 
 class TestNorm1:
     def test_empty(self):
-        assert norm1(L1Coefficients()) == 0.0
+        assert L1Coefficients().norm1 == 0.0
 
     def test_direct_sum(self):
         tau = L1Coefficients(((0, 1.0), (3, -2.0)))
-        assert norm1(tau) == 3.0
+        assert tau.norm1 == 3.0
 
     def test_tail_adds(self):
         tau = L1Coefficients(((0, 0.5),), tail_bound=0.25)
-        assert norm1(tau) == 0.75
+        assert tau.norm1 == 0.75
 
     def test_zero_iff_empty(self):
-        assert norm1(L1Coefficients((), 0.0)) == 0.0
-        assert norm1(L1Coefficients((), 0.1)) > 0.0
-        assert norm1(L1Coefficients(((2, 0.1),))) > 0.0
+        assert L1Coefficients((), 0.0).norm1 == 0.0
+        assert L1Coefficients((), 0.1).norm1 > 0.0
+        assert L1Coefficients(((2, 0.1),)).norm1 > 0.0
 
 
 class TestTruncate:
     def test_counting(self):
         tau = L1Coefficients(((0, 1.0), (1, 1.0), (2, 1.0)))
-        kept, tail = truncate(tau, 2)
+        kept, tail = tau.truncate(2)
         assert kept.entries == ((0, 1.0), (1, 1.0))
         assert tail == 1.0
 
     def test_everything_dropped(self):
-        kept, tail = truncate(L1Coefficients(((5, -4.0),)), 0)
+        kept, tail = L1Coefficients(((5, -4.0),)).truncate(0)
         assert kept.entries == ()
         assert tail == 4.0
 
     def test_tail_passes_through(self):
-        kept, tail = truncate(L1Coefficients(((0, 1.0),), tail_bound=0.5), 1)
+        kept, tail = L1Coefficients(((0, 1.0),), tail_bound=0.5).truncate(1)
         assert kept.entries == ((0, 1.0),)
         assert tail == 0.5
 
@@ -50,8 +49,8 @@ class TestTruncate:
             tau = L1Coefficients(tuple((int(i), float(v)) for i, v in zip(idx, vals)),
                                  float(rng.uniform(0, 2)))
             n = int(rng.integers(0, m + 3))
-            kept, tail = truncate(tau, n)
-            assert abs(norm1(kept) + tail - norm1(tau)) <= 1e-12
+            kept, tail = tau.truncate(n)
+            assert abs(kept.norm1 + tail - tau.norm1) <= 1e-12
 
 
 class TestL1CoefficientsValidation:
@@ -66,10 +65,6 @@ class TestL1CoefficientsValidation:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             L1Coefficients(((3, 1.0), (1, 2.0)))
-
-    def test_rejects_inconsistent_cache(self):
-        with pytest.raises(ValueError):
-            L1Coefficients(((0, 1.0),), 0.0, cached_norm1=2.0)
 
     def test_from_pairs_merges(self):
         tau = L1Coefficients.from_pairs([(2, 1.0), (0, 0.5), (2, -1.0)])
