@@ -9,21 +9,26 @@ evaluates the whole grid in batches.  Brackets of any other field are
 evaluated by finite differences of Jacobian-vector products.
 
 Enlarged fields are pushforwards of scaled members through finite flow
-words.  Their evaluation runs one backward word integration to find the
-source point and one forward variational integration to transport the field
-value, so the conjugation identity between their flows and the conjugated
-flows is testable rather than assumed.
+words.  Their evaluation runs the inverse word to find the source point and
+then the word from there, carrying the scaled member value as one tangent
+vector through the linearised flow (never the full variational matrix), so
+the conjugation identity between their flows and the conjugated flows is
+testable rather than assumed.  A stack of points is evaluated by the same
+two word runs in lockstep (:meth:`EnlargedField.eval_many`), which is how
+their finite-difference Jacobians and jet screens evaluate all their
+shifted points at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
-from .fields import FD_STEP_1, FieldFamily, LbRecord, VectorField, calculus, eval_jet_norm
+from .fields import (FieldFamily, LbRecord, VectorField, calculus, eval_jet_norm,
+                     finite_difference_jvp)
 from .flow import DEFAULT_TOL, FlowWord, flow_single
 from .orbit import BracketChain, DistributionBasis, rank_of_singular_values
 from .orbit import numerical_rank  # noqa: F401  (perfbench's tracer wraps algebra.numerical_rank)
@@ -51,16 +56,7 @@ def lie_bracket(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
     _check_domains((X, Y), x)
     if X.has_analytic_jacobian and Y.has_analytic_jacobian:
         return Y.jacobian(x) @ X(x) - X.jacobian(x) @ Y(x)
-    return _jvp(Y, x, X(x)) - _jvp(X, x, Y(x))
-
-
-def _jvp(field_: VectorField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return np.zeros_like(v)
-    h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
-    u = v / nv
-    return nv * (field_(x + h * u) - field_(x - h * u)) / (2.0 * h)
+    return finite_difference_jvp(Y, x, X(x)) - finite_difference_jvp(X, x, Y(x))
 
 
 def lie_bracket_via_flows(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
@@ -85,7 +81,8 @@ class EnlargedField(VectorField):
     ``in_enlargement`` records whether the jet-norm screening at the region
     anchor stayed within the family bound; fields failing the screen are
     still returned for study.  Jet screening is numerical and stops at
-    order 3.
+    order 3.  ``family`` and ``tol`` are what the word runs with, so that
+    :meth:`eval_many` can run it over a stack of points.
     """
 
     base_index: int = 0
@@ -93,15 +90,45 @@ class EnlargedField(VectorField):
     scale: float = 1.0
     in_enlargement: bool = True
     screen_jet: float = float("nan")
+    family: FieldFamily | None = field(default=None, compare=False, repr=False)
+    tol: float = DEFAULT_TOL
+
+    def eval_many(self, points: np.ndarray) -> np.ndarray:
+        """Values at the rows of ``points`` (N, d) from two lockstep word
+        runs; any row whose word leaves the region raises
+        :class:`WordNotIntegrable`."""
+        return _pushforward(self.family, self.word, self.base_index, self.scale,
+                            self.domain, self.tol, np.asarray(points, dtype=float))
+
+
+def _pushforward(family: FieldFamily, word: FlowWord, base_index: int, nu: float,
+                 region: Ball, tol: float, points: np.ndarray) -> np.ndarray:
+    """``nu X_base`` pushed forward through the word at the rows of
+    ``points``: the inverse word, run plain, gives the source points z; the
+    word run from z carries the tangents ``nu X_base(z)`` to the values."""
+    members = family.members
+    try:
+        z, _ = word.inverse().lockstep(members, points, tol=tol, region=region)
+        _, values = word.lockstep(members, z, nu * members[base_index].eval_many(z),
+                                  tol=tol, region=region)
+    except (LeftDomain, StepUnderflow) as exc:
+        where = points[0] if len(points) == 1 else f"one of {len(points)} points"
+        raise WordNotIntegrable(f"conjugating word not integrable from {where}") from exc
+    return values
 
 
 def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: float,
                   lb: LbRecord, tol: float = DEFAULT_TOL) -> EnlargedField:
     """Pushforward of ``nu`` times a member through ``word``.
 
-    eval(x) transports the scaled member value from the backward-word image
-    of x with the forward variational matrix.  Membership screening compares
-    the jet norm at the region center against the family bound.
+    eval(x) runs the inverse word from x to its source point z, then the
+    word from z carrying the tangent vector ``nu X_base(z)``, whose end value
+    is the pushforward; :meth:`EnlargedField.eval_many` does both runs over
+    a stack of points in lockstep.  Membership screening compares the jet
+    norm at the region center against the family bound; its
+    finite-difference Jacobian and derivative tensors evaluate their shifted
+    points through ``eval_many``, and any of them leaving the region fails
+    the screen.
     """
     if nu <= 0:
         raise ValueError("scale must be positive")
@@ -110,34 +137,26 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
         return enlarge_field(family, inner.word.then(word), inner.base_index,
                              nu * inner.scale, lb, tol=tol)
     base = family.members[base_index]
-    inv = word.inverse()
     region = lb.region
 
     def ev(x: np.ndarray) -> np.ndarray:
-        try:
-            z = inv.apply(family, x, tol=tol, region=region)
-            _, M = word.apply_with_variational(family, z, tol=tol, region=region)
-        except (LeftDomain, StepUnderflow) as exc:
-            raise WordNotIntegrable(f"conjugating word not integrable from {x}") from exc
-        return M @ (nu * base(z))
+        return _pushforward(family, word, base_index, nu, region, tol, x[None])[0]
 
     probe = EnlargedField(domain=region, eval_fn=ev, jacobian_fn=None,
                           label=f"({base.label}|w{len(word.letters)},nu={nu:g})",
                           base_index=base_index, word=word, scale=nu,
-                          in_enlargement=True, screen_jet=float("nan"))
+                          in_enlargement=True, screen_jet=float("nan"), family=family, tol=tol)
     order = min(lb.order_s, 3)
     try:
-        # each probe eval costs two word integrations; a thin tuple sample
-        # keeps the screen affordable at screening (not certification) duty
+        # a thin tuple sample keeps the screen affordable at screening (not
+        # certification) duty
         jet = eval_jet_norm(probe, region.center, order, family.space,
                             tuple_samples=8)
         inside = jet <= lb.bound_k
     except (WordNotIntegrable, LeftDomain):
         jet = float("inf")
         inside = False
-    return EnlargedField(domain=region, eval_fn=ev, jacobian_fn=None, label=probe.label,
-                         base_index=base_index, word=word, scale=nu,
-                         in_enlargement=bool(inside), screen_jet=float(jet))
+    return replace(probe, in_enlargement=bool(inside), screen_jet=float(jet))
 
 
 def bracket_field(X: VectorField, Y: VectorField) -> VectorField:

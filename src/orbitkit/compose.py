@@ -32,14 +32,17 @@ TAIL_FACTOR_NOTE = "k*exp(k*norm1(tau)) times dropped l1 mass"
 
 
 def _unit_speed_pieces(word) -> list[tuple[float, float, L1Coefficients]]:
-    """One piece ``sign(t) e_i`` of length ``|t|`` per letter, back to back from 0."""
+    """One piece ``sign(t) e_i`` of length ``|t|`` per letter, back to back
+    from 0.  A letter shorter than the float spacing at its start time ends
+    where it starts, so it gets no piece: its flow would move the state by
+    less than k times that spacing, far below any integration tolerance."""
     pieces = []
     t = 0.0
     for idx, val in word:
-        dur = abs(val)
-        sign = 1.0 if val > 0 else -1.0
-        pieces.append((t, t + dur, L1Coefficients(((idx, sign),))))
-        t += dur
+        end = t + abs(val)
+        if end > t:
+            pieces.append((t, end, L1Coefficients(((idx, 1.0 if val > 0 else -1.0),))))
+        t = end
     return pieces
 
 
@@ -50,7 +53,8 @@ def gamma_control(tau: L1Coefficients, direction: str = "forward") -> Control:
     |tau_j|)`` and carries the single coefficient ``sign(tau_i) e_i``.  The
     reverse direction is the forward control of the letters in reverse
     order, the time reflection ``s -> norm1(tau) - s`` of the forward one.
-    Zero entries produce no pieces; the sup norm is 1 whenever tau has
+    Zero entries produce no pieces, nor do entries shorter than the float
+    spacing at their start time; the sup norm is 1 whenever tau has
     entries, and the control's ``l1_norm`` is the total switching time.
     """
     if direction not in ("forward", "reverse"):
@@ -116,19 +120,30 @@ def _choose_truncation(tau: L1Coefficients, factor: float, tol: float) -> int:
     return n
 
 
-def _plan(lb: LbRecord, tau: L1Coefficients, x: np.ndarray, tol: float,
+def _require_members(family: FieldFamily, coefficients: L1Coefficients) -> None:
+    """Raise :class:`InvalidArgument` when an index has no family member."""
+    if coefficients.entries and coefficients.entries[-1][0] >= len(family):
+        raise InvalidArgument(f"index {coefficients.entries[-1][0]} has no family member "
+                              f"(the family has {len(family)})")
+
+
+def _plan(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray, tol: float,
           truncation_n: int | None, unsafe: bool
           ) -> tuple[L1Coefficients, float, int, ExistenceCertificate]:
-    """Guard, tail factor and truncation shared by every composition.
+    """Guard, tail factor, truncation and member check shared by every
+    composition.
 
     Returns the kept coefficients, the certified tail bound, the truncation
-    level and the enforced certificate.
+    level and the enforced certificate.  Every kept index must name a family
+    member; entries the truncation drops may lie beyond the family, as in a
+    countable family's tail.
     """
     cert = guard(lb, x, 1.0, tau.norm1).enforce(unsafe)
     factor = _tail_factor(cert.k, tau.norm1)
     if truncation_n is None:
         truncation_n = _choose_truncation(tau, factor, tol)
     kept, tail = tau.truncate(truncation_n)
+    _require_members(family, kept)
     return kept, factor * tail, truncation_n, cert
 
 
@@ -158,7 +173,7 @@ def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.
     accuracy and the second serves as a cross-check.
     """
     x = np.asarray(x, dtype=float)
-    kept, bound, truncation_n, cert = _plan(lb, tau, x, tol, truncation_n, unsafe)
+    kept, bound, truncation_n, cert = _plan(family, lb, tau, x, tol, truncation_n, unsafe)
     word = kept.entries
     endpoint = _run_word(family, lb, word, x, tol, path)
     return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
@@ -173,7 +188,7 @@ def compose_inverse(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, y: n
     with sign-flipped durations (equivalently, the time-reflected bang-bang
     control with flipped signs)."""
     y = np.asarray(y, dtype=float)
-    kept, bound, truncation_n, cert = _plan(lb, tau, y, tol, truncation_n, unsafe)
+    kept, bound, truncation_n, cert = _plan(family, lb, tau, y, tol, truncation_n, unsafe)
     word = FlowWord(kept.entries).inverse().letters
     endpoint = _run_word(family, lb, word, y, tol, path)
     return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
@@ -206,7 +221,8 @@ def d_psi(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
     conditioning validity.
     """
     x = np.asarray(x, dtype=float)
-    kept, _, _, _ = _plan(lb, tau, x, tol, None, unsafe)
+    kept, _, _, _ = _plan(family, lb, tau, x, tol, None, unsafe)
+    _require_members(family, sigma)
     tau_map = dict(kept.entries)
     word = FlowWord(tuple((i, tau_map.get(i, 0.0))
                           for i in sorted(set(tau_map) | set(sigma.support))))

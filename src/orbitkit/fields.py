@@ -5,7 +5,9 @@ optional analytic Jacobian.  Fields whose components are polynomials
 (:func:`polynomial_field`, :func:`constant_field`, the affine builtins and
 exact brackets of such fields) also carry a :class:`MonomialTable`, which
 gives exact derivatives of every order, exact Lie brackets and batched
-evaluation; every other field is differentiated by finite differences.  A
+evaluation; every other field is differentiated by finite differences,
+whose shifted points go through one ``eval_many`` per derivative, and
+along a single vector by :func:`finite_difference_jvp`.  A
 :class:`FieldFamily` is an ordered, indexed collection sharing a common
 domain.  :func:`eval_jet_norm` measures the size of a field's jet at a point
 up to order 3, and :func:`estimate_lb_bound` turns a sampled (or declared)
@@ -17,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgument, OrderTooHigh, OutOfDomain
-from .space import Ball, ChartSpace, operator_norm, vector_norm
+from .space import Ball, ChartSpace, _row_norms, operator_norm, vector_norm
 
 # Finite-difference steps per derivative order (relative, scaled by 1+|x|):
 # standard truncation/round-off balance for first, second, third order.
@@ -144,10 +146,12 @@ class VectorField:
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Values at the rows of ``points`` (N, d): one batched table
-        evaluation for a tabled field, one call per point otherwise."""
-        if self.table is not None:
+        evaluation for a tabled field with more than one row, one call per
+        point otherwise (``eval_fn`` is faster on a single point)."""
+        points = np.asarray(points, dtype=float)
+        if self.table is not None and len(points) > 1:
             return self.table.eval_many(points)
-        return np.array([self(x) for x in np.asarray(points, dtype=float)])
+        return np.array([self(x) for x in points]).reshape(points.shape)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Analytic Jacobian when available, else central differences."""
@@ -162,15 +166,73 @@ class VectorField:
 
 
 def finite_difference_jacobian(field: VectorField, x: np.ndarray) -> np.ndarray:
+    """The Jacobian at x by central differences along the axes, its 2d
+    shifted points evaluated in one ``eval_many``."""
     x = np.asarray(x, dtype=float)
-    return _axis_differences(field, x, FD_STEP_1 * (1.0 + float(np.linalg.norm(x))))
+    h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
+    return _central_differences(field.eval_many, x, [(h,)])[0]
 
 
-def _axis_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                      h: float) -> np.ndarray:
-    """(fn(x + h e_k) - fn(x - h e_k)) / 2h for every axis k, stacked on a
-    new last axis: the derivative of ``fn`` at x by central differences."""
-    return np.stack([fn(x + e) - fn(x - e) for e in h * np.eye(x.size)], axis=-1) / (2.0 * h)
+def finite_difference_jvp(field: VectorField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``DX(x) v`` by one central difference along v: two evaluations, where
+    a finite-difference Jacobian takes 2d.  The step is ``FD_STEP_1`` scaled
+    by 1+|x|, taken along the unit vector of v; a zero v gives zero.  Rows of
+    2-D ``x`` and ``v`` are separate points, all evaluated in one
+    ``eval_many``; a single point is evaluated directly."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.ndim == 1:
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
+            return np.zeros_like(v)
+        h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
+        shift = h * (v / nv)
+        return nv * (field(x + shift) - field(x - shift)) / (2.0 * h)
+    nv = _row_norms(v, "euclidean")[:, None]
+    h = FD_STEP_1 * (1.0 + _row_norms(x, "euclidean"))[:, None]
+    shift = h * np.divide(v, nv, out=np.zeros_like(v), where=nv > 0.0)
+    values = field.eval_many(np.concatenate([x + shift, x - shift]))
+    return nv * (values[:len(x)] - values[len(x):]) / (2.0 * h)
+
+
+@lru_cache(maxsize=32)
+def _axis_signs(d: int) -> np.ndarray:
+    """The rows +e_0, -e_0, +e_1, -e_1, ... of dimension d (read-only)."""
+    signs = np.stack([np.eye(d), -np.eye(d)], axis=1).reshape(2 * d, d)
+    signs.flags.writeable = False
+    return signs
+
+
+def _central_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                         step_sets: Sequence[tuple[float, ...]]) -> list[np.ndarray]:
+    """Nested central differences of ``fn`` at x, one array per tuple of
+    steps.  A tuple ``(h1, h2, ...)`` differences along every axis j with
+    step h1, the result along every axis k with step h2, and so on; each
+    level adds a trailing axis indexed by the coordinate differentiated.
+    ``fn`` maps a stack of points ``(N, d)`` to their values, and every
+    shifted point of every tuple goes through one call of it."""
+    d = x.size
+    signs = _axis_signs(d)
+    stencils = []
+    for steps in step_sets:
+        points = x
+        for h in reversed(steps):  # the outermost shift is added first
+            points = points[..., None, :] + h * signs
+        stencils.append(points.reshape(-1, d))
+    values = fn(np.concatenate(stencils) if len(stencils) > 1 else stencils[0])
+    tail = values.shape[1:]
+    out, start = [], 0
+    for steps, points in zip(step_sets, stencils):
+        f = values[start:start + len(points)]
+        start += len(points)
+        for i, h in enumerate(steps):
+            # the innermost remaining level is the last stencil axis: split
+            # it into (axis, sign), difference the signs, and move the axis
+            # behind the value's axes
+            f = f.reshape(-1, d, 2, f[0].size)
+            f = ((f[:, :, 0] - f[:, :, 1]) / (2.0 * h)).swapaxes(1, 2)
+        out.append(f.reshape(tail + (d,) * len(steps)))
+    return out
 
 
 def calculus(fields: Sequence[VectorField]) -> str:
@@ -309,20 +371,28 @@ def _unit_vectors(space: ChartSpace, rng: np.random.Generator, count: int) -> np
     return np.vstack([space.unit_vectors(rng, count), canonical])
 
 
-def _derivative_tensors(field: VectorField, x: np.ndarray, s: int):
-    """D2 and, for s >= 3, D3 of the field at x (else None), with
-    ``d2[i, j, k] = d_k d_j X_i`` and ``d3[i, j, k, l] = d_l d_k d_j X_i``:
-    exact from a monomial table, else central differences of the Jacobian."""
-    if field.table is not None:
-        d2 = field.table.derivative.derivative
-        return d2(x), (d2.derivative(x) if s >= 3 else None)
+def _jet_tensors(field: VectorField, x: np.ndarray, s: int) -> list:
+    """The value, Jacobian, D2 and D3 of the field at x, ``None`` above
+    order s, with ``d2[i, j, k] = d_k d_j X_i`` and ``d3[i, j, k, l] =
+    d_l d_k d_j X_i``.  A tabled field takes its derivatives exactly from the
+    table.  A field with an analytic Jacobian takes D2 and D3 from central
+    differences of the Jacobian.  Any other field takes every derivative
+    from nested central differences of its values, with every shifted point
+    evaluated in one ``eval_many`` (1 + 2d + 4d^2 points at order 2)."""
     scale = 1.0 + float(np.linalg.norm(x))
-    h2 = FD_STEP_2 * scale
-    d2 = _axis_differences(field.jacobian, x, h2)
-    if s < 3:
-        return d2, None
-    h3 = FD_STEP_3 * scale
-    return d2, _axis_differences(lambda y: _axis_differences(field.jacobian, y, h2), x, h3)
+    steps = (FD_STEP_1 * scale, FD_STEP_2 * scale, FD_STEP_3 * scale)
+    if field.table is None and not field.has_analytic_jacobian:
+        jet = _central_differences(field.eval_many, x, [steps[:j] for j in range(s + 1)])
+    else:
+        jet = [field(x)] + ([field.jacobian(x)] if s >= 1 else [])
+        if s >= 2 and field.table is not None:
+            d2 = field.table.derivative.derivative
+            jet += [d2(x)] + ([d2.derivative(x)] if s >= 3 else [])
+        elif s >= 2:
+            def jacobians(points):
+                return np.array([field.jacobian(p) for p in points])
+            jet += _central_differences(jacobians, x, [steps[1:j] for j in range(3, s + 2)])
+    return jet + [None] * (4 - len(jet))
 
 
 def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
@@ -335,8 +405,11 @@ def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
     as tensors.  A field with a monomial table takes them exactly from the
     table's derivatives.  Otherwise D2 comes from central differences of the
     Jacobian along the coordinate axes (step ``FD_STEP_2``) and D3 from
-    central differences of D2 along the axes (step ``FD_STEP_3``), which
-    takes 1 + 2d Jacobians at order 2 and 1 + 2d + 4d^2 at order 3.  Their
+    central differences of D2 along the axes (step ``FD_STEP_3``): 2d
+    Jacobians at order 2 and 2d + 4d^2 more at order 3.  A field without an
+    analytic Jacobian takes its Jacobians by central differences too, and
+    its whole jet from one ``eval_many`` of 1 + 2d + 4d^2 points at order 2
+    (8d^3 more at order 3).  Their
     multilinear norms are estimated by contracting the tensors with
     canonical and random unit directions (at least ``tuple_samples`` random
     ones) and maximizing the induced operator norm of each contraction over
@@ -351,12 +424,12 @@ def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
     if rng is None:
         rng = np.random.default_rng(0)
 
-    total = vector_norm(field(x), space.norm_kind)
+    value, jacobian, d2, d3 = _jet_tensors(field, x, s)
+    total = vector_norm(value, space.norm_kind)
     if s >= 1:
-        total += operator_norm(field.jacobian(x), space.norm_kind)
+        total += operator_norm(jacobian, space.norm_kind)
     if s >= 2:
         dirs = _unit_vectors(space, rng, tuple_samples)
-        d2, d3 = _derivative_tensors(field, x, s)
         total += operator_norm(np.tensordot(dirs, d2, axes=([1], [2])), space.norm_kind).max()
         if s >= 3:
             best3 = 0.0
@@ -392,8 +465,8 @@ def estimate_lb_bound(family: FieldFamily, region: Ball, s: int, samples: int,
     supremum over ``samples`` region points and all members is inflated by
     ``safety`` so that downstream radius guards stay conservative.  Each
     point and member costs one :func:`eval_jet_norm`, whose derivative
-    tensors take 1 + 2d Jacobians at order 2 and 1 + 2d + 4d^2 at order 3
-    in dimension d; the jet directions come from the stream seeded with
+    tensors take 2d Jacobians at order 2 and 2d + 4d^2 more at order 3 in
+    dimension d; the jet directions come from the stream seeded with
     ``rng_seed + 1``.
     """
     if samples < 1:

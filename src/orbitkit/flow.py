@@ -8,6 +8,14 @@ the state but discontinuous in time exactly there, so no step ever straddles
 a boundary.  The combination ``sum_a u_a(t) X_a(x)`` is evaluated lazily over
 the support of the active piece only; bang-bang controls therefore cost one
 field evaluation per stage regardless of family size.
+
+The stepper advances a stack of rows stored back to back: a single
+trajectory is the one-row case.  Each row is a point, optionally followed by
+the variational matrix (single trajectories) or by one tangent vector
+transported by the linearised flow.  All rows share one step sequence, sized
+by the worst row, and every row is checked against the working region.
+:meth:`FlowWord.lockstep` runs a word over many start points this way, with
+one batched field evaluation per stage.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain, StepUnderflow
-from .fields import FieldFamily, LbRecord, VectorField
-from .space import Ball, L1Coefficients
+from .fields import FieldFamily, LbRecord, VectorField, finite_difference_jvp
+from .space import Ball, L1Coefficients, _row_norms
 
 DEFAULT_TOL = 1e-9
 DOMAIN_INFLATE = 1e-12
@@ -180,35 +188,83 @@ class FlowResult:
 
 
 class _Rhs:
-    """Right-hand side ``sum_a w_a X_a`` for one control piece, with the
-    variational equation ``V' = (sum_a w_a DX_a) V`` stacked behind it.
-    Autonomous: it reads the state only."""
+    """Right-hand side ``sum_a w_a X_a`` for one control piece, over a stack
+    of rows stored back to back.  Each row is a point followed by what it
+    carries: nothing, the variational matrix of ``V' = (sum_a w_a DX_a) V``
+    (``carry="variational"``, one row only) or a tangent vector of
+    ``w' = (sum_a w_a DX_a) w`` (``carry="tangent"``).  A single row is
+    evaluated point by point, which is faster than a one-row batch; more
+    rows go through each member's ``eval_many``.  Autonomous: it reads the
+    state only."""
 
-    __slots__ = ("members", "weights", "with_var", "dim")
+    __slots__ = ("pairs", "carry", "dim", "width")
 
-    def __init__(self, members, weights, with_var: bool, dim: int):
-        self.members = members
-        self.weights = weights
-        self.with_var = with_var
+    def __init__(self, members, weights, dim: int, carry: str | None = None):
+        self.pairs = tuple(zip(members, weights))
+        self.carry = carry
         self.dim = dim
+        self.width = dim + {None: 0, "tangent": dim, "variational": dim * dim}[carry]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         d = self.dim
-        x = y[:d]
-        out = np.zeros_like(y)
-        for m, w in zip(self.members, self.weights):
-            out[:d] += w * m(x)
-        if self.with_var:
-            J = np.zeros((d, d))
-            for m, w in zip(self.members, self.weights):
-                J += w * m.jacobian(x)
-            out[d:] = (J @ y[d:].reshape(d, d)).ravel()
+        out = np.zeros(y.size)
+        if y.size == self.width:
+            x = y[:d]
+            for m, w in self.pairs:
+                out[:d] += w * m(x)
+            if self.carry == "variational":
+                J = np.zeros((d, d))
+                for m, w in self.pairs:
+                    J += w * m.jacobian(x)
+                out[d:] = (J @ y[d:].reshape(d, d)).ravel()
+            elif self.carry == "tangent":
+                for m, w in self.pairs:
+                    out[d:] += w * _derivative_along(m, x, y[d:])
+            return out
+        Y, O = y.reshape(-1, self.width), out.reshape(-1, self.width)
+        for m, w in self.pairs:
+            O[:, :d] += w * m.eval_many(Y[:, :d])
+        if self.carry == "tangent":
+            for m, w in self.pairs:
+                O[:, d:] += w * _derivative_along(m, Y[:, :d], Y[:, d:])
         return out
 
 
-def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol: float,
-                       region: Ball, stats: dict) -> np.ndarray:
-    """Advance y through [t0, t1] (either direction) with DP 5(4) steps."""
+def _derivative_along(m: VectorField, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``DX(x) w`` at one point (1-D) or at each row (2-D): from the monomial
+    table's derivative for a stack of rows, from the analytic Jacobian, or
+    by one central difference along w, which takes two evaluations where a
+    finite-difference Jacobian takes 2d."""
+    if x.ndim == 2 and m.table is not None:
+        return (m.table.derivative.eval_many(x) @ w[:, :, None])[:, :, 0]
+    if not m.has_analytic_jacobian:
+        return finite_difference_jvp(m, x, w)
+    if x.ndim == 1:
+        return m.jacobian(x) @ w
+    return np.stack([m.jacobian(p) @ q for p, q in zip(x, w)])
+
+
+def _check_region(region: Ball, y: np.ndarray, rows: int, dim: int, t: float, what: str) -> None:
+    """Raise :class:`LeftDomain` at the first row whose point is not in the
+    region (a NaN point is not in it)."""
+    points = y.reshape(rows, -1)[:, :dim]
+    inside = _row_norms(points - region.center, region.norm_kind) <= region.radius + DOMAIN_INFLATE
+    if not inside.all():
+        row = int(np.argmin(inside))
+        raise LeftDomain(f"{what} at t={t}", last_point=points[row].copy(), last_time=t)
+
+
+def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim: int,
+                       tol: float, region: Ball, stats: dict) -> np.ndarray:
+    """Advance ``rows`` states stored back to back in ``y0`` through [t0, t1]
+    (either direction) with DP 5(4) steps.
+
+    All rows share one step sequence.  A step is accepted when every row's
+    error is within that row's own scale ``tol*|h|*(1 + max|y_row|)``, and
+    the step factor comes from the worst row, so one row takes exactly the
+    steps of a single trajectory.  A row leaving the region raises
+    :class:`LeftDomain`.
+    """
     span = t1 - t0
     direction = 1.0 if span > 0 else -1.0
     t = t0
@@ -225,17 +281,17 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol:
         for i in range(1, 7):
             yi = y + hA[i, :i] @ K[:i]
             K[i] = rhs(yi)
-        scale = tol * abs(h) * (1.0 + float(np.max(np.abs(y))))
-        err = float(np.max(np.abs(h * (_E @ K))))
-        if err <= scale:
+        scales = tol * abs(h) * (1.0 + np.abs(y).reshape(rows, -1).max(axis=1))
+        errs = np.abs(h * (_E @ K)).reshape(rows, -1).max(axis=1)
+        worst = int(np.argmax(errs / scales))
+        scale, err = float(scales[worst]), float(errs[worst])
+        if (errs <= scales).all():
             t = t + h
             y = yi  # the stage-7 input is the fifth-order solution
             K[0] = K[6]  # FSAL
             stats["steps"] += 1
             stats["err"] += err
-            if not region.contains(y[:dim], inflate=DOMAIN_INFLATE):
-                raise LeftDomain(f"trajectory left the working region at t={t}",
-                                 last_point=y[:dim].copy(), last_time=t)
+            _check_region(region, y, rows, dim, t, "trajectory left the working region")
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
             h *= grow
         else:
@@ -243,20 +299,24 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, dim: int, tol:
     return y
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
+
+
 def _flow(x0: np.ndarray, t0: float, segments, with_var: bool, tol: float,
           region: Ball, certificate: ExistenceCertificate | None) -> FlowResult:
     """The one integration core behind :func:`flow_control` and
-    :func:`flow_single`.
+    :func:`flow_single`: one trajectory, the one-row case of the stepper.
 
     ``segments`` are consecutive ``(t_end, rhs)`` pieces starting at ``t0``;
     ``rhs=None`` is the zero control, over which the state is stationary.
     A flow without segments returns its start point without stepping.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
+    _check_tol(tol)
     dim = x0.size
-    if segments and not region.contains(x0, inflate=DOMAIN_INFLATE):
-        raise LeftDomain("start point outside the working region", last_point=x0, last_time=t0)
+    if segments:
+        _check_region(region, x0, 1, dim, t0, "start point outside the working region")
     y = x0.copy()
     if with_var:
         y = np.concatenate([y, np.eye(dim).ravel()])
@@ -264,7 +324,7 @@ def _flow(x0: np.ndarray, t0: float, segments, with_var: bool, tol: float,
     a = t0
     for b, rhs in segments:
         if rhs is not None:
-            y = _integrate_segment(rhs, a, b, y, dim, tol, region, stats)
+            y = _integrate_segment(rhs, a, b, y, 1, dim, tol, region, stats)
         a = b
     return FlowResult(endpoint=y[:dim].copy(),
                       endpoint_variational=y[dim:].reshape(dim, dim) if with_var else None,
@@ -303,7 +363,8 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
         rhs = None
         if coeff is not None and coeff.entries:
             rhs = _Rhs([family.members[i] for i in coeff.support],
-                       [v for _, v in coeff.entries], with_variational, dim)
+                       [v for _, v in coeff.entries], dim,
+                       "variational" if with_variational else None)
         segments.append((b, rhs))
     return _flow(x0, t0, segments, with_variational, tol, work_region, certificate)
 
@@ -316,7 +377,8 @@ def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_T
     (and an exact identity variational matrix) without stepping.
     """
     x0 = np.asarray(x0, dtype=float)
-    segments = [(t, _Rhs((X,), (1.0,), with_variational, x0.size))] if t else []
+    carry = "variational" if with_variational else None
+    segments = [(t, _Rhs((X,), (1.0,), x0.size, carry))] if t else []
     return _flow(x0, 0.0, segments, with_variational, tol,
                  region if region is not None else X.domain, None)
 
@@ -352,6 +414,32 @@ class FlowWord:
             if with_variational:
                 M = res.endpoint_variational @ M
             yield y, M
+
+    def lockstep(self, members, points: np.ndarray, tangents: np.ndarray | None = None,
+                 tol: float = DEFAULT_TOL, region: Ball | None = None):
+        """The word over a stack of start points ``(N, d)`` in lockstep: each
+        letter is one DP 5(4) run over all rows, which share its step
+        sequence.  With ``tangents`` ``(N, d)``, row i carries a tangent
+        vector through the linearised flow and ends as the derivative of the
+        word at ``points[i]`` applied to ``tangents[i]``.  Returns the end
+        points and the carried tangents (``None`` without).  A row that
+        leaves the region (each letter's member domain when ``region`` is
+        ``None``) raises :class:`LeftDomain`."""
+        _check_tol(tol)
+        X = np.asarray(points, dtype=float)
+        rows, dim = X.shape
+        carry = None if tangents is None else "tangent"
+        y = X.ravel() if tangents is None else np.concatenate([X, tangents], axis=1).ravel()
+        stats = {"steps": 0, "err": 0.0}
+        for idx, t in self.letters:
+            if t:
+                m = members[idx]
+                where = region if region is not None else m.domain
+                _check_region(where, y, rows, dim, 0.0, "start point outside the working region")
+                y = _integrate_segment(_Rhs((m,), (1.0,), dim, carry), 0.0, t, y, rows, dim,
+                                       tol, where, stats)
+        Y = y.reshape(rows, -1)
+        return Y[:, :dim].copy(), (None if tangents is None else Y[:, dim:].copy())
 
     def apply(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
               region: Ball | None = None) -> np.ndarray:

@@ -5,7 +5,7 @@ from orbitkit.catalog import (affine_l1, commuting_constants, grushin, heisenber
                               heisenberg_full, operator_family)
 from orbitkit.algebra import (FlowWord, _grid_in_region, bracket_chain, bracket_field,
                               certify_h_prime, enlarge_field, lie_bracket, lie_bracket_via_flows)
-from orbitkit.errors import OutOfDomain
+from orbitkit.errors import OutOfDomain, WordNotIntegrable
 from orbitkit.fields import (FieldFamily, LbRecord, VectorField, estimate_lb_bound,
                              polynomial_field)
 from orbitkit.flow import flow_single
@@ -23,6 +23,38 @@ def combo(a, X, b, Y, label="combo"):
         return a * X.jacobian(x) + b * Y.jacobian(x)
 
     return VectorField(domain=X.domain, eval_fn=ev, jacobian_fn=jac, label=label)
+
+
+def wave_family(dim, rng):
+    """Callable fields with neither a Jacobian nor a table on R^dim:
+    X1 = e0 and X2 = sum_k a_k sin(k x0 + p_k) e_k, as in the benchmark's
+    wave families."""
+    amps = rng.uniform(0.5, 1.0, dim - 1)
+    phases = rng.uniform(0.0, 2 * np.pi, dim - 1)
+    k = np.arange(1, dim)
+    dom = ball(np.zeros(dim), 3.0)
+    e0 = np.eye(dim)[0]
+
+    def x2(x):
+        v = np.zeros(dim)
+        v[1:] = amps * np.sin(k * x[0] + phases)
+        return v
+
+    members = (VectorField(dom, lambda x: e0.copy(), label="W1"), VectorField(dom, x2, label="W2"))
+    return FieldFamily(space=ChartSpace(dim), members=members, common_domain=dom)
+
+
+def _enlargement_cases(heis, heis_lb, rng):
+    """Heisenberg and wave families of dimensions 2 to 4, each with its lb."""
+    yield heis, heis_lb
+    for dim in (2, 3, 4):
+        fam = wave_family(dim, rng)
+        yield fam, estimate_lb_bound(fam, fam.common_domain, 2, 5, force_sampled=True)
+
+
+def _random_word(fam, rng):
+    return FlowWord(tuple((int(rng.integers(0, len(fam))), float(rng.uniform(-0.4, 0.4)))
+                          for _ in range(int(rng.integers(1, 4)))))
 
 
 class TestLieBracket:
@@ -126,6 +158,63 @@ class TestEnlargement:
             mid = flow_single(heis.members[base], z, nu * t, tol=ftol).endpoint
             rhs = word.apply(heis, mid, tol=ftol)
             assert np.abs(lhs - rhs).max() <= 10 * ftol * (1 + np.abs(rhs).max())
+
+    def test_conjugation_identity_without_jacobians(self, rng):
+        # the tangent run differentiates the wave members by central
+        # differences along the carried vector
+        ftol = 1e-8
+        for dim in (2, 3, 4):
+            fam = wave_family(dim, rng)
+            lb = estimate_lb_bound(fam, fam.common_domain, 2, 5, force_sampled=True)
+            for _ in range(3):
+                word = _random_word(fam, rng)
+                base = int(rng.integers(0, 2))
+                nu = float(rng.uniform(0.5, 2.0))
+                Y = enlarge_field(fam, word, base, nu, lb, tol=ftol)
+                x = rng.uniform(-0.3, 0.3, dim)
+                t = float(rng.uniform(-0.3, 0.3))
+                lhs = flow_single(Y, x, t, tol=ftol).endpoint
+                z = word.inverse().apply(fam, x, tol=ftol)
+                mid = flow_single(fam.members[base], z, nu * t, tol=ftol).endpoint
+                rhs = word.apply(fam, mid, tol=ftol)
+                assert np.abs(lhs - rhs).max() <= 10 * ftol * (1 + np.abs(rhs).max())
+
+    def test_eval_many_matches_the_variational_formula(self, heis, heis_lb, rng):
+        ftol = 1e-8
+        for fam, lb in _enlargement_cases(heis, heis_lb, rng):
+            dim = fam.space.dimension
+            for _ in range(3):
+                word = _random_word(fam, rng)
+                base = int(rng.integers(0, len(fam)))
+                nu = float(rng.uniform(0.5, 2.0))
+                Y = enlarge_field(fam, word, base, nu, lb, tol=ftol)
+                P = rng.uniform(-0.3, 0.3, (5, dim))
+                got = Y.eval_many(P)
+                assert got.shape == P.shape
+                for x, v in zip(P, got):
+                    z = word.inverse().apply(fam, x, tol=ftol)
+                    _, M = word.apply_with_variational(fam, z, tol=ftol)
+                    ref = M @ (nu * fam.members[base](z))
+                    assert np.abs(v - ref).max() <= 10 * ftol * (1 + np.abs(v).max())
+                    assert np.abs(Y(x) - ref).max() <= 10 * ftol * (1 + np.abs(v).max())
+
+    def test_a_row_leaving_the_region_fails_the_stack(self):
+        dom = ball([0, 0], 1.0)
+        fam = FieldFamily(space=ChartSpace(2),
+                          members=(polynomial_field(dom, [((1.0, (0, 0)),), ()], label="X1"),
+                                   polynomial_field(dom, [(), ((1.0, (1, 0)),)], label="xdy")),
+                          common_domain=dom)
+        lb = LbRecord(order_s=2, bound_k=100.0, region=dom)
+        # the backward word moves every point by -0.9995 along the first axis
+        Z = enlarge_field(fam, FlowWord(((0, 0.9995),)), 1, 1.0, lb)
+        assert np.allclose(Z(np.zeros(2)), [0.0, -0.9995], atol=1e-8)
+        P = np.array([[0.0, 0.0], [-0.01, 0.0], [0.0, 0.01]])
+        assert np.allclose(Z.eval_many(P[[0, 2]]), [[0.0, -0.9995]] * 2, atol=1e-8)
+        with pytest.raises(WordNotIntegrable):
+            Z.eval_many(P)
+        # the order-2 screen's shifted points at the center include such rows
+        assert Z.screen_jet == float("inf")
+        assert not Z.in_enlargement
 
     def test_idempotence_composes_words(self, heis, heis_lb):
         ftol = 1e-8

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit.catalog import affine_l1, grushin, heisenberg
-from orbitkit.errors import GuardViolated, TailNotSummable
+from orbitkit.errors import GuardViolated, InvalidArgument, TailNotSummable
 from orbitkit.compose import (compose_flows, compose_inverse, d_psi, extract_l1_curve,
                               gamma_control, psi_chart)
 from orbitkit.fields import LbRecord, estimate_lb_bound
@@ -187,6 +187,53 @@ class TestPathEquivalence:
         a = compose_flows(fam, heis_lb, tau, np.zeros(3), unsafe=True).endpoint
         b = compose_flows(swapped, heis_lb, tau, np.zeros(3), unsafe=True).endpoint
         assert abs((a[2] - b[2]) - 1.0) <= 1e-5
+
+
+class TestLettersBelowTheFloatSpacing:
+    """A letter shorter than the float spacing at its start time must not
+    become a zero-length control piece: the control path runs the word and
+    agrees with the sequential one."""
+
+    CASES = [
+        (lambda: heisenberg(), L1Coefficients(((0, 0.1), (1, 1e-18))), 2),
+        (lambda: affine_l1(8, 4, linear_part=True),
+         L1Coefficients(((0, 0.1), (1, 1e-18), (2, 0.05))), None),
+    ]
+
+    @pytest.mark.parametrize("build, tau, truncation_n", CASES)
+    @pytest.mark.parametrize("compose", [compose_flows, compose_inverse])
+    def test_control_agrees_with_sequential(self, build, tau, truncation_n, compose):
+        fam = build()
+        lb = estimate_lb_bound(fam, fam.common_domain, 2, 30)
+        x = np.full(fam.space.dimension, 0.05)
+        a = compose(fam, lb, tau, x, tol=TOL, truncation_n=truncation_n, path="control")
+        b = compose(fam, lb, tau, x, tol=TOL, truncation_n=truncation_n, path="sequential")
+        assert a.word == b.word and any(abs(d) == 1e-18 for _, d in a.word)
+        assert np.abs(a.endpoint - b.endpoint).max() <= TOL * (1 + np.abs(b.endpoint).max())
+
+    def test_gamma_control_drops_only_the_empty_piece(self):
+        u = gamma_control(L1Coefficients(((0, 0.1), (1, 1e-18), (2, 0.05))))
+        assert [c.support for _, _, c in u.pieces] == [(0,), (2,)]
+        assert u.pieces[0][1] == u.pieces[1][0]
+
+
+class TestIndicesWithoutMembers:
+    @pytest.mark.parametrize("path", ["control", "sequential"])
+    @pytest.mark.parametrize("compose", [compose_flows, compose_inverse])
+    def test_invalid_argument(self, heis, heis_lb, compose, path):
+        tau = L1Coefficients(((0, 0.1), (5, 0.05)))
+        with pytest.raises(InvalidArgument, match="index 5 has no family member"):
+            compose(heis, heis_lb, tau, np.zeros(3), tol=TOL, path=path)
+
+    def test_dropped_tail_may_lie_beyond_the_family(self, heis, heis_lb):
+        tau = L1Coefficients(((0, 0.1), (5, 0.05)))
+        res = compose_flows(heis, heis_lb, tau, np.zeros(3), tol=TOL, truncation_n=1)
+        assert res.word == ((0, 0.1),)
+
+    def test_sigma_of_the_differential(self, heis, heis_lb):
+        with pytest.raises(InvalidArgument):
+            d_psi(heis, heis_lb, np.zeros(3), L1Coefficients(((0, 0.1),)),
+                  L1Coefficients(((4, 1.0),)))
 
 
 class TestChartDifferential:

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from orbitkit.algebra import FlowWord, bracket_field, enlarge_field, lie_bracket
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, heisenberg_full
 from orbitkit.errors import InvalidArgument, OrderTooHigh, OutOfDomain
-from orbitkit.fields import (FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily, _unit_vectors,
-                             calculus, constant_field, estimate_lb_bound, eval_jet_norm,
-                             finite_difference_jacobian, polynomial_field)
+from orbitkit.fields import (FD_STEP_1, FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily,
+                             VectorField, _unit_vectors, calculus, constant_field,
+                             estimate_lb_bound, eval_jet_norm, finite_difference_jacobian,
+                             finite_difference_jvp, polynomial_field)
 from orbitkit.space import ChartSpace, ball, operator_norm, vector_norm
 
 
@@ -259,6 +260,33 @@ class TestJacobians:
                 J_fd = finite_difference_jacobian(m, x)
                 scale = max(1.0, float(np.abs(J).max()))
                 assert np.abs(J - J_fd).max() <= 1e-5 * scale
+
+
+    @staticmethod
+    def _untabled():
+        # neither a table nor a Jacobian: differenced through eval_many
+        return VectorField(ball([0, 0, 0], 4.0), label="S", eval_fn=lambda x: np.array(
+            [np.sin(x[1]) * x[2], np.cos(x[0]), x[0] * x[1] ** 2]))
+
+    def test_batched_jacobian_matches_the_axis_loop(self, rng):
+        X = self._untabled()
+        for _ in range(5):
+            x = rng.uniform(-1, 1, 3)
+            h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
+            ref = np.stack([X(x + e) - X(x - e) for e in h * np.eye(3)], axis=-1) / (2.0 * h)
+            assert np.array_equal(finite_difference_jacobian(X, x), ref)
+
+    def test_jvp_rows_match_single_points(self, rng):
+        X = self._untabled()
+        P = rng.uniform(-1, 1, (6, 3))
+        V = rng.normal(size=(6, 3))
+        V[2] = 0.0
+        rows = finite_difference_jvp(X, P, V)
+        assert np.array_equal(rows[2], np.zeros(3))
+        for x, v, row in zip(P, V, rows):
+            assert np.array_equal(row, finite_difference_jvp(X, x, v))
+            ref = finite_difference_jacobian(X, x) @ v
+            assert np.abs(row - ref).max() <= 1e-6 * (1 + np.abs(v).max())
 
 
 class TestEstimateLbBound:

@@ -4,8 +4,8 @@ import pytest
 from orbitkit.catalog import commuting_constants, grushin, heisenberg
 from orbitkit.errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain
 from orbitkit.fields import FieldFamily, LbRecord, polynomial_field
-from orbitkit.flow import (Control, check_existence, constant_control, flow_control,
-                           flow_single)
+from orbitkit.flow import (Control, FlowWord, _integrate_segment, _Rhs, check_existence,
+                           constant_control, flow_control, flow_single)
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
 TOL = 1e-9
@@ -306,6 +306,45 @@ class TestStepperReference:
             assert res.steps_taken == ref_steps
             assert np.abs(res.endpoint - ref_x).max() <= 1e-13 * (1 + np.abs(ref_x).max())
             assert np.abs(res.endpoint_variational - ref_M).max() <= 1e-13 * (1 + np.abs(ref_M).max())
+
+
+class TestLockstep:
+    def test_rows_match_separate_one_row_runs(self, rng):
+        for X in _law_catalog():
+            dim = X.domain.center.size
+            for carry in (None, "tangent"):
+                rows = int(rng.integers(2, 6))
+                width = dim if carry is None else 2 * dim
+                y0 = rng.uniform(-0.5, 0.5, (rows, width))
+                t = float(rng.uniform(-0.8, 0.8))
+                rhs = _Rhs((X,), (1.0,), dim, carry)
+                stats = {"steps": 0, "err": 0.0}
+                got = _integrate_segment(rhs, 0.0, t, y0.ravel(), rows, dim, TOL, X.domain, stats)
+                for row, y in zip(got.reshape(rows, width), y0):
+                    one = _integrate_segment(rhs, 0.0, t, y, 1, dim, TOL, X.domain,
+                                             {"steps": 0, "err": 0.0})
+                    assert np.abs(row - one).max() <= TOL * (1 + np.abs(one).max())
+                # rows share the step sequence of the hardest one
+                assert stats["steps"] >= 1
+
+    def test_tangents_are_the_variational_matrix_applied(self, heis, rng):
+        for _ in range(5):
+            word = FlowWord(tuple((int(rng.integers(0, 2)), float(rng.uniform(-0.5, 0.5)))
+                                  for _ in range(3)))
+            P = rng.uniform(-0.5, 0.5, (4, 3))
+            V = rng.normal(size=(4, 3))
+            ends, W = word.lockstep(heis.members, P, V, tol=TOL)
+            for x, v, end, w in zip(P, V, ends, W):
+                ref_end, M = word.apply_with_variational(heis, x, tol=TOL)
+                assert np.abs(end - ref_end).max() <= 10 * TOL * (1 + np.abs(ref_end).max())
+                assert np.abs(w - M @ v).max() <= 10 * TOL * (1 + np.abs(w).max())
+
+    def test_a_row_leaving_the_region_raises(self):
+        fam = commuting_constants(2, 2)
+        P = np.array([[0.0, 0.0], [7.5, 0.0]])
+        with pytest.raises(LeftDomain) as info:
+            FlowWord(((0, 1.0),)).lockstep(fam.members, P, tol=TOL, region=ball([0, 0], 8.0))
+        assert info.value.last_point[0] > 8.0
 
 
 def polynomial_like_scale(X, factor):
