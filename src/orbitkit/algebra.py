@@ -95,26 +95,20 @@ class EnlargedField(VectorField):
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Values at the rows of ``points`` (N, d) from two lockstep word
-        runs; any row whose word leaves the region raises
+        runs: the inverse word, run plain, gives the source points z; the
+        word run from z carries the tangents ``scale X_base(z)`` to the
+        values.  Any row whose word leaves the region raises
         :class:`WordNotIntegrable`."""
-        return _pushforward(self.family, self.word, self.base_index, self.scale,
-                            self.domain, self.tol, np.asarray(points, dtype=float))
-
-
-def _pushforward(family: FieldFamily, word: FlowWord, base_index: int, nu: float,
-                 region: Ball, tol: float, points: np.ndarray) -> np.ndarray:
-    """``nu X_base`` pushed forward through the word at the rows of
-    ``points``: the inverse word, run plain, gives the source points z; the
-    word run from z carries the tangents ``nu X_base(z)`` to the values."""
-    members = family.members
-    try:
-        z, _ = word.inverse().lockstep(members, points, tol=tol, region=region)
-        _, values = word.lockstep(members, z, nu * members[base_index].eval_many(z),
-                                  tol=tol, region=region)
-    except (LeftDomain, StepUnderflow) as exc:
-        where = points[0] if len(points) == 1 else f"one of {len(points)} points"
-        raise WordNotIntegrable(f"conjugating word not integrable from {where}") from exc
-    return values
+        points = np.asarray(points, dtype=float)
+        members, tol, region = self.family.members, self.tol, self.domain
+        try:
+            z, _ = self.word.inverse().lockstep(members, points, tol=tol, region=region)
+            tangents = self.scale * members[self.base_index].eval_many(z)
+            _, values = self.word.lockstep(members, z, tangents, tol=tol, region=region)
+        except (LeftDomain, StepUnderflow) as exc:
+            where = points[0] if len(points) == 1 else f"one of {len(points)} points"
+            raise WordNotIntegrable(f"conjugating word not integrable from {where}") from exc
+        return values
 
 
 def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: float,
@@ -140,7 +134,7 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
     region = lb.region
 
     def ev(x: np.ndarray) -> np.ndarray:
-        return _pushforward(family, word, base_index, nu, region, tol, x[None])[0]
+        return probe.eval_many(x[None])[0]
 
     probe = EnlargedField(domain=region, eval_fn=ev, jacobian_fn=None,
                           label=f"({base.label}|w{len(word.letters)},nu={nu:g})",

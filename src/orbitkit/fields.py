@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,10 +146,9 @@ class VectorField:
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Values at the rows of ``points`` (N, d): one batched table
-        evaluation for a tabled field with more than one row, one call per
-        point otherwise (``eval_fn`` is faster on a single point)."""
+        evaluation for a tabled field, one call per point otherwise."""
         points = np.asarray(points, dtype=float)
-        if self.table is not None and len(points) > 1:
+        if self.table is not None:
             return self.table.eval_many(points)
         return np.array([self(x) for x in points]).reshape(points.shape)
 
@@ -178,29 +177,16 @@ def finite_difference_jvp(field: VectorField, x: np.ndarray, v: np.ndarray) -> n
     a finite-difference Jacobian takes 2d.  The step is ``FD_STEP_1`` scaled
     by 1+|x|, taken along the unit vector of v; a zero v gives zero.  Rows of
     2-D ``x`` and ``v`` are separate points, all evaluated in one
-    ``eval_many``; a single point is evaluated directly."""
+    ``eval_many``; a single point is the one-row case."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.ndim == 1:
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return np.zeros_like(v)
-        h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
-        shift = h * (v / nv)
-        return nv * (field(x + shift) - field(x - shift)) / (2.0 * h)
+        return finite_difference_jvp(field, x[None], v[None])[0]
     nv = _row_norms(v, "euclidean")[:, None]
     h = FD_STEP_1 * (1.0 + _row_norms(x, "euclidean"))[:, None]
     shift = h * np.divide(v, nv, out=np.zeros_like(v), where=nv > 0.0)
     values = field.eval_many(np.concatenate([x + shift, x - shift]))
     return nv * (values[:len(x)] - values[len(x):]) / (2.0 * h)
-
-
-@lru_cache(maxsize=32)
-def _axis_signs(d: int) -> np.ndarray:
-    """The rows +e_0, -e_0, +e_1, -e_1, ... of dimension d (read-only)."""
-    signs = np.stack([np.eye(d), -np.eye(d)], axis=1).reshape(2 * d, d)
-    signs.flags.writeable = False
-    return signs
 
 
 def _central_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -212,7 +198,7 @@ def _central_differences(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     ``fn`` maps a stack of points ``(N, d)`` to their values, and every
     shifted point of every tuple goes through one call of it."""
     d = x.size
-    signs = _axis_signs(d)
+    signs = np.stack([np.eye(d), -np.eye(d)], axis=1).reshape(2 * d, d)  # +e_0, -e_0, +e_1, ...
     stencils = []
     for steps in step_sets:
         points = x
@@ -391,7 +377,7 @@ def _jet_tensors(field: VectorField, x: np.ndarray, s: int) -> list:
         elif s >= 2:
             def jacobians(points):
                 return np.array([field.jacobian(p) for p in points])
-            jet += _central_differences(jacobians, x, [steps[1:j] for j in range(3, s + 2)])
+            jet += _central_differences(jacobians, x, [steps[1:j] for j in range(2, s + 1)])
     return jet + [None] * (4 - len(jet))
 
 
@@ -405,8 +391,8 @@ def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
     as tensors.  A field with a monomial table takes them exactly from the
     table's derivatives.  Otherwise D2 comes from central differences of the
     Jacobian along the coordinate axes (step ``FD_STEP_2``) and D3 from
-    central differences of D2 along the axes (step ``FD_STEP_3``): 2d
-    Jacobians at order 2 and 2d + 4d^2 more at order 3.  A field without an
+    central differences of D2 along the axes (step ``FD_STEP_3``): 1 + 2d
+    Jacobians at order 2 and 1 + 2d + 4d^2 at order 3.  A field without an
     analytic Jacobian takes its Jacobians by central differences too, and
     its whole jet from one ``eval_many`` of 1 + 2d + 4d^2 points at order 2
     (8d^3 more at order 3).  Their
@@ -465,8 +451,8 @@ def estimate_lb_bound(family: FieldFamily, region: Ball, s: int, samples: int,
     supremum over ``samples`` region points and all members is inflated by
     ``safety`` so that downstream radius guards stay conservative.  Each
     point and member costs one :func:`eval_jet_norm`, whose derivative
-    tensors take 2d Jacobians at order 2 and 2d + 4d^2 more at order 3 in
-    dimension d; the jet directions come from the stream seeded with
+    tensors take 1 + 2d Jacobians at order 2 and 1 + 2d + 4d^2 at order 3
+    in dimension d; the jet directions come from the stream seeded with
     ``rng_seed + 1``.
     """
     if samples < 1:

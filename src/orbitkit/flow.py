@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain, StepUnderflow
-from .fields import FieldFamily, LbRecord, VectorField, finite_difference_jvp
+from .fields import FD_STEP_1, FieldFamily, LbRecord, VectorField, finite_difference_jvp
 from .space import Ball, L1Coefficients, _row_norms
 
 DEFAULT_TOL = 1e-9
@@ -218,8 +218,17 @@ class _Rhs:
                     J += w * m.jacobian(x)
                 out[d:] = (J @ y[d:].reshape(d, d)).ravel()
             elif self.carry == "tangent":
+                # finite_difference_jvp of one row, in scalars: a third of
+                # its cost on a one-row stack
+                v = y[d:]
+                nv = float(np.linalg.norm(v))
+                h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
                 for m, w in self.pairs:
-                    out[d:] += w * _derivative_along(m, x, y[d:])
+                    if m.has_analytic_jacobian:
+                        out[d:] += w * (m.jacobian(x) @ v)
+                    elif nv > 0.0:
+                        shift = h * (v / nv)
+                        out[d:] += w * nv * (m(x + shift) - m(x - shift)) / (2.0 * h)
             return out
         Y, O = y.reshape(-1, self.width), out.reshape(-1, self.width)
         for m, w in self.pairs:
@@ -231,17 +240,14 @@ class _Rhs:
 
 
 def _derivative_along(m: VectorField, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``DX(x) w`` at one point (1-D) or at each row (2-D): from the monomial
-    table's derivative for a stack of rows, from the analytic Jacobian, or
-    by one central difference along w, which takes two evaluations where a
-    finite-difference Jacobian takes 2d."""
-    if x.ndim == 2 and m.table is not None:
+    """``DX(x) w`` at each row of x: from the monomial table's derivative,
+    from the analytic Jacobian, or by one central difference along w, which
+    takes two evaluations where a finite-difference Jacobian takes 2d."""
+    if m.table is not None:
         return (m.table.derivative.eval_many(x) @ w[:, :, None])[:, :, 0]
-    if not m.has_analytic_jacobian:
-        return finite_difference_jvp(m, x, w)
-    if x.ndim == 1:
-        return m.jacobian(x) @ w
-    return np.stack([m.jacobian(p) @ q for p, q in zip(x, w)])
+    if m.has_analytic_jacobian:
+        return np.stack([m.jacobian(p) @ q for p, q in zip(x, w)])
+    return finite_difference_jvp(m, x, w)
 
 
 def _check_region(region: Ball, y: np.ndarray, rows: int, dim: int, t: float, what: str) -> None:

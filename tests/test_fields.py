@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from orbitkit.algebra import FlowWord, bracket_field, enlarge_field, lie_bracket
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, heisenberg_full
 from orbitkit.errors import InvalidArgument, OrderTooHigh, OutOfDomain
 from orbitkit.fields import (FD_STEP_1, FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily,
-                             VectorField, _unit_vectors, calculus, constant_field,
+                             VectorField, _jet_tensors, _unit_vectors, calculus, constant_field,
                              estimate_lb_bound, eval_jet_norm, finite_difference_jacobian,
                              finite_difference_jvp, polynomial_field)
 from orbitkit.space import ChartSpace, ball, operator_norm, vector_norm
@@ -156,6 +158,31 @@ class TestTensorJets:
         assert got == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("kind", ["euclidean", "l1", "sup"])
+    @pytest.mark.parametrize("comps", [
+        # quadratic: D2 constant, D3 zero
+        [[(1.0, (0, 2, 0))], [(-0.5, (1, 0, 1)), (2.0, (0, 1, 0))], [(0.8, (2, 0, 0))]],
+        # cubic: D3 nonzero
+        [[(1.5, (3, 0, 0)), (-2.0, (1, 1, 1))], [(0.7, (0, 2, 1)), (1.0, (1, 0, 0))],
+         [(-1.2, (0, 0, 3)), (0.5, (2, 1, 0))]],
+    ], ids=["quadratic", "cubic"])
+    def test_analytic_jacobian_without_table_matches_the_table(self, comps, kind):
+        # D2 and D3 from central differences of the analytic Jacobian agree
+        # with the table's exact tensors, slot by slot and in the jet norm
+        space = ChartSpace(3, norm_kind=kind)
+        X = polynomial_field(ball(np.zeros(3), 4.0, kind), comps, label="poly")
+        untabled = replace(X, table=None)
+        assert untabled.has_analytic_jacobian
+        x = np.array([0.3, -0.6, 0.2])
+        exact, fd = _jet_tensors(X, x, 3), _jet_tensors(untabled, x, 3)
+        for order, rel in ((2, 1e-6), (3, 1e-3)):
+            assert fd[order].shape == exact[order].shape == (3,) * (order + 1)
+            assert np.abs(fd[order] - exact[order]).max() <= rel * (1.0 + np.abs(exact[order]).max())
+        for s, rel in ((2, 1e-6), (3, 1e-3)):
+            got = eval_jet_norm(untabled, x, s, space, rng=np.random.default_rng(11))
+            ref = eval_jet_norm(X, x, s, space, rng=np.random.default_rng(11))
+            assert got == pytest.approx(ref, rel=rel)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "l1", "sup"])
     def test_unit_vectors_match_sequential_draws(self, kind):
         space = ChartSpace(5, norm_kind=kind)
         got = _unit_vectors(space, np.random.default_rng(4), 40)
@@ -285,6 +312,11 @@ class TestJacobians:
         assert np.array_equal(rows[2], np.zeros(3))
         for x, v, row in zip(P, V, rows):
             assert np.array_equal(row, finite_difference_jvp(X, x, v))
+            nv = np.linalg.norm(v)
+            if nv > 0:
+                h = FD_STEP_1 * (1.0 + np.linalg.norm(x))
+                u = h * (v / nv)
+                assert np.array_equal(row, nv * (X(x + u) - X(x - u)) / (2.0 * h))
             ref = finite_difference_jacobian(X, x) @ v
             assert np.abs(row - ref).max() <= 1e-6 * (1 + np.abs(v).max())
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -310,7 +312,11 @@ class TestStepperReference:
 
 class TestLockstep:
     def test_rows_match_separate_one_row_runs(self, rng):
-        for X in _law_catalog():
+        # the last two are differenced: one row in scalars, a stack through
+        # finite_difference_jvp
+        fields = _law_catalog()
+        fields += [replace(X, table=None, jacobian_fn=None) for X in fields[-2:]]
+        for X in fields:
             dim = X.domain.center.size
             for carry in (None, "tangent"):
                 rows = int(rng.integers(2, 6))
