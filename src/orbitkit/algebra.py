@@ -11,12 +11,14 @@ evaluated by finite differences of Jacobian-vector products.
 Enlarged fields are pushforwards of scaled members through finite flow
 words.  Their evaluation runs the inverse word to find the source point and
 then the word from there, carrying the scaled member value as one tangent
-vector through the linearised flow (never the full variational matrix), so
+column through the linearised flow (never the full variational matrix), so
 the conjugation identity between their flows and the conjugated flows is
-testable rather than assumed.  A stack of points is evaluated by the same
-two word runs in lockstep (:meth:`EnlargedField.eval_many`), which is how
-their finite-difference Jacobians and jet screens evaluate all their
-shifted points at once.
+testable rather than assumed.  Both runs are :meth:`FlowWord.end` over a
+stack of points, each letter one ``flow_single`` call whose rows share a
+step sequence (:meth:`EnlargedField.eval_many`); that is how their
+finite-difference Jacobians and jet screens evaluate all their shifted
+points at once.  :func:`lie_bracket_via_flows` likewise carries the single
+tangent ``Y`` through the flow of ``X``.
 """
 
 from __future__ import annotations
@@ -67,9 +69,8 @@ def lie_bracket_via_flows(X: VectorField, Y: VectorField, x: np.ndarray) -> np.n
     t, tol = 1e-4, 1e-12
 
     def pushed(s: float) -> np.ndarray:
-        back = flow_single(X, x, -s, tol=tol, with_variational=False).endpoint
-        res = flow_single(X, back, s, tol=tol, with_variational=True)
-        return res.endpoint_variational @ Y(back)
+        back = flow_single(X, x, -s, tol=tol).endpoint
+        return flow_single(X, back, s, tol=tol, tangents=Y(back)).tangents
 
     return (pushed(-t) - pushed(t)) / (2.0 * t)
 
@@ -94,17 +95,17 @@ class EnlargedField(VectorField):
     tol: float = DEFAULT_TOL
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Values at the rows of ``points`` (N, d) from two lockstep word
-        runs: the inverse word, run plain, gives the source points z; the
-        word run from z carries the tangents ``scale X_base(z)`` to the
-        values.  Any row whose word leaves the region raises
-        :class:`WordNotIntegrable`."""
+        """Values at the rows of ``points`` (N, d) from two runs of the word
+        over the whole stack: the inverse word, run plain, gives the source
+        points z; the word run from z carries the tangents
+        ``scale X_base(z)`` to the values.  Any row whose word leaves the
+        region raises :class:`WordNotIntegrable`."""
         points = np.asarray(points, dtype=float)
         members, tol, region = self.family.members, self.tol, self.domain
         try:
-            z, _ = self.word.inverse().lockstep(members, points, tol=tol, region=region)
+            z, _ = self.word.inverse().end(members, points, tol, region)
             tangents = self.scale * members[self.base_index].eval_many(z)
-            _, values = self.word.lockstep(members, z, tangents, tol=tol, region=region)
+            _, values = self.word.end(members, z, tol, region, tangents)
         except (LeftDomain, StepUnderflow) as exc:
             where = points[0] if len(points) == 1 else f"one of {len(points)} points"
             raise WordNotIntegrable(f"conjugating word not integrable from {where}") from exc
@@ -118,7 +119,7 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
     eval(x) runs the inverse word from x to its source point z, then the
     word from z carrying the tangent vector ``nu X_base(z)``, whose end value
     is the pushforward; :meth:`EnlargedField.eval_many` does both runs over
-    a stack of points in lockstep.  Membership screening compares the jet
+    a stack of points at once.  Membership screening compares the jet
     norm at the region center against the family bound; its
     finite-difference Jacobian and derivative tensors evaluate their shifted
     points through ``eval_many``, and any of them leaving the region fails

@@ -17,6 +17,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import algebra, compose, flow, orbit
 from .catalog import BUILTIN_SUMMARIES
 from .errors import OrbitKitError, ParseError
@@ -88,15 +90,16 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         T0 = o["duration"]
         control = Control(pieces=tuple((a, b, L1Coefficients.from_pairs(pairs))
                                        for a, b, pairs in o["piece"]))
+        variational = np.eye(family.space.dimension) if o["variational"] else None
         res = flow.flow_control(family, control, x0, o["t0"], T0,
-                                with_variational=o["variational"], tol=tol, lb=lb, unsafe=unsafe)
+                                tangents=variational, tol=tol, lb=lb, unsafe=unsafe)
         results = [vector_leaf("endpoint", res.endpoint),
                    leaf("endpoint-tolerance", tol * (1.0 + abs(T0))),
                    leaf("steps", res.steps_taken),
                    leaf("est-local-error", res.est_local_error),
                    leaf("unsafe", res.certificate.unsafe)]
         if o["variational"]:
-            for i, row in enumerate(res.endpoint_variational):
+            for i, row in enumerate(res.tangents):
                 results.append(vector_leaf(f"variational-row-{i}", row))
         return _guarded(cmd, cfg, res.certificate, results)
 

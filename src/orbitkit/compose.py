@@ -228,7 +228,7 @@ def d_psi(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
                           for i in sorted(set(tau_map) | set(sigma.support))))
     P = np.eye(x.size)
     acc = np.zeros(x.size)
-    legs = word.legs(family.members, x, tol, lb.region, with_variational=True)
+    legs = word.legs(family.members, x, tol, lb.region, tangents=P)
     for (idx, _), (x_cur, P) in zip(word.letters, legs):
         s = sigma.get(idx)
         if s != 0.0:

@@ -1,6 +1,6 @@
 """Controlled-flow engine: integrate sums of family members driven by
-piecewise-constant controls, with existence-radius guards and variational
-(first-order sensitivity) co-integration.
+piecewise-constant controls, with existence-radius guards and tangent
+vectors (first-order sensitivities) co-integrated on demand.
 
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair.  Control
 piece boundaries are hard restart points: the right-hand side is smooth in
@@ -10,12 +10,15 @@ the support of the active piece only; bang-bang controls therefore cost one
 field evaluation per stage regardless of family size.
 
 The stepper advances a stack of rows stored back to back: a single
-trajectory is the one-row case.  Each row is a point, optionally followed by
-the variational matrix (single trajectories) or by one tangent vector
-transported by the linearised flow.  All rows share one step sequence, sized
-by the worst row, and every row is checked against the working region.
-:meth:`FlowWord.lockstep` runs a word over many start points this way, with
-one batched field evaluation per stage.
+trajectory is the one-row case, and :func:`flow_single` takes a stack of
+start points ``(N, d)`` as well as one point.  Each row is a point followed
+by ``k`` tangent columns moved by the linearised flow: none, one tangent
+vector, or the d columns of a variational matrix, which is the block that
+starts at the identity.  All rows share one step sequence, sized by the
+worst row, and every row is checked against the working region.
+:meth:`FlowWord.legs` is the one word runner: each letter is one
+:func:`flow_single` call over the whole stack, and :meth:`FlowWord.end` is
+its last leg.
 """
 
 from __future__ import annotations
@@ -175,13 +178,15 @@ def check_existence(family: FieldFamily, lb: LbRecord, u: Control, x0: np.ndarra
 class FlowResult:
     """Endpoint of a flow with its cost and the guard it enforced.
 
-    ``endpoint_variational`` is the first-derivative matrix of the endpoint
-    map with respect to the start point (``None`` without variational
-    data); ``certificate`` is ``None`` for an unguarded flow.
+    ``endpoint`` has the shape of the start points.  ``tangents`` are the
+    given tangent columns moved by the derivative of the endpoint map, in
+    the shape they were given (``None`` without); from the identity they
+    are its variational matrix.  ``certificate`` is ``None`` for an
+    unguarded flow.
     """
 
     endpoint: np.ndarray
-    endpoint_variational: np.ndarray | None
+    tangents: np.ndarray | None
     steps_taken: int
     est_local_error: float
     certificate: ExistenceCertificate | None = None
@@ -189,65 +194,71 @@ class FlowResult:
 
 class _Rhs:
     """Right-hand side ``sum_a w_a X_a`` for one control piece, over a stack
-    of rows stored back to back.  Each row is a point followed by what it
-    carries: nothing, the variational matrix of ``V' = (sum_a w_a DX_a) V``
-    (``carry="variational"``, one row only) or a tangent vector of
-    ``w' = (sum_a w_a DX_a) w`` (``carry="tangent"``).  A single row is
-    evaluated point by point, which is faster than a one-row batch; more
-    rows go through each member's ``eval_many``.  Autonomous: it reads the
-    state only."""
+    of rows stored back to back.  Each row is a point followed by ``k``
+    tangent columns W (d×k, stored row by row) of ``W' = (sum_a w_a DX_a) W``.
+    A single row is evaluated point by point, which is faster than a
+    one-row batch; more rows go through each member's ``eval_many``.
+    Autonomous: it reads the state only."""
 
-    __slots__ = ("pairs", "carry", "dim", "width")
+    __slots__ = ("pairs", "dim", "k", "width")
 
-    def __init__(self, members, weights, dim: int, carry: str | None = None):
-        self.pairs = tuple(zip(members, weights))
-        self.carry = carry
+    def __init__(self, pairs, dim: int, k: int):
+        self.pairs = pairs
         self.dim = dim
-        self.width = dim + {None: 0, "tangent": dim, "variational": dim * dim}[carry]
+        self.k = k
+        self.width = dim * (1 + k)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        d = self.dim
+        d, k = self.dim, self.k
         out = np.zeros(y.size)
         if y.size == self.width:
             x = y[:d]
             for m, w in self.pairs:
                 out[:d] += w * m(x)
-            if self.carry == "variational":
-                J = np.zeros((d, d))
-                for m, w in self.pairs:
-                    J += w * m.jacobian(x)
-                out[d:] = (J @ y[d:].reshape(d, d)).ravel()
-            elif self.carry == "tangent":
-                # finite_difference_jvp of one row, in scalars: a third of
-                # its cost on a one-row stack
-                v = y[d:]
-                nv = float(np.linalg.norm(v))
-                h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
+            if k:
+                W, dW = y[d:].reshape(d, k), out[d:].reshape(d, k)
+                J, h = None, None
                 for m, w in self.pairs:
                     if m.has_analytic_jacobian:
-                        out[d:] += w * (m.jacobian(x) @ v)
-                    elif nv > 0.0:
-                        shift = h * (v / nv)
-                        out[d:] += w * nv * (m(x + shift) - m(x - shift)) / (2.0 * h)
+                        J = w * m.jacobian(x) if J is None else J + w * m.jacobian(x)
+                        continue
+                    # finite_difference_jvp of one row per column, in
+                    # scalars: a third of its cost on a one-row stack
+                    if h is None:
+                        h = FD_STEP_1 * (1.0 + float(np.linalg.norm(x)))
+                    for j in range(k):
+                        v = W[:, j]
+                        nv = float(np.linalg.norm(v))
+                        if nv > 0.0:
+                            shift = h * (v / nv)
+                            dW[:, j] += w * nv * (m(x + shift) - m(x - shift)) / (2.0 * h)
+                if J is not None:
+                    dW += J @ W
             return out
         Y, O = y.reshape(-1, self.width), out.reshape(-1, self.width)
+        X = Y[:, :d]
         for m, w in self.pairs:
-            O[:, :d] += w * m.eval_many(Y[:, :d])
-        if self.carry == "tangent":
+            O[:, :d] += w * m.eval_many(X)
+        if k:
+            W = Y[:, d:].reshape(-1, d, k)
             for m, w in self.pairs:
-                O[:, d:] += w * _derivative_along(m, Y[:, :d], Y[:, d:])
+                O[:, d:] += w * _derivative_along(m, X, W).reshape(-1, d * k)
         return out
 
 
-def _derivative_along(m: VectorField, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``DX(x) w`` at each row of x: from the monomial table's derivative,
-    from the analytic Jacobian, or by one central difference along w, which
-    takes two evaluations where a finite-difference Jacobian takes 2d."""
+def _derivative_along(m: VectorField, x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``DX(x) W`` at each row of x for the blocks W (N, d, k): from the
+    monomial table's derivative, from the analytic Jacobian, or by one
+    central difference per column, which takes two evaluations where a
+    finite-difference Jacobian takes 2d."""
     if m.table is not None:
-        return (m.table.derivative.eval_many(x) @ w[:, :, None])[:, :, 0]
+        return m.table.derivative.eval_many(x) @ W
     if m.has_analytic_jacobian:
-        return np.stack([m.jacobian(p) @ q for p, q in zip(x, w)])
-    return finite_difference_jvp(m, x, w)
+        return np.stack([m.jacobian(p) @ q for p, q in zip(x, W)])
+    n, d, k = W.shape
+    columns = W.transpose(0, 2, 1).reshape(n * k, d)
+    dW = finite_difference_jvp(m, np.repeat(x, k, axis=0), columns)
+    return dW.reshape(n, k, d).transpose(0, 2, 1)
 
 
 def _check_region(region: Ball, y: np.ndarray, rows: int, dim: int, t: float, what: str) -> None:
@@ -305,41 +316,48 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
     return y
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
-
-
-def _flow(x0: np.ndarray, t0: float, segments, with_var: bool, tol: float,
+def _flow(x0: np.ndarray, t0: float, segments, tangents, tol: float,
           region: Ball, certificate: ExistenceCertificate | None) -> FlowResult:
     """The one integration core behind :func:`flow_control` and
-    :func:`flow_single`: one trajectory, the one-row case of the stepper.
+    :func:`flow_single`.  ``x0`` is one start point (d,) or a stack of them
+    (N, d), each one row of the stepper.  ``tangents`` (or ``None``) holds
+    the tangent columns each row carries: ``(d,)`` or ``(d, k)`` for one
+    point, ``(N, d)`` or ``(N, d, k)`` for a stack.
 
-    ``segments`` are consecutive ``(t_end, rhs)`` pieces starting at ``t0``;
-    ``rhs=None`` is the zero control, over which the state is stationary.
-    A flow without segments returns its start point without stepping.
+    ``segments`` are consecutive ``(t_end, pairs)`` pieces starting at
+    ``t0``, ``pairs`` being the ``(member, weight)`` terms of the piece; no
+    terms is the zero control, over which the state is stationary.  A flow
+    without segments returns its start points without stepping.
     """
-    _check_tol(tol)
-    dim = x0.size
+    if not 0 < tol < math.inf:
+        raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
+    points = x0.reshape(-1, x0.shape[-1])
+    rows, dim = points.shape
+    k = 0
+    if tangents is not None:
+        tangents = np.asarray(tangents, dtype=float)
+        if tangents.shape[:x0.ndim] != x0.shape or tangents.ndim > x0.ndim + 1:
+            raise InvalidArgument("tangents must be a vector or columns per start point")
+        k = tangents.size // points.size
+        points = np.concatenate([points, tangents.reshape(rows, -1)], axis=1)
     if segments:
-        _check_region(region, x0, 1, dim, t0, "start point outside the working region")
-    y = x0.copy()
-    if with_var:
-        y = np.concatenate([y, np.eye(dim).ravel()])
+        _check_region(region, points, rows, dim, t0, "start point outside the working region")
+    y = points.ravel().copy()
     stats = {"steps": 0, "err": 0.0}
     a = t0
-    for b, rhs in segments:
-        if rhs is not None:
-            y = _integrate_segment(rhs, a, b, y, 1, dim, tol, region, stats)
+    for b, pairs in segments:
+        if pairs:
+            y = _integrate_segment(_Rhs(pairs, dim, k), a, b, y, rows, dim, tol, region, stats)
         a = b
-    return FlowResult(endpoint=y[:dim].copy(),
-                      endpoint_variational=y[dim:].reshape(dim, dim) if with_var else None,
+    Y = y.reshape(rows, -1)
+    return FlowResult(endpoint=Y[:, :dim].reshape(x0.shape),
+                      tangents=None if tangents is None else Y[:, dim:].reshape(tangents.shape),
                       steps_taken=stats["steps"], est_local_error=stats["err"],
                       certificate=certificate)
 
 
 def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0: float,
-                 with_variational: bool = False, tol: float = DEFAULT_TOL,
+                 tangents: np.ndarray | None = None, tol: float = DEFAULT_TOL,
                  lb: LbRecord | None = None, unsafe: bool = False,
                  region: Ball | None = None) -> FlowResult:
     """Integrate the controlled combination of family members from t0 over T0.
@@ -348,6 +366,8 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
     (``unsafe=True`` overrides it, recorded on the certificate) and the
     trajectory is confined to ``lb.region``; otherwise it is confined to the
     family's common domain.  ``T0`` may be negative for backward integration.
+    ``tangents`` (a vector or d×k columns) are carried as in
+    :func:`flow_single`; the identity gives the variational matrix.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = family.space.dimension
@@ -366,26 +386,23 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
     segments = []
     for a, b in zip(cuts, cuts[1:]):
         coeff = u.piece_at(0.5 * (a + b))
-        rhs = None
-        if coeff is not None and coeff.entries:
-            rhs = _Rhs([family.members[i] for i in coeff.support],
-                       [v for _, v in coeff.entries], dim,
-                       "variational" if with_variational else None)
-        segments.append((b, rhs))
-    return _flow(x0, t0, segments, with_variational, tol, work_region, certificate)
+        pairs = () if coeff is None else tuple((family.members[i], v) for i, v in coeff.entries)
+        segments.append((b, pairs))
+    return _flow(x0, t0, segments, tangents, tol, work_region, certificate)
 
 
 def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_TOL,
-                with_variational: bool = False, region: Ball | None = None) -> FlowResult:
-    """Flow of a single field for a signed time.
+                tangents: np.ndarray | None = None, region: Ball | None = None) -> FlowResult:
+    """Flow of a single field for a signed time from one start point (d,),
+    or from every row of a stack (N, d) in one run sharing a step sequence.
 
-    Negative ``t`` integrates backwards; ``t == 0`` returns the start point
-    (and an exact identity variational matrix) without stepping.
+    ``tangents`` (a vector or d×k columns per start point) come back as the
+    flow's derivative applied to them.  A row that leaves the region
+    (``X.domain`` by default) raises :class:`LeftDomain`.  Negative ``t``
+    integrates backwards; ``t == 0`` returns its input without stepping.
     """
-    x0 = np.asarray(x0, dtype=float)
-    carry = "variational" if with_variational else None
-    segments = [(t, _Rhs((X,), (1.0,), x0.size, carry))] if t else []
-    return _flow(x0, 0.0, segments, with_variational, tol,
+    segments = [(t, ((X, 1.0),))] if t else []
+    return _flow(np.asarray(x0, dtype=float), 0.0, segments, tangents, tol,
                  region if region is not None else X.domain, None)
 
 
@@ -407,58 +424,34 @@ class FlowWord:
         return FlowWord(self.letters + other.letters)
 
     def legs(self, members, x: np.ndarray, tol: float = DEFAULT_TOL,
-             region: Ball | None = None, with_variational: bool = False):
-        """The one word runner: flow ``members[i]`` for ``t`` per letter and
-        yield ``(point, M)`` after each, ``M`` being the variational matrix of
-        the word prefix (``None`` without ``with_variational``)."""
+             region: Ball | None = None, tangents: np.ndarray | None = None):
+        """The one word runner: flow ``members[i]`` for ``t`` per letter,
+        each letter one :func:`flow_single` call over a start point or a
+        stack of them, and yield ``(points, tangents)`` after each.  The
+        tangents are carried as in :func:`flow_single` (``None`` without);
+        from the identity they are the variational matrix of the word
+        prefix."""
         y = np.asarray(x, dtype=float)
-        M = np.eye(y.size) if with_variational else None
         for idx, t in self.letters:
-            res = flow_single(members[idx], y, t, tol=tol,
-                              with_variational=with_variational, region=region)
-            y = res.endpoint
-            if with_variational:
-                M = res.endpoint_variational @ M
-            yield y, M
+            res = flow_single(members[idx], y, t, tol=tol, tangents=tangents, region=region)
+            y, tangents = res.endpoint, res.tangents
+            yield y, tangents
 
-    def lockstep(self, members, points: np.ndarray, tangents: np.ndarray | None = None,
-                 tol: float = DEFAULT_TOL, region: Ball | None = None):
-        """The word over a stack of start points ``(N, d)`` in lockstep: each
-        letter is one DP 5(4) run over all rows, which share its step
-        sequence.  With ``tangents`` ``(N, d)``, row i carries a tangent
-        vector through the linearised flow and ends as the derivative of the
-        word at ``points[i]`` applied to ``tangents[i]``.  Returns the end
-        points and the carried tangents (``None`` without).  A row that
-        leaves the region (each letter's member domain when ``region`` is
-        ``None``) raises :class:`LeftDomain`."""
-        _check_tol(tol)
-        X = np.asarray(points, dtype=float)
-        rows, dim = X.shape
-        carry = None if tangents is None else "tangent"
-        y = X.ravel() if tangents is None else np.concatenate([X, tangents], axis=1).ravel()
-        stats = {"steps": 0, "err": 0.0}
-        for idx, t in self.letters:
-            if t:
-                m = members[idx]
-                where = region if region is not None else m.domain
-                _check_region(where, y, rows, dim, 0.0, "start point outside the working region")
-                y = _integrate_segment(_Rhs((m,), (1.0,), dim, carry), 0.0, t, y, rows, dim,
-                                       tol, where, stats)
-        Y = y.reshape(rows, -1)
-        return Y[:, :dim].copy(), (None if tangents is None else Y[:, dim:].copy())
+    def end(self, members, x: np.ndarray, tol: float = DEFAULT_TOL,
+            region: Ball | None = None, tangents: np.ndarray | None = None):
+        """The last leg of :meth:`legs`, or the start points and the given
+        tangents for the empty word."""
+        last = (np.asarray(x, dtype=float), tangents)
+        for last in self.legs(members, x, tol, region, tangents):
+            pass
+        return last
 
     def apply(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
               region: Ball | None = None) -> np.ndarray:
-        return self._last_leg(family, x, tol, region, False)[0]
+        return self.end(family.members, x, tol, region)[0]
 
     def apply_with_variational(self, family: FieldFamily, x: np.ndarray,
                                tol: float = DEFAULT_TOL,
                                region: Ball | None = None) -> tuple[np.ndarray, np.ndarray]:
-        return self._last_leg(family, x, tol, region, True)
-
-    def _last_leg(self, family, x, tol, region, with_variational):
-        y = np.asarray(x, dtype=float)
-        last = (y, np.eye(y.size) if with_variational else None)
-        for last in self.legs(family.members, y, tol, region, with_variational):
-            pass
-        return last
+        x = np.asarray(x, dtype=float)
+        return self.end(family.members, x, tol, region, np.eye(x.size))

@@ -176,7 +176,7 @@ def trivialization_eval(basis: DistributionBasis, family: FieldFamily,
     out = np.zeros(family.space.dimension)
     for idx, val in w.entries:
         if idx >= len(basis.source_fields):
-            raise IndexError(f"coefficient index {idx} beyond basis size")
+            raise InvalidArgument(f"coefficient index {idx} beyond basis size")
         f = basis.source_fields[idx]
         if not f.domain.contains(y, inflate=1e-12):
             raise OutOfDomain(f"{f.label}: evaluation point outside domain")
@@ -386,27 +386,20 @@ def invariance_residual(family: FieldFamily, x: np.ndarray, flow_index: int, t: 
     """
     x = np.asarray(x, dtype=float)
     src = distribution_at(family, x, include_enlarged)
+    # the flow's derivative carries the source vectors as tangent columns
     res = flow_single(family.members[flow_index], x, t, tol=tol,
-                      with_variational=True, region=lb.region)
-    y = res.endpoint
-    M = res.endpoint_variational
-    tgt = distribution_at(family, y, include_enlarged)
+                      tangents=src.vectors, region=lb.region)
+    tgt = distribution_at(family, res.endpoint, include_enlarged)
     # residual of each pushed vector against the orthogonal projector onto
     # the target span (euclidean geometry is enough for a rank statement);
     # the leading left singular vectors span it even when the leading
     # columns are dependent
     U, _, _ = np.linalg.svd(tgt.vectors, full_matrices=False)
     Q = U[:, :tgt.rank]
-    residuals = []
-    for j in range(src.vectors.shape[1]):
-        v = M @ src.vectors[:, j]
-        nv = float(np.linalg.norm(v))
-        if nv < 1e-14:
-            residuals.append(0.0)
-            continue
-        defect = v - Q @ (Q.T @ v)
-        residuals.append(float(np.linalg.norm(defect)) / nv)
-    residuals = np.asarray(residuals)
+    V = res.tangents
+    nv = np.linalg.norm(V, axis=0)
+    defect = np.linalg.norm(V - Q @ (Q.T @ V), axis=0)
+    residuals = np.divide(defect, nv, out=np.zeros_like(nv), where=nv >= 1e-14)
     return InvarianceReport(residuals=residuals,
                             max_residual=float(residuals.max(initial=0.0)),
                             rank_source=src.rank, rank_target=tgt.rank)

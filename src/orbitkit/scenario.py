@@ -165,10 +165,12 @@ REQUIRED = object()  # an Opt default: the option must be given (a repeated one 
 
 @dataclass(frozen=True)
 class Opt:
-    """One option: its kind (a key of ``_KINDS``) and its value when absent."""
+    """One option: its kind (a key of ``_KINDS``), its value when absent and,
+    for a ``word`` with a fixed vocabulary, the words it takes."""
 
     kind: str
     default: object = None
+    words: tuple[str, ...] = ()
 
 
 def _word(n: Node, *_) -> str:
@@ -242,7 +244,8 @@ _SHAPE = {"dim": Opt("int", REQUIRED), "count": Opt("int", REQUIRED),
           "decay": Opt("float"), "radius": Opt("float")}
 _POINT = {"point": Opt("point", REQUIRED)}
 _COMPOSE = {**_POINT, "entry": Opt("entry"), "tail": Opt("float", 0.0),
-            "truncation": Opt("int"), "path": Opt("word", "control")}
+            "truncation": Opt("int"),
+            "path": Opt("word", "control", ("control", "sequential"))}
 _EVERY_COMMAND = {"tol": Opt("positive"), "unsafe": Opt("flag", False)}
 
 SCHEMA = {
@@ -272,7 +275,8 @@ SCHEMA = {
         "bracket-chain": {**_POINT, "k-max": Opt("int", 3)},
         "certify-hprime": {"grid": Opt("int", 5), "tolerance": Opt("float", 1e-8)},
         "orbit-sample": {**_POINT, "budget": Opt("int", 1000), "max-word-len": Opt("int", 8),
-                         "mode": Opt("word", "explore"), "exploration-radius": Opt("float"),
+                         "mode": Opt("word", "explore", ("explore", "independent")),
+                         "exploration-radius": Opt("float"),
                          "spot-check": Opt("flag", False), "out": Opt("word")},
         "verdict": {**_POINT, "k-max": Opt("int", 3)},
     }.items()},
@@ -285,7 +289,8 @@ def read_options(node: Node | None, table: dict[str, Opt], space: ChartSpace | N
     (``None``: an absent section).  Points have ``space``'s dimension and
     indices name one of ``members`` family members.  Raises
     :class:`ParseError` for an unknown or repeated key, a missing or extra
-    value, a value of the wrong kind or a missing required option."""
+    value, a value of the wrong kind, a word outside the option's words or a
+    missing required option."""
     where = " ".join([node.key, *node.args]) if node else ""
     given: dict[str, list[Node]] = {}
     for c in (node.children or []) if node else []:
@@ -303,6 +308,9 @@ def read_options(node: Node | None, table: dict[str, Opt], space: ChartSpace | N
     out = {}
     for key, opt in table.items():
         vals = [_KINDS[opt.kind](n, space, members) for n in given.get(key, [])]
+        for v in vals:
+            if opt.words and v not in opt.words:
+                raise ParseError(f"'{key}' in '{where}' takes {' or '.join(opt.words)}, not '{v}'")
         if not vals and opt.default is REQUIRED:
             raise ParseError(f"'{where}' needs '{key}'")
         out[key] = vals if opt.kind in _REPEATED else vals[0] if vals else opt.default

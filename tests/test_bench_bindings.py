@@ -5,6 +5,13 @@ benchmark run fails at start-up."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from orbitkit import compose, flow
+from orbitkit.algebra import enlarge_field
+from orbitkit.flow import FlowWord
+from orbitkit.space import L1Coefficients
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -20,3 +27,33 @@ def test_every_traced_binding_exists():
                for owner, attr, _, _ in _spans().targets() if not hasattr(owner, attr)]
     assert missing == []
 
+
+
+
+def test_word_runs_reach_the_traced_flow_single(monkeypatch, heis, heis_lb):
+    # the tracer counts flows at flow_single, so every word run must call it
+    enlarged = enlarge_field(heis, FlowWord(((0, 0.3), (1, -0.2))), 1, 1.0, heis_lb)
+    tau = L1Coefficients(((0, 0.2), (1, -0.1)))
+    runs = {
+        "EnlargedField.eval_many": lambda: enlarged.eval_many(np.zeros((4, 3))),
+        "d_psi": lambda: compose.d_psi(heis, heis_lb, np.zeros(3), tau,
+                                       L1Coefficients(((1, 1.0),))),
+        "compose_flows sequential": lambda: compose.compose_flows(
+            heis, heis_lb, tau, np.zeros(3), path="sequential"),
+    }
+    calls = []
+    original = flow.flow_single
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "flow_single", counted)
+    shapes = {}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        shapes[name] = set(calls)
+    assert all(shapes.values()), shapes
+    # the enlarged field's four rows run as one stack per letter
+    assert (4, 3) in shapes["EnlargedField.eval_many"]

@@ -6,8 +6,8 @@ import pytest
 from orbitkit.catalog import commuting_constants, grushin, heisenberg
 from orbitkit.errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain
 from orbitkit.fields import FieldFamily, LbRecord, polynomial_field
-from orbitkit.flow import (Control, FlowWord, _integrate_segment, _Rhs, check_existence,
-                           constant_control, flow_control, flow_single)
+from orbitkit.flow import (Control, FlowWord, check_existence, constant_control, flow_control,
+                           flow_single)
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
 TOL = 1e-9
@@ -78,9 +78,9 @@ class TestFlowControl:
     def test_constant_straight_line(self):
         fam = commuting_constants(2, 2)
         u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 1.0)
-        res = flow_control(fam, u, np.zeros(2), 0.0, 1.0, with_variational=True, tol=TOL)
+        res = flow_control(fam, u, np.zeros(2), 0.0, 1.0, tangents=np.eye(2), tol=TOL)
         assert np.allclose(res.endpoint, [1.0, 0.0], atol=1e-12)
-        assert np.allclose(res.endpoint_variational, np.eye(2), atol=1e-12)
+        assert np.allclose(res.tangents, np.eye(2), atol=1e-12)
 
     def test_exponential_growth_with_variational(self):
         space = ChartSpace(1)
@@ -88,9 +88,9 @@ class TestFlowControl:
         X = polynomial_field(dom, [((1.0, (1,)),)], label="lin")
         fam = FieldFamily(space=space, members=(X,), common_domain=dom)
         u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 1.0)
-        res = flow_control(fam, u, np.array([1.0]), 0.0, 1.0, with_variational=True, tol=TOL)
+        res = flow_control(fam, u, np.array([1.0]), 0.0, 1.0, tangents=np.eye(1), tol=TOL)
         assert res.endpoint[0] == pytest.approx(np.e, abs=1e-8)
-        assert res.endpoint_variational[0, 0] == pytest.approx(np.e, abs=1e-8)
+        assert res.tangents[0, 0] == pytest.approx(np.e, abs=1e-8)
 
     def test_heisenberg_rectangle(self, heis):
         res = flow_control(heis, heisenberg_rectangle_control(), np.zeros(3), 0.0, 4.0,
@@ -144,9 +144,9 @@ class TestFlowControl:
 class TestFlowSingle:
     def test_zero_time(self, heis):
         res = flow_single(heis.members[0], np.array([0.3, 0.1, 0.2]), 0.0,
-                          with_variational=True)
+                          tangents=np.eye(3))
         assert np.array_equal(res.endpoint, [0.3, 0.1, 0.2])
-        assert np.array_equal(res.endpoint_variational, np.eye(3))
+        assert np.array_equal(res.tangents, np.eye(3))
 
     def test_translation(self):
         fam = commuting_constants(2, 2)
@@ -214,7 +214,7 @@ class TestFlowLaws:
             dim = X.domain.center.size
             x = rng.uniform(-0.5, 0.5, dim)
             t = float(rng.uniform(0.1, 0.6))
-            V = flow_single(X, x, t, tol=TOL, with_variational=True).endpoint_variational
+            V = flow_single(X, x, t, tol=TOL, tangents=np.eye(dim)).tangents
             h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
             for j in range(dim):
                 e = np.zeros(dim)
@@ -303,14 +303,14 @@ class TestStepperReference:
             x = rng.uniform(-0.5, 0.5, X.domain.center.size)
             t = float(rng.uniform(-0.8, 0.8))
             tol = float(10.0 ** rng.uniform(-12, -6))
-            res = flow_single(X, x, t, tol=tol, with_variational=True)
+            res = flow_single(X, x, t, tol=tol, tangents=np.eye(x.size))
             ref_x, ref_M, ref_steps = _reference_flow(X, x, t, tol)
             assert res.steps_taken == ref_steps
             assert np.abs(res.endpoint - ref_x).max() <= 1e-13 * (1 + np.abs(ref_x).max())
-            assert np.abs(res.endpoint_variational - ref_M).max() <= 1e-13 * (1 + np.abs(ref_M).max())
+            assert np.abs(res.tangents - ref_M).max() <= 1e-13 * (1 + np.abs(ref_M).max())
 
 
-class TestLockstep:
+class TestStackedRuns:
     def test_rows_match_separate_one_row_runs(self, rng):
         # the last two are differenced: one row in scalars, a stack through
         # finite_difference_jvp
@@ -318,38 +318,60 @@ class TestLockstep:
         fields += [replace(X, table=None, jacobian_fn=None) for X in fields[-2:]]
         for X in fields:
             dim = X.domain.center.size
-            for carry in (None, "tangent"):
+            for shape in (None, (dim,), (dim, 2)):  # nothing, a vector, two columns
                 rows = int(rng.integers(2, 6))
-                width = dim if carry is None else 2 * dim
-                y0 = rng.uniform(-0.5, 0.5, (rows, width))
+                P = rng.uniform(-0.5, 0.5, (rows, dim))
+                V = None if shape is None else rng.uniform(-0.5, 0.5, (rows,) + shape)
                 t = float(rng.uniform(-0.8, 0.8))
-                rhs = _Rhs((X,), (1.0,), dim, carry)
-                stats = {"steps": 0, "err": 0.0}
-                got = _integrate_segment(rhs, 0.0, t, y0.ravel(), rows, dim, TOL, X.domain, stats)
-                for row, y in zip(got.reshape(rows, width), y0):
-                    one = _integrate_segment(rhs, 0.0, t, y, 1, dim, TOL, X.domain,
-                                             {"steps": 0, "err": 0.0})
-                    assert np.abs(row - one).max() <= TOL * (1 + np.abs(one).max())
+                got = flow_single(X, P, t, tol=TOL, tangents=V)
+                assert got.endpoint.shape == P.shape
+                for i in range(rows):
+                    one = flow_single(X, P[i], t, tol=TOL, tangents=None if V is None else V[i])
+                    row, ref = got.endpoint[i], one.endpoint
+                    if V is not None:
+                        assert got.tangents[i].shape == V[i].shape
+                        row = np.concatenate([row, got.tangents[i].ravel()])
+                        ref = np.concatenate([ref, one.tangents.ravel()])
+                    assert np.abs(row - ref).max() <= TOL * (1 + np.abs(ref).max())
                 # rows share the step sequence of the hardest one
-                assert stats["steps"] >= 1
+                assert got.steps_taken >= 1
 
-    def test_tangents_are_the_variational_matrix_applied(self, heis, rng):
+    def test_tangents_are_the_product_of_letter_variationals(self, heis, rng):
         for _ in range(5):
             word = FlowWord(tuple((int(rng.integers(0, 2)), float(rng.uniform(-0.5, 0.5)))
                                   for _ in range(3)))
             P = rng.uniform(-0.5, 0.5, (4, 3))
             V = rng.normal(size=(4, 3))
-            ends, W = word.lockstep(heis.members, P, V, tol=TOL)
+            ends, W = word.end(heis.members, P, TOL, tangents=V)
             for x, v, end, w in zip(P, V, ends, W):
-                ref_end, M = word.apply_with_variational(heis, x, tol=TOL)
+                ref_end, M = x, np.eye(3)
+                for idx, t in word.letters:
+                    res = flow_single(heis.members[idx], ref_end, t, tol=TOL, tangents=np.eye(3))
+                    ref_end, M = res.endpoint, res.tangents @ M
                 assert np.abs(end - ref_end).max() <= 10 * TOL * (1 + np.abs(ref_end).max())
                 assert np.abs(w - M @ v).max() <= 10 * TOL * (1 + np.abs(w).max())
+
+    def test_untabled_field_carries_an_identity_block(self, rng):
+        # neither a table nor a Jacobian: each column moves by one central
+        # difference, against a variational flow on finite_difference_jacobian
+        for X in _law_catalog():
+            X = replace(X, table=None, jacobian_fn=None)
+            dim = X.domain.center.size
+            P = rng.uniform(-0.5, 0.5, (3, dim))
+            t = float(rng.uniform(-0.8, 0.8))
+            stacked = flow_single(X, P, t, tol=TOL, tangents=np.repeat(np.eye(dim)[None], 3, axis=0))
+            for x, end, M in zip(P, stacked.endpoint, stacked.tangents):
+                ref_x, ref_M, _ = _reference_flow(X, x, t, TOL)
+                one = flow_single(X, x, t, tol=TOL, tangents=np.eye(dim))
+                for got_x, got_M in ((one.endpoint, one.tangents), (end, M)):
+                    assert np.abs(got_x - ref_x).max() <= 10 * TOL * (1 + np.abs(ref_x).max())
+                    assert np.abs(got_M - ref_M).max() <= 1e-6 * (1 + np.abs(ref_M).max())
 
     def test_a_row_leaving_the_region_raises(self):
         fam = commuting_constants(2, 2)
         P = np.array([[0.0, 0.0], [7.5, 0.0]])
         with pytest.raises(LeftDomain) as info:
-            FlowWord(((0, 1.0),)).lockstep(fam.members, P, tol=TOL, region=ball([0, 0], 8.0))
+            FlowWord(((0, 1.0),)).end(fam.members, P, TOL, region=ball([0, 0], 8.0))
         assert info.value.last_point[0] > 8.0
 
 

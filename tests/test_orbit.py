@@ -3,7 +3,7 @@ import pytest
 
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, operator_family
 from orbitkit.algebra import FlowWord, enlarge_field
-from orbitkit.errors import GuardViolated, OutOfDomain
+from orbitkit.errors import GuardViolated, InvalidArgument, OutOfDomain
 from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
 from orbitkit.orbit import (accessibility_verdict, distribution_at, invariance_residual,
                             numerical_rank, orbit_sample, rank_of_singular_values,
@@ -78,6 +78,12 @@ class TestTrivialization:
         a = trivialization_eval(basis, fam, w, np.zeros(3))
         b = trivialization_eval(basis, fam, w, np.array([0.5, -0.5, 1.0]))
         assert np.array_equal(a, b)
+
+    def test_index_beyond_the_basis_is_an_invalid_argument(self, heis):
+        basis = distribution_at(heis, np.zeros(3))
+        w = L1Coefficients(((len(basis.source_fields), 1.0),))
+        with pytest.raises(InvalidArgument, match="beyond basis size"):
+            trivialization_eval(basis, heis, w, np.zeros(3))
 
 
 class TestSliceGrid:

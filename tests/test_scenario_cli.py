@@ -179,7 +179,7 @@ command compose {
         ("flow", "point 0 0 0\n  piece 0 1 0 1\n  piece 0.5 2 1 1", "InvalidArgument"),
         ("flow", "point 0 0 0\n  piece 0 0 0 1", "InvalidArgument"),
         ("flow", "point 0 0 0\n  piece 0 1 nan 1", "ParseError"),
-        ("compose", "point 0 0 0\n  entry 0 0.1\n  path bogus", "InvalidArgument"),
+        ("compose", "point 0 0 0\n  entry 0 0.1\n  path bogus", "ParseError"),
         ("compose", "point 0 0 0\n  entry 0 0.1\n  path", "ParseError"),
         ("compose", "point 0 0 0\n  entry 0 0.1\n  tail", "ParseError"),
         ("compose", "point 0 0 0\n  entry nan 0.1", "ParseError"),
@@ -188,6 +188,7 @@ command compose {
         ("orbit-sample", "point 0 0 0\n  budget", "ParseError"),
         ("orbit-sample", "point 0 0 0\n  budget nan", "ParseError"),
         ("orbit-sample", "point 0 0 0\n  mode", "ParseError"),
+        ("orbit-sample", "point 0 0 0\n  mode bogus", "ParseError"),
         ("orbit-sample", "point 0 0 0\n  budget 3\n  out", "ParseError"),
         ("check-lb", "order", "ParseError"),
         ("check-lb", "samples", "ParseError"),
@@ -773,15 +774,16 @@ HEIS_FAMILY = parse_scenario(HEIS_SCENARIO).family
 NUMBERS = st.floats(-1e3, 1e3, allow_nan=False).map(repr) | st.integers(-5, 5).map(str)
 
 
-def _valid_args(kind, dim, members):
-    """A strategy of argument lists the reader accepts for ``kind``."""
+def _valid_args(opt, dim, members):
+    """A strategy of argument lists the reader accepts for ``opt``."""
+    kind = opt.kind
     index = st.integers(0, members - 1).map(str)
     pairs = st.lists(st.tuples(index, NUMBERS), min_size=1, max_size=3)
     return {
         "float": st.tuples(NUMBERS),
         "positive": st.tuples(st.sampled_from(["1e-09", "1e-06", "0.5"])),
         "int": st.tuples(st.integers(-3, 60).map(str)),
-        "word": st.tuples(st.sampled_from(["control", "explore", "cloud.txt"])),
+        "word": st.tuples(st.sampled_from(opt.words or ["control", "explore", "cloud.txt"])),
         "flag": st.tuples(st.sampled_from(["on", "off"])),
         "point": st.lists(NUMBERS, min_size=dim, max_size=dim),
         "indices": st.lists(index, min_size=1, max_size=3),
@@ -800,7 +802,7 @@ def valid_command(draw, dim, members):
         if opt.kind in ("entry", "piece"):
             repeats = draw(st.integers(repeats, 3))
         for _ in range(repeats):
-            lines.append(" ".join([key, *draw(_valid_args(opt.kind, dim, members))]))
+            lines.append(" ".join([key, *draw(_valid_args(opt, dim, members))]))
     lines = draw(st.permutations(lines))
     return f"command {name} {{\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
 
