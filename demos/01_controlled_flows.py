@@ -7,8 +7,8 @@ Run:  python3 demos/01_controlled_flows.py
 
 import numpy as np
 
-from orbitkit import (Control, FlowWord, L1Coefficients, ball, check_existence,
-                      constant_control, estimate_lb_bound, flow_control, flow_single)
+from orbitkit import (Control, FlowWord, L1Coefficients, ball, estimate_lb_bound,
+                      flow_control, flow_single, guard)
 from orbitkit.catalog import heisenberg
 
 fam = heisenberg(radius=8.0)
@@ -16,8 +16,9 @@ lb = estimate_lb_bound(fam, ball([0, 0, 0], 8.0), 2, 100)
 print(f"family: {fam.labels()}, jet bound k = {lb.bound_k:.4f} ({lb.method})")
 
 # The guard: how long may we flow before the conservative radius runs out?
-u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 10.0)
-cert = check_existence(fam, lb, u, np.zeros(3), T0=0.3)
+# A control is its pieces; flow_control enforces this same guard itself.
+u = Control(pieces=((0.0, 10.0, L1Coefficients(((0, 1.0),))),))
+cert = guard(lb, np.zeros(3), u.sup_norm, T0=0.3)
 print(f"guard at T0=0.3: satisfied={cert.satisfied}, margin={cert.margin:.4f} "
       f"(r={cert.r}, c={cert.c})")
 

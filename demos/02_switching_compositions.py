@@ -17,7 +17,7 @@ tau = L1Coefficients(tuple((i, 2.0 ** -i) for i in range(24)))
 print(f"coefficient mass: {tau.norm1:.8f}, smallness limit r/k = "
       f"{3.0 / lb.bound_k:.2f}")
 
-g = gamma_control(tau, "forward")
+g = gamma_control(tau)
 print(f"switching control: {len(g.pieces)} pieces over [0, {g.l1_norm:.6f}]")
 
 for n in (4, 8, 16):

@@ -4,8 +4,8 @@ reachability verdicts for families of vector fields on coordinate charts."""
 from .space import Ball, ChartSpace, L1Coefficients, ball
 from .fields import (FieldFamily, LbRecord, VectorField, constant_field,
                      estimate_lb_bound, eval_jet_norm, polynomial_field)
-from .flow import (Control, ExistenceCertificate, FlowResult, FlowWord, check_existence,
-                   constant_control, flow_control, flow_single)
+from .flow import (Control, ExistenceCertificate, FlowResult, FlowWord, flow_control,
+                   flow_single, guard)
 from .compose import (CompositionResult, L1Curve, compose_flows, compose_inverse, d_psi,
                       extract_l1_curve, gamma_control, psi_chart)
 from .algebra import (EnlargedField, StructureReport, bracket_chain,
@@ -23,8 +23,7 @@ __all__ = [
     "Ball", "ChartSpace", "L1Coefficients", "ball",
     "FieldFamily", "LbRecord", "VectorField", "constant_field",
     "estimate_lb_bound", "eval_jet_norm", "polynomial_field",
-    "Control", "ExistenceCertificate", "FlowResult", "check_existence",
-    "constant_control", "flow_control", "flow_single",
+    "Control", "ExistenceCertificate", "FlowResult", "flow_control", "flow_single", "guard",
     "CompositionResult", "L1Curve", "compose_flows", "compose_inverse", "d_psi",
     "extract_l1_curve", "gamma_control", "psi_chart",
     "EnlargedField", "FlowWord", "StructureReport", "bracket_chain",

@@ -51,12 +51,12 @@ def _check_domains(fields, x: np.ndarray) -> None:
 def lie_bracket(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
     """[X, Y](x) = DY(x) X(x) - DX(x) Y(x).
 
-    Uses analytic Jacobians when both fields carry them; otherwise central
-    differences of the Jacobian-vector products.
+    Uses the exact Jacobians when both fields carry monomial tables;
+    otherwise central differences of the Jacobian-vector products.
     """
     x = np.asarray(x, dtype=float)
     _check_domains((X, Y), x)
-    if X.has_analytic_jacobian and Y.has_analytic_jacobian:
+    if X.table is not None and Y.table is not None:
         return Y.jacobian(x) @ X(x) - X.jacobian(x) @ Y(x)
     return finite_difference_jvp(Y, x, X(x)) - finite_difference_jvp(X, x, Y(x))
 
@@ -159,8 +159,9 @@ def bracket_field(X: VectorField, Y: VectorField) -> VectorField:
 
     When both fields carry monomial tables the bracket is exact and tabled
     again, with an exact Jacobian; otherwise each evaluation is a
-    :func:`lie_bracket` and the field has no analytic Jacobian.  Either way
-    evaluation outside the domains of X and Y raises :class:`OutOfDomain`.
+    :func:`lie_bracket` and the field is differentiated by finite
+    differences.  Either way evaluation outside the domains of X and Y
+    raises :class:`OutOfDomain`.
     """
     dom = X.domain if X.domain is Y.domain or Y.domain.contains_ball(X.domain) else Y.domain
     label = f"[{X.label},{Y.label}]"
@@ -329,8 +330,10 @@ def certify_h_prime(family: FieldFamily, region: Ball, grid_size: int = 5,
     decisions and least-squares solves then share one stacked SVD, with the
     cutoffs of :func:`numerical_rank` and ``np.linalg.lstsq``.  Not raising
     on rank-deficient dictionaries: such points are flagged in the report
-    instead.
+    instead.  Raises :class:`InvalidArgument` for a grid size below 1.
     """
+    if grid_size < 1:
+        raise InvalidArgument("grid_size must be >= 1")
     if not family.common_domain.contains_ball(region):
         raise OutOfDomain("region not contained in the family's common domain")
     dim = family.space.dimension

@@ -31,11 +31,12 @@ from .space import Ball, L1Coefficients
 TAIL_FACTOR_NOTE = "k*exp(k*norm1(tau)) times dropped l1 mass"
 
 
-def _unit_speed_pieces(word) -> list[tuple[float, float, L1Coefficients]]:
-    """One piece ``sign(t) e_i`` of length ``|t|`` per letter, back to back
-    from 0.  A letter shorter than the float spacing at its start time ends
-    where it starts, so it gets no piece: its flow would move the state by
-    less than k times that spacing, far below any integration tolerance."""
+def _unit_speed_control(word) -> Control:
+    """The control of one piece ``sign(t) e_i`` of length ``|t|`` per letter,
+    back to back from 0.  A letter shorter than the float spacing at its
+    start time ends where it starts, so it gets no piece: its flow would
+    move the state by less than k times that spacing, far below any
+    integration tolerance."""
     pieces = []
     t = 0.0
     for idx, val in word:
@@ -43,24 +44,19 @@ def _unit_speed_pieces(word) -> list[tuple[float, float, L1Coefficients]]:
         if end > t:
             pieces.append((t, end, L1Coefficients(((idx, 1.0 if val > 0 else -1.0),))))
         t = end
-    return pieces
+    return Control(pieces=tuple(pieces))
 
 
-def gamma_control(tau: L1Coefficients, direction: str = "forward") -> Control:
+def gamma_control(tau: L1Coefficients) -> Control:
     """The unit-speed bang-bang switching control of ``tau``.
 
-    Forward direction: piece i occupies ``[sum_{j<i} |tau_j|, sum_{j<=i}
-    |tau_j|)`` and carries the single coefficient ``sign(tau_i) e_i``.  The
-    reverse direction is the forward control of the letters in reverse
-    order, the time reflection ``s -> norm1(tau) - s`` of the forward one.
-    Zero entries produce no pieces, nor do entries shorter than the float
-    spacing at their start time; the sup norm is 1 whenever tau has
-    entries, and the control's ``l1_norm`` is the total switching time.
+    Piece i occupies ``[sum_{j<i} |tau_j|, sum_{j<=i} |tau_j|)`` and carries
+    the single coefficient ``sign(tau_i) e_i``.  Zero entries produce no
+    pieces, nor do entries shorter than the float spacing at their start
+    time; the sup norm is 1 whenever tau has entries, and the control's
+    ``l1_norm`` is the total switching time.
     """
-    if direction not in ("forward", "reverse"):
-        raise ValueError("direction must be 'forward' or 'reverse'")
-    letters = tau.entries if direction == "forward" else tau.entries[::-1]
-    return Control(pieces=tuple(_unit_speed_pieces(letters)))
+    return _unit_speed_control(tau.entries)
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,11 @@ class L1Curve:
 
 
 def _tail_factor(k: float, total_mass: float) -> float:
-    return k * math.exp(k * total_mass)
+    """``k * exp(k * total_mass)``, saturating at ``inf``."""
+    try:
+        return k * math.exp(k * total_mass)
+    except OverflowError:
+        return math.inf
 
 
 def _choose_truncation(tau: L1Coefficients, factor: float, tol: float) -> int:
@@ -144,7 +144,8 @@ def _plan(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray,
         truncation_n = _choose_truncation(tau, factor, tol)
     kept, tail = tau.truncate(truncation_n)
     _require_members(family, kept)
-    return kept, factor * tail, truncation_n, cert
+    # a composition that drops no mass is exact, even under an infinite factor
+    return kept, factor * tail if tail else 0.0, truncation_n, cert
 
 
 def _run_word(family: FieldFamily, lb: LbRecord, word, x, tol, path) -> np.ndarray:
@@ -156,9 +157,25 @@ def _run_word(family: FieldFamily, lb: LbRecord, word, x, tol, path) -> np.ndarr
         return np.asarray(x, dtype=float).copy()
     if path == "sequential":
         return FlowWord(word).apply(family, x, tol=tol, region=lb.region)
-    control = Control(pieces=tuple(_unit_speed_pieces(word)))
+    control = _unit_speed_control(word)
     return flow_control(family, control, x, 0.0, control.pieces[-1][1],
                         tol=tol, region=lb.region).endpoint
+
+
+def _compose(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray,
+             tol: float, truncation_n: int | None, path: str, unsafe: bool,
+             inverse: bool) -> CompositionResult:
+    """The body of :func:`compose_flows` (``inverse`` false) and
+    :func:`compose_inverse` (true): plan, then run the kept word or its
+    inverse."""
+    x = np.asarray(x, dtype=float)
+    kept, bound, truncation_n, cert = _plan(family, lb, tau, x, tol, truncation_n, unsafe)
+    word = FlowWord(kept.entries)
+    word = (word.inverse() if inverse else word).letters
+    endpoint = _run_word(family, lb, word, x, tol, path)
+    return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
+                             tail_error_bound=bound, word=word, seed_point=x.copy(),
+                             certificate=cert, family=family, region=lb.region, tol=tol)
 
 
 def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray,
@@ -172,28 +189,15 @@ def compose_flows(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.
     ``"sequential"`` chains single-field flows; both agree to integrator
     accuracy and the second serves as a cross-check.
     """
-    x = np.asarray(x, dtype=float)
-    kept, bound, truncation_n, cert = _plan(family, lb, tau, x, tol, truncation_n, unsafe)
-    word = kept.entries
-    endpoint = _run_word(family, lb, word, x, tol, path)
-    return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
-                             tail_error_bound=bound, word=word, seed_point=x.copy(),
-                             certificate=cert, family=family, region=lb.region, tol=tol)
+    return _compose(family, lb, tau, x, tol, truncation_n, path, unsafe, inverse=False)
 
 
 def compose_inverse(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, y: np.ndarray,
                     tol: float = DEFAULT_TOL, truncation_n: int | None = None,
                     path: str = "control", unsafe: bool = False) -> CompositionResult:
     """Inverse of :func:`compose_flows`: the word replayed in reverse order
-    with sign-flipped durations (equivalently, the time-reflected bang-bang
-    control with flipped signs)."""
-    y = np.asarray(y, dtype=float)
-    kept, bound, truncation_n, cert = _plan(family, lb, tau, y, tol, truncation_n, unsafe)
-    word = FlowWord(kept.entries).inverse().letters
-    endpoint = _run_word(family, lb, word, y, tol, path)
-    return CompositionResult(endpoint=endpoint, truncation_n=truncation_n,
-                             tail_error_bound=bound, word=word, seed_point=y.copy(),
-                             certificate=cert, family=family, region=lb.region, tol=tol)
+    with sign-flipped durations, by the same path."""
+    return _compose(family, lb, tau, y, tol, truncation_n, path, unsafe, inverse=True)
 
 
 def psi_chart(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,

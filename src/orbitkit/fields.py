@@ -1,13 +1,13 @@
 """Local vector fields, indexed families, and jet-bound estimation.
 
-A :class:`VectorField` is an evaluable field on a ball-shaped domain with an
-optional analytic Jacobian.  Fields whose components are polynomials
-(:func:`polynomial_field`, :func:`constant_field`, the affine builtins and
-exact brackets of such fields) also carry a :class:`MonomialTable`, which
-gives exact derivatives of every order, exact Lie brackets and batched
-evaluation; every other field is differentiated by finite differences,
-whose shifted points go through one ``eval_many`` per derivative, and
-along a single vector by :func:`finite_difference_jvp`.  A
+A :class:`VectorField` is an evaluable field on a ball-shaped domain.
+Fields whose components are polynomials (:func:`polynomial_field`,
+:func:`constant_field`, the affine builtins and exact brackets of such
+fields) also carry a :class:`MonomialTable`, the one source of their exact
+derivatives of every order (their per-point Jacobian included), exact Lie
+brackets and batched evaluation; every other field is differentiated by
+finite differences, whose shifted points go through one ``eval_many`` per
+derivative, and along a single vector by :func:`finite_difference_jvp`.  A
 :class:`FieldFamily` is an ordered, indexed collection sharing a common
 domain.  :func:`eval_jet_norm` measures the size of a field's jet at a point
 up to order 3, and :func:`estimate_lb_bound` turns a sampled (or declared)
@@ -129,10 +129,13 @@ class VectorField:
     """An evaluable local vector field on a chart.
 
     ``eval_fn`` maps a point (1-d array) to a vector of the same dimension.
-    ``jacobian_fn`` is optional; when absent, Jacobians are produced by
-    central finite differences.  Evaluation must be pure.  ``table``, when
-    present, is the field as a :class:`MonomialTable`; ``eval_fn`` stays the
-    per-point evaluator because it is faster on one point than the table.
+    Evaluation must be pure.  ``table``, when present, is the field as a
+    :class:`MonomialTable`, the one source of its derivatives; ``eval_fn``
+    stays the per-point evaluator because it is faster on one point than the
+    table, and ``jacobian_fn``, which only a tabled field may have
+    (:class:`InvalidArgument` otherwise), is the table's derivative in the
+    same per-point form.  A field without a table is differentiated by
+    central finite differences.
     """
 
     domain: Ball
@@ -140,6 +143,10 @@ class VectorField:
     jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "X"
     table: MonomialTable | None = None
+
+    def __post_init__(self):
+        if self.jacobian_fn is not None and self.table is None:
+            raise InvalidArgument(f"{self.label}: a Jacobian needs the field's monomial table")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval_fn(np.asarray(x, dtype=float)), dtype=float)
@@ -153,15 +160,14 @@ class VectorField:
         return np.array([self(x) for x in points]).reshape(points.shape)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Analytic Jacobian when available, else central differences."""
+        """The exact Jacobian of a tabled field (from ``jacobian_fn`` when
+        given), else central differences."""
         x = np.asarray(x, dtype=float)
         if self.jacobian_fn is not None:
             return np.asarray(self.jacobian_fn(x), dtype=float)
+        if self.table is not None:
+            return self.table.derivative(x)
         return finite_difference_jacobian(self, x)
-
-    @property
-    def has_analytic_jacobian(self) -> bool:
-        return self.jacobian_fn is not None
 
 
 def finite_difference_jacobian(field: VectorField, x: np.ndarray) -> np.ndarray:
@@ -361,23 +367,18 @@ def _jet_tensors(field: VectorField, x: np.ndarray, s: int) -> list:
     """The value, Jacobian, D2 and D3 of the field at x, ``None`` above
     order s, with ``d2[i, j, k] = d_k d_j X_i`` and ``d3[i, j, k, l] =
     d_l d_k d_j X_i``.  A tabled field takes its derivatives exactly from the
-    table.  A field with an analytic Jacobian takes D2 and D3 from central
-    differences of the Jacobian.  Any other field takes every derivative
-    from nested central differences of its values, with every shifted point
-    evaluated in one ``eval_many`` (1 + 2d + 4d^2 points at order 2)."""
-    scale = 1.0 + float(np.linalg.norm(x))
-    steps = (FD_STEP_1 * scale, FD_STEP_2 * scale, FD_STEP_3 * scale)
-    if field.table is None and not field.has_analytic_jacobian:
+    table.  Any other field takes every derivative from nested central
+    differences of its values, with every shifted point evaluated in one
+    ``eval_many`` (1 + 2d + 4d^2 points at order 2)."""
+    if field.table is None:
+        scale = 1.0 + float(np.linalg.norm(x))
+        steps = (FD_STEP_1 * scale, FD_STEP_2 * scale, FD_STEP_3 * scale)
         jet = _central_differences(field.eval_many, x, [steps[:j] for j in range(s + 1)])
     else:
         jet = [field(x)] + ([field.jacobian(x)] if s >= 1 else [])
-        if s >= 2 and field.table is not None:
+        if s >= 2:
             d2 = field.table.derivative.derivative
             jet += [d2(x)] + ([d2.derivative(x)] if s >= 3 else [])
-        elif s >= 2:
-            def jacobians(points):
-                return np.array([field.jacobian(p) for p in points])
-            jet += _central_differences(jacobians, x, [steps[1:j] for j in range(2, s + 1)])
     return jet + [None] * (4 - len(jet))
 
 
@@ -389,18 +390,15 @@ def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
     Order 0 is the chart norm of the value, order 1 the exact induced
     operator norm of the Jacobian.  Orders 2 and 3 are built once per point
     as tensors.  A field with a monomial table takes them exactly from the
-    table's derivatives.  Otherwise D2 comes from central differences of the
-    Jacobian along the coordinate axes (step ``FD_STEP_2``) and D3 from
-    central differences of D2 along the axes (step ``FD_STEP_3``): 1 + 2d
-    Jacobians at order 2 and 1 + 2d + 4d^2 at order 3.  A field without an
-    analytic Jacobian takes its Jacobians by central differences too, and
-    its whole jet from one ``eval_many`` of 1 + 2d + 4d^2 points at order 2
-    (8d^3 more at order 3).  Their
-    multilinear norms are estimated by contracting the tensors with
-    canonical and random unit directions (at least ``tuple_samples`` random
-    ones) and maximizing the induced operator norm of each contraction over
-    its remaining slot, which is exact for that slot; order 3 pairs every
-    direction with the first eighth of them (at least 4).
+    table's derivatives.  Any other field takes its whole jet from nested
+    central differences (steps ``FD_STEP_1``, ``FD_STEP_2`` and
+    ``FD_STEP_3`` per order) in one ``eval_many`` of 1 + 2d + 4d^2 points
+    at order 2 (8d^3 more at order 3).  Their multilinear norms are
+    estimated by contracting the tensors with canonical and random unit
+    directions (at least ``tuple_samples`` random ones) and maximizing the
+    induced operator norm of each contraction over its remaining slot, which
+    is exact for that slot; order 3 pairs every direction with the first
+    eighth of them (at least 4).
     """
     x = np.asarray(x, dtype=float)
     if not field.domain.contains(x, inflate=1e-12):
@@ -450,9 +448,7 @@ def estimate_lb_bound(family: FieldFamily, region: Ball, s: int, samples: int,
     through unchanged (``method="declared"``).  Otherwise the sampled
     supremum over ``samples`` region points and all members is inflated by
     ``safety`` so that downstream radius guards stay conservative.  Each
-    point and member costs one :func:`eval_jet_norm`, whose derivative
-    tensors take 1 + 2d Jacobians at order 2 and 1 + 2d + 4d^2 at order 3
-    in dimension d; the jet directions come from the stream seeded with
+    point and member costs one :func:`eval_jet_norm`; the jet directions come from the stream seeded with
     ``rng_seed + 1``.
     """
     if samples < 1:

@@ -2,12 +2,15 @@
 piecewise-constant controls, with existence-radius guards and tangent
 vectors (first-order sensitivities) co-integrated on demand.
 
-The integrator is an adaptive embedded Dormand-Prince 5(4) pair.  Control
-piece boundaries are hard restart points: the right-hand side is smooth in
-the state but discontinuous in time exactly there, so no step ever straddles
-a boundary.  The combination ``sum_a u_a(t) X_a(x)`` is evaluated lazily over
-the support of the active piece only; bang-bang controls therefore cost one
-field evaluation per stage regardless of family size.
+The integrator is an adaptive embedded Dormand-Prince 5(4) pair.
+:func:`flow_control` integrates each piece of a :class:`Control`, clipped
+to the run, as its own segment: the right-hand side is smooth in the state
+but discontinuous in time at piece boundaries, so no step ever straddles
+one, and the state rests over the gaps between pieces.  The combination
+``sum_a u_a(t) X_a(x)`` is evaluated lazily over the support of the active
+piece only; bang-bang controls therefore cost one field evaluation per stage
+regardless of family size.  :func:`guard` is the one existence guard, which
+:func:`flow_control` enforces itself when given a bound record.
 
 The stepper advances a stack of rows stored back to back: a single
 trajectory is the one-row case, and :func:`flow_single` takes a stack of
@@ -56,13 +59,10 @@ class Control:
     """A piecewise-constant map from time to coefficient families.
 
     ``pieces`` is a sorted tuple of ``(t_start, t_end, coefficients)``; gaps
-    between pieces mean the zero control.  ``interval`` is the declared time
-    window; ``None`` stands for the whole real line (the natural window for
-    bang-bang parameters, which vanish outside a finite span anyway).
+    between pieces mean the zero control.
     """
 
     pieces: tuple[tuple[float, float, L1Coefficients], ...]
-    interval: tuple[float, float] | None = None
 
     def __post_init__(self):
         ps = tuple(sorted(((float(a), float(b), c) for a, b, c in self.pieces),
@@ -74,10 +74,6 @@ class Control:
             if a2 < b - 1e-15:
                 raise InvalidArgument("pieces overlap")
         object.__setattr__(self, "pieces", ps)
-        if self.interval is not None:
-            lo, hi = self.interval
-            if ps and (ps[0][0] < lo - 1e-15 or ps[-1][1] > hi + 1e-15):
-                raise InvalidArgument("pieces exceed declared interval")
 
     @property
     def sup_norm(self) -> float:
@@ -88,31 +84,13 @@ class Control:
     def l1_norm(self) -> float:
         return sum((b - a) * c.norm1 for a, b, c in self.pieces)
 
-    def boundaries(self) -> list[float]:
-        ts: list[float] = []
-        for a, b, _ in self.pieces:
-            ts.append(a)
-            ts.append(b)
-        return sorted(set(ts))
-
-    def piece_at(self, t: float) -> L1Coefficients | None:
-        for a, b, c in self.pieces:
-            if a <= t < b:
-                return c
-        return None
-
-
-def constant_control(coefficients: L1Coefficients, t_start: float, t_end: float,
-                     interval: tuple[float, float] | None = None) -> Control:
-    return Control(pieces=((t_start, t_end, coefficients),), interval=interval)
-
 
 @dataclass(frozen=True)
 class ExistenceCertificate:
     """Outcome of the flow-existence guard.
 
-    ``margin = min(r/(k c), T') - T0``; the guard is satisfied exactly when
-    the margin is positive (the time bound is strict) and the doubled ball
+    ``margin = r/(k c) - T0``; the guard is satisfied exactly when the
+    margin is positive (the time bound is strict) and the doubled ball
     around the start point fits in the working region, which is how ``r`` is
     chosen in the first place.  ``unsafe`` records an override given to
     :meth:`enforce`.
@@ -121,7 +99,6 @@ class ExistenceCertificate:
     r: float
     k: float
     c: float
-    T_prime: float
     T0: float
     satisfied: bool
     margin: float
@@ -147,31 +124,18 @@ def existence_radius(lb: LbRecord, x0: np.ndarray) -> float:
     return r
 
 
-def guard(lb: LbRecord, x: np.ndarray, c: float, T0: float,
-          t_prime: float = math.inf) -> ExistenceCertificate:
+def guard(lb: LbRecord, x: np.ndarray, c: float, T0: float) -> ExistenceCertificate:
     """The one existence/smallness guard: flows driven with coefficient mass
-    at most ``c`` from ``x`` stay defined for times below ``min(r/(k c), T')``.
+    at most ``c`` from ``x`` stay defined for times below ``r/(k c)``.
 
-    A composition along tau is the case ``c = 1, T0 = norm1(tau)``, where
-    the bound reads ``norm1(tau) < r/k``.
+    A control's flow over ``|T0|`` is the case ``c = u.sup_norm``; a
+    composition along tau is the case ``c = 1, T0 = norm1(tau)``, where the
+    bound reads ``norm1(tau) < r/k``.  No integration happens here.
     """
     r = existence_radius(lb, np.asarray(x, dtype=float))
     k = lb.bound_k
-    time_bound = math.inf if c == 0.0 else r / (k * c)
-    margin = min(time_bound, t_prime) - T0
-    return ExistenceCertificate(r=r, k=k, c=c, T_prime=t_prime, T0=T0,
-                                satisfied=margin > 0, margin=margin)
-
-
-def check_existence(family: FieldFamily, lb: LbRecord, u: Control, x0: np.ndarray,
-                    T0: float, t0: float = 0.0) -> ExistenceCertificate:
-    """Pure guard predicate; no integration happens here."""
-    if u.interval is None:
-        t_prime = math.inf
-    else:
-        lo, hi = u.interval
-        t_prime = min(t0 - lo, hi - t0)
-    return guard(lb, x0, u.sup_norm, T0, t_prime)
+    margin = (math.inf if c == 0.0 else r / (k * c)) - T0
+    return ExistenceCertificate(r=r, k=k, c=c, T0=T0, satisfied=margin > 0, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -219,7 +183,7 @@ class _Rhs:
                 W, dW = y[d:].reshape(d, k), out[d:].reshape(d, k)
                 J, h = None, None
                 for m, w in self.pairs:
-                    if m.has_analytic_jacobian:
+                    if m.table is not None:
                         J = w * m.jacobian(x) if J is None else J + w * m.jacobian(x)
                         continue
                     # finite_difference_jvp of one row per column, in
@@ -248,13 +212,10 @@ class _Rhs:
 
 def _derivative_along(m: VectorField, x: np.ndarray, W: np.ndarray) -> np.ndarray:
     """``DX(x) W`` at each row of x for the blocks W (N, d, k): from the
-    monomial table's derivative, from the analytic Jacobian, or by one
-    central difference per column, which takes two evaluations where a
-    finite-difference Jacobian takes 2d."""
+    monomial table's derivative, or by one central difference per column,
+    which takes two evaluations where a finite-difference Jacobian takes 2d."""
     if m.table is not None:
         return m.table.derivative.eval_many(x) @ W
-    if m.has_analytic_jacobian:
-        return np.stack([m.jacobian(p) @ q for p, q in zip(x, W)])
     n, d, k = W.shape
     columns = W.transpose(0, 2, 1).reshape(n * k, d)
     dW = finite_difference_jvp(m, np.repeat(x, k, axis=0), columns)
@@ -316,18 +277,18 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
     return y
 
 
-def _flow(x0: np.ndarray, t0: float, segments, tangents, tol: float,
-          region: Ball, certificate: ExistenceCertificate | None) -> FlowResult:
+def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
+          certificate: ExistenceCertificate | None) -> FlowResult:
     """The one integration core behind :func:`flow_control` and
     :func:`flow_single`.  ``x0`` is one start point (d,) or a stack of them
     (N, d), each one row of the stepper.  ``tangents`` (or ``None``) holds
     the tangent columns each row carries: ``(d,)`` or ``(d, k)`` for one
     point, ``(N, d)`` or ``(N, d, k)`` for a stack.
 
-    ``segments`` are consecutive ``(t_end, pairs)`` pieces starting at
-    ``t0``, ``pairs`` being the ``(member, weight)`` terms of the piece; no
-    terms is the zero control, over which the state is stationary.  A flow
-    without segments returns its start points without stepping.
+    ``segments`` are the ``(t_start, t_end, pairs)`` runs of the flow in the
+    order integrated, ``pairs`` being the ``(member, weight)`` terms of the
+    run; the state is stationary between them.  A flow without segments
+    returns its start points without stepping.
     """
     if not 0 < tol < math.inf:
         raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
@@ -341,14 +302,12 @@ def _flow(x0: np.ndarray, t0: float, segments, tangents, tol: float,
         k = tangents.size // points.size
         points = np.concatenate([points, tangents.reshape(rows, -1)], axis=1)
     if segments:
-        _check_region(region, points, rows, dim, t0, "start point outside the working region")
+        _check_region(region, points, rows, dim, segments[0][0],
+                      "start point outside the working region")
     y = points.ravel().copy()
     stats = {"steps": 0, "err": 0.0}
-    a = t0
-    for b, pairs in segments:
-        if pairs:
-            y = _integrate_segment(_Rhs(pairs, dim, k), a, b, y, rows, dim, tol, region, stats)
-        a = b
+    for a, b, pairs in segments:
+        y = _integrate_segment(_Rhs(pairs, dim, k), a, b, y, rows, dim, tol, region, stats)
     Y = y.reshape(rows, -1)
     return FlowResult(endpoint=Y[:, :dim].reshape(x0.shape),
                       tangents=None if tangents is None else Y[:, dim:].reshape(tangents.shape),
@@ -362,33 +321,36 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
                  region: Ball | None = None) -> FlowResult:
     """Integrate the controlled combination of family members from t0 over T0.
 
-    When ``lb`` is given, the existence guard is enforced before integration
-    (``unsafe=True`` overrides it, recorded on the certificate) and the
-    trajectory is confined to ``lb.region``; otherwise it is confined to the
-    family's common domain.  ``T0`` may be negative for backward integration.
-    ``tangents`` (a vector or d×k columns) are carried as in
-    :func:`flow_single`; the identity gives the variational matrix.
+    When ``lb`` is given, the existence guard ``guard(lb, x0, u.sup_norm,
+    |T0|)`` is enforced before integration (``unsafe=True`` overrides it,
+    recorded on the certificate) and the trajectory is confined to
+    ``lb.region``; otherwise it is confined to the family's common domain.
+    ``T0`` may be negative for backward integration.  Each piece of ``u``
+    with coefficients is integrated over its part of the run, as its own
+    segment, so no step straddles a switch.  ``tangents`` (a vector or d×k
+    columns) are carried as in :func:`flow_single`; the identity gives the
+    variational matrix.
     """
     x0 = np.asarray(x0, dtype=float)
-    dim = family.space.dimension
-    if x0.size != dim:
+    if x0.size != family.space.dimension:
         raise ValueError("start point dimension mismatch")
 
     certificate = None
     if lb is not None:
-        certificate = check_existence(family, lb, u, x0, abs(T0), t0=t0).enforce(unsafe)
+        certificate = guard(lb, x0, u.sup_norm, abs(T0)).enforce(unsafe)
     work_region = region if region is not None else (lb.region if lb is not None else family.common_domain)
 
-    t_end = t0 + T0
-    direction = 1.0 if T0 >= 0 else -1.0
-    cuts = [t0] + [b for b in u.boundaries() if (t0 - b) * direction < 0 and (t_end - b) * direction > 0]
-    cuts = sorted(set(cuts + [t_end]), reverse=(direction < 0))
-    segments = []
-    for a, b in zip(cuts, cuts[1:]):
-        coeff = u.piece_at(0.5 * (a + b))
-        pairs = () if coeff is None else tuple((family.members[i], v) for i, v in coeff.entries)
-        segments.append((b, pairs))
-    return _flow(x0, t0, segments, tangents, tol, work_region, certificate)
+    lo, hi = sorted((t0, t0 + T0))
+    segments, end = [], lo
+    for a, b, coeff in u.pieces:
+        # a piece overlapping its predecessor by rounding starts where that ends
+        a, b = max(a, end), min(b, hi)
+        if a < b and coeff.entries:
+            segments.append((a, b, tuple((family.members[i], v) for i, v in coeff.entries)))
+        end = max(end, b)
+    if T0 < 0:
+        segments = [(b, a, pairs) for a, b, pairs in reversed(segments)]
+    return _flow(x0, segments, tangents, tol, work_region, certificate)
 
 
 def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_TOL,
@@ -401,8 +363,8 @@ def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_T
     (``X.domain`` by default) raises :class:`LeftDomain`.  Negative ``t``
     integrates backwards; ``t == 0`` returns its input without stepping.
     """
-    segments = [(t, ((X, 1.0),))] if t else []
-    return _flow(np.asarray(x0, dtype=float), 0.0, segments, tangents, tol,
+    segments = [(0.0, t, ((X, 1.0),))] if t else []
+    return _flow(np.asarray(x0, dtype=float), segments, tangents, tol,
                  region if region is not None else X.domain, None)
 
 

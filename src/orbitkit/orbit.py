@@ -201,16 +201,20 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
                tol: float = DEFAULT_TOL, unsafe: bool = False) -> SliceGrid:
     """Map the parameter box ``|w_axis| <= rho`` through the chart map.
 
-    ``rho`` must stay below the smallness radius r/k unless ``unsafe``
-    overrides the guard.  At the origin the differential sends the canonical
-    directions to the field values, so the reported rank at zero should
-    equal the number of axes wherever the slice is a genuine local
-    parametrization.
+    ``rho`` must be positive and finite and stay below the smallness radius
+    r/k unless ``unsafe`` overrides the guard; ``grid_per_axis`` must be at
+    least 1.  At the origin the differential sends the canonical directions
+    to the field values, so the reported rank at zero should equal the
+    number of axes wherever the slice is a genuine local parametrization.
     """
     x = np.asarray(x, dtype=float)
     axes = tuple(int(a) for a in axes)
     if len(axes) > 3:
         raise InvalidArgument("at most 3 grid axes are supported")
+    if not 0 < rho < np.inf:
+        raise InvalidArgument(f"rho must be positive and finite, not {rho!r}")
+    if grid_per_axis < 1:
+        raise InvalidArgument("grid_per_axis must be >= 1")
     cert = guard(lb, x, 1.0, rho).enforce(unsafe)
     grids = np.meshgrid(*[np.linspace(-rho, rho, grid_per_axis)] * len(axes), indexing="ij")
     params = np.stack([g.ravel() for g in grids], axis=1)

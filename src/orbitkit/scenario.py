@@ -270,7 +270,7 @@ SCHEMA = {
                  "piece": Opt("piece", REQUIRED), "variational": Opt("flag", False)},
         "compose": {**_COMPOSE, "curve-samples": Opt("int", 0), "out": Opt("word")},
         "invert": _COMPOSE,
-        "slice": {**_POINT, "rho": Opt("float", 0.1), "grid": Opt("int", 5),
+        "slice": {**_POINT, "rho": Opt("positive", 0.1), "grid": Opt("int", 5),
                   "axes": Opt("indices", (0,)), "out": Opt("word")},
         "bracket-chain": {**_POINT, "k-max": Opt("int", 3)},
         "certify-hprime": {"grid": Opt("int", 5), "tolerance": Opt("float", 1e-8)},

@@ -18,6 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 NORM_KINDS = ("sup", "euclidean", "l1")
 
 
@@ -30,7 +32,7 @@ def vector_norm(v: np.ndarray, kind: str) -> float:
         return float(np.sum(np.abs(v)))
     if kind == "sup":
         return float(np.max(np.abs(v))) if v.size else 0.0
-    raise ValueError(f"unknown norm kind {kind!r}")
+    raise InvalidArgument(f"unknown norm kind {kind!r}")
 
 
 def _row_norms(v: np.ndarray, kind: str) -> np.ndarray:
@@ -51,7 +53,7 @@ def operator_norm(m: np.ndarray, kind: str) -> float | np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     if kind not in NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}")
+        raise InvalidArgument(f"unknown norm kind {kind!r}")
     if m.shape[-2] == 0 or m.shape[-1] == 0:
         out = np.zeros(m.shape[:-2])
     elif kind == "euclidean":
@@ -80,12 +82,12 @@ class ChartSpace:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InvalidArgument("dimension must be >= 1")
         if self.norm_kind is None:
             kind = "l1" if self.truncation_of_l1 else "euclidean"
             object.__setattr__(self, "norm_kind", kind)
         elif self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}")
+            raise InvalidArgument(f"unknown norm kind {self.norm_kind!r}")
 
     def norm(self, v: np.ndarray) -> float:
         return vector_norm(v, self.norm_kind)
@@ -123,9 +125,9 @@ class Ball:
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
         if not 0 < self.radius < np.inf:
-            raise ValueError("radius must be positive and finite")
+            raise InvalidArgument("radius must be positive and finite")
         if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}")
+            raise InvalidArgument(f"unknown norm kind {self.norm_kind!r}")
 
     def contains(self, point: np.ndarray, inflate: float = 0.0) -> bool:
         d = vector_norm(np.asarray(point) - self.center, self.norm_kind)
@@ -162,14 +164,14 @@ class L1Coefficients:
     def __post_init__(self):
         ent = tuple((int(i), float(v)) for i, v in self.entries)
         if any(v == 0.0 for _, v in ent):
-            raise ValueError("stored zero value")
+            raise InvalidArgument("stored zero value")
         idx = [i for i, _ in ent]
         if sorted(idx) != idx or len(set(idx)) != len(idx):
-            raise ValueError("entries must be sorted by index with no duplicates")
+            raise InvalidArgument("entries must be sorted by index with no duplicates")
         if any(i < 0 for i in idx):
-            raise ValueError("indices must be non-negative")
-        if self.tail_bound < 0:
-            raise ValueError("tail bound must be non-negative")
+            raise InvalidArgument("indices must be non-negative")
+        if not self.tail_bound >= 0:
+            raise InvalidArgument("tail bound must be non-negative")
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "norm1", sum(abs(v) for _, v in ent) + self.tail_bound)
 
@@ -199,7 +201,7 @@ class L1Coefficients:
         Mass is conserved: ``kept.norm1 + tail == self.norm1``.
         """
         if n < 0:
-            raise ValueError("n must be >= 0")
+            raise InvalidArgument("n must be >= 0")
         kept = self.entries[:n]
         dropped = self.entries[n:]
         tail = sum(abs(v) for _, v in dropped) + self.tail_bound

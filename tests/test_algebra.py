@@ -5,9 +5,9 @@ from orbitkit.catalog import (affine_l1, commuting_constants, grushin, heisenber
                               heisenberg_full, operator_family)
 from orbitkit.algebra import (FlowWord, _grid_in_region, bracket_chain, bracket_field,
                               certify_h_prime, enlarge_field, lie_bracket, lie_bracket_via_flows)
-from orbitkit.errors import OutOfDomain, WordNotIntegrable
-from orbitkit.fields import (FieldFamily, LbRecord, VectorField, estimate_lb_bound,
-                             polynomial_field)
+from orbitkit.errors import InvalidArgument, OutOfDomain, WordNotIntegrable
+from orbitkit.fields import (FieldFamily, LbRecord, MonomialTable, VectorField,
+                             estimate_lb_bound, polynomial_field)
 from orbitkit.flow import flow_single
 from orbitkit.orbit import accessibility_verdict, numerical_rank
 from orbitkit.space import ChartSpace, ball
@@ -19,10 +19,10 @@ def combo(a, X, b, Y, label="combo"):
     def ev(x):
         return a * X(x) + b * Y(x)
 
-    def jac(x):
-        return a * X.jacobian(x) + b * Y.jacobian(x)
-
-    return VectorField(domain=X.domain, eval_fn=ev, jacobian_fn=jac, label=label)
+    table = MonomialTable.from_rows(np.concatenate([X.table.exponents, Y.table.exponents]),
+                                    np.concatenate([a * X.table.coefficients,
+                                                    b * Y.table.coefficients]))
+    return VectorField(domain=X.domain, eval_fn=ev, table=table, label=label)
 
 
 def wave_family(dim, rng):
@@ -404,6 +404,12 @@ class TestCertifyHPrime:
         rep = certify_h_prime(plain, ball([0, 0, 0], 0.5), grid_size=3, tol=1e-6)
         assert rep.certified
         assert rep.bound_C == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_below_one_is_an_invalid_argument(self, heis, grid):
+        # an empty grid used to certify over zero points
+        with pytest.raises(InvalidArgument):
+            certify_h_prime(heis, ball([0, 0, 0], 0.5), grid_size=grid)
 
     def test_commuting_certified_zero(self):
         fam = commuting_constants(3, 2)

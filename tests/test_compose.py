@@ -7,7 +7,7 @@ from orbitkit.errors import GuardViolated, InvalidArgument, TailNotSummable
 from orbitkit.compose import (compose_flows, compose_inverse, d_psi, extract_l1_curve,
                               gamma_control, psi_chart)
 from orbitkit.fields import LbRecord, estimate_lb_bound
-from orbitkit.flow import guard
+from orbitkit.flow import flow_control, guard
 from orbitkit.space import L1Coefficients
 
 TOL = 1e-9
@@ -30,7 +30,7 @@ def geometric_tau(n=24, ratio=0.5, tail=0.0):
 
 class TestGammaControl:
     def test_forward_pieces(self):
-        g = gamma_control(L1Coefficients(((0, 1.0), (1, -2.0))), "forward")
+        g = gamma_control(L1Coefficients(((0, 1.0), (1, -2.0))))
         assert g.pieces[0][:2] == (0.0, 1.0)
         assert g.pieces[0][2].entries == ((0, 1.0),)
         assert g.pieces[1][:2] == (1.0, 3.0)
@@ -39,26 +39,21 @@ class TestGammaControl:
         assert g.l1_norm == 3.0
 
     def test_empty(self):
-        g = gamma_control(L1Coefficients(()), "forward")
+        g = gamma_control(L1Coefficients(()))
         assert g.pieces == ()
         assert g.l1_norm == 0.0
 
-    def test_reverse_reflects(self):
-        g = gamma_control(L1Coefficients(((0, 1.0), (1, -2.0))), "reverse")
-        assert g.pieces[0][:2] == (0.0, 2.0)
-        assert g.pieces[0][2].entries == ((1, -1.0),)
-        assert g.pieces[1][:2] == (2.0, 3.0)
-        assert g.pieces[1][2].entries == ((0, 1.0),)
-
-    def test_reverse_is_time_reflection(self):
-        tau = L1Coefficients(((0, 0.5), (2, -1.5), (3, 0.25)))
-        fwd = gamma_control(tau, "forward")
-        rev = gamma_control(tau, "reverse")
-        T = tau.norm1
-        for s in (0.1, 0.6, 1.3, 2.0):
-            a = fwd.piece_at(T - s)
-            b = rev.piece_at(s)
-            assert (a.entries if a else None) == (b.entries if b else None)
+    def test_backward_flow_runs_the_inverse_word(self, heis, heis_lb):
+        # flowing gamma_control(tau) back over its whole time reverses the
+        # pieces, which is the inverse word's forward control
+        tau = L1Coefficients(((0, 0.15), (1, -0.2)))
+        x = np.array([0.1, -0.2, 0.3])
+        y = compose_flows(heis, heis_lb, tau, x, tol=TOL).endpoint
+        g = gamma_control(tau)
+        back = flow_control(heis, g, y, g.l1_norm, -g.l1_norm, tol=TOL)
+        inv = compose_inverse(heis, heis_lb, tau, y, tol=TOL)
+        assert np.abs(back.endpoint - inv.endpoint).max() <= 10 * TOL
+        assert np.abs(back.endpoint - x).max() <= 10 * TOL
 
 
 class TestComposeFlows:
@@ -96,6 +91,24 @@ class TestComposeFlows:
         tau = L1Coefficients(((0, 0.5),), tail_bound=0.3)
         with pytest.raises(TailNotSummable):
             compose_flows(commuting, commuting_lb, tau, np.zeros(24), tol=1e-9)
+
+    @pytest.mark.parametrize("compose", [compose_flows, compose_inverse])
+    def test_tail_factor_saturates(self, commuting, compose):
+        # k * |tau|_1 = 800 overflows exp: the factor is inf, so a composition
+        # that drops nothing is exact, one that drops mass has an infinite
+        # bound, and a declared tail is refused
+        lb = LbRecord(order_s=2, bound_k=1000.0, region=commuting.common_domain)
+        tau = L1Coefficients(((0, 0.5), (3, -0.3)))
+        res = compose(commuting, lb, tau, np.zeros(24), tol=TOL, unsafe=True)
+        assert res.truncation_n == 2 and res.tail_error_bound == 0.0
+        expected = np.zeros(24)
+        expected[[0, 3]] = [0.5, -0.3] if compose is compose_flows else [-0.5, 0.3]
+        assert np.abs(res.endpoint - expected).max() <= 1e-9
+        cut = compose(commuting, lb, tau, np.zeros(24), tol=TOL, truncation_n=1, unsafe=True)
+        assert cut.tail_error_bound == np.inf
+        with pytest.raises(TailNotSummable):
+            compose(commuting, lb, L1Coefficients(tau.entries, 0.1), np.zeros(24), tol=TOL,
+                    unsafe=True)
 
     def test_guard_strict(self, commuting, commuting_lb):
         # smallness limit is r/k = 3.0 here; exactly hitting it must refuse

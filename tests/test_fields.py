@@ -9,7 +9,7 @@ from orbitkit.algebra import FlowWord, bracket_field, enlarge_field, lie_bracket
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, heisenberg_full
 from orbitkit.errors import InvalidArgument, OrderTooHigh, OutOfDomain
 from orbitkit.fields import (FD_STEP_1, FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily,
-                             VectorField, _jet_tensors, _unit_vectors, calculus, constant_field,
+                             VectorField, _unit_vectors, calculus, constant_field,
                              estimate_lb_bound, eval_jet_norm, finite_difference_jacobian,
                              finite_difference_jvp, polynomial_field)
 from orbitkit.space import ChartSpace, ball, operator_norm, vector_norm
@@ -158,31 +158,6 @@ class TestTensorJets:
         assert got == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("kind", ["euclidean", "l1", "sup"])
-    @pytest.mark.parametrize("comps", [
-        # quadratic: D2 constant, D3 zero
-        [[(1.0, (0, 2, 0))], [(-0.5, (1, 0, 1)), (2.0, (0, 1, 0))], [(0.8, (2, 0, 0))]],
-        # cubic: D3 nonzero
-        [[(1.5, (3, 0, 0)), (-2.0, (1, 1, 1))], [(0.7, (0, 2, 1)), (1.0, (1, 0, 0))],
-         [(-1.2, (0, 0, 3)), (0.5, (2, 1, 0))]],
-    ], ids=["quadratic", "cubic"])
-    def test_analytic_jacobian_without_table_matches_the_table(self, comps, kind):
-        # D2 and D3 from central differences of the analytic Jacobian agree
-        # with the table's exact tensors, slot by slot and in the jet norm
-        space = ChartSpace(3, norm_kind=kind)
-        X = polynomial_field(ball(np.zeros(3), 4.0, kind), comps, label="poly")
-        untabled = replace(X, table=None)
-        assert untabled.has_analytic_jacobian
-        x = np.array([0.3, -0.6, 0.2])
-        exact, fd = _jet_tensors(X, x, 3), _jet_tensors(untabled, x, 3)
-        for order, rel in ((2, 1e-6), (3, 1e-3)):
-            assert fd[order].shape == exact[order].shape == (3,) * (order + 1)
-            assert np.abs(fd[order] - exact[order]).max() <= rel * (1.0 + np.abs(exact[order]).max())
-        for s, rel in ((2, 1e-6), (3, 1e-3)):
-            got = eval_jet_norm(untabled, x, s, space, rng=np.random.default_rng(11))
-            ref = eval_jet_norm(X, x, s, space, rng=np.random.default_rng(11))
-            assert got == pytest.approx(ref, rel=rel)
-
-    @pytest.mark.parametrize("kind", ["euclidean", "l1", "sup"])
     def test_unit_vectors_match_sequential_draws(self, kind):
         space = ChartSpace(5, norm_kind=kind)
         got = _unit_vectors(space, np.random.default_rng(4), 40)
@@ -275,13 +250,23 @@ class TestMonomialTable:
 
 
 class TestJacobians:
+    def test_a_jacobian_needs_a_table(self):
+        # a tabled field's derivatives have one source: a Jacobian comes
+        # with the table, and without one the table gives it
+        X = polynomial_field(ball([0, 0], 4.0), [((1.0, (0, 2)),), ((-2.0, (1, 1)),)])
+        with pytest.raises(InvalidArgument):
+            replace(X, table=None)
+        x = np.array([0.3, -0.7])
+        assert np.array_equal(replace(X, jacobian_fn=None).jacobian(x), X.table.derivative(x))
+        assert np.abs(X.jacobian(x) - X.table.derivative(x)).max() <= 1e-15
+
     @pytest.mark.parametrize("family_builder", [heisenberg, grushin])
     def test_analytic_matches_finite_differences(self, family_builder, rng):
         fam = family_builder()
         for _ in range(100):
             x = rng.uniform(-1, 1, fam.space.dimension)
             for m in fam.members:
-                if not m.has_analytic_jacobian:
+                if m.jacobian_fn is None:
                     continue
                 J = m.jacobian(x)
                 J_fd = finite_difference_jacobian(m, x)

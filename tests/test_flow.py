@@ -6,11 +6,14 @@ import pytest
 from orbitkit.catalog import commuting_constants, grushin, heisenberg
 from orbitkit.errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain
 from orbitkit.fields import FieldFamily, LbRecord, polynomial_field
-from orbitkit.flow import (Control, FlowWord, check_existence, constant_control, flow_control,
-                           flow_single)
+from orbitkit.flow import Control, FlowWord, flow_control, flow_single, guard
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
 TOL = 1e-9
+
+
+def one_piece(coefficients, t_start, t_end):
+    return Control(pieces=((t_start, t_end, coefficients),))
 
 
 def heisenberg_rectangle_control():
@@ -22,12 +25,10 @@ def heisenberg_rectangle_control():
     ))
 
 
-class TestCheckExistence:
+class TestGuard:
     def test_margin_arithmetic(self):
-        fam = commuting_constants(2, 2)
         lb = LbRecord(order_s=2, bound_k=1.25, region=ball([0, 0], 4.0))
-        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 1.0)
-        cert = check_existence(fam, lb, u, np.zeros(2), 1.0)
+        cert = guard(lb, np.zeros(2), 1.0, 1.0)
         assert cert.r == pytest.approx(2.0)
         assert cert.c == 1.0
         assert cert.margin == pytest.approx(2.0 / 1.25 - 1.0)
@@ -35,27 +36,30 @@ class TestCheckExistence:
 
     def test_boundary_time_not_satisfied(self):
         # the time bound is strict
-        fam = commuting_constants(2, 2)
         lb = LbRecord(order_s=2, bound_k=1.25, region=ball([0, 0], 4.0))
-        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 2.0)
-        cert = check_existence(fam, lb, u, np.zeros(2), 2.0 / 1.25)
+        cert = guard(lb, np.zeros(2), 1.0, 2.0 / 1.25)
         assert not cert.satisfied
         assert cert.margin == pytest.approx(0.0)
 
     def test_zero_control_always_satisfied(self):
-        fam = commuting_constants(2, 2)
         lb = LbRecord(order_s=2, bound_k=1.25, region=ball([0, 0], 4.0))
-        u = Control(pieces=())
-        cert = check_existence(fam, lb, u, np.zeros(2), 1e6)
+        cert = guard(lb, np.zeros(2), Control(pieces=()).sup_norm, 1e6)
         assert cert.satisfied
         assert cert.margin == np.inf
 
     def test_domain_too_small(self):
-        fam = commuting_constants(2, 2)
         lb = LbRecord(order_s=2, bound_k=1.25, region=ball([0, 0], 1.0))
-        u = Control(pieces=())
         with pytest.raises(DomainTooSmall):
-            check_existence(fam, lb, u, np.array([1.0, 0.0]), 1.0)
+            guard(lb, np.array([1.0, 0.0]), 0.0, 1.0)
+
+    def test_flow_control_enforces_the_guard_of_its_control(self, heis, heis_lb):
+        # the certificate is guard(lb, x0, u.sup_norm, |T0|), backwards too
+        u = Control(pieces=((0.0, 0.1, L1Coefficients(((0, 0.5),))),
+                            (0.1, 0.3, L1Coefficients(((0, -0.25), (1, 0.5))))))
+        x0 = np.array([0.1, -0.2, 0.3])
+        for T0 in (0.3, -0.3):
+            cert = flow_control(heis, u, x0, 0.3 if T0 < 0 else 0.0, T0, lb=heis_lb).certificate
+            assert cert == guard(heis_lb, x0, 0.75, 0.3)
 
 
 class TestControl:
@@ -69,15 +73,11 @@ class TestControl:
         with pytest.raises(InvalidArgument):
             Control(pieces=tuple((a, b, coeffs) for a, b in pieces))
 
-    def test_pieces_outside_interval(self):
-        with pytest.raises(InvalidArgument):
-            Control(pieces=((0.0, 2.0, L1Coefficients(((0, 1.0),))),), interval=(0.0, 1.0))
-
 
 class TestFlowControl:
     def test_constant_straight_line(self):
         fam = commuting_constants(2, 2)
-        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 1.0)
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 1.0)
         res = flow_control(fam, u, np.zeros(2), 0.0, 1.0, tangents=np.eye(2), tol=TOL)
         assert np.allclose(res.endpoint, [1.0, 0.0], atol=1e-12)
         assert np.allclose(res.tangents, np.eye(2), atol=1e-12)
@@ -87,7 +87,7 @@ class TestFlowControl:
         dom = ball([0.0], 10.0)
         X = polynomial_field(dom, [((1.0, (1,)),)], label="lin")
         fam = FieldFamily(space=space, members=(X,), common_domain=dom)
-        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 1.0)
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 1.0)
         res = flow_control(fam, u, np.array([1.0]), 0.0, 1.0, tangents=np.eye(1), tol=TOL)
         assert res.endpoint[0] == pytest.approx(np.e, abs=1e-8)
         assert res.tangents[0, 0] == pytest.approx(np.e, abs=1e-8)
@@ -100,7 +100,7 @@ class TestFlowControl:
         assert np.allclose(res.endpoint, [0.0, 0.0, 1.0], atol=1e-6)
 
     def test_guard_enforced(self, heis, heis_lb):
-        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 100.0)
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 100.0)
         with pytest.raises(GuardViolated):
             flow_control(heis, u, np.zeros(3), 0.0, 100.0, lb=heis_lb)
         res = flow_control(heis, u, np.zeros(3), 0.0, 0.1, lb=heis_lb, unsafe=True)
@@ -108,7 +108,7 @@ class TestFlowControl:
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
     def test_tolerance_must_be_positive_and_finite(self, heis, tol):
-        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 0.1)
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 0.1)
         with pytest.raises(InvalidArgument):
             flow_control(heis, u, np.zeros(3), 0.0, 0.1, tol=tol)
         with pytest.raises(InvalidArgument):
@@ -116,7 +116,7 @@ class TestFlowControl:
 
     def test_left_domain(self):
         fam = commuting_constants(2, 2, radius=1.0)
-        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 5.0)
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 5.0)
         with pytest.raises(LeftDomain):
             flow_control(fam, u, np.zeros(2), 0.0, 5.0)
 
@@ -167,20 +167,6 @@ class TestFlowSingle:
         X = polynomial_field(dom, [((1.0, (2,)),)], label="sq")
         with pytest.raises((StepUnderflow, LeftDomain)):
             flow_single(X, np.array([1.0]), 1.5, tol=1e-9)
-
-    def test_bounded_interval_limits_existence_window(self):
-        fam = commuting_constants(2, 2)
-        lb = LbRecord(order_s=2, bound_k=1.25, region=ball([0, 0], 4.0))
-        u = constant_control(L1Coefficients(((0, 1.0),)), 0.0, 0.5,
-                             interval=(0.0, 0.5))
-        cert = check_existence(fam, lb, u, np.zeros(2), 0.4)
-        assert cert.T_prime == pytest.approx(0.0)  # window is one-sided here
-        assert not cert.satisfied
-        u2 = constant_control(L1Coefficients(((0, 1.0),)), -0.5, 0.5,
-                              interval=(-0.5, 0.5))
-        cert2 = check_existence(fam, lb, u2, np.zeros(2), 0.4)
-        assert cert2.T_prime == pytest.approx(0.5)
-        assert cert2.satisfied
 
 
 def _law_catalog():
@@ -247,11 +233,11 @@ class TestFlowLaws:
                                                (1, float(rng.uniform(-1, 1)))])
             if not coeff.entries:
                 continue
-            u = constant_control(coeff, 0.0, 10.0, interval=None)
+            u = one_piece(coeff, 0.0, 10.0)
             x0 = rng.uniform(-0.5, 0.5, 3)
-            cert = check_existence(heis, heis_lb, u, x0, 10.0)
+            cert = guard(heis_lb, x0, u.sup_norm, 10.0)
             T0 = float(rng.uniform(0.0, 0.9)) * min(cert.r / (cert.k * max(cert.c, 1e-12)), 10.0)
-            cert2 = check_existence(heis, heis_lb, u, x0, T0)
+            cert2 = guard(heis_lb, x0, u.sup_norm, T0)
             assert cert2.satisfied
             flow_control(heis, u, x0, 0.0, T0, lb=heis_lb, tol=1e-7)  # must not raise
 
@@ -376,13 +362,11 @@ class TestStackedRuns:
 
 
 def polynomial_like_scale(X, factor):
-    from orbitkit.fields import VectorField
+    from orbitkit.fields import MonomialTable, VectorField
 
     def ev(x):
         return factor * X(x)
 
-    def jac(x):
-        return factor * X.jacobian(x)
-
-    return VectorField(domain=X.domain, eval_fn=ev, jacobian_fn=jac,
+    return VectorField(domain=X.domain, eval_fn=ev,
+                       table=MonomialTable(X.table.exponents, factor * X.table.coefficients),
                        label=f"{factor:g}*{X.label}")

@@ -114,6 +114,18 @@ class TestSliceGrid:
         with pytest.raises(GuardViolated):
             slice_grid(heis, heis_lb, np.zeros(3), rho=1.0, grid_per_axis=3, axes=[0, 1])
 
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, float("nan"), float("inf")])
+    def test_rho_must_be_positive_and_finite(self, heis, heis_lb, rho):
+        # a negative rho maps the same box as |rho| but passed the guard with
+        # margin r/k + |rho|
+        with pytest.raises(InvalidArgument):
+            slice_grid(heis, heis_lb, np.zeros(3), rho=rho, grid_per_axis=3, axes=[0, 1])
+
+    @pytest.mark.parametrize("grid", [0, -2])
+    def test_grid_below_one_is_an_invalid_argument(self, heis, heis_lb, grid):
+        with pytest.raises(InvalidArgument):
+            slice_grid(heis, heis_lb, np.zeros(3), rho=0.3, grid_per_axis=grid, axes=[0, 1])
+
     def test_unsafe_overrides_the_rho_guard(self, heis, heis_lb):
         res = slice_grid(heis, heis_lb, np.zeros(3), rho=1.0, grid_per_axis=3, axes=[0, 1],
                          unsafe=True)

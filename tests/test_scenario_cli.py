@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitkit.catalog import BUILTINS
 from orbitkit.cli import main, run_scenario
@@ -197,6 +197,10 @@ command compose {
         ("slice", "point 0 0 0\n  axes", "ParseError"),
         ("slice", "point 0 0 0\n  grid 2\n  out", "ParseError"),
         ("certify-hprime", "grid", "ParseError"),
+        ("certify-hprime", "grid 0", "InvalidArgument"),
+        ("slice", "point 0 0 0\n  rho -0.5\n  axes 0 1", "ParseError"),
+        ("slice", "point 0 0 0\n  rho 0", "ParseError"),
+        ("slice", "point 0 0 0\n  grid 0\n  out s.txt", "InvalidArgument"),
         ("flow", "point 0 0 0\n  piece 0 1 0 0.1\n  tol -1", "ParseError"),
         ("flow", "point 0 0 0\n  piece 0 1 0 0.1\n  tol 0", "ParseError"),
         ("flow", "point 0 0 0\n  piece 0 1 0 0.1\n  tol nan", "ParseError"),
@@ -564,10 +568,12 @@ def _with(section_line, extra):
 
 
 TWO_COMMANDS = "command verdict {\n  point 0 0 0\n}\ncommand check-lb {\n  %s\n}\n"
+THEN_VERDICT = "command verdict {\n  point 0 0 0\n}\n"
 
 # values a library call rejects when the scenario runs: each used to end
-# `orbitkit run` in a ValueError traceback (or, for `lb samples 0`, to be
-# replaced by the default); kinds are the report error types, None for ok
+# `orbitkit run` in a ValueError traceback (an OverflowError for a tail
+# factor beyond the floats, or, for `lb samples 0`, to be replaced by the
+# default); kinds are the report error types, None for ok
 LIBRARY_REJECTIONS = {
     "check-lb-samples-0": (HEIS_HEADER + TWO_COMMANDS % "samples 0", 1, [None, "InvalidArgument"]),
     "check-lb-order-negative": (HEIS_HEADER + TWO_COMMANDS % "order -1", 1,
@@ -580,6 +586,12 @@ LIBRARY_REJECTIONS = {
                            ["InvalidArgument"] * 2),
     "lb-declared-word": (_with("  order 2\n", "  declared foo\n") + TWO_COMMANDS % "order 2", 2,
                          []),
+    **{f"{name}-{key}": (_one_command(name, f"point 0 0 0\n  entry 0 0.1\n  {option}")
+                         + THEN_VERDICT, 1, [kind, None])
+       for name in ("compose", "invert")
+       for key, option, kind in (("tail-negative", "tail -1", "InvalidArgument"),
+                                 ("truncation-negative", "truncation -1", "InvalidArgument"),
+                                 ("unsafe-overflow", "entry 1 100\n  unsafe on", "LeftDomain"))},
 }
 
 
@@ -793,34 +805,42 @@ def _valid_args(opt, dim, members):
     }[kind].map(list)
 
 
+# the sizes of a command's work, drawn small (and around their lower limits)
+# where a scenario is run rather than only read
+SMALL_SIZES = {key: st.integers(-1, 4).map(str).map(lambda v: [v])
+               for key in ("budget", "max-word-len", "grid", "curve-samples", "k-max")}
+
+
 @st.composite
-def valid_command(draw, dim, members):
+def valid_command(draw, dim, members, small=False):
     name = draw(st.sampled_from(sorted(SCHEMA["command"])))
     lines = []
     for key, opt in SCHEMA["command"][name].items():
         repeats = 0 if opt.default is not REQUIRED and draw(st.booleans()) else 1
         if opt.kind in ("entry", "piece"):
             repeats = draw(st.integers(repeats, 3))
+        args = SMALL_SIZES[key] if small and key in SMALL_SIZES else _valid_args(opt, dim, members)
         for _ in range(repeats):
-            lines.append(" ".join([key, *draw(_valid_args(opt, dim, members))]))
+            lines.append(" ".join([key, *draw(args)]))
     lines = draw(st.permutations(lines))
     return f"command {name} {{\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
 
 
 @st.composite
-def valid_scenario(draw):
+def valid_scenario(draw, small=False):
     if draw(st.booleans()):
         family, dim = HEIS_HEADER.split("lb {")[0], 3
     else:
         family, dim = POLY_SCENARIO.split("command")[0], 2
     text = family
     if draw(st.booleans()):
-        text += (f"lb {{\n  order {draw(st.integers(0, 3))}\n  samples {draw(st.integers(1, 300))}"
+        samples = draw(st.integers(1, 20 if small else 300))
+        text += (f"lb {{\n  order {draw(st.integers(0, 3))}\n  samples {samples}"
                  f"\n  declared {draw(st.sampled_from(['auto', 'off', '2.5', '1e3']))}\n}}\n")
     if draw(st.booleans()):
         text += (f"defaults {{\n  tol {draw(st.sampled_from(['1e-09', '1e-06']))}\n"
                  f"  seed {draw(st.integers(0, 99))}\n}}\n")
-    return text + "".join(draw(st.lists(valid_command(dim, 2), max_size=4)))
+    return text + "".join(draw(st.lists(valid_command(dim, 2, small), max_size=4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -832,6 +852,22 @@ def test_round_trip_parse_emit_parse(text):
     assert again.emit() == sc.emit()
     for cmd in again.commands():
         read_command(cmd, again.family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_scenario(small=True))
+@example(_one_command("slice", "point 0 0 0\n  grid 0\n  out s.txt"))
+@example(_one_command("compose", "point 0 0 0\n  entry 0 0.1\n  tail -1"))
+@example(_one_command("invert", "point 0 0 0\n  entry 0 0.1\n  truncation -1"))
+@example(_one_command("compose", "point 0 0 0\n  entry 0 100\n  unsafe on"))
+def test_every_scenario_check_accepts_runs_to_its_end(text):
+    sc = parse_scenario(text)
+    for cmd in sc.commands():
+        read_command(cmd, sc.family)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert run_scenario(sc, out) in (0, 1)
+        assert len(list(out.glob("report-*.txt"))) == len(sc.commands())
 
 
 JUNK = ["zz", "nan", "0.5", "0", "1", "-1", "2", "on", "off", "yes", "1e400", "control"]

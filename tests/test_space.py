@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from orbitkit.errors import InvalidArgument
 from orbitkit.space import Ball, ChartSpace, L1Coefficients, ball, operator_norm, vector_norm
 
 
@@ -65,6 +66,16 @@ class TestL1CoefficientsValidation:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             L1Coefficients(((3, 1.0), (1, 2.0)))
+
+    @pytest.mark.parametrize("tail", [-1.0, float("nan")])
+    def test_rejects_a_tail_bound_below_zero_or_nan(self, tail):
+        # InvalidArgument is a ValueError, so a scenario value gives a report
+        with pytest.raises(InvalidArgument):
+            L1Coefficients(((0, 1.0),), tail)
+
+    def test_rejects_a_negative_truncation(self):
+        with pytest.raises(InvalidArgument):
+            L1Coefficients(((0, 1.0),)).truncate(-1)
 
     def test_from_pairs_merges(self):
         tau = L1Coefficients.from_pairs([(2, 1.0), (0, 0.5), (2, -1.0)])
