@@ -2,15 +2,19 @@
 piecewise-constant controls, with existence-radius guards and tangent
 vectors (first-order sensitivities) co-integrated on demand.
 
-The integrator is an adaptive embedded Dormand-Prince 5(4) pair.
-:func:`flow_control` integrates each piece of a :class:`Control`, clipped
-to the run, as its own segment: the right-hand side is smooth in the state
-but discontinuous in time at piece boundaries, so no step ever straddles
-one, and the state rests over the gaps between pieces.  The combination
-``sum_a u_a(t) X_a(x)`` is evaluated lazily over the support of the active
-piece only; bang-bang controls therefore cost one field evaluation per stage
-regardless of family size.  :func:`guard` is the one existence guard, which
-:func:`flow_control` enforces itself when given a bound record.
+The integrator is an adaptive embedded Dormand-Prince 5(4) pair.  The
+first trial step of each segment is the whole segment, and the error
+estimate sizes the steps after it; a trial stage that raises
+:class:`LeftDomain` or :class:`WordNotIntegrable`, or comes out non-finite,
+counts as a rejected step.  :func:`flow_control` integrates each piece of a
+:class:`Control`, clipped to the run, as its own segment: the right-hand
+side is smooth in the state but discontinuous in time at piece boundaries,
+so no step ever straddles one, and the state rests over the gaps between
+pieces.  The combination ``sum_a u_a(t) X_a(x)`` is evaluated lazily over
+the support of the active piece only; bang-bang controls therefore cost one
+field evaluation per stage regardless of family size.  :func:`guard` is the
+one existence guard, which :func:`flow_control` enforces itself when given a
+bound record.
 
 The stepper advances a stack of rows stored back to back: a single
 trajectory is the one-row case, and :func:`flow_single` takes a stack of
@@ -31,7 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain, StepUnderflow
+from .errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain, StepUnderflow,
+                     WordNotIntegrable)
 from .fields import FD_STEP_1, FieldFamily, LbRecord, VectorField, finite_difference_jvp
 from .space import Ball, L1Coefficients, _row_norms
 
@@ -40,8 +45,12 @@ DOMAIN_INFLATE = 1e-12
 
 # Dormand-Prince 5(4) tableau (FSAL: stage 7 equals stage 1 of the next step,
 # and its input is the fifth-order solution, since row 7 of A is the B5 row).
-# The right-hand side is autonomous within a control piece, so the node
-# vector c of the tableau is never needed.
+# The right-hand side is autonomous within a control piece, so the nodes C
+# (the row sums of A) serve only to split each stage increment into
+# ``C_i K_0 + sum_j A_ij (K_j - K_0)``: a constant right-hand side then moves
+# a stage by exactly ``h C_i K_0``, where the float sum of the B5 row is
+# 0.9999999999999998.  The error row E sums to zero, so it weighs the
+# differences alone.
 _A = np.array([
     [0, 0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0, 0],
@@ -51,6 +60,7 @@ _A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
 ])
+_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])
 _E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
@@ -237,43 +247,58 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
     """Advance ``rows`` states stored back to back in ``y0`` through [t0, t1]
     (either direction) with DP 5(4) steps.
 
-    All rows share one step sequence.  A step is accepted when every row's
-    error is within that row's own scale ``tol*|h|*(1 + max|y_row|)``, and
-    the step factor comes from the worst row, so one row takes exactly the
-    steps of a single trajectory.  A row leaving the region raises
-    :class:`LeftDomain`.
+    The first trial step is the whole segment, and each later one comes
+    from the last error estimate, by a factor between 0.2 and 5.  A flow
+    that the pair integrates exactly, such as a Heisenberg flow, which is
+    quadratic in time, thus takes one step.  All rows share one step
+    sequence.
+    A step is accepted when every row's error is within that row's own
+    scale ``tol*|h|*(1 + max|y_row|)``, and the step factor comes from the
+    worst row, so one row takes exactly the steps of a single trajectory.
+    A trial step can probe far from the trajectory, so a stage that raises
+    :class:`LeftDomain` or :class:`WordNotIntegrable` (an enlarged field's
+    inner word), or that comes out non-finite, rejects the step (×0.2); if
+    the step then underflows, the last such stage error is raised in place
+    of :class:`StepUnderflow`.  A row leaving the region at an accepted
+    step raises :class:`LeftDomain`.
     """
-    span = t1 - t0
-    direction = 1.0 if span > 0 else -1.0
-    t = t0
-    y = y0
-    h = direction * min(abs(span), max(abs(span) * 0.1, 1e-3))
-    K = np.empty((7, y.size))
-    K[0] = rhs(y)
-    while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
-        if abs(h) > abs(t1 - t):
-            h = t1 - t
-        if abs(h) < 1e-14 * max(1.0, abs(t)):
-            raise StepUnderflow(f"step size underflow at t={t}")
-        hA = h * _A
-        for i in range(1, 7):
-            yi = y + hA[i, :i] @ K[:i]
-            K[i] = rhs(yi)
-        scales = tol * abs(h) * (1.0 + np.abs(y).reshape(rows, -1).max(axis=1))
-        errs = np.abs(h * (_E @ K)).reshape(rows, -1).max(axis=1)
-        worst = int(np.argmax(errs / scales))
-        scale, err = float(scales[worst]), float(errs[worst])
-        if (errs <= scales).all():
-            t = t + h
-            y = yi  # the stage-7 input is the fifth-order solution
-            K[0] = K[6]  # FSAL
-            stats["steps"] += 1
-            stats["err"] += err
-            _check_region(region, y, rows, dim, t, "trajectory left the working region")
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
-            h *= grow
-        else:
-            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
+    direction = 1.0 if t1 > t0 else -1.0
+    t, y, h = t0, y0, t1 - t0
+    D = np.empty((6, y.size))  # the stages K_1..K_6 less K_0
+    stage_error = None
+    with np.errstate(all="ignore"):  # a non-finite stage fails the error test
+        k0 = rhs(y)
+        while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
+            if abs(h) > abs(t1 - t):
+                h = t1 - t
+            if abs(h) < 1e-14 * max(1.0, abs(t)):
+                raise stage_error or StepUnderflow(f"step size underflow at t={t}")
+            try:
+                for i in range(1, 7):
+                    yi = y + h * (_C[i] * k0 + _A[i, 1:i] @ D[:i - 1])
+                    k = rhs(yi)
+                    np.subtract(k, k0, out=D[i - 1])
+            except (LeftDomain, WordNotIntegrable) as exc:
+                stage_error = exc
+                h *= 0.2
+                continue
+            scales = tol * abs(h) * (1.0 + np.abs(y).reshape(rows, -1).max(axis=1))
+            errs = np.abs(h * (_E[1:] @ D)).reshape(rows, -1).max(axis=1)
+            worst = int(np.argmax(errs / scales))
+            scale, err = float(scales[worst]), float(errs[worst])
+            if (errs <= scales).all():
+                t = t + h
+                y, k0 = yi, k  # the stage-7 input is the fifth-order solution (FSAL)
+                stage_error = None
+                stats["steps"] += 1
+                stats["err"] += err
+                _check_region(region, y, rows, dim, t, "trajectory left the working region")
+                grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
+                h *= grow
+            elif math.isfinite(err):
+                h *= max(0.2, 0.9 * (scale / err) ** 0.2)
+            else:
+                h *= 0.2
     return y
 
 
@@ -331,6 +356,8 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
     columns) are carried as in :func:`flow_single`; the identity gives the
     variational matrix.
     """
+    if not (math.isfinite(t0) and math.isfinite(T0)):
+        raise InvalidArgument(f"flow times must be finite, not t0={t0!r}, T0={T0!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.size != family.space.dimension:
         raise ValueError("start point dimension mismatch")
@@ -363,6 +390,8 @@ def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_T
     (``X.domain`` by default) raises :class:`LeftDomain`.  Negative ``t``
     integrates backwards; ``t == 0`` returns its input without stepping.
     """
+    if not math.isfinite(t):
+        raise InvalidArgument(f"flow time must be finite, not {t!r}")
     segments = [(0.0, t, ((X, 1.0),))] if t else []
     return _flow(np.asarray(x0, dtype=float), segments, tangents, tol,
                  region if region is not None else X.domain, None)

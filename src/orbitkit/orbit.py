@@ -10,6 +10,7 @@ drives the controllability verdicts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -252,6 +253,9 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     """
     if budget < 1:
         raise InvalidArgument("budget must be >= 1")
+    if exploration_radius is not None and not 0 < exploration_radius < math.inf:
+        raise InvalidArgument(f"exploration radius must be positive and finite, "
+                              f"not {exploration_radius!r}")
     x = np.asarray(x, dtype=float)
     d_max = 0.5 * guard(lb, x, 1.0, 0.0).margin
     cert = guard(lb, x, 1.0, d_max)

@@ -123,6 +123,8 @@ def _floats(node: Node, count: int | None = None) -> list[float]:
         vals = [float(a) for a in node.args]
     except ValueError:
         raise ParseError(f"expected numbers in '{node.key}'") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ParseError(f"'{node.key}' takes finite numbers")
     if count is not None and len(vals) != count:
         raise ParseError(f"'{node.key}' takes {count} number(s)")
     return vals
@@ -276,7 +278,7 @@ SCHEMA = {
         "certify-hprime": {"grid": Opt("int", 5), "tolerance": Opt("float", 1e-8)},
         "orbit-sample": {**_POINT, "budget": Opt("int", 1000), "max-word-len": Opt("int", 8),
                          "mode": Opt("word", "explore", ("explore", "independent")),
-                         "exploration-radius": Opt("float"),
+                         "exploration-radius": Opt("positive"),
                          "spot-check": Opt("flag", False), "out": Opt("word")},
         "verdict": {**_POINT, "k-max": Opt("int", 3)},
     }.items()},

@@ -3,9 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from orbitkit import flow as flow_module
+from orbitkit.algebra import enlarge_field
 from orbitkit.catalog import commuting_constants, grushin, heisenberg
-from orbitkit.errors import DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain
-from orbitkit.fields import FieldFamily, LbRecord, polynomial_field
+from orbitkit.compose import compose_flows
+from orbitkit.errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
+                             WordNotIntegrable)
+from orbitkit.fields import FieldFamily, LbRecord, VectorField, constant_field, polynomial_field
 from orbitkit.flow import Control, FlowWord, flow_control, flow_single, guard
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
@@ -114,6 +118,16 @@ class TestFlowControl:
         with pytest.raises(InvalidArgument):
             flow_single(heis.members[0], np.zeros(3), 0.1, tol=tol)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_times_must_be_finite(self, heis, bad):
+        # a NaN t0 used to clip nothing and fly the whole piece
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 1.0)
+        for t0, T0 in ((bad, 0.1), (0.0, bad)):
+            with pytest.raises(InvalidArgument):
+                flow_control(heis, u, np.zeros(3), t0, T0)
+        with pytest.raises(InvalidArgument):
+            flow_single(heis.members[0], np.zeros(3), bad)
+
     def test_left_domain(self):
         fam = commuting_constants(2, 2, radius=1.0)
         u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 5.0)
@@ -158,6 +172,16 @@ class TestFlowSingle:
         X = polynomial_field(dom, [((-1.0, (1,)),)], label="decay")
         res = flow_single(X, np.array([4.0]), np.log(2.0), tol=TOL)
         assert res.endpoint[0] == pytest.approx(2.0, abs=1e-8)
+
+    def test_constant_field_lands_exactly(self):
+        # each stage moves by exactly h*C_i*c, so the step ends at x + t*c
+        # although the float sum of the B5 row is 0.9999999999999998
+        X = constant_field(ball([0.0, 0.0, 0.0], 8.0), [0.3, -1.0, 0.1])
+        x = np.array([0.0, 0.7, -0.2])
+        for t in (0.25, 1.0, -1.3, 3.0):
+            res = flow_single(X, x, t, tol=TOL)
+            assert res.steps_taken == 1
+            assert np.array_equal(res.endpoint, x + t * np.array([0.3, -1.0, 0.1]))
 
     def test_blowup_raises(self):
         from orbitkit.errors import LeftDomain, StepUnderflow
@@ -263,7 +287,7 @@ def _reference_flow(X, x0, t, tol):
 
     y = np.concatenate([x0, np.eye(d).ravel()])
     s, end, steps = 0.0, abs(t), 0
-    h = min(end, max(end * 0.1, 1e-3))
+    h = end  # the first trial step is the whole segment
     k1 = rhs(y)
     while end - s > 1e-15 * max(1.0, end):
         h = min(h, end - s)
@@ -294,6 +318,100 @@ class TestStepperReference:
             assert res.steps_taken == ref_steps
             assert np.abs(res.endpoint - ref_x).max() <= 1e-13 * (1 + np.abs(ref_x).max())
             assert np.abs(res.tangents - ref_M).max() <= 1e-13 * (1 + np.abs(ref_M).max())
+
+    @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 3.0])
+    def test_a_quadratic_flow_takes_one_step(self, heis, t):
+        # X2 = (0, 1, x) moves (x, y, z) to (x, y + t, z + x t), which the
+        # whole-segment first trial integrates exactly
+        res = flow_single(heis.members[1], np.array([0.1, 0.2, 0.3]), t, tol=TOL)
+        assert res.steps_taken == 1
+        assert np.abs(res.endpoint - [0.1, 0.2 + t, 0.3 + 0.1 * t]).max() <= 1e-15 * (1 + t)
+
+    @pytest.mark.parametrize("failure", [LeftDomain, WordNotIntegrable, None])
+    def test_a_failing_trial_stage_rejects_the_step(self, failure):
+        # x' = -x from 1 stays in (0, 1]; a long trial step probes far below
+        # 0, where this field raises the failure or, for None, overflows in exp
+        probes = []
+
+        def decay(x):
+            if x[0] < -0.1:
+                probes.append(x[0])
+                if failure is not None:
+                    raise failure("probe far below the trajectory")
+            return -x + (0.0 if failure else np.exp(-1e4 * (x + 0.03)))
+
+        X = VectorField(domain=ball([0.0], 8.0), eval_fn=decay, label="decay")
+        tol = 1e-3
+        res = flow_single(X, np.array([1.0]), 10.0, tol=tol)
+        assert probes
+        assert abs(res.endpoint[0] - np.exp(-10.0)) <= tol
+
+    def test_a_stage_error_outlasting_the_step_is_raised(self):
+        # every stage away from the start raises, so the step underflows and
+        # the caller sees the stage's LeftDomain, not StepUnderflow
+        def nowhere(x):
+            if x[0] != 0.0:
+                raise LeftDomain("no trial step survives")
+            return np.ones(1)
+
+        X = VectorField(domain=ball([0.0], 8.0), eval_fn=nowhere, label="nowhere")
+        with pytest.raises(LeftDomain, match="no trial step survives"):
+            flow_single(X, np.zeros(1), 1.0, tol=TOL)
+
+
+@pytest.fixture
+def stepper_counts(monkeypatch):
+    """Accepted steps and right-hand-side evaluations of every flow run
+    while the test holds it, nested flows included."""
+    counts = {"steps": 0, "rhs": 0}
+    run, call = flow_module._flow, flow_module._Rhs.__call__
+
+    def counted_flow(*args):
+        res = run(*args)
+        counts["steps"] += res.steps_taken
+        return res
+
+    def counted_call(self, y):
+        counts["rhs"] += 1
+        return call(self, y)
+
+    monkeypatch.setattr(flow_module, "_flow", counted_flow)
+    monkeypatch.setattr(flow_module._Rhs, "__call__", counted_call)
+    return counts
+
+
+class TestStepBudget:
+    """Step and evaluation counts of fixed flows stay at most those of the
+    whole-segment first trial step, one step of seven evaluations per
+    segment of these quadratic flows.  The counts are exact, so a regression
+    in the start rule fails here without a timing run."""
+
+    def test_switching_rectangle(self, heis, heis_lb, stepper_counts):
+        res = flow_control(heis, heisenberg_rectangle_control(), np.zeros(3), 0.0, 4.0,
+                           tangents=np.eye(3), lb=heis_lb, unsafe=True)
+        assert np.allclose(res.endpoint, [0.0, 0.0, 1.0], atol=1e-12)
+        assert stepper_counts["steps"] <= 4 and stepper_counts["rhs"] <= 28
+
+    @pytest.mark.parametrize("path", ["control", "sequential"])
+    def test_twelve_letter_composition(self, heis, heis_lb, stepper_counts, path):
+        # the Heisenberg pair six times over: twelve members, one letter each
+        fam = FieldFamily(space=heis.space, members=heis.members * 6,
+                          common_domain=heis.common_domain)
+        tau = L1Coefficients(tuple((i, (-1) ** i * 0.015 * (1 + i % 3)) for i in range(12)))
+        res = compose_flows(fam, heis_lb, tau, np.array([0.2, -0.1, 0.3]), tol=TOL,
+                            truncation_n=12, path=path)
+        assert len(res.word) == 12
+        assert stepper_counts["steps"] <= 12 and stepper_counts["rhs"] <= 84
+
+    def test_enlarged_field_over_a_stack(self, heis, heis_lb, stepper_counts):
+        Y = enlarge_field(heis, FlowWord(((0, 0.3), (1, -0.2), (0, 0.25))), 1, 1.0, heis_lb)
+        stepper_counts.update(steps=0, rhs=0)  # count the evaluation, not the screening
+        P = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.2], [1.0, 1.0, -1.0], [-0.3, 0.4, 0.1]])
+        values = Y.eval_many(P)
+        # X2 pushed through the word is (0, 1, x - 0.55): two word runs of
+        # three letters
+        assert np.allclose(values, [[0.0, 1.0, x - 0.55] for x in P[:, 0]], atol=1e-12)
+        assert stepper_counts["steps"] <= 6 and stepper_counts["rhs"] <= 42
 
 
 class TestStackedRuns:

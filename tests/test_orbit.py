@@ -142,6 +142,13 @@ class TestOrbitSample:
         assert len(samp.cloud) == 1
         assert np.array_equal(samp.cloud[0][0], np.zeros(2))
 
+    @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan"), float("inf")])
+    def test_exploration_radius_must_be_positive_and_finite(self, grush, grush_lb, radius):
+        # a NaN radius used to end with one cloud point where 21 were asked for
+        with pytest.raises(InvalidArgument):
+            orbit_sample(grush, grush_lb, np.zeros(2), budget=20, max_word_len=4,
+                         rng_seed=1, exploration_radius=radius)
+
     def test_grushin_covers_both_half_planes(self):
         fam = grushin(radius=9.0)
         lb = estimate_lb_bound(fam, ball([0, 0], 9.0), 2, 50)

@@ -205,6 +205,11 @@ command compose {
         ("flow", "point 0 0 0\n  piece 0 1 0 0.1\n  tol 0", "ParseError"),
         ("flow", "point 0 0 0\n  piece 0 1 0 0.1\n  tol nan", "ParseError"),
         ("verdict", "point 0 0 0\n  tol inf", "ParseError"),
+        ("flow", "point 0 0 0\n  piece 0 1 0 1\n  t0 nan\n  duration 0.1", "ParseError"),
+        ("flow", "point 0 0 0\n  piece 0 1 0 1\n  duration inf", "ParseError"),
+        ("compose", "point 0 0 0\n  entry 0 inf\n  unsafe on", "ParseError"),
+        ("orbit-sample", "point 0 0 0\n  exploration-radius nan", "ParseError"),
+        ("orbit-sample", "point 0 0 0\n  exploration-radius -0.5", "ParseError"),
     ]
 
     def test_bad_arguments_give_error_reports(self, tmp_path):
