@@ -5,8 +5,10 @@ vectors (first-order sensitivities) co-integrated on demand.
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair.  The
 first trial step of each segment is the whole segment, and the error
 estimate sizes the steps after it; a trial stage that raises
-:class:`LeftDomain` or :class:`WordNotIntegrable`, or comes out non-finite,
-counts as a rejected step.  :func:`flow_control` integrates each piece of a
+:class:`LeftDomain`, :class:`WordNotIntegrable` or :class:`OutOfDomain`, or
+comes out non-finite, counts as a rejected step, and so does a step whose
+trajectory, by the pair's dense output, leaves the working region and is
+back at the end of the step.  :func:`flow_control` integrates each piece of a
 :class:`Control`, clipped to the run, as its own segment: the right-hand
 side is smooth in the state but discontinuous in time at piece boundaries,
 so no step ever straddles one, and the state rests over the gaps between
@@ -35,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain, StepUnderflow,
-                     WordNotIntegrable)
+from .errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain, OutOfDomain,
+                     StepUnderflow, WordNotIntegrable)
 from .fields import FD_STEP_1, FieldFamily, LbRecord, VectorField, finite_difference_jvp
 from .space import Ball, L1Coefficients, _row_norms
 
@@ -62,6 +64,21 @@ _A = np.array([
 ])
 _C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1])
 _E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# The pair's dense output (Shampine's, as in scipy's RK45): the state at
+# ``t + theta h`` is ``y + h sum_i K_i (_P[i] @ (theta, theta^2, theta^3, theta^4))``.
+# Its weights at the quarter points of a step, split like the stages, place
+# the trajectory inside an accepted step.
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_THETA = np.array([0.25, 0.5, 0.75])
+_DENSE = (_P[1:] @ _THETA ** np.arange(1, 5)[:, None]).T  # weights of K_1..K_6 less K_0
 
 
 @dataclass(frozen=True)
@@ -232,14 +249,21 @@ def _derivative_along(m: VectorField, x: np.ndarray, W: np.ndarray) -> np.ndarra
     return dW.reshape(n, k, d).transpose(0, 2, 1)
 
 
-def _check_region(region: Ball, y: np.ndarray, rows: int, dim: int, t: float, what: str) -> None:
-    """Raise :class:`LeftDomain` at the first row whose point is not in the
-    region (a NaN point is not in it)."""
+def _outside(region: Ball, y: np.ndarray, rows: int, dim: int) -> np.ndarray:
+    """Which of the ``rows`` rows stored back to back in ``y`` have their
+    point outside the region (a NaN point is outside)."""
     points = y.reshape(rows, -1)[:, :dim]
-    inside = _row_norms(points - region.center, region.norm_kind) <= region.radius + DOMAIN_INFLATE
-    if not inside.all():
-        row = int(np.argmin(inside))
-        raise LeftDomain(f"{what} at t={t}", last_point=points[row].copy(), last_time=t)
+    return ~(_row_norms(points - region.center, region.norm_kind) <= region.radius + DOMAIN_INFLATE)
+
+
+def _left_domain(y: np.ndarray, rows: int, dim: int, outside: np.ndarray, t,
+                 what: str) -> LeftDomain:
+    """:class:`LeftDomain` at the first row marked ``outside``; ``t`` is the
+    time of every row, or an array of one time per row."""
+    row = int(np.argmax(outside))
+    t = float(np.broadcast_to(t, rows)[row])
+    return LeftDomain(f"{what} at t={t}", last_point=y.reshape(rows, -1)[row, :dim].copy(),
+                      last_time=t)
 
 
 def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim: int,
@@ -256,11 +280,16 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
     scale ``tol*|h|*(1 + max|y_row|)``, and the step factor comes from the
     worst row, so one row takes exactly the steps of a single trajectory.
     A trial step can probe far from the trajectory, so a stage that raises
-    :class:`LeftDomain` or :class:`WordNotIntegrable` (an enlarged field's
-    inner word), or that comes out non-finite, rejects the step (×0.2); if
-    the step then underflows, the last such stage error is raised in place
-    of :class:`StepUnderflow`.  A row leaving the region at an accepted
-    step raises :class:`LeftDomain`.
+    :class:`LeftDomain`, :class:`WordNotIntegrable` (an enlarged field's
+    inner word) or :class:`OutOfDomain` (a bracket field off its domain), or
+    that comes out non-finite, rejects the step (×0.2).  So does a step
+    within the error bound whose trajectory, as the dense output places it
+    at the quarter points, leaves the region and is back at the end: a long
+    step can pass over an exit and back.  If the step then underflows, the
+    last such error is raised in place of :class:`StepUnderflow`.  A step
+    within the error bound that ends outside the region raises
+    :class:`LeftDomain` at the first of its quarter points or its end that
+    lies outside.
     """
     direction = 1.0 if t1 > t0 else -1.0
     t, y, h = t0, y0, t1 - t0
@@ -278,7 +307,7 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
                     yi = y + h * (_C[i] * k0 + _A[i, 1:i] @ D[:i - 1])
                     k = rhs(yi)
                     np.subtract(k, k0, out=D[i - 1])
-            except (LeftDomain, WordNotIntegrable) as exc:
+            except (LeftDomain, WordNotIntegrable, OutOfDomain) as exc:
                 stage_error = exc
                 h *= 0.2
                 continue
@@ -287,18 +316,27 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
             worst = int(np.argmax(errs / scales))
             scale, err = float(scales[worst]), float(errs[worst])
             if (errs <= scales).all():
+                # the trajectory at the quarter points and the end of the step
+                path = np.vstack([y + h * (_THETA[:, None] * k0 + _DENSE @ D), yi])
+                outside = _outside(region, path, path.shape[0] * rows, dim)
+                if outside.any():
+                    exc = _left_domain(path, path.shape[0] * rows, dim, outside,
+                                       np.repeat(t + h * np.append(_THETA, 1.0), rows),
+                                       "trajectory left the working region")
+                    if outside[-rows:].any():
+                        raise exc
+                    stage_error = exc  # out and back inside one step: refine it
+                    h *= 0.2
+                    continue
                 t = t + h
                 y, k0 = yi, k  # the stage-7 input is the fifth-order solution (FSAL)
                 stage_error = None
                 stats["steps"] += 1
                 stats["err"] += err
-                _check_region(region, y, rows, dim, t, "trajectory left the working region")
                 grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
                 h *= grow
-            elif math.isfinite(err):
+            else:  # a NaN or infinite error gives the 0.2 floor
                 h *= max(0.2, 0.9 * (scale / err) ** 0.2)
-            else:
-                h *= 0.2
     return y
 
 
@@ -327,8 +365,10 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
         k = tangents.size // points.size
         points = np.concatenate([points, tangents.reshape(rows, -1)], axis=1)
     if segments:
-        _check_region(region, points, rows, dim, segments[0][0],
-                      "start point outside the working region")
+        outside = _outside(region, points, rows, dim)
+        if outside.any():
+            raise _left_domain(points, rows, dim, outside, segments[0][0],
+                               "start point outside the working region")
     y = points.ravel().copy()
     stats = {"steps": 0, "err": 0.0}
     for a, b, pairs in segments:

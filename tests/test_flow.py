@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from orbitkit import flow as flow_module
-from orbitkit.algebra import enlarge_field
+from orbitkit.algebra import bracket_field, enlarge_field
 from orbitkit.catalog import commuting_constants, grushin, heisenberg
 from orbitkit.compose import compose_flows
 from orbitkit.errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
-                             WordNotIntegrable)
+                             OutOfDomain, WordNotIntegrable)
 from orbitkit.fields import FieldFamily, LbRecord, VectorField, constant_field, polynomial_field
 from orbitkit.flow import Control, FlowWord, flow_control, flow_single, guard
 from orbitkit.space import ChartSpace, L1Coefficients, ball
@@ -327,7 +327,7 @@ class TestStepperReference:
         assert res.steps_taken == 1
         assert np.abs(res.endpoint - [0.1, 0.2 + t, 0.3 + 0.1 * t]).max() <= 1e-15 * (1 + t)
 
-    @pytest.mark.parametrize("failure", [LeftDomain, WordNotIntegrable, None])
+    @pytest.mark.parametrize("failure", [LeftDomain, WordNotIntegrable, OutOfDomain, None])
     def test_a_failing_trial_stage_rejects_the_step(self, failure):
         # x' = -x from 1 stays in (0, 1]; a long trial step probes far below
         # 0, where this field raises the failure or, for None, overflows in exp
@@ -345,6 +345,26 @@ class TestStepperReference:
         res = flow_single(X, np.array([1.0]), 10.0, tol=tol)
         assert probes
         assert abs(res.endpoint[0] - np.exp(-10.0)) <= tol
+
+    def test_a_bracket_field_probed_off_its_domain(self):
+        # [X, Y] = -x is defined on [-0.1, 1.1] only; the first trial step
+        # from 1 over t = 10 probes x = -1, where it raises OutOfDomain
+        dom = ball([0.5], 0.6)
+        X = polynomial_field(dom, [[(1.0, (0,))]], label="X")
+        Y = polynomial_field(dom, [[(-0.5, (2,))]], label="Y")
+        res = flow_single(bracket_field(X, Y), np.array([1.0]), 10.0, tol=TOL)
+        assert abs(res.endpoint[0] - np.exp(-10.0)) <= 1e-6
+
+    def test_an_exit_and_return_inside_one_step_leaves_the_domain(self, heis):
+        # u = X1 + X2 from (-4, -4, -5) runs along x = y = t - 4 with
+        # z = (t - 4)^2 / 2 - 13: it leaves the radius-8 domain at
+        # t = 4 - sqrt(14) and is back inside at the end, t = 8, where the
+        # one whole-segment step lands exactly on (4, 4, -5)
+        u = one_piece(L1Coefficients(((0, 1.0), (1, 1.0))), 0.0, 8.0)
+        with pytest.raises(LeftDomain) as info:
+            flow_control(heis, u, np.array([-4.0, -4.0, -5.0]), 0.0, 8.0, tol=TOL)
+        assert 4 - np.sqrt(14.0) < info.value.last_time < 1.0
+        assert np.linalg.norm(info.value.last_point) > 8.0
 
     def test_a_stage_error_outlasting_the_step_is_raised(self):
         # every stage away from the start raises, so the step underflows and
