@@ -5,7 +5,7 @@ from .space import Ball, ChartSpace, L1Coefficients, ball
 from .fields import (FieldFamily, LbRecord, VectorField, constant_field,
                      estimate_lb_bound, eval_jet_norm, polynomial_field)
 from .flow import (Control, ExistenceCertificate, FlowResult, FlowWord, flow_control,
-                   flow_single, guard)
+                   flow_single, guard, run_words)
 from .compose import (CompositionResult, L1Curve, compose_flows, compose_inverse, d_psi,
                       extract_l1_curve, gamma_control, psi_chart)
 from .algebra import (EnlargedField, StructureReport, bracket_chain,
@@ -24,6 +24,7 @@ __all__ = [
     "FieldFamily", "LbRecord", "VectorField", "constant_field",
     "estimate_lb_bound", "eval_jet_norm", "polynomial_field",
     "Control", "ExistenceCertificate", "FlowResult", "flow_control", "flow_single", "guard",
+    "run_words",
     "CompositionResult", "L1Curve", "compose_flows", "compose_inverse", "d_psi",
     "extract_l1_curve", "gamma_control", "psi_chart",
     "EnlargedField", "FlowWord", "StructureReport", "bracket_chain",

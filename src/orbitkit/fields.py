@@ -73,16 +73,49 @@ class MonomialTable:
         keep = coefficients.reshape(len(coefficients), math.prod(coefficients.shape[1:])).any(axis=1)
         return cls(exponents[keep], coefficients[keep])
 
+    def monomials(self, points: np.ndarray) -> np.ndarray:
+        """The monomials at the rows of ``points`` (N, d), shape (N, T).
+
+        Each monomial is the product of the coordinates its nonzero
+        exponents name, gathered in coordinate order and raised to a power
+        only where the exponent exceeds 1; padding factors are exact ones.
+        These are the factors of ``prod(x ** exponents)`` in its order,
+        without the ones of the zero exponents."""
+        index, raised, powers = self._support
+        points = np.asarray(points, dtype=float)
+        padded = np.empty((len(points), points.shape[1] + 1))
+        padded[:, :-1] = points
+        padded[:, -1] = 1.0
+        factors = padded[:, index]
+        if raised is not None:
+            factors[:, raised] **= powers
+        return factors[:, :, 0] if index.shape[1] == 1 else factors.prod(axis=2)
+
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Per monomial, the coordinates of its nonzero exponents in order,
+        padded with d (a column of ones); where those exponents exceed 1
+        (``None`` nowhere), and the exponents there."""
+        exponents = self.exponents
+        used = exponents > 0
+        width = max(1, int(used.sum(axis=1).max(initial=0)))
+        # a stable sort puts each row's nonzero coordinates first, in order
+        cols = np.argsort(~used, axis=1, kind="stable")[:, :width]
+        used = np.take_along_axis(used, cols, axis=1)
+        powers = np.where(used, np.take_along_axis(exponents, cols, axis=1), 1)
+        raised = powers > 1
+        return (np.where(used, cols, exponents.shape[1]), raised if raised.any() else None,
+                powers[raised])
+
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Values at the rows of ``points`` (N, d), in one batched evaluation:
         shape ``(N,) + coefficients.shape[1:]``."""
         points = np.asarray(points, dtype=float)
-        monomials = np.prod(points[:, None, :] ** self.exponents, axis=2)
-        return (monomials @ self._flat).reshape((len(points),) + self.coefficients.shape[1:])
+        return (self.monomials(points) @ self._flat).reshape(
+            (len(points),) + self.coefficients.shape[1:])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        monomials = np.prod(np.asarray(x, dtype=float) ** self.exponents, axis=1)
-        return (monomials @ self._flat).reshape(self.coefficients.shape[1:])
+        return self.eval_many(np.asarray(x, dtype=float)[None])[0]
 
     @cached_property
     def _flat(self) -> np.ndarray:
@@ -305,6 +338,9 @@ class FieldFamily:
     the whole common domain; :func:`estimate_lb_bound` passes such bounds
     through instead of sampling.  ``truncation_factory``, when present, maps
     a member count to the corresponding truncation of a countable family.
+    :attr:`table` merges the members' monomial tables on one monomial list,
+    so that a stack of rows, each with its own weights over the members, is
+    evaluated at once.
     """
 
     space: ChartSpace
@@ -329,6 +365,24 @@ class FieldFamily:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(m.label for m in self.members)
+
+    @cached_property
+    def table(self) -> MonomialTable | None:
+        """The members' tables merged on one monomial list with a member
+        axis, coefficients ``(T, m, d)``, so that ``sum_a w_a X_a`` is one
+        table evaluation against ``sum_a w_a coefficients[:, a]``; ``None``
+        when some member has no table.  Built on first use."""
+        tables = [m.table for m in self.members]
+        if any(t is None for t in tables):
+            return None
+        d = self.space.dimension
+        rows: dict[tuple[int, ...], int] = {}
+        members = [[rows.setdefault(e, len(rows)) for e in map(tuple, t.exponents.tolist())]
+                   for t in tables]
+        coefficients = np.zeros((len(rows), len(tables), d))
+        for a, (t, index) in enumerate(zip(tables, members)):
+            coefficients[index, a] = t.coefficients  # a member's rows have distinct exponents
+        return MonomialTable(np.array(list(rows), dtype=np.int64).reshape(-1, d), coefficients)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,16 @@ by ``k`` tangent columns moved by the linearised flow: none, one tangent
 vector, or the d columns of a variational matrix, which is the block that
 starts at the identity.  All rows share one step sequence, sized by the
 worst row, and every row is checked against the working region.
-:meth:`FlowWord.legs` is the one word runner: each letter is one
-:func:`flow_single` call over the whole stack, and :meth:`FlowWord.end` is
-its last leg.
+
+A row may carry its own weights, and each row's error scale is multiplied
+by the time its weights stand for, so that flowing ``t X`` over unit time
+takes the steps of flowing X over time t.  :func:`run_words` is the word
+runner: it runs many words from one point as one unit-time segment per
+letter position, each row flowing its own letter, with the right-hand side
+one evaluation of the family's merged :attr:`FieldFamily.table` when every
+member is tabled.  Its one-word case is :meth:`FlowWord.legs`, one
+:func:`flow_single` call over the whole stack per letter with number
+weights; :meth:`FlowWord.end` is its last leg.
 """
 
 from __future__ import annotations
@@ -79,6 +86,12 @@ _P = np.array([
 ])
 _THETA = np.array([0.25, 0.5, 0.75])
 _DENSE = (_P[1:] @ _THETA ** np.arange(1, 5)[:, None]).T  # weights of K_1..K_6 less K_0
+# One table over S = (K_0, K_1 - K_0, ..., K_6 - K_0), scaled by h once per
+# step: rows 0-6 are the stage rows [C_i, A_i1..A_i6], so the input of stage
+# i is ``y + (h _STEP)[i, :i] @ S[:i]``; row 7 is the error row and rows 8-10
+# the quarter-point dense weights.  C_6 = 1 keeps ``h * 1 = h`` exact.
+_STEP = np.vstack([np.column_stack([_C, _A[:, 1:]]), np.append(0.0, _E[1:]),
+                   np.column_stack([_THETA, _DENSE])])
 
 
 @dataclass(frozen=True)
@@ -184,20 +197,30 @@ class FlowResult:
 
 
 class _Rhs:
-    """Right-hand side ``sum_a w_a X_a`` for one control piece, over a stack
-    of rows stored back to back.  Each row is a point followed by ``k``
-    tangent columns W (d×k, stored row by row) of ``W' = (sum_a w_a DX_a) W``.
-    A single row is evaluated point by point, which is faster than a
-    one-row batch; more rows go through each member's ``eval_many``.
-    Autonomous: it reads the state only."""
+    """Right-hand side ``sum_a w_a X_a`` for one run of the stepper, over a
+    stack of rows stored back to back.  Each row is a point followed by
+    ``k`` tangent columns W (d×k, stored row by row) of
+    ``W' = (sum_a w_a DX_a) W``.
 
-    __slots__ = ("pairs", "dim", "k", "width")
+    A weight is a number, or an ``(N,)`` array of one weight per row; a
+    member whose weight is zero on a row is not evaluated there.  ``table``,
+    when given, is a monomial table and the rows' coefficients over its
+    monomials, ``(N, T, d)``: the stack (with no tangents) is then one
+    evaluation of the table's monomials against them.  A single row with
+    number weights is evaluated point by point, which is faster than a
+    one-row batch.  Autonomous: it reads the state only."""
 
-    def __init__(self, pairs, dim: int, k: int):
+    __slots__ = ("pairs", "dim", "k", "width", "table", "terms")
+
+    def __init__(self, pairs, dim: int, k: int, table=None):
         self.pairs = pairs
         self.dim = dim
         self.k = k
         self.width = dim * (1 + k)
+        self.table = table
+        # for a stack: each member with its weights on the rows it drives
+        self.terms = tuple((m, w, slice(None)) if np.ndim(w) == 0 else
+                           (m, w[np.flatnonzero(w), None], np.flatnonzero(w)) for m, w in pairs)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         d, k = self.dim, self.k
@@ -228,12 +251,15 @@ class _Rhs:
             return out
         Y, O = y.reshape(-1, self.width), out.reshape(-1, self.width)
         X = Y[:, :d]
-        for m, w in self.pairs:
-            O[:, :d] += w * m.eval_many(X)
-        if k:
-            W = Y[:, d:].reshape(-1, d, k)
-            for m, w in self.pairs:
-                O[:, d:] += w * _derivative_along(m, X, W).reshape(-1, d * k)
+        if self.table is not None:
+            table, coefficients = self.table
+            O[:, :d] = np.matmul(table.monomials(X)[:, None, :], coefficients)[:, 0]
+            return out
+        W = Y[:, d:].reshape(-1, d, k) if k else None
+        for m, w, rows in self.terms:
+            O[rows, :d] += w * m.eval_many(X[rows])
+            if k:
+                O[rows, d:] += w * _derivative_along(m, X[rows], W[rows]).reshape(-1, d * k)
         return out
 
 
@@ -267,7 +293,7 @@ def _left_domain(y: np.ndarray, rows: int, dim: int, outside: np.ndarray, t,
 
 
 def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim: int,
-                       tol: float, region: Ball, stats: dict) -> np.ndarray:
+                       tol: float, region: Ball, stats: dict, span=1.0) -> np.ndarray:
     """Advance ``rows`` states stored back to back in ``y0`` through [t0, t1]
     (either direction) with DP 5(4) steps.
 
@@ -277,8 +303,12 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
     quadratic in time, thus takes one step.  All rows share one step
     sequence.
     A step is accepted when every row's error is within that row's own
-    scale ``tol*|h|*(1 + max|y_row|)``, and the step factor comes from the
-    worst row, so one row takes exactly the steps of a single trajectory.
+    scale ``tol*|h|*span*(1 + max|y_row|)``, and the step factor comes from
+    the worst row, so one row takes exactly the steps of a single trajectory.
+    ``span`` is the time a row's weights stand for, a number or one per row:
+    a row flowing ``t X`` over unit time has span ``|t|``, and so takes the
+    steps of the flow of X over time t, while a row with span 0 (zero
+    weights) rests without limiting the step.
     A trial step can probe far from the trajectory, so a stage that raises
     :class:`LeftDomain`, :class:`WordNotIntegrable` (an enlarged field's
     inner word) or :class:`OutOfDomain` (a bracket field off its domain), or
@@ -293,31 +323,36 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
     """
     direction = 1.0 if t1 > t0 else -1.0
     t, y, h = t0, y0, t1 - t0
-    D = np.empty((6, y.size))  # the stages K_1..K_6 less K_0
+    resting = None if np.ndim(span) == 0 else np.asarray(span) == 0.0
+    S = np.empty((7, y.size))  # K_0, then the stages K_1..K_6 less K_0
     stage_error = None
     with np.errstate(all="ignore"):  # a non-finite stage fails the error test
-        k0 = rhs(y)
+        S[0] = rhs(y)
         while (t1 - t) * direction > 1e-15 * max(1.0, abs(t1)):
             if abs(h) > abs(t1 - t):
                 h = t1 - t
             if abs(h) < 1e-14 * max(1.0, abs(t)):
                 raise stage_error or StepUnderflow(f"step size underflow at t={t}")
+            hT = h * _STEP
             try:
                 for i in range(1, 7):
-                    yi = y + h * (_C[i] * k0 + _A[i, 1:i] @ D[:i - 1])
+                    yi = y + hT[i, :i] @ S[:i]
                     k = rhs(yi)
-                    np.subtract(k, k0, out=D[i - 1])
+                    np.subtract(k, S[0], out=S[i])
             except (LeftDomain, WordNotIntegrable, OutOfDomain) as exc:
                 stage_error = exc
                 h *= 0.2
                 continue
-            scales = tol * abs(h) * (1.0 + np.abs(y).reshape(rows, -1).max(axis=1))
-            errs = np.abs(h * (_E[1:] @ D)).reshape(rows, -1).max(axis=1)
-            worst = int(np.argmax(errs / scales))
+            scales = tol * abs(h) * span * (1.0 + np.abs(y).reshape(rows, -1).max(axis=1))
+            errs = np.abs(hT[7, 1:] @ S[1:]).reshape(rows, -1).max(axis=1)
+            ratios = errs / scales
+            if resting is not None:
+                ratios[resting] = errs[resting] * 0.0  # 0, or NaN for a non-finite row
+            worst = int(np.argmax(ratios))
             scale, err = float(scales[worst]), float(errs[worst])
             if (errs <= scales).all():
                 # the trajectory at the quarter points and the end of the step
-                path = np.vstack([y + h * (_THETA[:, None] * k0 + _DENSE @ D), yi])
+                path = np.vstack([y + hT[8:] @ S, yi])
                 outside = _outside(region, path, path.shape[0] * rows, dim)
                 if outside.any():
                     exc = _left_domain(path, path.shape[0] * rows, dim, outside,
@@ -329,7 +364,8 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
                     h *= 0.2
                     continue
                 t = t + h
-                y, k0 = yi, k  # the stage-7 input is the fifth-order solution (FSAL)
+                y = yi  # the stage-7 input is the fifth-order solution (FSAL)
+                S[0] = k
                 stage_error = None
                 stats["steps"] += 1
                 stats["err"] += err
@@ -341,16 +377,19 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
 
 
 def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
-          certificate: ExistenceCertificate | None) -> FlowResult:
-    """The one integration core behind :func:`flow_control` and
-    :func:`flow_single`.  ``x0`` is one start point (d,) or a stack of them
-    (N, d), each one row of the stepper.  ``tangents`` (or ``None``) holds
-    the tangent columns each row carries: ``(d,)`` or ``(d, k)`` for one
-    point, ``(N, d)`` or ``(N, d, k)`` for a stack.
+          certificate: ExistenceCertificate | None, span=1.0, table=None) -> FlowResult:
+    """The one integration core behind :func:`flow_control`,
+    :func:`flow_single` and :func:`run_words`.  ``x0`` is one start point
+    (d,) or a stack of them (N, d), each one row of the stepper.
+    ``tangents`` (or ``None``) holds the tangent columns each row carries:
+    ``(d,)`` or ``(d, k)`` for one point, ``(N, d)`` or ``(N, d, k)`` for a
+    stack.
 
     ``segments`` are the ``(t_start, t_end, pairs)`` runs of the flow in the
     order integrated, ``pairs`` being the ``(member, weight)`` terms of the
-    run; the state is stationary between them.  A flow without segments
+    run, a weight being a number or one per row; the state is stationary
+    between them.  ``span`` and ``table`` are passed to every segment (see
+    :func:`_integrate_segment` and :class:`_Rhs`).  A flow without segments
     returns its start points without stepping.
     """
     if not 0 < tol < math.inf:
@@ -372,7 +411,8 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
     y = points.ravel().copy()
     stats = {"steps": 0, "err": 0.0}
     for a, b, pairs in segments:
-        y = _integrate_segment(_Rhs(pairs, dim, k), a, b, y, rows, dim, tol, region, stats)
+        y = _integrate_segment(_Rhs(pairs, dim, k, table), a, b, y, rows, dim, tol, region,
+                               stats, span)
     Y = y.reshape(rows, -1)
     return FlowResult(endpoint=Y[:, :dim].reshape(x0.shape),
                       tangents=None if tangents is None else Y[:, dim:].reshape(tangents.shape),
@@ -456,9 +496,10 @@ class FlowWord:
 
     def legs(self, members, x: np.ndarray, tol: float = DEFAULT_TOL,
              region: Ball | None = None, tangents: np.ndarray | None = None):
-        """The one word runner: flow ``members[i]`` for ``t`` per letter,
-        each letter one :func:`flow_single` call over a start point or a
-        stack of them, and yield ``(points, tangents)`` after each.  The
+        """Run this one word, the one-word case of :func:`run_words`: flow
+        ``members[i]`` for ``t`` per letter, each letter one
+        :func:`flow_single` call over a start point or a stack of them, and
+        yield ``(points, tangents)`` after each.  The
         tangents are carried as in :func:`flow_single` (``None`` without);
         from the identity they are the variational matrix of the word
         prefix."""
@@ -486,3 +527,68 @@ class FlowWord:
                                region: Ball | None = None) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
         return self.end(family.members, x, tol, region, np.eye(x.size))
+
+
+def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TOL,
+              region: Ball | None = None) -> tuple[list[np.ndarray], list[Exception | None]]:
+    """Run many words of ``family`` from one start point x, stacked: letter
+    position j of every word that has one is one unit-time segment over the
+    stack, row n flowing ``t_n X_{a_n}`` for its letter ``(a_n, t_n)`` with
+    its error scale multiplied by ``|t_n|``, so that each row is integrated
+    to the tolerance of its own flow.  Words may differ in length.  When
+    every member has a monomial table the segment's right-hand side is one
+    evaluation of ``family.table`` against per-row coefficients formed once.
+    A position with one row runs it as :meth:`FlowWord.legs` does, one
+    :func:`flow_single` call with a number weight, and so does each row of a
+    stacked position that raises :class:`LeftDomain` or
+    :class:`StepUnderflow`: a word then stops at its own exit, as if it had
+    run alone.  ``region`` defaults to the family's common domain.
+
+    Returns ``(paths, stops)``: ``paths[n]`` holds x and word n's endpoint
+    after each letter it ran, ``(1 + letters run, d)``, and ``stops[n]`` is
+    the :class:`LeftDomain` or :class:`StepUnderflow` of the letter that
+    ended word n early, or ``None``.
+    """
+    x = np.asarray(x, dtype=float)
+    region = region if region is not None else family.common_domain
+    paths = [[x] for _ in words]
+    stops: list[Exception | None] = [None] * len(words)
+    for j in range(max((len(w.letters) for w in words), default=0)):
+        rows = [n for n, w in enumerate(words) if stops[n] is None and j < len(w.letters)]
+        if len(rows) > 1:
+            try:
+                ends = _stacked_letter(family, [words[n].letters[j] for n in rows],
+                                       np.array([paths[n][-1] for n in rows]), tol, region)
+            except (LeftDomain, StepUnderflow):
+                pass  # each row again on its own
+            else:
+                for n, y in zip(rows, ends):
+                    paths[n].append(y)
+                continue
+        for n in rows:
+            idx, t = words[n].letters[j]
+            try:
+                paths[n].append(flow_single(family.members[idx], paths[n][-1], t, tol=tol,
+                                            region=region).endpoint)
+            except (LeftDomain, StepUnderflow) as exc:
+                stops[n] = exc
+    return [np.array(p) for p in paths], stops
+
+
+def _stacked_letter(family: FieldFamily, letters, points: np.ndarray, tol: float,
+                    region: Ball) -> np.ndarray:
+    """Endpoints of the rows of ``points`` (N, d), row n flowing
+    ``t_n X_{a_n}`` over unit time for ``(a_n, t_n) = letters[n]``."""
+    index = np.array([a for a, _ in letters])
+    times = np.array([t for _, t in letters])
+    pairs = tuple((family.members[a], np.where(index == a, times, 0.0))
+                  for a in sorted(set(index.tolist())))
+    table = family.table
+    if table is not None:
+        # row n's coefficients over the family's monomials: t_n times member a_n's
+        coefficients = table.coefficients.transpose(1, 0, 2)[index]
+        coefficients *= times[:, None, None]
+        table = (table, coefficients)
+    return _flow(points, [(0.0, 1.0, pairs)], None, tol, region, None,
+                 span=np.abs(times), table=table).endpoint
+

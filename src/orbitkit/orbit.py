@@ -6,6 +6,12 @@ anchor point together with a least-l1-norm coefficient solver, the finite
 shadow of representing tangent vectors by summable coefficient families.
 Bracket generations stack into a :class:`BracketChain` whose rank profile
 drives the controllability verdicts.
+
+Independent-mode clouds, their spot-check replays and slice grids evaluate
+many flow words from one point; each is one :func:`run_words` run, a
+stacked segment per letter position, in the region the words belong to.
+Explore-mode clouds run word by word, since each step extends the stored
+point nearest a target.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
-from .compose import compose_flows
+# compose_flows stays bound here so that tracing can wrap every binding of it
+from .compose import compose_flows  # noqa: F401
 from .fields import FieldFamily, LbRecord, VectorField
-from .flow import DEFAULT_TOL, ExistenceCertificate, FlowWord, flow_single, guard
-from .space import L1Coefficients
+from .flow import DEFAULT_TOL, ExistenceCertificate, FlowWord, flow_single, guard, run_words
+from .space import Ball, L1Coefficients
 
 RANK_REL_TOL = 1e-8
 # member counts added to the base count for accessibility_verdict's truncation chains
@@ -123,12 +130,15 @@ class OrbitSample:
     """A reachable cloud: endpoints of random admissible words from a seed.
 
     ``certificate`` is the single-leg guard at the seed for legs of length
-    ``d_max``, half its bound r/k."""
+    ``d_max``, half its bound r/k.  ``region`` is the working region the
+    words ran in, where :func:`replay_word` and :func:`spot_check_sample`
+    replay them."""
 
     seed: np.ndarray
     cloud: tuple[tuple[np.ndarray, tuple[tuple[str, float], ...], bool], ...]
     d_max: float
     certificate: ExistenceCertificate
+    region: Ball
 
     def points(self) -> np.ndarray:
         return np.array([p for p, _, _ in self.cloud])
@@ -204,14 +214,23 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
 
     ``rho`` must be positive and finite and stay below the smallness radius
     r/k unless ``unsafe`` overrides the guard; ``grid_per_axis`` must be at
-    least 1.  At the origin the differential sends the canonical directions
-    to the field values, so the reported rank at zero should equal the
-    number of axes wherever the slice is a genuine local parametrization.
+    least 1, and the axes must be distinct family members.  Grid point w is
+    the composition along ``tau = sum w_axis e_axis``: its word flows each
+    axis field for ``w_axis`` in index order, in the lb region, and all the
+    words run as one stacked segment per axis (:func:`run_words`), with the
+    guard overridden but the region confinement still active.  At the
+    origin the differential sends the canonical directions to the field
+    values, so the reported rank at zero should equal the number of axes
+    wherever the slice is a genuine local parametrization.
     """
     x = np.asarray(x, dtype=float)
     axes = tuple(int(a) for a in axes)
     if len(axes) > 3:
         raise InvalidArgument("at most 3 grid axes are supported")
+    if len(set(axes)) < len(axes):
+        raise InvalidArgument(f"slice axes must be distinct, not {axes}")
+    if not all(0 <= a < len(family) for a in axes):
+        raise InvalidArgument(f"slice axes must name family members (0..{len(family) - 1})")
     if not 0 < rho < np.inf:
         raise InvalidArgument(f"rho must be positive and finite, not {rho!r}")
     if grid_per_axis < 1:
@@ -219,17 +238,21 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
     cert = guard(lb, x, 1.0, rho).enforce(unsafe)
     grids = np.meshgrid(*[np.linspace(-rho, rho, grid_per_axis)] * len(axes), indexing="ij")
     params = np.stack([g.ravel() for g in grids], axis=1)
-    pts = []
-    for w in params:
-        tau = L1Coefficients.from_pairs(zip(axes, w))
-        # finite words with per-axis smallness: run with the guard overridden
-        # but the region confinement still active
-        res = compose_flows(family, lb, tau, x, tol=tol, unsafe=True)
-        pts.append(res.endpoint)
+    order = np.argsort(axes)
+    words = [FlowWord(tuple((axes[i], w[i]) for i in order)) for w in params]
+    paths, stops = run_words(family, words, x, tol, lb.region)
+    _raise_first(stops)
     base_vectors = np.stack([family.members[a](x) for a in axes], axis=1)
     rank0 = numerical_rank(base_vectors)
-    return SliceGrid(params=params, points=np.array(pts), axes=axes,
+    return SliceGrid(params=params, points=np.array([p[-1] for p in paths]), axes=axes,
                      jacobian_rank_at_zero=rank0, certificate=cert)
+
+
+def _raise_first(stops) -> None:
+    """Raise the first error of :func:`run_words`'s ``stops``, if any."""
+    for stop in stops:
+        if stop is not None:
+            raise stop
 
 
 def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
@@ -269,7 +292,8 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
                                     tol, d_max)
     else:
         raise InvalidArgument("mode must be 'explore' or 'independent'")
-    return OrbitSample(seed=x.copy(), cloud=cloud, d_max=d_max, certificate=cert)
+    return OrbitSample(seed=x.copy(), cloud=cloud, d_max=d_max, certificate=cert,
+                       region=lb.region)
 
 
 def _sample_explore(family, lb, x, budget, max_word_len, rng_seed, tol, d_max,
@@ -311,35 +335,43 @@ def _sample_independent(family, lb, x, budget, max_word_len, rng_seed, tol, d_ma
     rng = np.random.default_rng(rng_seed)
     labels = family.labels()
     m = len(family.members)
+    words = [FlowWord([(int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
+                       for _ in range(max_word_len)]) for _ in range(budget)]
+    paths, stops = run_words(family, words, x, tol, lb.region)
     cloud: list[tuple[np.ndarray, tuple[tuple[str, float], ...], bool]] = [(x.copy(), (), False)]
-    for _ in range(budget):
-        word = FlowWord([(int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
-                         for _ in range(max_word_len)])
-        legs = word.legs(family.members, x, tol, lb.region)
-        y, executed = x, ()
-        try:
-            for (idx, dur), (y, _) in zip(word.letters, legs):
-                executed = executed + ((labels[idx], dur),)
-                cloud.append((y, executed, False))
-        except (LeftDomain, StepUnderflow):
+    for word, path, stop in zip(words, paths, stops):
+        executed = tuple((labels[idx], dur) for idx, dur in word.letters)
+        cloud += [(y, executed[:j], False) for j, y in enumerate(path[1:], start=1)]
+        if stop is not None:
             # the last valid point of the attempted word
-            cloud.append((y.copy(), executed, True))
+            cloud.append((path[-1].copy(), executed[:len(path) - 1], True))
     return tuple(cloud)
 
 
-def replay_word(family: FieldFamily, seed: np.ndarray, word: Sequence[tuple[str, float]],
-                tol: float = 1e-6, region=None) -> np.ndarray:
-    """Re-integrate a stored (label, duration) word from the seed."""
+def _indexed(family: FieldFamily, word: Sequence[tuple[str, float]]) -> FlowWord:
+    """A stored (label, duration) word as a word of member indices."""
     index = {m.label: i for i, m in enumerate(family.members)}
-    return FlowWord(tuple((index[label], dur) for label, dur in word)).apply(
-        family, seed, tol=tol, region=region)
+    return FlowWord(tuple((index[label], dur) for label, dur in word))
+
+
+def replay_word(family: FieldFamily, sample: OrbitSample, word: Sequence[tuple[str, float]],
+                tol: float = 1e-6) -> np.ndarray:
+    """Re-integrate a stored (label, duration) word of ``sample`` from its
+    seed, in the region the sample ran in."""
+    return _indexed(family, word).apply(family, sample.seed, tol=tol, region=sample.region)
 
 
 def spot_check_sample(family: FieldFamily, sample: OrbitSample, tol: float = 1e-6) -> float:
-    """Replay every 20th word of the cloud (5%, the first included) and
-    return the largest distance between a stored point and its replay."""
-    return max((float(np.linalg.norm(replay_word(family, sample.seed, word, tol=tol) - point))
-                for point, word, _ in sample.cloud[::20]), default=0.0)
+    """Replay every 20th word of the cloud (5%, the first included) from
+    the seed, in the region the sample ran in, as one stacked run
+    (:func:`run_words`), and return the largest distance between a stored
+    point and its replay."""
+    checked = sample.cloud[::20]
+    paths, stops = run_words(family, [_indexed(family, word) for _, word, _ in checked],
+                             sample.seed, tol, sample.region)
+    _raise_first(stops)
+    return max((float(np.linalg.norm(path[-1] - point))
+                for (point, _, _), path in zip(checked, paths)), default=0.0)
 
 
 def accessibility_verdict(family: FieldFamily, x: np.ndarray, k_max: int) -> Verdict:

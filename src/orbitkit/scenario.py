@@ -201,7 +201,10 @@ def _point(n: Node, space: ChartSpace, _members) -> np.ndarray:
 
 
 def _indices(n: Node, _space, members: int) -> tuple[int, ...]:
-    return tuple(_integer(v, n.key, members) for v in _floats(n))
+    indices = tuple(_integer(v, n.key, members) for v in _floats(n))
+    if len(set(indices)) < len(indices):
+        raise ParseError(f"'{n.key}' repeats an index")
+    return indices
 
 
 def _entry(n: Node, _space, members: int) -> tuple[int, float]:

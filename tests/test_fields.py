@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitkit.algebra import FlowWord, bracket_field, enlarge_field, lie_bracket
-from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, heisenberg_full
+from orbitkit.catalog import (affine_l1, commuting_constants, grushin, heisenberg, heisenberg_full,
+                              operator_family)
 from orbitkit.errors import InvalidArgument, OrderTooHigh, OutOfDomain
 from orbitkit.fields import (FD_STEP_1, FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily,
                              VectorField, _unit_vectors, calculus, constant_field,
@@ -234,6 +235,18 @@ class TestMonomialTable:
             scale = max(np.abs(v).max() for v in values)
             assert np.abs(sum(values)).max() <= 1e-12 * (1.0 + scale)
 
+    @settings(max_examples=60, deadline=None)
+    @given(tabled_fields(1))
+    def test_gathered_monomials_equal_the_power_product(self, case):
+        # the same factors in the same order; numpy's power may round a
+        # strided and a contiguous array apart by an ulp
+        (X,), _, points = case
+        table = X.table
+        ref = np.prod(points[:, None, :] ** table.exponents, axis=2)
+        np.testing.assert_allclose(table.monomials(points), ref, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(table.monomials(points[:1])[0],
+                                   np.prod(points[0] ** table.exponents, axis=1), rtol=1e-15, atol=0)
+
     def test_exact_zero_bracket_has_no_rows(self):
         X, Y = heisenberg_full().members[1:]
         assert X.table.bracket(Y.table).exponents.shape == (0, 3)
@@ -247,6 +260,33 @@ class TestMonomialTable:
         assert calculus(heis.members) == "exact"
         Z = enlarge_field(heis, FlowWord(((0, 0.4),)), 1, 1.0, heis_lb)
         assert calculus(heis.members + (Z,)) == "finite-difference"
+
+
+CATALOG_FAMILIES = [
+    heisenberg(), heisenberg_full(), grushin(), commuting_constants(4, 3),
+    affine_l1(5, 4), affine_l1(6, 5, 0.7, linear_part=True),
+    operator_family(3, 3, [(1.0, (1, 0, 0), 0, 1), (-0.5, (0, 2, 0), 2, 0), (2.0, (0, 0, 0), 1, 2),
+                           (0.3, (1, 1, 0), 2, 2)]),
+]
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", CATALOG_FAMILIES,
+                             ids=lambda f: "-".join(m.label for m in f.members))
+    def test_weighted_table_is_the_weighted_sum_of_members(self, family, rng):
+        table = family.table
+        assert table.coefficients.shape[1:] == (len(family), family.space.dimension)
+        points = rng.uniform(-1.0, 1.0, (6, family.space.dimension))
+        weights = rng.normal(size=(6, len(family)))
+        got = np.einsum("nm,nmd->nd", weights, table.eval_many(points))
+        ref = np.array([sum(w * m(x) for w, m in zip(ws, family.members))
+                        for ws, x in zip(weights, points)])
+        assert _close(got, ref, 1e-13)
+
+    def test_an_untabled_member_leaves_no_family_table(self, heis):
+        members = (heis.members[0], replace(heis.members[1], table=None, jacobian_fn=None))
+        fam = FieldFamily(space=heis.space, members=members, common_domain=heis.common_domain)
+        assert fam.table is None
 
 
 class TestJacobians:

@@ -5,12 +5,13 @@ import pytest
 
 from orbitkit import flow as flow_module
 from orbitkit.algebra import bracket_field, enlarge_field
-from orbitkit.catalog import commuting_constants, grushin, heisenberg
+from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg
 from orbitkit.compose import compose_flows
 from orbitkit.errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
                              OutOfDomain, WordNotIntegrable)
 from orbitkit.fields import FieldFamily, LbRecord, VectorField, constant_field, polynomial_field
-from orbitkit.flow import Control, FlowWord, flow_control, flow_single, guard
+from orbitkit.flow import Control, FlowWord, flow_control, flow_single, guard, run_words
+from orbitkit.orbit import orbit_sample, slice_grid
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
 TOL = 1e-9
@@ -386,8 +387,8 @@ def stepper_counts(monkeypatch):
     counts = {"steps": 0, "rhs": 0}
     run, call = flow_module._flow, flow_module._Rhs.__call__
 
-    def counted_flow(*args):
-        res = run(*args)
+    def counted_flow(*args, **kwargs):
+        res = run(*args, **kwargs)
         counts["steps"] += res.steps_taken
         return res
 
@@ -432,6 +433,20 @@ class TestStepBudget:
         # three letters
         assert np.allclose(values, [[0.0, 1.0, x - 0.55] for x in P[:, 0]], atol=1e-12)
         assert stepper_counts["steps"] <= 6 and stepper_counts["rhs"] <= 42
+
+    def test_stacked_independent_sample(self, heis, heis_lb, stepper_counts):
+        # every letter position of the twelve words is one stacked segment,
+        # integrated exactly in one step of seven evaluations
+        samp = orbit_sample(heis, heis_lb, np.array([0.2, -0.1, 0.3]), budget=12, max_word_len=5,
+                            rng_seed=3, mode="independent", tol=TOL)
+        assert len(samp.cloud) == 1 + 12 * 5
+        assert stepper_counts["steps"] == 5 and stepper_counts["rhs"] == 35
+
+    def test_slice_takes_one_step_per_axis_letter(self, heis, heis_lb, stepper_counts):
+        res = slice_grid(heis, heis_lb, np.array([0.2, -0.1, 0.3]), rho=0.3, grid_per_axis=4,
+                         axes=[1, 0], tol=TOL)
+        assert res.points.shape == (16, 3)
+        assert stepper_counts["steps"] == 2 and stepper_counts["rhs"] == 14
 
 
 class TestStackedRuns:
@@ -497,6 +512,73 @@ class TestStackedRuns:
         with pytest.raises(LeftDomain) as info:
             FlowWord(((0, 1.0),)).end(fam.members, P, TOL, region=ball([0, 0], 8.0))
         assert info.value.last_point[0] > 8.0
+
+
+class TestStackedWords:
+    def test_a_row_of_a_stack_takes_the_steps_of_flow_single(self, rng, stepper_counts):
+        # two equal rows: each flows t X over unit time with its error scale
+        # times |t|, which is the flow of X over time t step for step
+        families = [affine_l1(6, 5, 0.7, linear_part=True), heisenberg(), grushin()]
+        for _ in range(60):
+            fam = families[int(rng.integers(0, len(families)))]
+            a = int(rng.integers(0, len(fam)))
+            dim = fam.space.dimension
+            x = rng.uniform(-0.2, 0.2, dim)
+            t = float(rng.uniform(-0.8, 0.8))
+            tol = float(10.0 ** rng.uniform(-12, -6))
+            one = flow_single(fam.members[a], x, t, tol=tol)
+            stepper_counts.update(steps=0)
+            (path, twin), stops = run_words(fam, [FlowWord(((a, t),))] * 2, x, tol)
+            assert stops == [None, None]
+            assert stepper_counts["steps"] == one.steps_taken
+            assert np.array_equal(path, twin)
+            assert np.abs(path[-1] - one.endpoint).max() <= 1e-13 * (1 + np.abs(x).max())
+
+    def test_words_of_several_lengths_and_members(self, rng):
+        fam = affine_l1(5, 4, 0.8, linear_part=True)
+        x = rng.uniform(-0.2, 0.2, 5)
+        words = [FlowWord(tuple((int(rng.integers(0, 4)), float(rng.uniform(-0.3, 0.3)))
+                                for _ in range(n))) for n in (0, 3, 1, 4, 2, 4)]
+        paths, stops = run_words(fam, words, x, TOL)
+        assert stops == [None] * len(words)
+        for word, path in zip(words, paths):
+            assert path.shape == (1 + len(word.letters), 5)
+            ref = [x] + [y for y, _ in word.legs(fam.members, x, TOL)]
+            assert np.abs(path - ref).max() <= 10 * TOL
+
+    def test_untabled_members_rest_where_their_weight_is_zero(self, rng):
+        # no family table: each member evaluates only the rows it drives
+        base = affine_l1(4, 3, 0.8, linear_part=True)
+        calls = []
+
+        def untabled(m):
+            def ev(x):
+                calls.append(m.label)
+                return m(x)
+            return VectorField(domain=m.domain, eval_fn=ev, label=m.label)
+
+        fam = FieldFamily(space=base.space, members=tuple(map(untabled, base.members)),
+                          common_domain=base.common_domain)
+        assert fam.table is None
+        words = [FlowWord(((0, 0.2),)), FlowWord(((2, -0.1),)), FlowWord(((0, 0.05),))]
+        x = rng.uniform(-0.2, 0.2, 4)
+        paths, _ = run_words(fam, words, x, TOL)
+        assert calls.count("A0") == 2 * calls.count("A2")
+        for word, path in zip(words, paths):
+            assert np.abs(path[-1] - word.apply(base, x, TOL)).max() <= 10 * TOL
+
+    def test_a_word_stops_at_its_own_exit(self):
+        # the stacked letter leaves the region on row 1; each row runs again
+        # alone, so only word 1 stops, at its last valid point
+        fam = commuting_constants(2, 2)
+        region = ball([0, 0], 1.0)
+        words = [FlowWord(((0, 0.5), (1, 0.2))), FlowWord(((0, 0.3), (0, 0.9))),
+                 FlowWord(((1, -0.4), (0, 0.1)))]
+        paths, stops = run_words(fam, words, np.zeros(2), TOL, region)
+        assert stops[0] is None and stops[2] is None
+        assert isinstance(stops[1], LeftDomain)
+        assert paths[1].shape == (2, 2) and np.allclose(paths[1][-1], [0.3, 0.0])
+        assert np.allclose(paths[0][-1], [0.5, 0.2]) and np.allclose(paths[2][-1], [0.1, -0.4])
 
 
 def polynomial_like_scale(X, factor):

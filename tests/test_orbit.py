@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from orbitkit.catalog import affine_l1, commuting_constants, grushin, operator_family
+from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, operator_family
 from orbitkit.algebra import FlowWord, enlarge_field
-from orbitkit.errors import GuardViolated, InvalidArgument, OutOfDomain
+from orbitkit.compose import compose_flows
+from orbitkit.errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
+from orbitkit.flow import guard
 from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
 from orbitkit.orbit import (accessibility_verdict, distribution_at, invariance_residual,
                             numerical_rank, orbit_sample, rank_of_singular_values,
@@ -126,6 +130,23 @@ class TestSliceGrid:
         with pytest.raises(InvalidArgument):
             slice_grid(heis, heis_lb, np.zeros(3), rho=0.3, grid_per_axis=grid, axes=[0, 1])
 
+    def test_repeated_axes_are_an_invalid_argument(self, heis, heis_lb):
+        # axes 0 0 used to add up: the points flowed X1 for up to 2 rho, past r/k
+        with pytest.raises(InvalidArgument):
+            slice_grid(heis, heis_lb, np.zeros(3), rho=0.3, grid_per_axis=3, axes=[0, 0])
+
+    @pytest.mark.parametrize("axes", [[0, 1], [1, 0], [2, 0, 3]])
+    def test_stacked_slice_matches_per_point_compositions(self, axes):
+        fam = affine_l1(5, 4, 0.8, linear_part=True)
+        lb = estimate_lb_bound(fam, fam.common_domain, 2, 20)
+        x = np.array([0.1, -0.05, 0.02, 0.03, -0.01])
+        tol, rho = 1e-9, 0.1
+        res = slice_grid(fam, lb, x, rho=rho, grid_per_axis=3, axes=axes, tol=tol)
+        for w, p in zip(res.params, res.points):
+            tau = L1Coefficients.from_pairs(zip(axes, w))
+            ref = compose_flows(fam, lb, tau, x, tol=tol, unsafe=True).endpoint
+            assert np.abs(p - ref).max() <= tol * (1 + rho * len(axes))
+
     def test_unsafe_overrides_the_rho_guard(self, heis, heis_lb):
         res = slice_grid(heis, heis_lb, np.zeros(3), rho=1.0, grid_per_axis=3, axes=[0, 1],
                          unsafe=True)
@@ -185,8 +206,64 @@ class TestOrbitSample:
         samp = orbit_sample(grush, grush_lb, np.zeros(2), budget=50, max_word_len=5,
                             rng_seed=5)
         point, word, _ = samp.cloud[len(samp.cloud) // 2]
-        rep = replay_word(grush, samp.seed, word, tol=1e-6)
+        rep = replay_word(grush, samp, word, tol=1e-6)
         assert np.abs(rep - point).max() <= 1e-5
+
+
+def _per_word_sample(family, lb, x, budget, max_word_len, rng_seed, tol):
+    """The independent cloud with every word run alone, letter by letter."""
+    d_max = 0.5 * guard(lb, x, 1.0, 0.0).margin
+    rng = np.random.default_rng(rng_seed)
+    labels, m = family.labels(), len(family)
+    cloud = [(x.copy(), (), False)]
+    for _ in range(budget):
+        word = FlowWord([(int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
+                         for _ in range(max_word_len)])
+        y, executed = x, ()
+        try:
+            for (idx, dur), (y, _) in zip(word.letters, word.legs(family.members, x, tol, lb.region)):
+                executed = executed + ((labels[idx], dur),)
+                cloud.append((y, executed, False))
+        except (LeftDomain, StepUnderflow):
+            cloud.append((y.copy(), executed, True))
+    return cloud
+
+
+class TestStackedSample:
+    # lb records whose regions the words often leave
+    CASES = {
+        "heisenberg": (heisenberg(), LbRecord(2, 0.5, ball([0, 0, 0], 1.0), "declared"),
+                       np.array([0.2, -0.1, 0.1])),
+        "affine-l1": (affine_l1(6, 5, 0.8, linear_part=True),
+                      LbRecord(2, 1.0, ball(np.zeros(6), 1.0, "l1"), "declared"), np.full(6, 0.05)),
+        "grushin": (grushin(), LbRecord(2, 0.5, ball([0, 0], 0.8), "declared"), np.array([0.1, 0.1])),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_matches_per_word_runs(self, name, tol):
+        fam, lb, x = self.CASES[name]
+        truncated = 0
+        for seed in range(4):
+            got = orbit_sample(fam, lb, x, 30, 8, seed, tol=tol, mode="independent").cloud
+            ref = _per_word_sample(fam, lb, x, 30, 8, seed, tol)
+            assert [(w, f) for _, w, f in got] == [(w, f) for _, w, f in ref]
+            for (p, _, _), (q, _, _) in zip(got, ref):
+                assert np.abs(p - q).max() <= 10 * tol * (1 + np.abs(q).max())
+            truncated += sum(f for _, _, f in ref)
+        assert truncated > 0
+
+    def test_replays_run_in_the_sampling_region(self):
+        # the words ran in the lb region, a ball of radius 1 in a domain of
+        # radius 8: a stored word that leaves it does not replay
+        fam, lb, x = self.CASES["heisenberg"]
+        samp = orbit_sample(fam, lb, x, 20, 4, 0, tol=1e-9, mode="independent")
+        assert samp.region == lb.region
+        away = (("X1", 0.5), ("X1", 0.5))
+        with pytest.raises(LeftDomain):
+            replay_word(fam, samp, away, tol=1e-9)
+        with pytest.raises(LeftDomain):
+            spot_check_sample(fam, replace(samp, cloud=((x + [1.0, 0, 0], away, False),)), tol=1e-9)
 
 
 def test_rank_of_a_stack_of_singular_values(rng):

@@ -550,6 +550,8 @@ REJECTED_OPTIONS = [
     ("orbit-sample", "point 0 0 0\n  budget 5\n  budget 6"),
     ("compose", "point 0 0 0\n  entry 7 0.1"),
     ("slice", "point 0 0 0\n  axes 0 5"),
+    # repeated axes were added together: the points flowed X1 for twice rho
+    ("slice", "point 0 0 0\n  rho 0.3\n  grid 3\n  axes 0 0"),
     ("invert", "point 0 0 0\n  entry 0 0.1\n  out x"),
     ("invert", "point 0 0 0\n  entry 0 0.1\n  curve-samples 3"),
     ("verdict", "k-max 2"),
@@ -803,7 +805,7 @@ def _valid_args(opt, dim, members):
         "word": st.tuples(st.sampled_from(opt.words or ["control", "explore", "cloud.txt"])),
         "flag": st.tuples(st.sampled_from(["on", "off"])),
         "point": st.lists(NUMBERS, min_size=dim, max_size=dim),
-        "indices": st.lists(index, min_size=1, max_size=3),
+        "indices": st.lists(index, min_size=1, max_size=3, unique=True),
         "entry": st.tuples(index, NUMBERS),
         "piece": st.tuples(NUMBERS, NUMBERS, pairs).map(
             lambda t: (t[0], t[1], *(a for pair in t[2] for a in pair))),
