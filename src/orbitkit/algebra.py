@@ -137,7 +137,7 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
     def ev(x: np.ndarray) -> np.ndarray:
         return probe.eval_many(x[None])[0]
 
-    probe = EnlargedField(domain=region, eval_fn=ev, jacobian_fn=None,
+    probe = EnlargedField(domain=region, eval_fn=ev,
                           label=f"({base.label}|w{len(word.letters)},nu={nu:g})",
                           base_index=base_index, word=word, scale=nu,
                           in_enlargement=True, screen_jet=float("nan"), family=family, tol=tol)
@@ -158,7 +158,7 @@ def bracket_field(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y] as an evaluable field.
 
     When both fields carry monomial tables the bracket is exact and tabled
-    again, with an exact Jacobian; otherwise each evaluation is a
+    again, and the table evaluates it; otherwise each evaluation is a
     :func:`lie_bracket` and the field is differentiated by finite
     differences.  Either way evaluation outside the domains of X and Y
     raises :class:`OutOfDomain`.
@@ -172,16 +172,12 @@ def bracket_field(X: VectorField, Y: VectorField) -> VectorField:
             _check_domains((X, Y), x)
             return table(x)
 
-        def jac_exact(x: np.ndarray) -> np.ndarray:
-            return table.derivative(x)
-
-        return VectorField(domain=dom, eval_fn=ev_exact, jacobian_fn=jac_exact,
-                           label=label, table=table)
+        return VectorField(domain=dom, eval_fn=ev_exact, label=label, table=table)
 
     def ev(x: np.ndarray) -> np.ndarray:
         return lie_bracket(X, Y, x)
 
-    return VectorField(domain=dom, eval_fn=ev, jacobian_fn=None, label=label)
+    return VectorField(domain=dom, eval_fn=ev, label=label)
 
 
 class _CoefficientSpan:

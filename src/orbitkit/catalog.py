@@ -100,9 +100,7 @@ def affine_l1(dim: int, count: int, decay: float = 0.5, linear_part: bool = Fals
             # x + d: the identity on the degree-1 monomials plus a constant row
             table = MonomialTable.from_rows(np.vstack([np.zeros(dim), np.eye(dim)]),
                                             np.vstack([direction, np.eye(dim)]))
-            members.append(VectorField(domain=dom, eval_fn=ev,
-                                       jacobian_fn=lambda x, n=dim: np.eye(n),
-                                       label=f"A{a}", table=table))
+            members.append(VectorField(domain=dom, eval_fn=ev, label=f"A{a}", table=table))
         else:
             members.append(constant_field(dom, direction, label=f"A{a}"))
     if linear_part:

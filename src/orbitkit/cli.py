@@ -96,7 +96,6 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
         results = [vector_leaf("endpoint", res.endpoint),
                    leaf("endpoint-tolerance", tol * (1.0 + abs(T0))),
                    leaf("steps", res.steps_taken),
-                   leaf("est-local-error", res.est_local_error),
                    leaf("unsafe", res.certificate.unsafe)]
         if o["variational"]:
             for i, row in enumerate(res.tangents):

@@ -5,14 +5,16 @@ Fields whose components are polynomials (:func:`polynomial_field`,
 :func:`constant_field`, the affine builtins and exact brackets of such
 fields) also carry a :class:`MonomialTable`, the one source of their exact
 derivatives of every order (their per-point Jacobian included), exact Lie
-brackets and batched evaluation; every other field is differentiated by
-finite differences, whose shifted points go through one ``eval_many`` per
-derivative, and along a single vector by :func:`finite_difference_jvp`.  A
-:class:`FieldFamily` is an ordered, indexed collection sharing a common
-domain.  :func:`eval_jet_norm` measures the size of a field's jet at a point
-up to order 3, and :func:`estimate_lb_bound` turns a sampled (or declared)
-supremum of jet norms over a region into an :class:`LbRecord`, the bound
-record that powers every existence-radius guard downstream.
+brackets, and their values at one point or many (at one point the affine
+builtins keep the closed form ``x + a``); every other field is
+differentiated by finite differences, whose shifted points go through one
+``eval_many`` per derivative, and along a single vector by
+:func:`finite_difference_jvp`.  A :class:`FieldFamily` is an ordered,
+indexed collection sharing a common domain.  :func:`eval_jet_norm` measures
+the size of a field's jet at a point up to order 3, and
+:func:`estimate_lb_bound` turns a sampled (or declared) supremum of jet
+norms over a region into an :class:`LbRecord`, the bound record that powers
+every existence-radius guard downstream.
 """
 
 from __future__ import annotations
@@ -89,13 +91,14 @@ class MonomialTable:
         factors = padded[:, index]
         if raised is not None:
             factors[:, raised] **= powers
-        return factors[:, :, 0] if index.shape[1] == 1 else factors.prod(axis=2)
+        return factors if index.ndim == 1 else factors.prod(axis=2)
 
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """Per monomial, the coordinates of its nonzero exponents in order,
-        padded with d (a column of ones); where those exponents exceed 1
-        (``None`` nowhere), and the exponents there."""
+        padded with d (a column of ones): ``(T, w)``, or ``(T,)`` when no
+        monomial has two; where those exponents exceed 1 (``None``
+        nowhere), and the exponents there."""
         exponents = self.exponents
         used = exponents > 0
         width = max(1, int(used.sum(axis=1).max(initial=0)))
@@ -103,9 +106,11 @@ class MonomialTable:
         cols = np.argsort(~used, axis=1, kind="stable")[:, :width]
         used = np.take_along_axis(used, cols, axis=1)
         powers = np.where(used, np.take_along_axis(exponents, cols, axis=1), 1)
+        index = np.where(used, cols, exponents.shape[1])
+        if width == 1:
+            index, powers = index[:, 0], powers[:, 0]
         raised = powers > 1
-        return (np.where(used, cols, exponents.shape[1]), raised if raised.any() else None,
-                powers[raised])
+        return index, raised if raised.any() else None, powers[raised]
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Values at the rows of ``points`` (N, d), in one batched evaluation:
@@ -115,7 +120,20 @@ class MonomialTable:
             (len(points),) + self.coefficients.shape[1:])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.eval_many(np.asarray(x, dtype=float)[None])[0]
+        """The value at one point x (d,), shape ``coefficients.shape[1:]``:
+        the monomials formed as in :meth:`monomials`, then one product with
+        the flat coefficients, which on one point is faster than a one-row
+        :meth:`eval_many`."""
+        index, raised, powers = self._support
+        padded = np.empty(len(x) + 1)
+        padded[:-1] = x
+        padded[-1] = 1.0
+        factors = padded[index]
+        if raised is not None:
+            factors[raised] **= powers
+        values = (factors if index.ndim == 1 else factors.prod(axis=1)).dot(self._flat)
+        shape = self.coefficients.shape
+        return values if len(shape) == 2 else values.reshape(shape[1:])
 
     @cached_property
     def _flat(self) -> np.ndarray:
@@ -163,23 +181,15 @@ class VectorField:
 
     ``eval_fn`` maps a point (1-d array) to a vector of the same dimension.
     Evaluation must be pure.  ``table``, when present, is the field as a
-    :class:`MonomialTable`, the one source of its derivatives; ``eval_fn``
-    stays the per-point evaluator because it is faster on one point than the
-    table, and ``jacobian_fn``, which only a tabled field may have
-    (:class:`InvalidArgument` otherwise), is the table's derivative in the
-    same per-point form.  A field without a table is differentiated by
-    central finite differences.
+    :class:`MonomialTable`, the one source of its derivatives and of its
+    batched values; a polynomial field's ``eval_fn`` is the table itself.  A
+    field without a table is differentiated by central finite differences.
     """
 
     domain: Ball
     eval_fn: Callable[[np.ndarray], np.ndarray]
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "X"
     table: MonomialTable | None = None
-
-    def __post_init__(self):
-        if self.jacobian_fn is not None and self.table is None:
-            raise InvalidArgument(f"{self.label}: a Jacobian needs the field's monomial table")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval_fn(np.asarray(x, dtype=float)), dtype=float)
@@ -193,11 +203,9 @@ class VectorField:
         return np.array([self(x) for x in points]).reshape(points.shape)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """The exact Jacobian of a tabled field (from ``jacobian_fn`` when
-        given), else central differences."""
+        """The exact Jacobian of a tabled field, from its table's
+        derivative; else central differences."""
         x = np.asarray(x, dtype=float)
-        if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(x), dtype=float)
         if self.table is not None:
             return self.table.derivative(x)
         return finite_difference_jacobian(self, x)
@@ -280,54 +288,22 @@ def polynomial_field(domain: Ball, components: Sequence[Sequence[tuple[float, tu
 
     ``components[i]`` lists ``(coefficient, exponents)`` terms of component
     ``i``, with ``exponents`` one non-negative integer power per coordinate
-    (:class:`InvalidArgument` otherwise).  The analytic Jacobian and the
-    field's :class:`MonomialTable` are derived from the same terms.
+    (:class:`InvalidArgument` otherwise).  The terms compile to the field's
+    :class:`MonomialTable`, which evaluates the field and gives its
+    derivatives.
     """
     dim = len(components)
-    comp = tuple(tuple((float(c), _exponents(exps, dim)) for c, exps in terms)
-                 for terms in components)
-    rows = [(exps, c * np.eye(dim)[i]) for i, terms in enumerate(comp) for c, exps in terms]
+    rows = [(_exponents(exps, dim), float(c) * np.eye(dim)[i])
+            for i, terms in enumerate(components) for c, exps in terms]
     exponents = np.array([e for e, _ in rows], dtype=np.int64).reshape(-1, dim)
     table = MonomialTable.from_rows(exponents, np.array([v for _, v in rows]).reshape(-1, dim))
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(dim)
-        for i, terms in enumerate(comp):
-            acc = 0.0
-            for c, exps in terms:
-                t = c
-                for j, e in enumerate(exps):
-                    if e:
-                        t *= x[j] ** e
-                acc += t
-            out[i] = acc
-        return out
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        m = np.zeros((dim, dim))
-        for i, terms in enumerate(comp):
-            for c, exps in terms:
-                for j, e in enumerate(exps):
-                    if not e:
-                        continue
-                    t = c * e
-                    for k, ek in enumerate(exps):
-                        p = ek - 1 if k == j else ek
-                        if p:
-                            t *= x[k] ** p
-                    m[i, j] += t
-        return m
-
-    return VectorField(domain=domain, eval_fn=ev, jacobian_fn=jac, label=label, table=table)
+    return VectorField(domain=domain, eval_fn=table, label=label, table=table)
 
 
 def constant_field(domain: Ball, vector, label: str = "c") -> VectorField:
-    v = np.asarray(vector, dtype=float).copy()
-    v.flags.writeable = False
-    n = v.size
-    return VectorField(domain=domain, eval_fn=lambda x: v.copy(),
-                       jacobian_fn=lambda x: np.zeros((n, n)), label=label,
-                       table=MonomialTable.from_rows(np.zeros((1, n)), v[None]))
+    v = np.asarray(vector, dtype=float)
+    table = MonomialTable.from_rows(np.zeros((1, v.size)), v[None])
+    return VectorField(domain=domain, eval_fn=table, label=label, table=table)
 
 
 @dataclass(frozen=True)
@@ -339,8 +315,8 @@ class FieldFamily:
     through instead of sampling.  ``truncation_factory``, when present, maps
     a member count to the corresponding truncation of a countable family.
     :attr:`table` merges the members' monomial tables on one monomial list,
-    so that a stack of rows, each with its own weights over the members, is
-    evaluated at once.
+    so that a stack of rows, each with its own coefficients over the
+    members, is evaluated at once.
     """
 
     space: ChartSpace
@@ -429,10 +405,11 @@ def _jet_tensors(field: VectorField, x: np.ndarray, s: int) -> list:
         steps = (FD_STEP_1 * scale, FD_STEP_2 * scale, FD_STEP_3 * scale)
         jet = _central_differences(field.eval_many, x, [steps[:j] for j in range(s + 1)])
     else:
-        jet = [field(x)] + ([field.jacobian(x)] if s >= 1 else [])
-        if s >= 2:
-            d2 = field.table.derivative.derivative
-            jet += [d2(x)] + ([d2.derivative(x)] if s >= 3 else [])
+        table = field.table
+        jet = [table(x)]
+        for _ in range(s):
+            table = table.derivative
+            jet.append(table(x))
     return jet + [None] * (4 - len(jet))
 
 

@@ -26,15 +26,16 @@ vector, or the d columns of a variational matrix, which is the block that
 starts at the identity.  All rows share one step sequence, sized by the
 worst row, and every row is checked against the working region.
 
-A row may carry its own weights, and each row's error scale is multiplied
-by the time its weights stand for, so that flowing ``t X`` over unit time
-takes the steps of flowing X over time t.  :func:`run_words` is the word
-runner: it runs many words from one point as one unit-time segment per
-letter position, each row flowing its own letter, with the right-hand side
-one evaluation of the family's merged :attr:`FieldFamily.table` when every
-member is tabled.  Its one-word case is :meth:`FlowWord.legs`, one
-:func:`flow_single` call over the whole stack per letter with number
-weights; :meth:`FlowWord.end` is its last leg.
+Member weights are numbers shared by every row.  Rows that flow different
+letters of a tabled family are one evaluation of the family's merged
+:attr:`FieldFamily.table` against per-row coefficients, and each row's
+error scale is multiplied by the time its coefficients stand for, so that
+flowing ``t X`` over unit time takes the steps of flowing X over time t.
+:func:`run_words` is the word runner: it runs many words from one point,
+each letter position of a tabled family one such unit-time segment, each
+row flowing its own letter.  Its one-word case is :meth:`FlowWord.legs`,
+one :func:`flow_single` call over the whole stack per letter;
+:meth:`FlowWord.end` is its last leg.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import numpy as np
 
 from .errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain, OutOfDomain,
                      StepUnderflow, WordNotIntegrable)
-from .fields import FD_STEP_1, FieldFamily, LbRecord, VectorField, finite_difference_jvp
+from .fields import (FD_STEP_1, FieldFamily, LbRecord, MonomialTable, VectorField,
+                     finite_difference_jvp)
 from .space import Ball, L1Coefficients, _row_norms
 
 DEFAULT_TOL = 1e-9
@@ -192,7 +194,6 @@ class FlowResult:
     endpoint: np.ndarray
     tangents: np.ndarray | None
     steps_taken: int
-    est_local_error: float
     certificate: ExistenceCertificate | None = None
 
 
@@ -202,15 +203,14 @@ class _Rhs:
     ``k`` tangent columns W (d×k, stored row by row) of
     ``W' = (sum_a w_a DX_a) W``.
 
-    A weight is a number, or an ``(N,)`` array of one weight per row; a
-    member whose weight is zero on a row is not evaluated there.  ``table``,
-    when given, is a monomial table and the rows' coefficients over its
-    monomials, ``(N, T, d)``: the stack (with no tangents) is then one
-    evaluation of the table's monomials against them.  A single row with
-    number weights is evaluated point by point, which is faster than a
-    one-row batch.  Autonomous: it reads the state only."""
+    The weights are numbers.  ``table``, when given, is a monomial table and
+    the rows' coefficients over its monomials, ``(N, T, d)``, in place of the
+    pairs: the stack (with no tangents) is then one evaluation of the
+    table's monomials against them.  A single row is evaluated point by
+    point, which is faster than a one-row batch.  Autonomous: it reads the
+    state only."""
 
-    __slots__ = ("pairs", "dim", "k", "width", "table", "terms")
+    __slots__ = ("pairs", "dim", "k", "width", "table")
 
     def __init__(self, pairs, dim: int, k: int, table=None):
         self.pairs = pairs
@@ -218,12 +218,12 @@ class _Rhs:
         self.k = k
         self.width = dim * (1 + k)
         self.table = table
-        # for a stack: each member with its weights on the rows it drives
-        self.terms = tuple((m, w, slice(None)) if np.ndim(w) == 0 else
-                           (m, w[np.flatnonzero(w), None], np.flatnonzero(w)) for m, w in pairs)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         d, k = self.dim, self.k
+        if self.table is not None:
+            table, coefficients = self.table
+            return np.matmul(table.monomials(y.reshape(-1, d))[:, None, :], coefficients).ravel()
         out = np.zeros(y.size)
         if y.size == self.width:
             x = y[:d]
@@ -234,7 +234,8 @@ class _Rhs:
                 J, h = None, None
                 for m, w in self.pairs:
                     if m.table is not None:
-                        J = w * m.jacobian(x) if J is None else J + w * m.jacobian(x)
+                        DX = m.table.derivative(x)
+                        J = w * DX if J is None else J + w * DX
                         continue
                     # finite_difference_jvp of one row per column, in
                     # scalars: a third of its cost on a one-row stack
@@ -251,15 +252,11 @@ class _Rhs:
             return out
         Y, O = y.reshape(-1, self.width), out.reshape(-1, self.width)
         X = Y[:, :d]
-        if self.table is not None:
-            table, coefficients = self.table
-            O[:, :d] = np.matmul(table.monomials(X)[:, None, :], coefficients)[:, 0]
-            return out
         W = Y[:, d:].reshape(-1, d, k) if k else None
-        for m, w, rows in self.terms:
-            O[rows, :d] += w * m.eval_many(X[rows])
+        for m, w in self.pairs:
+            O[:, :d] += w * m.eval_many(X)
             if k:
-                O[rows, d:] += w * _derivative_along(m, X[rows], W[rows]).reshape(-1, d * k)
+                O[:, d:] += w * _derivative_along(m, X, W).reshape(-1, d * k)
         return out
 
 
@@ -305,10 +302,10 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
     A step is accepted when every row's error is within that row's own
     scale ``tol*|h|*span*(1 + max|y_row|)``, and the step factor comes from
     the worst row, so one row takes exactly the steps of a single trajectory.
-    ``span`` is the time a row's weights stand for, a number or one per row:
-    a row flowing ``t X`` over unit time has span ``|t|``, and so takes the
-    steps of the flow of X over time t, while a row with span 0 (zero
-    weights) rests without limiting the step.
+    ``span`` is the time a row's right-hand side stands for, a number or one
+    per row: a row flowing ``t X`` over unit time has span ``|t|``, and so
+    takes the steps of the flow of X over time t, while a row with span 0
+    (a letter of time 0) rests without limiting the step.
     A trial step can probe far from the trajectory, so a stage that raises
     :class:`LeftDomain`, :class:`WordNotIntegrable` (an enlarged field's
     inner word) or :class:`OutOfDomain` (a bracket field off its domain), or
@@ -368,7 +365,6 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
                 S[0] = k
                 stage_error = None
                 stats["steps"] += 1
-                stats["err"] += err
                 grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
                 h *= grow
             else:  # a NaN or infinite error gives the 0.2 floor
@@ -387,10 +383,10 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
 
     ``segments`` are the ``(t_start, t_end, pairs)`` runs of the flow in the
     order integrated, ``pairs`` being the ``(member, weight)`` terms of the
-    run, a weight being a number or one per row; the state is stationary
-    between them.  ``span`` and ``table`` are passed to every segment (see
-    :func:`_integrate_segment` and :class:`_Rhs`).  A flow without segments
-    returns its start points without stepping.
+    run; the state is stationary between them.  ``span`` and ``table`` are
+    passed to every segment (see :func:`_integrate_segment` and
+    :class:`_Rhs`).  A flow without segments returns its start points
+    without stepping.
     """
     if not 0 < tol < math.inf:
         raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
@@ -409,15 +405,14 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
             raise _left_domain(points, rows, dim, outside, segments[0][0],
                                "start point outside the working region")
     y = points.ravel().copy()
-    stats = {"steps": 0, "err": 0.0}
+    stats = {"steps": 0}
     for a, b, pairs in segments:
         y = _integrate_segment(_Rhs(pairs, dim, k, table), a, b, y, rows, dim, tol, region,
                                stats, span)
     Y = y.reshape(rows, -1)
     return FlowResult(endpoint=Y[:, :dim].reshape(x0.shape),
                       tangents=None if tangents is None else Y[:, dim:].reshape(tangents.shape),
-                      steps_taken=stats["steps"], est_local_error=stats["err"],
-                      certificate=certificate)
+                      steps_taken=stats["steps"], certificate=certificate)
 
 
 def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0: float,
@@ -531,18 +526,18 @@ class FlowWord:
 
 def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TOL,
               region: Ball | None = None) -> tuple[list[np.ndarray], list[Exception | None]]:
-    """Run many words of ``family`` from one start point x, stacked: letter
-    position j of every word that has one is one unit-time segment over the
-    stack, row n flowing ``t_n X_{a_n}`` for its letter ``(a_n, t_n)`` with
-    its error scale multiplied by ``|t_n|``, so that each row is integrated
-    to the tolerance of its own flow.  Words may differ in length.  When
-    every member has a monomial table the segment's right-hand side is one
-    evaluation of ``family.table`` against per-row coefficients formed once.
-    A position with one row runs it as :meth:`FlowWord.legs` does, one
-    :func:`flow_single` call with a number weight, and so does each row of a
-    stacked position that raises :class:`LeftDomain` or
-    :class:`StepUnderflow`: a word then stops at its own exit, as if it had
-    run alone.  ``region`` defaults to the family's common domain.
+    """Run many words of ``family`` from one start point x.  Words may differ
+    in length.  When every member has a monomial table, letter position j of
+    every word that has one is one unit-time segment over the stack: row n
+    flows ``t_n X_{a_n}`` for its letter ``(a_n, t_n)``, its right-hand side
+    one evaluation of ``family.table`` against per-row coefficients formed
+    once, with its error scale multiplied by ``|t_n|``, so that each row is
+    integrated to the tolerance of its own flow.  Otherwise, and at a
+    position with one row, each row runs as :meth:`FlowWord.legs` does, one
+    :func:`flow_single` call per letter, and so does each row of a stacked
+    position that raises :class:`LeftDomain` or :class:`StepUnderflow`: a
+    word then stops at its own exit, as if it had run alone.  ``region``
+    defaults to the family's common domain.
 
     Returns ``(paths, stops)``: ``paths[n]`` holds x and word n's endpoint
     after each letter it ran, ``(1 + letters run, d)``, and ``stops[n]`` is
@@ -551,13 +546,14 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     """
     x = np.asarray(x, dtype=float)
     region = region if region is not None else family.common_domain
+    table = family.table
     paths = [[x] for _ in words]
     stops: list[Exception | None] = [None] * len(words)
     for j in range(max((len(w.letters) for w in words), default=0)):
         rows = [n for n, w in enumerate(words) if stops[n] is None and j < len(w.letters)]
-        if len(rows) > 1:
+        if table is not None and len(rows) > 1:
             try:
-                ends = _stacked_letter(family, [words[n].letters[j] for n in rows],
+                ends = _stacked_letter(table, [words[n].letters[j] for n in rows],
                                        np.array([paths[n][-1] for n in rows]), tol, region)
             except (LeftDomain, StepUnderflow):
                 pass  # each row again on its own
@@ -575,20 +571,15 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     return [np.array(p) for p in paths], stops
 
 
-def _stacked_letter(family: FieldFamily, letters, points: np.ndarray, tol: float,
+def _stacked_letter(table: MonomialTable, letters, points: np.ndarray, tol: float,
                     region: Ball) -> np.ndarray:
     """Endpoints of the rows of ``points`` (N, d), row n flowing
-    ``t_n X_{a_n}`` over unit time for ``(a_n, t_n) = letters[n]``."""
+    ``t_n X_{a_n}`` over unit time for ``(a_n, t_n) = letters[n]``, where
+    ``table`` is the family's merged :attr:`FieldFamily.table`."""
     index = np.array([a for a, _ in letters])
     times = np.array([t for _, t in letters])
-    pairs = tuple((family.members[a], np.where(index == a, times, 0.0))
-                  for a in sorted(set(index.tolist())))
-    table = family.table
-    if table is not None:
-        # row n's coefficients over the family's monomials: t_n times member a_n's
-        coefficients = table.coefficients.transpose(1, 0, 2)[index]
-        coefficients *= times[:, None, None]
-        table = (table, coefficients)
-    return _flow(points, [(0.0, 1.0, pairs)], None, tol, region, None,
-                 span=np.abs(times), table=table).endpoint
-
+    # row n's coefficients over the family's monomials: t_n times member a_n's
+    coefficients = table.coefficients.transpose(1, 0, 2)[index]
+    coefficients *= times[:, None, None]
+    return _flow(points, [(0.0, 1.0, ())], None, tol, region, None,
+                 span=np.abs(times), table=(table, coefficients)).endpoint

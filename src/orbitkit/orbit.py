@@ -130,12 +130,14 @@ class OrbitSample:
     """A reachable cloud: endpoints of random admissible words from a seed.
 
     ``certificate`` is the single-leg guard at the seed for legs of length
-    ``d_max``, half its bound r/k.  ``region`` is the working region the
-    words ran in, where :func:`replay_word` and :func:`spot_check_sample`
-    replay them."""
+    ``d_max``, half its bound r/k.  Each cloud entry is a point, the
+    :class:`FlowWord` of member indices that reached it, and whether it is
+    the last valid point of a word that left the region.  ``region`` is the
+    working region the words ran in, where :func:`replay_word` and
+    :func:`spot_check_sample` replay them."""
 
     seed: np.ndarray
-    cloud: tuple[tuple[np.ndarray, tuple[tuple[str, float], ...], bool], ...]
+    cloud: tuple[tuple[np.ndarray, FlowWord, bool], ...]
     d_max: float
     certificate: ExistenceCertificate
     region: Ball
@@ -299,12 +301,11 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
 def _sample_explore(family, lb, x, budget, max_word_len, rng_seed, tol, d_max,
                     exploration_radius):
     rng = np.random.default_rng(rng_seed)
-    labels = family.labels()
     m = len(family.members)
     dim = x.size
     pts = np.empty((budget + 1, dim))
     pts[0] = x
-    words: list[tuple[tuple[str, float], ...]] = [()]
+    words = [FlowWord(())]
     depth = np.zeros(budget + 1, dtype=int)
     flags: list[bool] = [False]
     n = 1
@@ -324,7 +325,7 @@ def _sample_explore(family, lb, x, budget, max_word_len, rng_seed, tol, d_max,
             flags[pi] = True  # the last valid point of the attempted word
             continue
         pts[n] = y
-        words.append(words[pi] + ((labels[idx], dur),))
+        words.append(FlowWord(words[pi].letters + ((idx, dur),)))
         depth[n] = depth[pi] + 1
         flags.append(False)
         n += 1
@@ -333,32 +334,25 @@ def _sample_explore(family, lb, x, budget, max_word_len, rng_seed, tol, d_max,
 
 def _sample_independent(family, lb, x, budget, max_word_len, rng_seed, tol, d_max):
     rng = np.random.default_rng(rng_seed)
-    labels = family.labels()
     m = len(family.members)
     words = [FlowWord([(int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
                        for _ in range(max_word_len)]) for _ in range(budget)]
     paths, stops = run_words(family, words, x, tol, lb.region)
-    cloud: list[tuple[np.ndarray, tuple[tuple[str, float], ...], bool]] = [(x.copy(), (), False)]
+    cloud = [(x.copy(), FlowWord(()), False)]
     for word, path, stop in zip(words, paths, stops):
-        executed = tuple((labels[idx], dur) for idx, dur in word.letters)
-        cloud += [(y, executed[:j], False) for j, y in enumerate(path[1:], start=1)]
+        prefixes = [FlowWord(word.letters[:j]) for j in range(len(path))]
+        cloud += [(y, prefix, False) for y, prefix in zip(path[1:], prefixes[1:])]
         if stop is not None:
             # the last valid point of the attempted word
-            cloud.append((path[-1].copy(), executed[:len(path) - 1], True))
+            cloud.append((path[-1].copy(), prefixes[-1], True))
     return tuple(cloud)
 
 
-def _indexed(family: FieldFamily, word: Sequence[tuple[str, float]]) -> FlowWord:
-    """A stored (label, duration) word as a word of member indices."""
-    index = {m.label: i for i, m in enumerate(family.members)}
-    return FlowWord(tuple((index[label], dur) for label, dur in word))
-
-
-def replay_word(family: FieldFamily, sample: OrbitSample, word: Sequence[tuple[str, float]],
+def replay_word(family: FieldFamily, sample: OrbitSample, word: FlowWord,
                 tol: float = 1e-6) -> np.ndarray:
-    """Re-integrate a stored (label, duration) word of ``sample`` from its
-    seed, in the region the sample ran in."""
-    return _indexed(family, word).apply(family, sample.seed, tol=tol, region=sample.region)
+    """Re-integrate a stored word of ``sample`` from its seed, in the region
+    the sample ran in."""
+    return word.apply(family, sample.seed, tol=tol, region=sample.region)
 
 
 def spot_check_sample(family: FieldFamily, sample: OrbitSample, tol: float = 1e-6) -> float:
@@ -367,8 +361,8 @@ def spot_check_sample(family: FieldFamily, sample: OrbitSample, tol: float = 1e-
     (:func:`run_words`), and return the largest distance between a stored
     point and its replay."""
     checked = sample.cloud[::20]
-    paths, stops = run_words(family, [_indexed(family, word) for _, word, _ in checked],
-                             sample.seed, tol, sample.region)
+    paths, stops = run_words(family, [word for _, word, _ in checked], sample.seed, tol,
+                             sample.region)
     _raise_first(stops)
     return max((float(np.linalg.norm(path[-1] - point))
                 for (point, _, _), path in zip(checked, paths)), default=0.0)

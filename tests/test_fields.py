@@ -10,7 +10,7 @@ from orbitkit.catalog import (affine_l1, commuting_constants, grushin, heisenber
                               operator_family)
 from orbitkit.errors import InvalidArgument, OrderTooHigh, OutOfDomain
 from orbitkit.fields import (FD_STEP_1, FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily,
-                             VectorField, _unit_vectors, calculus, constant_field,
+                             MonomialTable, VectorField, _unit_vectors, calculus, constant_field,
                              estimate_lb_bound, eval_jet_norm, finite_difference_jacobian,
                              finite_difference_jvp, polynomial_field)
 from orbitkit.space import ChartSpace, ball, operator_norm, vector_norm
@@ -190,14 +190,34 @@ def _close(got, ref, rel):
     return np.abs(got - ref).max() <= rel * (1.0 + np.abs(ref).max())
 
 
+def _assert_one_point_matches_the_batch(table, points):
+    """``table(x)`` at each point against the rows of ``eval_many``, for the
+    value and the derivatives of orders 1-3."""
+    for _ in range(4):
+        one = np.array([table(x) for x in points])
+        assert one.shape == (len(points),) + table.coefficients.shape[1:]
+        assert _close(one, table.eval_many(points), 1e-12)
+        table = table.derivative
+
+
 class TestMonomialTable:
     @settings(max_examples=60, deadline=None)
     @given(tabled_fields(1))
     def test_closure_matches_eval_many(self, case):
         (X,), _, points = case
-        assert _close(X.eval_many(points), np.array([X(x) for x in points]), 1e-12)
-        assert _close(X.table.derivative.eval_many(points),
-                      np.array([X.jacobian(x) for x in points]), 1e-12)
+        assert X.eval_fn is X.table
+        _assert_one_point_matches_the_batch(X.table, points)
+
+    def test_closure_matches_eval_many_on_catalog_members(self, rng):
+        # and on a table with no rows, the zero field
+        empty = MonomialTable(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)))
+        _assert_one_point_matches_the_batch(empty, rng.uniform(-1.0, 1.0, (3, 3)))
+        assert np.array_equal(empty(np.ones(3)), np.zeros(3))
+        for family in CATALOG_FAMILIES:
+            points = rng.uniform(-1.0, 1.0, (5, family.space.dimension))
+            for X in family.members:
+                _assert_one_point_matches_the_batch(X.table, points)
+                assert _close(np.array([X(x) for x in points]), X.table.eval_many(points), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(tabled_fields(1))
@@ -284,29 +304,19 @@ class TestFamilyTable:
         assert _close(got, ref, 1e-13)
 
     def test_an_untabled_member_leaves_no_family_table(self, heis):
-        members = (heis.members[0], replace(heis.members[1], table=None, jacobian_fn=None))
+        members = (heis.members[0], replace(heis.members[1], table=None))
         fam = FieldFamily(space=heis.space, members=members, common_domain=heis.common_domain)
         assert fam.table is None
 
 
 class TestJacobians:
-    def test_a_jacobian_needs_a_table(self):
-        # a tabled field's derivatives have one source: a Jacobian comes
-        # with the table, and without one the table gives it
-        X = polynomial_field(ball([0, 0], 4.0), [((1.0, (0, 2)),), ((-2.0, (1, 1)),)])
-        with pytest.raises(InvalidArgument):
-            replace(X, table=None)
-        x = np.array([0.3, -0.7])
-        assert np.array_equal(replace(X, jacobian_fn=None).jacobian(x), X.table.derivative(x))
-        assert np.abs(X.jacobian(x) - X.table.derivative(x)).max() <= 1e-15
-
     @pytest.mark.parametrize("family_builder", [heisenberg, grushin])
     def test_analytic_matches_finite_differences(self, family_builder, rng):
         fam = family_builder()
         for _ in range(100):
             x = rng.uniform(-1, 1, fam.space.dimension)
             for m in fam.members:
-                if m.jacobian_fn is None:
+                if m.table is None:
                     continue
                 J = m.jacobian(x)
                 J_fd = finite_difference_jacobian(m, x)

@@ -454,7 +454,7 @@ class TestStackedRuns:
         # the last two are differenced: one row in scalars, a stack through
         # finite_difference_jvp
         fields = _law_catalog()
-        fields += [replace(X, table=None, jacobian_fn=None) for X in fields[-2:]]
+        fields += [replace(X, table=None) for X in fields[-2:]]
         for X in fields:
             dim = X.domain.center.size
             for shape in (None, (dim,), (dim, 2)):  # nothing, a vector, two columns
@@ -491,10 +491,10 @@ class TestStackedRuns:
                 assert np.abs(w - M @ v).max() <= 10 * TOL * (1 + np.abs(w).max())
 
     def test_untabled_field_carries_an_identity_block(self, rng):
-        # neither a table nor a Jacobian: each column moves by one central
-        # difference, against a variational flow on finite_difference_jacobian
+        # no table: each column moves by one central difference, against a
+        # variational flow on finite_difference_jacobian
         for X in _law_catalog():
-            X = replace(X, table=None, jacobian_fn=None)
+            X = replace(X, table=None)
             dim = X.domain.center.size
             P = rng.uniform(-0.5, 0.5, (3, dim))
             t = float(rng.uniform(-0.8, 0.8))
@@ -546,25 +546,28 @@ class TestStackedWords:
             ref = [x] + [y for y, _ in word.legs(fam.members, x, TOL)]
             assert np.abs(path - ref).max() <= 10 * TOL
 
-    def test_untabled_members_rest_where_their_weight_is_zero(self, rng):
-        # no family table: each member evaluates only the rows it drives
+    def test_untabled_words_run_row_by_row(self, rng, monkeypatch):
+        # no family table: every letter of every word is its own one-point
+        # flow_single run, as FlowWord.legs runs the word
         base = affine_l1(4, 3, 0.8, linear_part=True)
-        calls = []
-
-        def untabled(m):
-            def ev(x):
-                calls.append(m.label)
-                return m(x)
-            return VectorField(domain=m.domain, eval_fn=ev, label=m.label)
-
-        fam = FieldFamily(space=base.space, members=tuple(map(untabled, base.members)),
+        fam = FieldFamily(space=base.space,
+                          members=tuple(replace(m, table=None) for m in base.members),
                           common_domain=base.common_domain)
         assert fam.table is None
-        words = [FlowWord(((0, 0.2),)), FlowWord(((2, -0.1),)), FlowWord(((0, 0.05),))]
+        starts = []
+        run = flow_module.flow_single
+
+        def one_run(X, x0, t, **kwargs):
+            starts.append(np.shape(x0))
+            return run(X, x0, t, **kwargs)
+
+        monkeypatch.setattr(flow_module, "flow_single", one_run)
+        words = [FlowWord(((0, 0.2), (1, 0.1))), FlowWord(((2, -0.1),)), FlowWord(((0, 0.05),))]
         x = rng.uniform(-0.2, 0.2, 4)
-        paths, _ = run_words(fam, words, x, TOL)
-        assert calls.count("A0") == 2 * calls.count("A2")
+        paths, stops = run_words(fam, words, x, TOL)
+        assert stops == [None] * 3 and starts == [(4,)] * 4
         for word, path in zip(words, paths):
+            assert np.array_equal(path, [x] + [y for y, _ in word.legs(fam.members, x, TOL)])
             assert np.abs(path[-1] - word.apply(base, x, TOL)).max() <= 10 * TOL
 
     def test_a_word_stops_at_its_own_exit(self):

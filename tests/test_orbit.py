@@ -214,15 +214,15 @@ def _per_word_sample(family, lb, x, budget, max_word_len, rng_seed, tol):
     """The independent cloud with every word run alone, letter by letter."""
     d_max = 0.5 * guard(lb, x, 1.0, 0.0).margin
     rng = np.random.default_rng(rng_seed)
-    labels, m = family.labels(), len(family)
-    cloud = [(x.copy(), (), False)]
+    m = len(family)
+    cloud = [(x.copy(), FlowWord(()), False)]
     for _ in range(budget):
         word = FlowWord([(int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
                          for _ in range(max_word_len)])
-        y, executed = x, ()
+        y, executed = x, FlowWord(())
         try:
-            for (idx, dur), (y, _) in zip(word.letters, word.legs(family.members, x, tol, lb.region)):
-                executed = executed + ((labels[idx], dur),)
+            for letter, (y, _) in zip(word.letters, word.legs(family.members, x, tol, lb.region)):
+                executed = executed.then(FlowWord((letter,)))
                 cloud.append((y, executed, False))
         except (LeftDomain, StepUnderflow):
             cloud.append((y.copy(), executed, True))
@@ -259,11 +259,24 @@ class TestStackedSample:
         fam, lb, x = self.CASES["heisenberg"]
         samp = orbit_sample(fam, lb, x, 20, 4, 0, tol=1e-9, mode="independent")
         assert samp.region == lb.region
-        away = (("X1", 0.5), ("X1", 0.5))
+        away = FlowWord(((0, 0.5), (0, 0.5)))
         with pytest.raises(LeftDomain):
             replay_word(fam, samp, away, tol=1e-9)
         with pytest.raises(LeftDomain):
             spot_check_sample(fam, replace(samp, cloud=((x + [1.0, 0, 0], away, False),)), tol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["explore", "independent"])
+def test_members_that_share_a_label_replay_their_own_fields(heis, heis_lb, mode):
+    # both Heisenberg members labelled "X", the VectorField default: a cloud
+    # word names its members by index, so each replays its own field
+    same = replace(heis, members=tuple(replace(m, label="X") for m in heis.members))
+    samp = orbit_sample(same, heis_lb, np.array([0.3, -0.2, 0.1]), budget=40, max_word_len=5,
+                        rng_seed=2, mode=mode, tol=1e-9)
+    assert spot_check_sample(same, samp, tol=1e-9) <= 1e-7
+    point, word, _ = samp.cloud[-1]
+    assert {a for a, _ in word.letters} <= {0, 1}
+    assert np.abs(replay_word(same, samp, word, tol=1e-9) - point).max() <= 1e-7
 
 
 def test_rank_of_a_stack_of_singular_values(rng):
