@@ -3,7 +3,10 @@ accessibility verdicts.
 
 A :class:`DistributionBasis` collects the values of a set of fields at an
 anchor point together with a least-l1-norm coefficient solver, the finite
-shadow of representing tangent vectors by summable coefficient families.
+shadow of representing tangent vectors by summable coefficient families.  The
+solver is exact without an LP solver on small bases, where it enumerates the
+basic solutions; only a basis with more than ``MAX_SUPPORTS`` of them loads
+``scipy.optimize`` for HiGHS.
 Bracket generations stack into a :class:`BracketChain` whose rank profile
 drives the controllability verdicts.
 
@@ -16,6 +19,7 @@ point nearest a target.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -30,14 +34,19 @@ from .flow import DEFAULT_TOL, ExistenceCertificate, FlowWord, flow_single, guar
 from .space import Ball, L1Coefficients
 
 RANK_REL_TOL = 1e-8
+# coefficient_solver enumerates the supports of a basis with at most this many
+# and hands a wider one to linprog: at the cap, 20 supports of 19 columns,
+# enumeration is still faster than HiGHS
+MAX_SUPPORTS = 20
 # member counts added to the base count for accessibility_verdict's truncation chains
 TRUNCATION_LEVELS = (0, 5, 10)
 
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use: importing
-    scipy.optimize costs more than the rest of orbitkit's start-up, and only
-    the least-l1 coefficient solver needs it."""
+    scipy.optimize costs more than the rest of orbitkit's start-up and about
+    50 MiB of memory, and only the least-l1 coefficient solver needs it, on a
+    basis too wide to enumerate (more than ``MAX_SUPPORTS`` supports)."""
     from scipy.optimize import linprog as solve
     return solve(*args, **kwargs)
 
@@ -83,26 +92,48 @@ class DistributionBasis:
     def coefficient_solver(self, target: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-l1-norm coefficients representing ``target`` over the columns.
 
-        The target is first projected onto the span (the reported residual is
-        the projection defect); among exact representations of the projection
-        the solver returns one of minimal l1 norm via linear programming.
+        The target is first projected onto the span by least squares (the
+        reported residual is the projection defect); among exact
+        representations of the projection the solver returns one of minimal
+        l1 norm.  That is a linear program, feasible and bounded below, so
+        its optimum is attained at a basic solution: one carried by r
+        linearly independent columns, r the rank least squares found, with
+        every other coefficient zero.  When there are at most
+        ``MAX_SUPPORTS`` supports of r columns, the solver solves the
+        projection on all of them in one batched least-squares call, which
+        yields every basic solution and so the exact optimum; a wider basis
+        goes to :func:`linprog`.  The least-squares coefficients are one more
+        candidate.  Of the candidates that reconstruct the projection to
+        1e-9 * (1 + sup|proj|), it returns the first of least l1 norm, which
+        is never heavier than least squares.  ``target`` must hold one finite
+        number per chart coordinate.
         """
         target = np.asarray(target, dtype=float)
         A = self.vectors
-        m = A.shape[1]
-        ls, _, _, _ = np.linalg.lstsq(A, target, rcond=None)
+        d, m = A.shape
+        if target.shape != (d,) or not np.all(np.isfinite(target)):
+            raise InvalidArgument(f"target must be {d} finite numbers, "
+                                  f"not an array of shape {target.shape}")
+        ls, _, r, _ = np.linalg.lstsq(A, target, rcond=None)
         proj = A @ ls
         residual = float(np.linalg.norm(target - proj))
-        # min sum(c+ + c-)  s.t.  A (c+ - c-) = proj,  c+- >= 0
-        c_obj = np.ones(2 * m)
-        A_eq = np.hstack([A, -A])
-        res = linprog(c_obj, A_eq=A_eq, b_eq=proj, bounds=[(0, None)] * (2 * m),
-                      method="highs")
-        if res.status == 0:
-            coeff = res.x[:m] - res.x[m:]
-        else:  # LP can fail on ill-posed inputs; fall back to least squares
-            coeff = ls
-        return coeff, residual
+        count = math.comb(m, r)
+        if count <= MAX_SUPPORTS:
+            supports = np.array(list(itertools.combinations(range(m), r)),
+                                dtype=int).reshape(count, r)
+            candidates = np.zeros((count, m))
+            candidates[np.arange(count)[:, None], supports] = (
+                np.linalg.pinv(A[:, supports].transpose(1, 0, 2)) @ proj)
+        else:
+            # min sum(c+ + c-)  s.t.  A (c+ - c-) = proj,  c+- >= 0
+            res = linprog(np.ones(2 * m), A_eq=np.hstack([A, -A]), b_eq=proj,
+                          bounds=[(0, None)] * (2 * m), method="highs")
+            candidates = [res.x[:m] - res.x[m:]] if res.status == 0 else np.empty((0, m))
+        candidates = np.vstack([candidates, ls])
+        error = np.abs(candidates @ A.T - proj).max(axis=1, initial=0.0)
+        l1 = np.abs(candidates).sum(axis=1)
+        l1[error > 1e-9 * (1.0 + np.abs(proj).max(initial=0.0))] = np.inf
+        return candidates[np.argmin(l1)], residual
 
 
 @dataclass(frozen=True)

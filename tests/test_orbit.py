@@ -1,16 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from orbitkit import orbit
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, operator_family
 from orbitkit.algebra import FlowWord, enlarge_field
 from orbitkit.compose import compose_flows
 from orbitkit.errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
 from orbitkit.flow import guard
 from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
-from orbitkit.orbit import (accessibility_verdict, distribution_at, invariance_residual,
-                            numerical_rank, orbit_sample, rank_of_singular_values,
+from orbitkit.orbit import (MAX_SUPPORTS, DistributionBasis, accessibility_verdict,
+                            distribution_at, invariance_residual, numerical_rank, orbit_sample, rank_of_singular_values,
                             replay_word, slice_grid, spot_check_sample,
                             trivialization_eval)
 from orbitkit.space import ChartSpace, L1Coefficients, ball
@@ -60,6 +62,77 @@ class TestDistributionAt:
         basis = distribution_at(grush, np.array([0.0, 1.0]))  # rank 1 span
         coeff, residual = basis.coefficient_solver(np.array([0.0, 1.0]))
         assert residual == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("target", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [1.0, 2.0],
+                                        [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+    def test_bad_target_is_an_invalid_argument(self, heis, target):
+        basis = distribution_at(heis, np.array([0.3, -0.2, 0.5]))
+        with pytest.raises(InvalidArgument, match="target must be 3 finite numbers"):
+            basis.coefficient_solver(np.array(target))
+
+    def test_rank_zero_basis(self):
+        fam = operator_family(2, 2, [(1.0, (1, 0), 0, 0), (1.0, (0, 1), 1, 1)])
+        basis = distribution_at(fam, np.zeros(2))  # every column vanishes at the origin
+        assert basis.rank == 0
+        coeff, residual = basis.coefficient_solver(np.array([1.0, 2.0]))
+        assert np.array_equal(coeff, [0.0, 0.0])
+        assert residual == pytest.approx(math.sqrt(5.0))
+
+    @pytest.mark.parametrize("vectors, target, l1", [
+        ([[1.0, 1.0], [0.0, 0.0]], [2.0, 0.0], 2.0),  # duplicate columns
+        ([[0.0, 2.0], [0.0, 1.0]], [4.0, 2.0], 2.0),  # a zero column beside a nonzero one
+    ])
+    def test_degenerate_columns(self, vectors, target, l1):
+        basis = DistributionBasis(np.zeros(2), np.array(vectors), ("a", "b"))
+        coeff, residual = basis.coefficient_solver(np.array(target))
+        assert residual == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(basis.vectors @ coeff - target).max() <= 1e-12
+        assert np.abs(coeff).sum() == pytest.approx(l1, rel=1e-12)
+
+    def test_least_l1_matches_the_lp_optimum(self, monkeypatch):
+        # random overcomplete bases, rank-deficient ones and repeated columns
+        # included, against HiGHS on the same projection
+        rng = np.random.default_rng(15)
+        solve = orbit.linprog
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        def lp_optimum(A, proj):
+            m = A.shape[1]
+            res = solve(np.ones(2 * m), A_eq=np.hstack([A, -A]), b_eq=proj,
+                        bounds=[(0, None)] * (2 * m), method="highs")
+            assert res.status == 0
+            return res.fun
+
+        def check(A, target):
+            calls.clear()
+            coeff, _ = DistributionBasis(np.zeros(A.shape[0]), A, ()).coefficient_solver(target)
+            ls, _, r, _ = np.linalg.lstsq(A, target, rcond=None)
+            proj = A @ ls
+            assert np.abs(A @ coeff - proj).max() <= 1e-9 * (1 + np.abs(proj).max())
+            assert np.abs(coeff).sum() == pytest.approx(lp_optimum(A, proj), rel=1e-9, abs=1e-12)
+            return math.comb(A.shape[1], r), len(calls)
+
+        monkeypatch.setattr(orbit, "linprog", counted)
+        for _ in range(200):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            kind = rng.integers(3)
+            if kind == 0:
+                A = rng.standard_normal((d, m))
+            elif kind == 1:  # rank below min(d, m)
+                k = int(rng.integers(0, min(d, m)))
+                A = rng.standard_normal((d, k)) @ rng.standard_normal((k, m))
+            else:  # repeated and zero columns
+                A = rng.standard_normal((d, int(rng.integers(1, m + 1))))
+                A = np.hstack([A, np.zeros((d, 1))])[:, rng.integers(0, A.shape[1] + 1, m)]
+            supports, lp_calls = check(A, rng.standard_normal(d))
+            assert lp_calls == (supports > MAX_SUPPORTS)
+        # the smallest number of columns whose supports of two exceed the cap
+        m = next(m for m in range(3, 100) if math.comb(m, 2) > MAX_SUPPORTS)
+        assert check(rng.standard_normal((2, m)), rng.standard_normal(2)) == (math.comb(m, 2), 1)
 
 
 class TestTrivialization:

@@ -448,6 +448,25 @@ def test_importing_the_cli_leaves_the_lp_solver_unloaded():
     assert out.stdout.split() == ["False"]
 
 
+def test_a_small_least_l1_solve_leaves_the_lp_solver_unloaded():
+    code = ("import sys, numpy as np\n"
+            "from orbitkit.algebra import FlowWord, enlarge_field\n"
+            "from orbitkit.catalog import heisenberg\n"
+            "from orbitkit.fields import estimate_lb_bound\n"
+            "from orbitkit.orbit import distribution_at\n"
+            "from orbitkit.space import ball\n"
+            "heis = heisenberg(radius=8.0)\n"
+            "lb = estimate_lb_bound(heis, ball([0, 0, 0], 8.0), 2, 20)\n"
+            "extra = enlarge_field(heis, FlowWord(((0, 0.3),)), 1, 1.0, lb)\n"
+            "basis = distribution_at(heis, np.array([0.3, -0.2, 0.5]), [extra])\n"
+            "basis.coefficient_solver(np.array([1.0, -2.0, 0.5]))\n"
+            "print(basis.vectors.shape[1], 'scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["3", "False"]
+
+
 class TestCliEntry:
     def test_catalog(self, capsys):
         assert main(["catalog"]) == 0
