@@ -12,9 +12,9 @@ from orbitkit.errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDom
 from orbitkit.flow import guard
 from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
 from orbitkit.orbit import (MAX_SUPPORTS, DistributionBasis, accessibility_verdict,
-                            distribution_at, invariance_residual, numerical_rank, orbit_sample, rank_of_singular_values,
-                            replay_word, slice_grid, spot_check_sample,
-                            trivialization_eval)
+                            distribution_at, invariance_residual, numerical_rank,
+                            orbit_sample, rank_of_singular_values, replay_word, slice_grid,
+                            spot_check_sample, trivialization_eval)
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
 
