@@ -93,6 +93,18 @@ class MonomialTable:
             factors[:, raised] **= powers
         return factors if index.ndim == 1 else factors.prod(axis=2)
 
+    def monomials_at(self, x: np.ndarray) -> np.ndarray:
+        """The monomials at one point x (d,), shape (T,), as in
+        :meth:`monomials` but faster than a one-row batch."""
+        index, raised, powers = self._support
+        padded = np.empty(len(x) + 1)
+        padded[:-1] = x
+        padded[-1] = 1.0
+        factors = padded[index]
+        if raised is not None:
+            factors[raised] **= powers
+        return factors if index.ndim == 1 else factors.prod(axis=1)
+
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """Per monomial, the coordinates of its nonzero exponents in order,
@@ -116,27 +128,18 @@ class MonomialTable:
         """Values at the rows of ``points`` (N, d), in one batched evaluation:
         shape ``(N,) + coefficients.shape[1:]``."""
         points = np.asarray(points, dtype=float)
-        return (self.monomials(points) @ self._flat).reshape(
+        return (self.monomials(points) @ self.flat).reshape(
             (len(points),) + self.coefficients.shape[1:])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The value at one point x (d,), shape ``coefficients.shape[1:]``:
-        the monomials formed as in :meth:`monomials`, then one product with
-        the flat coefficients, which on one point is faster than a one-row
-        :meth:`eval_many`."""
-        index, raised, powers = self._support
-        padded = np.empty(len(x) + 1)
-        padded[:-1] = x
-        padded[-1] = 1.0
-        factors = padded[index]
-        if raised is not None:
-            factors[raised] **= powers
-        values = (factors if index.ndim == 1 else factors.prod(axis=1)).dot(self._flat)
+        the monomials at x, then one product with the flat coefficients."""
+        values = self.monomials_at(x).dot(self.flat)
         shape = self.coefficients.shape
         return values if len(shape) == 2 else values.reshape(shape[1:])
 
     @cached_property
-    def _flat(self) -> np.ndarray:
+    def flat(self) -> np.ndarray:
         """The coefficients as a (T, K) matrix."""
         return self.coefficients.reshape(len(self.coefficients),
                                          math.prod(self.coefficients.shape[1:]))
@@ -144,14 +147,31 @@ class MonomialTable:
     @cached_property
     def derivative(self) -> "MonomialTable":
         """The exact derivative: coefficients gain a trailing axis j holding
-        the partial derivative along coordinate j."""
+        the partial derivative along coordinate j.  Row t lands on exponent
+        ``exponents[t] - e_j`` at axis j, a slot no other row fills, so the
+        rows are grouped by exponent and scattered into the output alone."""
         d = self.exponents.shape[1]
-        shape = self.coefficients.shape[1:]
         t, j = np.nonzero(self.exponents)  # monomial t has a positive power of x_j
-        coeffs = np.zeros((len(t),) + shape + (d,))
-        coeffs[np.arange(len(t)), ..., j] = (self.coefficients[t] * self.exponents[t, j]
-                                             .reshape((-1,) + (1,) * len(shape)))
-        return MonomialTable.from_rows(self.exponents[t] - np.eye(d, dtype=np.int64)[j], coeffs)
+        exponents, row = _distinct_rows(self.exponents[t] - np.eye(d, dtype=np.int64)[j])
+        shape = self.coefficients.shape[1:]
+        coeffs = np.zeros((len(exponents),) + shape + (d,))
+        coeffs[row, ..., j] = (self.coefficients[t] * self.exponents[t, j]
+                               .reshape((-1,) + (1,) * len(shape)))
+        return MonomialTable(exponents, coeffs)
+
+    @cached_property
+    def _by_member(self) -> np.ndarray:
+        """The coefficients of a merged table (:func:`_merge_tables`) as one
+        member-major matrix (m, T*K), a view of the stored coefficients."""
+        return np.moveaxis(self.coefficients, 1, 0).reshape(self.coefficients.shape[1], -1)
+
+    def weighted(self, weights: np.ndarray) -> np.ndarray:
+        """For a merged table (:func:`_merge_tables`), coefficients ``(T, m,
+        ...)``: the flat coefficients (T, K) of ``sum_a w_a`` member a for
+        weights (m,), or one such matrix per row of weights (N, m), (N, T,
+        K), from one product with the member-major coefficients."""
+        return (weights @ self._by_member).reshape(
+            np.shape(weights)[:-1] + (len(self.exponents), math.prod(self.coefficients.shape[2:])))
 
     def bracket(self, other: "MonomialTable") -> "MonomialTable":
         """The table of the Lie bracket [self, other] = D(other) self - D(self) other."""
@@ -173,6 +193,30 @@ def _apply(jac: MonomialTable, vec: MonomialTable) -> tuple[np.ndarray, np.ndarr
     # coeffs[a, b, i] = sum_j jac[a, i, j] vec[b, j]
     coeffs = jac.coefficients.reshape(a * d, d) @ vec.coefficients.T
     return exps, coeffs.reshape(a, d, b).transpose(0, 2, 1).reshape(-1, d)
+
+
+def _distinct_rows(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``exponents`` (n, d), in the order
+    :meth:`MonomialTable.from_rows` gives them, and the position of each
+    input row among them."""
+    exponents = np.ascontiguousarray(exponents, dtype=np.int64)
+    keys = exponents.view(np.dtype((np.void, exponents.itemsize * exponents.shape[1]))).ravel()
+    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+    return exponents[first], where
+
+
+def _merge_tables(tables: Sequence[MonomialTable]) -> MonomialTable:
+    """Tables of one coefficient shape merged on one monomial list with a
+    member axis: coefficients ``(T, m) + shape``, member a's rows in column
+    a and zeros elsewhere.  They are stored member-major, so that
+    :meth:`MonomialTable.weighted` forms a weighted sum of the members with
+    one product."""
+    exponents, row = _distinct_rows(np.concatenate([t.exponents for t in tables]))
+    member = np.repeat(np.arange(len(tables)), [len(t.exponents) for t in tables])
+    coefficients = np.zeros((len(tables), len(exponents)) + tables[0].coefficients.shape[1:])
+    # a table's rows have distinct exponents, so no slot is filled twice
+    coefficients[member, row] = np.concatenate([t.coefficients for t in tables])
+    return MonomialTable(exponents, coefficients.swapaxes(0, 1))
 
 
 @dataclass(frozen=True)
@@ -315,8 +359,9 @@ class FieldFamily:
     through instead of sampling.  ``truncation_factory``, when present, maps
     a member count to the corresponding truncation of a countable family.
     :attr:`table` merges the members' monomial tables on one monomial list,
-    so that a stack of rows, each with its own coefficients over the
-    members, is evaluated at once.
+    and :attr:`derivative_table` their derivatives, so that any weighted
+    sum of the members, shared by a stack of rows or one per row, is one
+    table evaluation.
     """
 
     space: ChartSpace
@@ -344,21 +389,21 @@ class FieldFamily:
 
     @cached_property
     def table(self) -> MonomialTable | None:
-        """The members' tables merged on one monomial list with a member
-        axis, coefficients ``(T, m, d)``, so that ``sum_a w_a X_a`` is one
-        table evaluation against ``sum_a w_a coefficients[:, a]``; ``None``
-        when some member has no table.  Built on first use."""
-        tables = [m.table for m in self.members]
-        if any(t is None for t in tables):
+        """The members' tables merged (:func:`_merge_tables`), coefficients
+        ``(T, m, d)``, so that ``sum_a w_a X_a`` is one table evaluation
+        against ``table.weighted(w)``; ``None`` when some member has no
+        table.  Built on first use."""
+        if any(m.table is None for m in self.members):
             return None
-        d = self.space.dimension
-        rows: dict[tuple[int, ...], int] = {}
-        members = [[rows.setdefault(e, len(rows)) for e in map(tuple, t.exponents.tolist())]
-                   for t in tables]
-        coefficients = np.zeros((len(rows), len(tables), d))
-        for a, (t, index) in enumerate(zip(tables, members)):
-            coefficients[index, a] = t.coefficients  # a member's rows have distinct exponents
-        return MonomialTable(np.array(list(rows), dtype=np.int64).reshape(-1, d), coefficients)
+        return _merge_tables([m.table for m in self.members])
+
+    @cached_property
+    def derivative_table(self) -> MonomialTable | None:
+        """The members' derivative tables merged the same way, coefficients
+        ``(T', m, d, d)``; ``None`` with :attr:`table`."""
+        if self.table is None:
+            return None
+        return _merge_tables([m.table.derivative for m in self.members])
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ back at the end of the step.  :func:`flow_control` integrates each piece of a
 :class:`Control`, clipped to the run, as its own segment: the right-hand
 side is smooth in the state but discontinuous in time at piece boundaries,
 so no step ever straddles one, and the state rests over the gaps between
-pieces.  The combination ``sum_a u_a(t) X_a(x)`` is evaluated lazily over
-the support of the active piece only; bang-bang controls therefore cost one
-field evaluation per stage regardless of family size.  :func:`guard` is the
-one existence guard, which :func:`flow_control` enforces itself when given a
-bound record.
+pieces.  On a tabled family the combination ``sum_a u_a(t) X_a(x)`` of a
+piece is the family's merged table weighted once per piece, so every stage
+costs one table evaluation whatever the family size; a family with an
+untabled member is summed over the piece's support, member by member.
+:func:`guard` is the one existence guard, which :func:`flow_control`
+enforces itself when given a bound record.
 
 The stepper advances a stack of rows stored back to back: a single
 trajectory is the one-row case, and :func:`flow_single` takes a stack of
@@ -26,15 +27,18 @@ vector, or the d columns of a variational matrix, which is the block that
 starts at the identity.  All rows share one step sequence, sized by the
 worst row, and every row is checked against the working region.
 
-Member weights are numbers shared by every row.  Rows that flow different
-letters of a tabled family are one evaluation of the family's merged
-:attr:`FieldFamily.table` against per-row coefficients, and each row's
-error scale is multiplied by the time its coefficients stand for, so that
-flowing ``t X`` over unit time takes the steps of flowing X over time t.
-:func:`run_words` is the word runner: it runs many words from one point,
-each letter position of a tabled family one such unit-time segment, each
-row flowing its own letter.  Its one-word case is :meth:`FlowWord.legs`,
-one :func:`flow_single` call over the whole stack per letter;
+A flow of tabled fields has one right-hand side: a monomial table against
+flat coefficients, and its derivative table against theirs for the
+tangents; :func:`flow_single` of a tabled field uses the field's own
+tables.  Rows that flow different letters of a tabled family are one evaluation of the
+family's merged :attr:`FieldFamily.table` against per-row coefficients,
+and each row's error scale is multiplied by the time its coefficients
+stand for, so that flowing ``t X`` over unit time takes the steps of
+flowing X over time t.  :func:`run_words` is the word runner: it runs many
+words from one point, or each word from its own, each letter position of
+a tabled family one such unit-time segment, each row flowing its own
+letter.  Its one-word case is :meth:`FlowWord.legs`, one
+:func:`flow_single` call over the whole stack per letter;
 :meth:`FlowWord.end` is its last leg.
 """
 
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,42 +202,93 @@ class FlowResult:
     certificate: ExistenceCertificate | None = None
 
 
+class _Tables(NamedTuple):
+    """``sum_a w_a X_a`` of tabled members: the monomial table ``value``
+    against flat ``coefficients``, (T, d) shared by every row or (N, T, d)
+    one per row, and, when tangent columns are carried, the derivative
+    table against its coefficients, (T', d*d) or (N, T', d*d)."""
+
+    value: MonomialTable
+    coefficients: np.ndarray
+    derivative: MonomialTable | None
+    derivative_coefficients: np.ndarray | None
+
+
+def _field_terms(X: VectorField, tangents) -> tuple | _Tables:
+    """The terms of flowing X alone: its table and its table's derivative
+    as they are, or the member pair of an untabled X."""
+    if X.table is None:
+        return ((X, 1.0),)
+    D = None if tangents is None else X.table.derivative
+    return _Tables(X.table, X.table.flat, D, None if D is None else D.flat)
+
+
+def _family_terms(family: FieldFamily, weights: np.ndarray, tangents) -> _Tables:
+    """The terms of ``sum_a w_a X_a`` over a tabled family for weights (m,),
+    or for one set of weights per row (N, m)."""
+    D = None if tangents is None else family.derivative_table
+    return _Tables(family.table, family.table.weighted(weights), D,
+                   None if D is None else D.weighted(weights))
+
+
+def _weigh(table: MonomialTable, coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The table's monomials at the rows of ``points`` (N, d) against
+    coefficients (T, K) or (N, T, K), as in :class:`_Tables`: (N, K)."""
+    monomials = table.monomials(points)
+    if coefficients.ndim == 2:
+        return monomials.dot(coefficients)
+    return np.matmul(monomials[:, None, :], coefficients)[:, 0]
+
+
 class _Rhs:
     """Right-hand side ``sum_a w_a X_a`` for one run of the stepper, over a
     stack of rows stored back to back.  Each row is a point followed by
     ``k`` tangent columns W (d×k, stored row by row) of
     ``W' = (sum_a w_a DX_a) W``.
 
-    The weights are numbers.  ``table``, when given, is a monomial table and
-    the rows' coefficients over its monomials, ``(N, T, d)``, in place of the
-    pairs: the stack (with no tangents) is then one evaluation of the
-    table's monomials against them.  A single row is evaluated point by
-    point, which is faster than a one-row batch.  Autonomous: it reads the
-    state only."""
+    ``terms`` is either :class:`_Tables`, one table evaluation for the value
+    and one for J whatever the number of members, or the ``(member,
+    weight)`` pairs of a run with an untabled member, summed member by
+    member.
+    A single row is evaluated point by point, which is faster than a
+    one-row batch.  Autonomous: it reads the state only."""
 
-    __slots__ = ("pairs", "dim", "k", "width", "table")
+    __slots__ = ("terms", "dim", "k", "width")
 
-    def __init__(self, pairs, dim: int, k: int, table=None):
-        self.pairs = pairs
+    def __init__(self, terms, dim: int, k: int):
+        self.terms = terms
         self.dim = dim
         self.k = k
         self.width = dim * (1 + k)
-        self.table = table
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        d, k = self.dim, self.k
-        if self.table is not None:
-            table, coefficients = self.table
-            return np.matmul(table.monomials(y.reshape(-1, d))[:, None, :], coefficients).ravel()
+        d, k, terms = self.dim, self.k, self.terms
+        one = y.size == self.width
+        if type(terms) is _Tables:
+            if one and terms.coefficients.ndim == 2:
+                x = y[:d]
+                value = terms.value.monomials_at(x).dot(terms.coefficients)
+                if not k:
+                    return value
+                J = terms.derivative.monomials_at(x).dot(terms.derivative_coefficients)
+                return np.concatenate((value, J.reshape(d, d).dot(y[d:].reshape(d, k)).ravel()))
+            Y = y.reshape(-1, self.width)
+            X = Y[:, :d]
+            value = _weigh(terms.value, terms.coefficients, X)
+            if not k:
+                return value.ravel()
+            J = _weigh(terms.derivative, terms.derivative_coefficients, X).reshape(-1, d, d)
+            dW = (J @ Y[:, d:].reshape(-1, d, k)).reshape(-1, d * k)
+            return np.concatenate((value, dW), axis=1).ravel()
         out = np.zeros(y.size)
-        if y.size == self.width:
+        if one:
             x = y[:d]
-            for m, w in self.pairs:
+            for m, w in terms:
                 out[:d] += w * m(x)
             if k:
                 W, dW = y[d:].reshape(d, k), out[d:].reshape(d, k)
                 J, h = None, None
-                for m, w in self.pairs:
+                for m, w in terms:
                     if m.table is not None:
                         DX = m.table.derivative(x)
                         J = w * DX if J is None else J + w * DX
@@ -253,7 +309,7 @@ class _Rhs:
         Y, O = y.reshape(-1, self.width), out.reshape(-1, self.width)
         X = Y[:, :d]
         W = Y[:, d:].reshape(-1, d, k) if k else None
-        for m, w in self.pairs:
+        for m, w in terms:
             O[:, :d] += w * m.eval_many(X)
             if k:
                 O[:, d:] += w * _derivative_along(m, X, W).reshape(-1, d * k)
@@ -373,7 +429,7 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
 
 
 def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
-          certificate: ExistenceCertificate | None, span=1.0, table=None) -> FlowResult:
+          certificate: ExistenceCertificate | None, span=1.0) -> FlowResult:
     """The one integration core behind :func:`flow_control`,
     :func:`flow_single` and :func:`run_words`.  ``x0`` is one start point
     (d,) or a stack of them (N, d), each one row of the stepper.
@@ -381,12 +437,11 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
     ``(d,)`` or ``(d, k)`` for one point, ``(N, d)`` or ``(N, d, k)`` for a
     stack.
 
-    ``segments`` are the ``(t_start, t_end, pairs)`` runs of the flow in the
-    order integrated, ``pairs`` being the ``(member, weight)`` terms of the
-    run; the state is stationary between them.  ``span`` and ``table`` are
-    passed to every segment (see :func:`_integrate_segment` and
-    :class:`_Rhs`).  A flow without segments returns its start points
-    without stepping.
+    ``segments`` are the ``(t_start, t_end, terms)`` runs of the flow in the
+    order integrated, ``terms`` being the right-hand side of the run (see
+    :class:`_Rhs`); the state is stationary between them.  ``span`` is
+    passed to every segment (see :func:`_integrate_segment`).  A flow
+    without segments returns its start points without stepping.
     """
     if not 0 < tol < math.inf:
         raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
@@ -406,9 +461,8 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
                                "start point outside the working region")
     y = points.ravel().copy()
     stats = {"steps": 0}
-    for a, b, pairs in segments:
-        y = _integrate_segment(_Rhs(pairs, dim, k, table), a, b, y, rows, dim, tol, region,
-                               stats, span)
+    for a, b, terms in segments:
+        y = _integrate_segment(_Rhs(terms, dim, k), a, b, y, rows, dim, tol, region, stats, span)
     Y = y.reshape(rows, -1)
     return FlowResult(endpoint=Y[:, :dim].reshape(x0.shape),
                       tangents=None if tangents is None else Y[:, dim:].reshape(tangents.shape),
@@ -448,10 +502,17 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
         # a piece overlapping its predecessor by rounding starts where that ends
         a, b = max(a, end), min(b, hi)
         if a < b and coeff.entries:
-            segments.append((a, b, tuple((family.members[i], v) for i, v in coeff.entries)))
+            if family.table is None:
+                terms = tuple((family.members[i], v) for i, v in coeff.entries)
+            else:
+                weights = np.zeros(len(family))
+                index, values = zip(*coeff.entries)
+                weights[list(index)] = values
+                terms = _family_terms(family, weights, tangents)
+            segments.append((a, b, terms))
         end = max(end, b)
     if T0 < 0:
-        segments = [(b, a, pairs) for a, b, pairs in reversed(segments)]
+        segments = [(b, a, terms) for a, b, terms in reversed(segments)]
     return _flow(x0, segments, tangents, tol, work_region, certificate)
 
 
@@ -467,7 +528,7 @@ def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_T
     """
     if not math.isfinite(t):
         raise InvalidArgument(f"flow time must be finite, not {t!r}")
-    segments = [(0.0, t, ((X, 1.0),))] if t else []
+    segments = [(0.0, t, _field_terms(X, tangents))] if t else []
     return _flow(np.asarray(x0, dtype=float), segments, tangents, tol,
                  region if region is not None else X.domain, None)
 
@@ -526,34 +587,36 @@ class FlowWord:
 
 def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TOL,
               region: Ball | None = None) -> tuple[list[np.ndarray], list[Exception | None]]:
-    """Run many words of ``family`` from one start point x.  Words may differ
-    in length.  When every member has a monomial table, letter position j of
-    every word that has one is one unit-time segment over the stack: row n
-    flows ``t_n X_{a_n}`` for its letter ``(a_n, t_n)``, its right-hand side
-    one evaluation of ``family.table`` against per-row coefficients formed
-    once, with its error scale multiplied by ``|t_n|``, so that each row is
-    integrated to the tolerance of its own flow.  Otherwise, and at a
-    position with one row, each row runs as :meth:`FlowWord.legs` does, one
-    :func:`flow_single` call per letter, and so does each row of a stacked
-    position that raises :class:`LeftDomain` or :class:`StepUnderflow`: a
-    word then stops at its own exit, as if it had run alone.  ``region``
-    defaults to the family's common domain.
+    """Run many words of ``family`` from one start point x (d,), or word n
+    from row n of a stack x (N, d).  Words may differ in length.  When
+    every member has a monomial table, letter position j of every word
+    that has one is one unit-time segment over the stack: row n flows
+    ``t_n X_{a_n}`` for its letter ``(a_n, t_n)``, its right-hand side the
+    family's merged table weighted by row (:class:`_Rhs`), with its error
+    scale multiplied by ``|t_n|``, so that each row is integrated to the
+    tolerance of its own flow.  Otherwise, and at a position with one row,
+    each row runs as :meth:`FlowWord.legs` does, one :func:`flow_single`
+    call per letter, and so does each row of a stacked position that raises
+    :class:`LeftDomain` or :class:`StepUnderflow`: a word then stops at its
+    own exit, as if it had run alone.  ``region`` defaults to the family's
+    common domain.
 
-    Returns ``(paths, stops)``: ``paths[n]`` holds x and word n's endpoint
-    after each letter it ran, ``(1 + letters run, d)``, and ``stops[n]`` is
-    the :class:`LeftDomain` or :class:`StepUnderflow` of the letter that
-    ended word n early, or ``None``.
+    Returns ``(paths, stops)``: ``paths[n]`` holds word n's start point and
+    its endpoint after each letter it ran, ``(1 + letters run, d)``, and
+    ``stops[n]`` is the :class:`LeftDomain` or :class:`StepUnderflow` of
+    the letter that ended word n early, or ``None``.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and len(x) != len(words):
+        raise InvalidArgument(f"{len(x)} start points for {len(words)} words")
     region = region if region is not None else family.common_domain
-    table = family.table
-    paths = [[x] for _ in words]
+    paths = [[start] for start in np.broadcast_to(x, (len(words), x.shape[-1]))]
     stops: list[Exception | None] = [None] * len(words)
     for j in range(max((len(w.letters) for w in words), default=0)):
         rows = [n for n, w in enumerate(words) if stops[n] is None and j < len(w.letters)]
-        if table is not None and len(rows) > 1:
+        if family.table is not None and len(rows) > 1:
             try:
-                ends = _stacked_letter(table, [words[n].letters[j] for n in rows],
+                ends = _stacked_letter(family, [words[n].letters[j] for n in rows],
                                        np.array([paths[n][-1] for n in rows]), tol, region)
             except (LeftDomain, StepUnderflow):
                 pass  # each row again on its own
@@ -571,15 +634,13 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     return [np.array(p) for p in paths], stops
 
 
-def _stacked_letter(table: MonomialTable, letters, points: np.ndarray, tol: float,
+def _stacked_letter(family: FieldFamily, letters, points: np.ndarray, tol: float,
                     region: Ball) -> np.ndarray:
     """Endpoints of the rows of ``points`` (N, d), row n flowing
-    ``t_n X_{a_n}`` over unit time for ``(a_n, t_n) = letters[n]``, where
-    ``table`` is the family's merged :attr:`FieldFamily.table`."""
-    index = np.array([a for a, _ in letters])
-    times = np.array([t for _, t in letters])
-    # row n's coefficients over the family's monomials: t_n times member a_n's
-    coefficients = table.coefficients.transpose(1, 0, 2)[index]
-    coefficients *= times[:, None, None]
-    return _flow(points, [(0.0, 1.0, ())], None, tol, region, None,
-                 span=np.abs(times), table=(table, coefficients)).endpoint
+    ``t_n X_{a_n}`` over unit time for ``(a_n, t_n) = letters[n]``, over the
+    family's merged table."""
+    index, times = (np.array(column) for column in zip(*letters))
+    weights = np.zeros((len(letters), len(family)))
+    weights[np.arange(len(letters)), index] = times
+    return _flow(points, [(0.0, 1.0, _family_terms(family, weights, None))], None, tol, region,
+                 None, span=np.abs(times)).endpoint

@@ -13,8 +13,10 @@ drives the controllability verdicts.
 Independent-mode clouds, their spot-check replays and slice grids evaluate
 many flow words from one point; each is one :func:`run_words` run, a
 stacked segment per letter position, in the region the words belong to.
-Explore-mode clouds run word by word, since each step extends the stored
-point nearest a target.
+Explore-mode clouds grow in rounds of ``EXPLORE_ROUND`` targets, each
+extending the stored point nearest it among those stored before the
+round; a round is one :func:`run_words` run of one-letter words, each from
+its own parent.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
+from .errors import InvalidArgument, OutOfDomain
 # compose_flows stays bound here so that tracing can wrap every binding of it
 from .compose import compose_flows  # noqa: F401
 from .fields import FieldFamily, LbRecord, VectorField
@@ -40,6 +42,8 @@ RANK_REL_TOL = 1e-8
 MAX_SUPPORTS = 20
 # member counts added to the base count for accessibility_verdict's truncation chains
 TRUNCATION_LEVELS = (0, 5, 10)
+# explore-mode clouds extend this many stored points per round, as one word run
+EXPLORE_ROUND = 16
 
 
 def linprog(*args, **kwargs):
@@ -303,7 +307,10 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     a target uniformly in a box of half-width ``exploration_radius`` around
     the seed and extends the nearest stored point whose word is still below
     ``max_word_len``, which spreads the cloud far more evenly than blind
-    words.  ``mode="independent"`` integrates ``budget`` unrelated words of
+    words.  The steps run in rounds of ``EXPLORE_ROUND``: a step's parent
+    is the nearest among the points stored before its round, and the
+    round's extensions are one stacked run, stored in draw order.
+    ``mode="independent"`` integrates ``budget`` unrelated words of
     ``max_word_len`` legs each, storing every leg endpoint in generation
     order.
     """
@@ -340,26 +347,30 @@ def _sample_explore(family, lb, x, budget, max_word_len, rng_seed, tol, d_max,
     depth = np.zeros(budget + 1, dtype=int)
     flags: list[bool] = [False]
     n = 1
-    for _ in range(budget):
-        target = x + exploration_radius * rng.uniform(-1.0, 1.0, size=dim)
-        idx = int(rng.integers(0, m))
-        dur = float(rng.uniform(-d_max, d_max))
-        d2 = np.einsum("ij,ij->i", pts[:n] - target, pts[:n] - target)
-        d2[depth[:n] >= max_word_len] = np.inf
-        pi = int(np.argmin(d2))
-        if not np.isfinite(d2[pi]):
-            continue  # every stored word is at the depth cap
-        try:
-            y = flow_single(family.members[idx], pts[pi], dur, tol=tol,
-                            region=lb.region).endpoint
-        except (LeftDomain, StepUnderflow):
-            flags[pi] = True  # the last valid point of the attempted word
-            continue
-        pts[n] = y
-        words.append(FlowWord(words[pi].letters + ((idx, dur),)))
-        depth[n] = depth[pi] + 1
-        flags.append(False)
-        n += 1
+    for start in range(0, budget, EXPLORE_ROUND):
+        draws = [(x + exploration_radius * rng.uniform(-1.0, 1.0, size=dim),
+                  int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
+                 for _ in range(min(EXPLORE_ROUND, budget - start))]
+        full = depth[:n] >= max_word_len
+        if full.all():
+            break  # every stored word is at the depth cap
+        # each target extends the nearest point stored before the round
+        diff = pts[None, :n] - np.array([target for target, _, _ in draws])[:, None]
+        d2 = np.einsum("bij,bij->bi", diff, diff)
+        d2[:, full] = np.inf
+        parents = np.argmin(d2, axis=1)
+        letters = [(idx, dur) for _, idx, dur in draws]
+        paths, stops = run_words(family, [FlowWord((letter,)) for letter in letters],
+                                 pts[parents], tol, lb.region)
+        for pi, letter, path, stop in zip(parents, letters, paths, stops):
+            if stop is not None:
+                flags[pi] = True  # the last valid point of the attempted word
+                continue
+            pts[n] = path[-1]
+            words.append(FlowWord(words[pi].letters + (letter,)))
+            depth[n] = depth[pi] + 1
+            flags.append(False)
+            n += 1
     return tuple((pts[i].copy(), words[i], flags[i]) for i in range(n))
 
 

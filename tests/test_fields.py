@@ -303,10 +303,73 @@ class TestFamilyTable:
                         for ws, x in zip(weights, points)])
         assert _close(got, ref, 1e-13)
 
+    @pytest.mark.parametrize("family", CATALOG_FAMILIES,
+                             ids=lambda f: "-".join(m.label for m in f.members))
+    def test_weighted_coefficients_sum_the_members(self, family, rng):
+        # one set of weights, and one per row, for the values and the derivatives
+        m, d = len(family), family.space.dimension
+        points = rng.uniform(-1.0, 1.0, (5, d))
+        weights = rng.normal(size=(5, m))
+        for table, size in ((family.table, d), (family.derivative_table, d * d)):
+            shared, per_row = table.weighted(weights[0]), table.weighted(weights)
+            assert shared.shape == (len(table.exponents), size)
+            assert per_row.shape == (5, len(table.exponents), size)
+            values = table.eval_many(points).reshape(5, m, size)
+            monomials = table.monomials(points)
+            assert _close(monomials @ shared, np.einsum("m,nmk->nk", weights[0], values), 1e-13)
+            assert _close(np.einsum("nt,ntk->nk", monomials, per_row),
+                          np.einsum("nm,nmk->nk", weights, values), 1e-13)
+
+    @pytest.mark.parametrize("family", CATALOG_FAMILIES,
+                             ids=lambda f: "-".join(m.label for m in f.members))
+    def test_derivative_table_merges_the_members_derivatives(self, family, rng):
+        D = family.derivative_table
+        m, d = len(family), family.space.dimension
+        assert D.coefficients.shape[1:] == (m, d, d)
+        points = rng.uniform(-1.0, 1.0, (5, d))
+        values = D.eval_many(points)
+        for a, member in enumerate(family.members):
+            assert _close(values[:, a], member.table.derivative.eval_many(points), 1e-13)
+        assert _close(values, family.table.derivative.eval_many(points), 1e-13)
+
     def test_an_untabled_member_leaves_no_family_table(self, heis):
         members = (heis.members[0], replace(heis.members[1], table=None))
         fam = FieldFamily(space=heis.space, members=members, common_domain=heis.common_domain)
         assert fam.table is None
+        assert fam.derivative_table is None
+
+
+def _dense_derivative(table):
+    """The derivative built as it was before its rows were grouped: one
+    dense coefficient block per (row, coordinate) pair, merged by
+    from_rows."""
+    d = table.exponents.shape[1]
+    shape = table.coefficients.shape[1:]
+    t, j = np.nonzero(table.exponents)
+    coeffs = np.zeros((len(t),) + shape + (d,))
+    coeffs[np.arange(len(t)), ..., j] = (table.coefficients[t] * table.exponents[t, j]
+                                         .reshape((-1,) + (1,) * len(shape)))
+    return MonomialTable.from_rows(table.exponents[t] - np.eye(d, dtype=np.int64)[j], coeffs)
+
+
+DERIVATIVE_FAMILIES = {
+    "heisenberg": heisenberg(),
+    "grushin": grushin(),
+    "chain": chain_family(7, np.random.default_rng(7)),
+    "affine-l1": affine_l1(32, 30, 0.8, linear_part=True),
+}
+
+
+@pytest.mark.parametrize("name", DERIVATIVE_FAMILIES)
+def test_grouped_derivative_equals_the_dense_construction(name):
+    # orders 1-3 of every member table and of the merged family table
+    family = DERIVATIVE_FAMILIES[name]
+    for table in [m.table for m in family.members] + [family.table]:
+        for _ in range(3):
+            got, ref = table.derivative, _dense_derivative(table)
+            assert np.array_equal(got.exponents, ref.exponents)
+            assert np.array_equal(got.coefficients, ref.coefficients)
+            table = got
 
 
 class TestJacobians:

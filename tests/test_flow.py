@@ -442,6 +442,14 @@ class TestStepBudget:
         assert len(samp.cloud) == 1 + 12 * 5
         assert stepper_counts["steps"] == 5 and stepper_counts["rhs"] == 35
 
+    def test_explore_sample_takes_one_step_per_round(self, heis, heis_lb, stepper_counts):
+        # two rounds of sixteen targets, each round one stacked letter; one
+        # run per target took 32 steps and 224 evaluations
+        samp = orbit_sample(heis, heis_lb, np.array([0.2, -0.1, 0.3]), budget=32, max_word_len=5,
+                            rng_seed=3, mode="explore", tol=TOL)
+        assert len(samp.cloud) == 1 + 32
+        assert stepper_counts["steps"] == 2 and stepper_counts["rhs"] == 14
+
     def test_slice_takes_one_step_per_axis_letter(self, heis, heis_lb, stepper_counts):
         res = slice_grid(heis, heis_lb, np.array([0.2, -0.1, 0.3]), rho=0.3, grid_per_axis=4,
                          axes=[1, 0], tol=TOL)
@@ -582,6 +590,103 @@ class TestStackedWords:
         assert isinstance(stops[1], LeftDomain)
         assert paths[1].shape == (2, 2) and np.allclose(paths[1][-1], [0.3, 0.0])
         assert np.allclose(paths[0][-1], [0.5, 0.2]) and np.allclose(paths[2][-1], [0.1, -0.4])
+
+
+def _stripped(family):
+    """The family with every member's table removed: the member loop, with
+    tangents moved by central differences."""
+    return replace(family, members=tuple(replace(m, table=None) for m in family.members))
+
+
+@pytest.fixture
+def rhs_terms(monkeypatch):
+    """The terms of every right-hand side built while the test holds it."""
+    terms, init = [], flow_module._Rhs.__init__
+
+    def recorded(self, t, dim, k):
+        terms.append(t)
+        init(self, t, dim, k)
+
+    monkeypatch.setattr(flow_module._Rhs, "__init__", recorded)
+    return terms
+
+
+def _random_control(rng, members, pieces, width):
+    """``pieces`` equal pieces over [0, 1.5], each with ``width`` members."""
+    edges = np.linspace(0.0, 1.5, pieces + 1)
+    return Control(pieces=tuple(
+        (a, b, L1Coefficients(tuple((int(i), float(rng.uniform(0.2, 0.6) * rng.choice([-1, 1])))
+                                    for i in sorted(rng.choice(members, width, replace=False)))))
+        for a, b in zip(edges, edges[1:])))
+
+
+class TestTablePath:
+    @pytest.mark.parametrize("family", [heisenberg(), affine_l1(16, 6, 0.8, linear_part=True)],
+                             ids=["heisenberg", "affine-l1"])
+    def test_weighted_table_matches_the_member_loop(self, family, rng, rhs_terms):
+        d = family.space.dimension
+        loop = _stripped(family)
+        for t0, T0 in ((0.0, 1.0), (1.5, -1.2), (0.2, 1.3)):
+            u = _random_control(rng, len(family), 4, 2)
+            x = rng.uniform(-0.3, 0.3, d)
+            rhs_terms.clear()
+            got = flow_control(family, u, x, t0, T0, tangents=np.eye(d), tol=TOL)
+            assert rhs_terms and all(type(t) is flow_module._Tables for t in rhs_terms)
+            rhs_terms.clear()
+            ref = flow_control(loop, u, x, t0, T0, tangents=np.eye(d), tol=TOL)
+            assert rhs_terms and all(type(t) is tuple for t in rhs_terms)
+            assert np.abs(got.endpoint - ref.endpoint).max() <= 10 * TOL * (1 + np.abs(x).max())
+            assert np.abs(got.tangents - ref.tangents).max() <= 1e-9
+
+    def test_a_family_with_an_untabled_member_runs_the_member_loop(self, heis, rng, rhs_terms):
+        mixed = replace(heis, members=(heis.members[0], replace(heis.members[1], table=None)))
+        u = _random_control(rng, 2, 3, 2)
+        x = np.array([0.2, -0.1, 0.3])
+        got = flow_control(mixed, u, x, 0.0, 1.0, tangents=np.eye(3), tol=TOL)
+        assert rhs_terms and all(type(t) is tuple for t in rhs_terms)
+        ref = flow_control(heis, u, x, 0.0, 1.0, tangents=np.eye(3), tol=TOL)
+        assert np.abs(got.endpoint - ref.endpoint).max() <= 10 * TOL
+        assert np.abs(got.tangents - ref.tangents).max() <= 1e-9
+
+    def test_a_tabled_field_flows_on_its_own_tables(self, heis, rhs_terms):
+        X = heis.members[1]
+        flow_single(X, np.zeros(3), 0.5, tangents=np.eye(3))
+        flow_single(X, np.zeros(3), 0.5)
+        (with_tangents, plain) = rhs_terms
+        assert with_tangents.value is X.table and with_tangents.derivative is X.table.derivative
+        assert plain.value is X.table and plain.derivative is None
+
+
+class TestStartPointPerWord:
+    @pytest.mark.parametrize("family", [heisenberg(), affine_l1(6, 5, 0.8, linear_part=True)],
+                             ids=["heisenberg", "affine-l1"])
+    def test_each_word_runs_from_its_own_start_point(self, family, rng):
+        d, m = family.space.dimension, len(family)
+        words = [FlowWord(tuple((int(rng.integers(0, m)), float(rng.uniform(-0.3, 0.3)))
+                                for _ in range(n))) for n in (3, 1, 0, 2, 3)]
+        starts = rng.uniform(-0.2, 0.2, (len(words), d))
+        paths, stops = run_words(family, words, starts, TOL)
+        assert stops == [None] * len(words)
+        for word, start, path in zip(words, starts, paths):
+            ref = [start]
+            for idx, t in word.letters:
+                ref.append(flow_single(family.members[idx], ref[-1], t, tol=TOL).endpoint)
+            assert path.shape == (1 + len(word.letters), d)
+            assert np.abs(path - ref).max() <= 10 * TOL * (1 + np.abs(start).max())
+
+    def test_a_row_leaving_the_region_stops_alone(self):
+        fam = commuting_constants(2, 2)
+        starts = np.array([[0.0, 0.0], [0.8, 0.0], [0.0, -0.5]])
+        words = [FlowWord(((0, 0.5), (1, 0.2))), FlowWord(((0, 0.5), (1, 0.1))),
+                 FlowWord(((1, 0.3),))]
+        paths, stops = run_words(fam, words, starts, TOL, ball([0, 0], 1.0))
+        assert stops[0] is None and stops[2] is None and isinstance(stops[1], LeftDomain)
+        assert np.array_equal(paths[1], starts[1:2])
+        assert np.allclose(paths[0][-1], [0.5, 0.2]) and np.allclose(paths[2][-1], [0.0, -0.2])
+
+    def test_one_start_point_per_word(self, heis):
+        with pytest.raises(InvalidArgument):
+            run_words(heis, [FlowWord(((0, 0.1),))] * 3, np.zeros((2, 3)), TOL)
 
 
 def polynomial_like_scale(X, factor):

@@ -9,7 +9,7 @@ from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg
 from orbitkit.algebra import FlowWord, enlarge_field
 from orbitkit.compose import compose_flows
 from orbitkit.errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
-from orbitkit.flow import guard
+from orbitkit.flow import flow_single, guard
 from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
 from orbitkit.orbit import (MAX_SUPPORTS, DistributionBasis, accessibility_verdict,
                             distribution_at, invariance_residual, numerical_rank,
@@ -337,6 +337,67 @@ class TestStackedSample:
             replay_word(fam, samp, away, tol=1e-9)
         with pytest.raises(LeftDomain):
             spot_check_sample(fam, replace(samp, cloud=((x + [1.0, 0, 0], away, False),)), tol=1e-9)
+
+
+def _sequential_explore(family, lb, x, budget, max_word_len, rng_seed, tol, radius):
+    """The explore cloud grown one target at a time, each extending the
+    nearest point stored before it, by one flow_single run."""
+    d_max = 0.5 * guard(lb, x, 1.0, 0.0).margin
+    rng = np.random.default_rng(rng_seed)
+    cloud = [(x, FlowWord(()), False)]
+    for _ in range(budget):
+        target = x + radius * rng.uniform(-1.0, 1.0, size=x.size)
+        letter = (int(rng.integers(0, len(family))), float(rng.uniform(-d_max, d_max)))
+        open_ = [i for i, (_, w, _) in enumerate(cloud) if len(w.letters) < max_word_len]
+        if not open_:
+            continue
+        pi = min(open_, key=lambda i: float(np.sum((cloud[i][0] - target) ** 2)))
+        p, word, _ = cloud[pi]
+        try:
+            y = flow_single(family.members[letter[0]], p, letter[1], tol=tol,
+                            region=lb.region).endpoint
+        except (LeftDomain, StepUnderflow):
+            cloud[pi] = (p, word, True)
+            continue
+        cloud.append((y, word.then(FlowWord((letter,))), False))
+    return cloud
+
+
+class TestExploreRounds:
+    # targets across the whole lb region, so that some words leave it
+    CASES = TestStackedSample.CASES
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_one_target_per_round_is_the_sequential_sampler(self, name, monkeypatch):
+        # every stored point also equals the replay of its word
+        monkeypatch.setattr(orbit, "EXPLORE_ROUND", 1)
+        fam, lb, x = self.CASES[name]
+        tol = 1e-9
+        truncated = 0
+        for seed in range(3):
+            samp = orbit_sample(fam, lb, x, 40, 5, seed, tol=tol,
+                                exploration_radius=lb.region.radius)
+            ref = _sequential_explore(fam, lb, x, 40, 5, seed, tol, lb.region.radius)
+            assert [(w, f) for _, w, f in samp.cloud] == [(w, f) for _, w, f in ref]
+            for (p, word, _), (q, _, _) in zip(samp.cloud, ref):
+                assert np.array_equal(p, q)
+                assert np.abs(replay_word(fam, samp, word, tol=tol) - p).max() <= 10 * tol
+            truncated += sum(f for _, _, f in samp.cloud)
+        assert truncated > 0
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_rounds_store_replayable_points(self, name):
+        fam, lb, x = self.CASES[name]
+        tol = 1e-9
+        truncated = 0
+        for seed in range(4):
+            samp = orbit_sample(fam, lb, x, 80, 8, seed, tol=tol,
+                                exploration_radius=lb.region.radius)
+            assert len(samp.cloud) > 1
+            for p, word, _ in samp.cloud:
+                assert np.abs(replay_word(fam, samp, word, tol=tol) - p).max() <= 10 * tol
+            truncated += sum(f for _, _, f in samp.cloud)
+        assert truncated > 0
 
 
 @pytest.mark.parametrize("mode", ["explore", "independent"])
