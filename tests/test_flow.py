@@ -5,7 +5,7 @@ import pytest
 
 from orbitkit import flow as flow_module
 from orbitkit.algebra import bracket_field, enlarge_field
-from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg
+from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, operator_family
 from orbitkit.compose import compose_flows
 from orbitkit.errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
                              OutOfDomain, WordNotIntegrable)
@@ -621,8 +621,11 @@ def _random_control(rng, members, pieces, width):
 
 
 class TestTablePath:
-    @pytest.mark.parametrize("family", [heisenberg(), affine_l1(16, 6, 0.8, linear_part=True)],
-                             ids=["heisenberg", "affine-l1"])
+    @pytest.mark.parametrize("family", [
+        heisenberg(), affine_l1(16, 6, 0.8, linear_part=True),
+        operator_family(3, 3, [(1.0, (1, 0, 0), 0, 1), (-0.5, (0, 2, 0), 2, 0),
+                               (2.0, (0, 0, 0), 1, 2), (0.3, (1, 1, 0), 2, 2)]),
+    ], ids=["heisenberg", "affine-l1", "operator-family"])
     def test_weighted_table_matches_the_member_loop(self, family, rng, rhs_terms):
         d = family.space.dimension
         loop = _stripped(family)
