@@ -10,7 +10,7 @@ class OutOfDomain(OrbitKitError):
 
 
 class OrderTooHigh(OrbitKitError):
-    """Jet order beyond what numerical differentiation supports."""
+    """Jet order above the highest order whose jet norms are estimated (3)."""
 
 
 class DomainTooSmall(OrbitKitError):
@@ -22,12 +22,16 @@ class GuardViolated(OrbitKitError):
 
 
 class LeftDomain(OrbitKitError):
-    """An integrated trajectory exited the working region."""
+    """An integrated trajectory exited the working region.
 
-    def __init__(self, message, last_point=None, last_time=None):
+    ``row`` is the row of a stacked run whose trajectory left, when the
+    stepper's region check found it, and ``None`` otherwise."""
+
+    def __init__(self, message, last_point=None, last_time=None, row=None):
         super().__init__(message)
         self.last_point = last_point
         self.last_time = last_time
+        self.row = row
 
 
 class StepUnderflow(OrbitKitError):

@@ -20,6 +20,7 @@ every existence-radius guard downstream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, OrderTooHigh, OutOfDomain
-from .space import Ball, ChartSpace, _row_norms, operator_norm, vector_norm
+from .space import Ball, ChartSpace, _row_norms, max_operator_norm, operator_norm
 
 # Finite-difference steps per derivative order (relative, scaled by 1+|x|):
 # standard truncation/round-off balance for first, second, third order.
@@ -39,6 +40,9 @@ DEFAULT_SAFETY = 1.25
 MIN_UNIT_TUPLES = 64
 
 MAX_JET_ORDER = 3
+# Entries of one contraction stack of :func:`eval_jet_norm` (512 KiB), a
+# bound on its memory: :func:`estimate_lb_bound` sizes its point blocks by it.
+JET_STACK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,74 +434,130 @@ class LbRecord:
             raise InvalidArgument("method must be 'sampled' or 'declared'")
 
 
-def _unit_vectors(space: ChartSpace, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` random unit directions, then +e_j and -e_j for every axis j."""
+def _directions(space: ChartSpace, random: np.ndarray) -> np.ndarray:
+    """The random unit directions ``(..., count, d)``, each stack followed by
+    +e_j and -e_j for every axis j."""
     eye = np.eye(space.dimension)
     # canonical directions sharpen the sampled maximum at no real cost
     canonical = np.stack([eye, -eye], axis=1).reshape(-1, space.dimension)
-    return np.vstack([space.unit_vectors(rng, count), canonical])
+    return np.concatenate([random, np.broadcast_to(canonical, random.shape[:-2] + canonical.shape)],
+                          axis=-2)
 
 
-def _jet_tensors(field: VectorField, x: np.ndarray, s: int) -> list:
-    """The value, Jacobian, D2 and D3 of the field at x, ``None`` above
-    order s, with ``d2[i, j, k] = d_k d_j X_i`` and ``d3[i, j, k, l] =
-    d_l d_k d_j X_i``.  A tabled field takes its derivatives exactly from the
-    table.  Any other field takes every derivative from nested central
-    differences of its values, with every shifted point evaluated in one
-    ``eval_many`` (1 + 2d + 4d^2 points at order 2)."""
+def _integer(value, what: str, lowest: int) -> int:
+    """``value`` as an int, which it must be, at least ``lowest``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+        raise InvalidArgument(f"{what} must be an integer >= {lowest}, not {value!r}")
+    return int(value)
+
+
+def _jet_order(s) -> int:
+    """The jet order s, checked: an integer from 0 to ``MAX_JET_ORDER``."""
+    s = _integer(s, "jet order", 0)
+    if s > MAX_JET_ORDER:
+        raise OrderTooHigh(f"jet order {s} > {MAX_JET_ORDER}: jet norms are estimated up to "
+                           f"order {MAX_JET_ORDER}")
+    return s
+
+
+def _block_size(space: ChartSpace, s: int, members: int) -> int:
+    """Points per block of :func:`estimate_lb_bound`, at least one, such
+    that the block's contraction stacks, and the random directions it draws
+    for ``members`` fields, hold about ``JET_STACK_ENTRIES`` entries."""
+    d = space.dimension
+    if s < 2:
+        return max(1, JET_STACK_ENTRIES // d ** (s + 1))
+    width = MIN_UNIT_TUPLES + 2 * d  # directions per point
+    stack = width * d * d * (1 if s == 2 else max(4, width // 8))
+    return max(1, JET_STACK_ENTRIES // max(stack, members * MIN_UNIT_TUPLES * d))
+
+
+def _jet_tensors(field: VectorField, points: np.ndarray, s: int) -> list[np.ndarray]:
+    """The value, Jacobian, D2 and D3 of the field at the rows of ``points``
+    (P, d), up to order s: ``(P, d)``, ``(P, d, d)``, ... with ``d2[p, i, j,
+    k] = d_k d_j X_i`` and ``d3[p, i, j, k, l] = d_l d_k d_j X_i``.  A tabled
+    field takes each order from its table's derivative in one ``eval_many``
+    over the block.  Any other field takes, point by point, every
+    derivative from nested central differences of its values, with every
+    shifted point evaluated in one ``eval_many`` (1 + 2d + 4d^2 points at
+    order 2)."""
     if field.table is None:
-        scale = 1.0 + float(np.linalg.norm(x))
-        steps = (FD_STEP_1 * scale, FD_STEP_2 * scale, FD_STEP_3 * scale)
-        jet = _central_differences(field.eval_many, x, [steps[:j] for j in range(s + 1)])
-    else:
-        table = field.table
-        jet = [table(x)]
-        for _ in range(s):
-            table = table.derivative
-            jet.append(table(x))
-    return jet + [None] * (4 - len(jet))
+        jets = []
+        for x in points:
+            scale = 1.0 + float(np.linalg.norm(x))
+            steps = (FD_STEP_1 * scale, FD_STEP_2 * scale, FD_STEP_3 * scale)
+            jets.append(_central_differences(field.eval_many, x, [steps[:j] for j in range(s + 1)]))
+        return [np.stack(order) for order in zip(*jets)]
+    table = field.table
+    jet = [table.eval_many(points)]
+    for _ in range(s):
+        table = table.derivative
+        jet.append(table.eval_many(points))
+    return jet
 
 
 def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
                   rng: np.random.Generator | None = None,
-                  tuple_samples: int = MIN_UNIT_TUPLES) -> float:
-    """Sum over orders 0..s of the size of the field's derivatives at x.
+                  tuple_samples: int = MIN_UNIT_TUPLES,
+                  directions: np.ndarray | None = None) -> float | np.ndarray:
+    """Sum over orders 0..s of the size of the field's derivatives at x, one
+    point (d,), or at each row of a block of points (P, d), one sum each.
 
     Order 0 is the chart norm of the value, order 1 the exact induced
-    operator norm of the Jacobian.  Orders 2 and 3 are built once per point
-    as tensors.  A field with a monomial table takes them exactly from the
-    table's derivatives.  Any other field takes its whole jet from nested
-    central differences (steps ``FD_STEP_1``, ``FD_STEP_2`` and
-    ``FD_STEP_3`` per order) in one ``eval_many`` of 1 + 2d + 4d^2 points
-    at order 2 (8d^3 more at order 3).  Their multilinear norms are
-    estimated by contracting the tensors with canonical and random unit
-    directions (at least ``tuple_samples`` random ones) and maximizing the
-    induced operator norm of each contraction over its remaining slot, which
+    operator norm of the Jacobian.  Orders 2 and 3 are built as tensors
+    over the whole block (:func:`_jet_tensors`): exactly, from the table's
+    derivatives, for a field with a monomial table, and point by point from
+    nested central differences (steps ``FD_STEP_1``, ``FD_STEP_2`` and
+    ``FD_STEP_3`` per order) for any other field.  Their multilinear norms
+    are estimated by contracting the tensors with canonical and random unit
+    directions and maximizing the induced operator norm of each
+    contraction over its remaining slot (:func:`max_operator_norm`), which
     is exact for that slot; order 3 pairs every direction with the first
-    eighth of them (at least 4).
+    eighth of them (at least 4).  The random directions of each point are
+    ``tuple_samples`` draws from ``rng``, point after point, unless
+    ``directions`` gives them, ``(count, d)`` for one point or ``(P,
+    count, d)`` for a block.  Order 2 contracts the block in one product,
+    and order 3 in stacks of at most ``JET_STACK_ENTRIES`` entries, or of
+    one order-3 direction over the block where that is larger.
+
+    The order s must be an integer from 0 to 3 (:class:`InvalidArgument`
+    below, :class:`OrderTooHigh` above).
     """
     x = np.asarray(x, dtype=float)
-    if not field.domain.contains(x, inflate=1e-12):
+    s = _jet_order(s)
+    points = np.atleast_2d(x)
+    dom = field.domain
+    if not (_row_norms(points - dom.center, dom.norm_kind) <= dom.radius + 1e-12).all():
         raise OutOfDomain(f"{field.label}: point outside domain")
-    if s > MAX_JET_ORDER:
-        raise OrderTooHigh(f"jet order {s} > {MAX_JET_ORDER}: nested differences are noise-dominated")
     if rng is None:
         rng = np.random.default_rng(0)
 
-    value, jacobian, d2, d3 = _jet_tensors(field, x, s)
-    total = vector_norm(value, space.norm_kind)
+    kind = space.norm_kind
+    P, d = points.shape
+    jet = _jet_tensors(field, points, s)
+    total = _row_norms(jet[0], kind)
     if s >= 1:
-        total += operator_norm(jacobian, space.norm_kind)
+        total = total + operator_norm(jet[1], kind)
     if s >= 2:
-        dirs = _unit_vectors(space, rng, tuple_samples)
-        total += operator_norm(np.tensordot(dirs, d2, axes=([1], [2])), space.norm_kind).max()
-        if s >= 3:
-            best3 = 0.0
-            for w in dirs[: max(4, len(dirs) // 8)]:
-                m = np.tensordot(dirs, d3 @ w, axes=([1], [2]))
-                best3 = max(best3, operator_norm(m, space.norm_kind).max())
-            total += best3
-    return float(total)
+        if directions is None:
+            directions = space.unit_vectors(rng, P * tuple_samples)
+        dirs = _directions(space, np.asarray(directions, dtype=float).reshape(P, -1, d))
+        if jet[2].any():
+            # m2[p, v, (i, j)] = sum_k v_k d2[p, i, j, k]
+            m2 = dirs @ jet[2].reshape(P, d * d, d).transpose(0, 2, 1)
+            total = total + max_operator_norm(m2.reshape(P, -1, d, d), kind)
+        if s >= 3 and jet[3].any():
+            w = dirs[:, :max(4, dirs.shape[1] // 8)]
+            # t[p, w, k, (i, j)] = sum_l d3[p, i, j, k, l] w_l
+            t = (jet[3].reshape(P, d ** 3, d) @ w.transpose(0, 2, 1)).reshape(P, d * d, d, -1)
+            t = t.transpose(0, 3, 2, 1)
+            chunk = max(1, JET_STACK_ENTRIES // (P * dirs.shape[1] * d * d))
+            best = 0.0
+            for a in range(0, w.shape[1], chunk):
+                m3 = dirs[:, None] @ t[:, a:a + chunk]
+                best = max_operator_norm(m3.reshape(P, -1, d, d), kind, best)
+            total = total + best
+    return float(total[0]) if x.ndim == 1 else total
 
 
 def sample_in_ball(region: Ball, space: ChartSpace, rng: np.random.Generator,
@@ -523,24 +583,38 @@ def estimate_lb_bound(family: FieldFamily, region: Ball, s: int, samples: int,
     Families carrying a declared analytic bound for order ``s`` pass it
     through unchanged (``method="declared"``).  Otherwise the sampled
     supremum over ``samples`` region points and all members is inflated by
-    ``safety`` so that downstream radius guards stay conservative.  Each
-    point and member costs one :func:`eval_jet_norm`; the jet directions come from the stream seeded with
-    ``rng_seed + 1``.
+    ``safety`` so that downstream radius guards stay conservative.  The
+    points go through :func:`eval_jet_norm` in blocks, one call per block
+    and member, each block sized so that its contraction stacks hold about
+    ``JET_STACK_ENTRIES`` entries.  The jet directions of every point and
+    member come from the stream seeded with ``rng_seed + 1``, one draw per
+    block, in the order of one draw per point and member, point after
+    point.  ``s`` must be an integer from 0 to 3 (a declared bound of a
+    higher order passes through) and ``samples`` an integer of at least 1,
+    or :class:`InvalidArgument` is raised before any sampling.
     """
-    if samples < 1:
-        raise InvalidArgument("samples must be >= 1")
+    s, samples = _integer(s, "jet order", 0), _integer(samples, "samples", 1)
     if not family.common_domain.contains_ball(region):
         raise OutOfDomain("region not contained in the family's common domain")
     if family.declared_lb and not force_sampled and s in family.declared_lb:
         return LbRecord(order_s=s, bound_k=float(family.declared_lb[s]),
                         region=region, method="declared")
+    s = _jet_order(s)
+    space, members = family.space, family.members
     rng = np.random.default_rng(rng_seed)
-    pts = sample_in_ball(region, family.space, rng, samples)
+    pts = np.array(sample_in_ball(region, space, rng, samples))
     jet_rng = np.random.default_rng(rng_seed + 1)
+    block = _block_size(space, s, len(members))
     best = 0.0
-    for y in pts:
-        for m in family.members:
-            best = max(best, eval_jet_norm(m, y, s, family.space, rng=jet_rng))
+    for start in range(0, len(pts), block):
+        points = pts[start:start + block]
+        directions = [None] * len(members)
+        if s >= 2:
+            drawn = space.unit_vectors(jet_rng, len(points) * len(members) * MIN_UNIT_TUPLES)
+            directions = drawn.reshape(len(points), len(members), -1, space.dimension).swapaxes(0, 1)
+        for m, dirs in zip(members, directions):
+            norms = eval_jet_norm(m, points, s, space, directions=dirs)
+            best = float(np.fmax.reduce(norms, initial=best))  # a NaN point is skipped
     if best <= 0.0:
         best = 1e-30  # identically-zero family still needs a positive record
     return LbRecord(order_s=s, bound_k=best * safety, region=region, method="sampled")

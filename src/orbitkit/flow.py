@@ -337,12 +337,14 @@ def _outside(region: Ball, y: np.ndarray, rows: int, dim: int) -> np.ndarray:
 
 def _left_domain(y: np.ndarray, rows: int, dim: int, outside: np.ndarray, t,
                  what: str) -> LeftDomain:
-    """:class:`LeftDomain` at the first row marked ``outside``; ``t`` is the
-    time of every row, or an array of one time per row."""
-    row = int(np.argmax(outside))
-    t = float(np.broadcast_to(t, rows)[row])
-    return LeftDomain(f"{what} at t={t}", last_point=y.reshape(rows, -1)[row, :dim].copy(),
-                      last_time=t)
+    """:class:`LeftDomain` at the first row marked ``outside``, of the states
+    of ``rows`` rows each stored back to back in ``y``, one mark per row of
+    each; ``t`` is the time of every row, or an array of one time per mark.
+    The exception's ``row`` is the row of the stack that left."""
+    first = int(np.argmax(outside))
+    t = float(np.broadcast_to(t, outside.shape)[first])
+    return LeftDomain(f"{what} at t={t}", last_point=y.reshape(outside.size, -1)[first, :dim].copy(),
+                      last_time=t, row=first % rows)
 
 
 def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim: int,
@@ -408,7 +410,7 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
                 path = np.vstack([y + hT[8:] @ S, yi])
                 outside = _outside(region, path, path.shape[0] * rows, dim)
                 if outside.any():
-                    exc = _left_domain(path, path.shape[0] * rows, dim, outside,
+                    exc = _left_domain(path, rows, dim, outside,
                                        np.repeat(t + h * np.append(_THETA, 1.0), rows),
                                        "trajectory left the working region")
                     if outside[-rows:].any():
@@ -596,10 +598,12 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     scale multiplied by ``|t_n|``, so that each row is integrated to the
     tolerance of its own flow.  Otherwise, and at a position with one row,
     each row runs as :meth:`FlowWord.legs` does, one :func:`flow_single`
-    call per letter, and so does each row of a stacked position that raises
-    :class:`LeftDomain` or :class:`StepUnderflow`: a word then stops at its
-    own exit, as if it had run alone.  ``region`` defaults to the family's
-    common domain.
+    call per letter.  When a row of a stacked position leaves the region,
+    that row runs alone and the others are stacked again, so a word stops
+    at its own exit, as if it had run alone; a stacked position that raises
+    :class:`StepUnderflow`, or a :class:`LeftDomain` that names no row,
+    runs each of its rows alone.  ``region`` defaults to the family's common
+    domain.
 
     Returns ``(paths, stops)``: ``paths[n]`` holds word n's start point and
     its endpoint after each letter it ran, ``(1 + letters run, d)``, and
@@ -612,25 +616,32 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     region = region if region is not None else family.common_domain
     paths = [[start] for start in np.broadcast_to(x, (len(words), x.shape[-1]))]
     stops: list[Exception | None] = [None] * len(words)
+    def alone(n: int, j: int) -> None:
+        idx, t = words[n].letters[j]
+        try:
+            paths[n].append(flow_single(family.members[idx], paths[n][-1], t, tol=tol,
+                                        region=region).endpoint)
+        except (LeftDomain, StepUnderflow) as exc:
+            stops[n] = exc
+
     for j in range(max((len(w.letters) for w in words), default=0)):
         rows = [n for n, w in enumerate(words) if stops[n] is None and j < len(w.letters)]
-        if family.table is not None and len(rows) > 1:
+        while family.table is not None and len(rows) > 1:
             try:
                 ends = _stacked_letter(family, [words[n].letters[j] for n in rows],
                                        np.array([paths[n][-1] for n in rows]), tol, region)
-            except (LeftDomain, StepUnderflow):
-                pass  # each row again on its own
+            except LeftDomain as exc:
+                if exc.row is None:
+                    break
+                alone(rows.pop(exc.row), j)  # the row that left, then the others restacked
+            except StepUnderflow:
+                break
             else:
                 for n, y in zip(rows, ends):
                     paths[n].append(y)
-                continue
-        for n in rows:
-            idx, t = words[n].letters[j]
-            try:
-                paths[n].append(flow_single(family.members[idx], paths[n][-1], t, tol=tol,
-                                            region=region).endpoint)
-            except (LeftDomain, StepUnderflow) as exc:
-                stops[n] = exc
+                rows = []
+        for n in rows:  # each row on its own
+            alone(n, j)
     return [np.array(p) for p in paths], stops
 
 

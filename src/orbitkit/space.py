@@ -49,7 +49,9 @@ def operator_norm(m: np.ndarray, kind: str) -> float | np.ndarray:
     """Exact induced operator norm of a matrix for the supported norms.
 
     A stack ``(..., n, n)`` gives the array of its matrices' norms, of shape
-    ``(...)``, in one batched call; a single matrix gives a float.
+    ``(...)``, in one batched call; a single matrix gives a float.  The
+    euclidean norm takes one SVD per matrix; where only the largest norm of
+    a stack is wanted, :func:`max_operator_norm` skips most of them.
     """
     m = np.asarray(m, dtype=float)
     if kind not in NORM_KINDS:
@@ -65,6 +67,55 @@ def operator_norm(m: np.ndarray, kind: str) -> float | np.ndarray:
     else:
         out = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
     return float(out) if m.ndim == 2 else out
+
+
+# Relative slack on both sides of the euclidean bracket: it dominates the
+# rounding of the bracket's sums of squares for any matrix below ~10^3 rows
+# and columns, so the matrix of largest norm is never pruned.
+_PRUNE_MARGIN = 1e-12
+
+
+def max_operator_norm(stack: np.ndarray, kind: str, floor=0.0) -> float | np.ndarray:
+    """``max(floor, operator_norm(stack, kind).max())``, bit for bit, for a
+    stack ``(K, n, p)``; a stack of stacks ``(..., K, n, p)`` gives the
+    maximum over each inner stack, ``(...)``, against a ``floor`` that
+    broadcasts to that shape.  A NaN norm gives NaN, as
+    :func:`numpy.maximum` does, and an empty stack gives ``floor``.
+
+    The l1 and sup norms are cheap sums and take the plain path.  For the
+    euclidean norm, each inner stack is scaled by its largest entry, so
+    that squares neither underflow nor overflow, and each matrix M in it is
+    bracketed, ``max(column norms, row norms) <= sigma_max(M) <= |M|_F``,
+    from two sums of its squares.  Only the matrices whose upper bound
+    reaches the best lower bound of their stack (or ``floor``) go to the
+    SVD, whose values do not depend on the rest of the stack.  An all-zero
+    stack takes no SVD, and a stack with a non-finite entry takes the plain
+    path, with its value or error.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if kind not in NORM_KINDS:
+        raise InvalidArgument(f"unknown norm kind {kind!r}")
+    squares = np.abs(stack) if kind == "euclidean" and stack.size else None
+    scale = None if squares is None else squares.max(axis=(-3, -2, -1))
+    if scale is None or not np.isfinite(scale).all():
+        out = np.maximum(floor, operator_norm(stack, kind).max(axis=-1, initial=-np.inf))
+        return float(out) if np.ndim(out) == 0 else out
+    scale = np.where(scale > 0.0, scale, 1.0)[..., None]
+    # one scratch array, overwritten in place: the stacks can be large
+    np.divide(squares, scale[..., None, None], out=squares)
+    np.square(squares, out=squares)
+    rows = squares.sum(axis=-1)
+    lower = np.sqrt(np.maximum(rows.max(axis=-1), squares.sum(axis=-2).max(axis=-1)))
+    upper = np.sqrt(rows.sum(axis=-1))
+    with np.errstate(over="ignore"):  # a floor far above the stack prunes it all
+        reach = np.maximum(lower.max(axis=-1, keepdims=True),
+                           np.asarray(floor, dtype=float)[..., None] / scale)
+    keep = (upper > 0.0) & (upper * (1.0 + _PRUNE_MARGIN) >= reach * (1.0 - _PRUNE_MARGIN))
+    norms = np.zeros(keep.shape)
+    if keep.any():
+        norms[keep] = np.linalg.svd(stack[keep], compute_uv=False)[:, 0]
+    out = np.maximum(floor, norms.max(axis=-1))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitkit import fields
 from orbitkit.algebra import FlowWord, bracket_field, enlarge_field, lie_bracket
 from orbitkit.catalog import (affine_l1, commuting_constants, grushin, heisenberg, heisenberg_full,
                               operator_family)
 from orbitkit.errors import InvalidArgument, OrderTooHigh, OutOfDomain
-from orbitkit.fields import (FD_STEP_1, FD_STEP_2, FD_STEP_3, MIN_UNIT_TUPLES, FieldFamily,
-                             MonomialTable, VectorField, _unit_vectors, calculus, constant_field,
+from orbitkit.fields import (DEFAULT_SAFETY, FD_STEP_1, FD_STEP_2, FD_STEP_3, JET_STACK_ENTRIES,
+                             MIN_UNIT_TUPLES, FieldFamily, MonomialTable, VectorField,
+                             _central_differences, _directions, calculus, constant_field,
                              estimate_lb_bound, eval_jet_norm, finite_difference_jacobian,
-                             finite_difference_jvp, polynomial_field)
+                             finite_difference_jvp, polynomial_field, sample_in_ball)
 from orbitkit.space import ChartSpace, ball, operator_norm, vector_norm
 
 
@@ -52,8 +54,32 @@ class TestEvalJetNorm:
 
     def test_order_too_high(self, plane):
         X = constant_field(ball([0, 0], 1.0), [1.0, 0.0])
-        with pytest.raises(OrderTooHigh):
+        with pytest.raises(OrderTooHigh) as info:
             eval_jet_norm(X, np.zeros(2), 4, plane)
+        # a tabled field's jets are exact: no differences to blame
+        assert "differences" not in str(info.value)
+
+    @pytest.mark.parametrize("s", [-1, 2.0, True, "2", None])
+    def test_order_must_be_an_integer_from_zero(self, plane, s):
+        X = constant_field(ball([0, 0], 1.0), [1.0, 0.0])
+        with pytest.raises(InvalidArgument):
+            eval_jet_norm(X, np.zeros(2), s, plane)
+
+    def test_a_block_gives_one_norm_per_point(self, plane):
+        X = ysq_field(ball([0, 2], 3.0))
+        P = np.array([[0.0, 2.0], [0.5, 1.0], [-1.0, 3.0]])
+        got = eval_jet_norm(X, P, 1, plane)
+        # value y^2, Jacobian norm 2|y|
+        assert got.shape == (3,)
+        assert np.allclose(got, P[:, 1] ** 2 + 2 * np.abs(P[:, 1]), rtol=1e-15)
+        with pytest.raises(OutOfDomain):
+            eval_jet_norm(X, np.vstack([P, [[5.0, 0.0]]]), 1, plane)
+
+
+def _unit_vectors(space, rng, count):
+    """The directions of one point: ``count`` random unit directions, then
+    +e_j and -e_j for every axis j."""
+    return _directions(space, space.unit_vectors(rng, count))
 
 
 def reference_jet_norm(field, x, s, space, rng, tuple_samples=MIN_UNIT_TUPLES):
@@ -419,7 +445,130 @@ class TestJacobians:
             assert np.abs(row - ref).max() <= 1e-6 * (1 + np.abs(v).max())
 
 
+def per_point_jet_norm(field, x, s, space, rng, tuple_samples=MIN_UNIT_TUPLES):
+    """The jet norm at one point with one operator norm per contraction
+    matrix: the loop the block path of eval_jet_norm replaces."""
+    kind = space.norm_kind
+    if field.table is None:
+        scale = 1.0 + float(np.linalg.norm(x))
+        steps = (FD_STEP_1 * scale, FD_STEP_2 * scale, FD_STEP_3 * scale)
+        jet = _central_differences(field.eval_many, x, [steps[:j] for j in range(s + 1)])
+    else:
+        table, jet = field.table, [field.table(x)]
+        for _ in range(s):
+            table = table.derivative
+            jet.append(table(x))
+    total = vector_norm(jet[0], kind)
+    if s >= 1:
+        total += operator_norm(jet[1], kind)
+    if s >= 2:
+        dirs = _unit_vectors(space, rng, tuple_samples)
+        total += max(operator_norm(jet[2] @ v, kind) for v in dirs)
+        if s >= 3:
+            total += max(operator_norm(jet[3] @ w @ v, kind)
+                         for w in dirs[: max(4, len(dirs) // 8)] for v in dirs)
+    return total
+
+
+def per_point_lb_bound(family, region, s, samples, rng_seed):
+    """estimate_lb_bound as one per_point_jet_norm per point and member,
+    point after point."""
+    pts = sample_in_ball(region, family.space, np.random.default_rng(rng_seed), samples)
+    jet_rng = np.random.default_rng(rng_seed + 1)
+    best = max(per_point_jet_norm(m, y, s, family.space, jet_rng)
+               for y in pts for m in family.members)
+    return max(best, 1e-30) * DEFAULT_SAFETY
+
+
+BLOCK_FAMILIES = {
+    "heisenberg": heisenberg(),
+    "heisenberg-full": heisenberg_full(),
+    "grushin": grushin(),
+    "commuting-constants": commuting_constants(3, 2),
+    "affine-l1": affine_l1(6, 4, 0.7, linear_part=True),
+    # quadratic entries of the operator: nonzero second derivatives
+    "operator-family": operator_family(3, 3, [(1.0, (2, 0, 0), 0, 1), (0.5, (1, 1, 0), 2, 0),
+                                              (1.0, (0, 0, 0), 1, 1), (-0.7, (0, 1, 1), 1, 2)],
+                                       decay=0.5, radius=2.0),
+    **{f"chain-{d}": chain_family(d, np.random.default_rng(d)) for d in (4, 5, 6, 7)},
+}
+
+
+class TestJetBlocks:
+    """The block path against the per-point loop, within 1e-12 relative,
+    also with a stack cap so small that every order-3 stack is split."""
+
+    @pytest.mark.parametrize("cap", [JET_STACK_ENTRIES, 2 ** 10])
+    @pytest.mark.parametrize("name", BLOCK_FAMILIES)
+    def test_lb_bound_matches_the_per_point_loop(self, name, cap, monkeypatch):
+        monkeypatch.setattr(fields, "JET_STACK_ENTRIES", cap)
+        fam = BLOCK_FAMILIES[name]
+        dom = fam.common_domain
+        region = ball(dom.center, 0.8 * dom.radius, dom.norm_kind)
+        for s, samples in ((0, 9), (1, 9), (2, 9), (3, 4)):
+            got = estimate_lb_bound(fam, region, s, samples, rng_seed=s + 3, force_sampled=True)
+            ref = per_point_lb_bound(fam, region, s, samples, s + 3)
+            assert got.bound_k == pytest.approx(ref, rel=1e-12, abs=0.0), (name, s)
+
+    @pytest.mark.parametrize("name", ["grushin", "operator-family", "chain-5"])
+    def test_jet_norms_of_a_block_match_single_points(self, name, monkeypatch, rng):
+        # untabled members too: their block is differenced point by point
+        monkeypatch.setattr(fields, "JET_STACK_ENTRIES", 2 ** 10)
+        fam = BLOCK_FAMILIES[name]
+        d = fam.space.dimension
+        P = np.array(sample_in_ball(ball(np.zeros(d), 0.5), fam.space, rng, 5))
+        for m in fam.members + (replace(fam.members[-1], table=None),):
+            for s in (0, 1, 2, 3):
+                got = eval_jet_norm(m, P, s, fam.space, rng=np.random.default_rng(s))
+                one = np.random.default_rng(s)
+                ref = [per_point_jet_norm(m, x, s, fam.space, one) for x in P]
+                assert got.shape == (len(P),)
+                assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (m.label, s)
+                assert eval_jet_norm(m, P[0], s, fam.space, rng=np.random.default_rng(s)) == got[0]
+
+    @pytest.mark.parametrize("cubic", [False, True])
+    def test_grushin_order_three_stacks_stay_under_the_cap(self, cubic, monkeypatch):
+        # 200 samples in blocks: no contraction stack above JET_STACK_ENTRIES.
+        # Grushin's second derivatives vanish, so only its cubic variant
+        # (0, x^3) builds contraction stacks at all.
+        fam = grushin()
+        if cubic:
+            dom = fam.common_domain
+            fam = FieldFamily(fam.space, (fam.members[0], polynomial_field(dom, [(), ((1.0, (3, 0)),)])),
+                              dom)
+        sizes, reduce = [], fields.max_operator_norm
+
+        def spy(stack, kind, floor=0.0):
+            sizes.append(stack.size)
+            return reduce(stack, kind, floor)
+
+        monkeypatch.setattr(fields, "max_operator_norm", spy)
+        rec = estimate_lb_bound(fam, ball([0, 0], 4.0), 3, 200, force_sampled=True)
+        assert rec.method == "sampled" and rec.bound_k > 0
+        assert max(sizes, default=0) <= JET_STACK_ENTRIES
+        # blocks of many points: far fewer stacks than points and members
+        assert (len(sizes) > 0) == cubic and len(sizes) <= 2 * 200 / 10
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(fields, "sample_in_ball", refuse)
+
+
 class TestEstimateLbBound:
+    @pytest.mark.parametrize("s, samples", [(-1, 10), (2.0, 10), (2, 2.5), (2, "3"), (2, True),
+                                            (2, 0), (2, None)])
+    def test_order_and_samples_are_checked_before_sampling(self, s, samples, no_sampling):
+        with pytest.raises(InvalidArgument):
+            estimate_lb_bound(heisenberg(), ball([0, 0, 0], 1.0), s, samples, force_sampled=True)
+
+    def test_order_above_three_is_refused_before_sampling(self, no_sampling):
+        with pytest.raises(OrderTooHigh):
+            estimate_lb_bound(heisenberg(), ball([0, 0, 0], 1.0), 4, 10, force_sampled=True)
+
     def test_constants_safety_factor(self):
         fam = commuting_constants(2, 2)
         rec = estimate_lb_bound(fam, ball([0, 0], 1.0), 2, 50, force_sampled=True)

@@ -450,6 +450,34 @@ class TestStepBudget:
         assert len(samp.cloud) == 1 + 32
         assert stepper_counts["steps"] == 2 and stepper_counts["rhs"] == 14
 
+    def test_an_exit_reruns_only_the_row_that_left(self, stepper_counts, monkeypatch):
+        # the heisenberg explore cloud of TestStackedSample (lb region radius
+        # 1), three of whose words leave the region in three rounds: the row
+        # that left runs alone and the others are stacked again.  Rerunning
+        # every row of those rounds alone took 43 steps, 371 evaluations and
+        # 48 single-row runs.
+        fam, lb = heisenberg(), LbRecord(2, 0.5, ball([0, 0, 0], 1.0), "declared")
+        x = np.array([0.2, -0.1, 0.1])
+        singles, single = [], flow_module.flow_single
+
+        def counted_single(*args, **kwargs):
+            singles.append(1)
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "flow_single", counted_single)
+        got = orbit_sample(fam, lb, x, 80, 8, 0, tol=TOL, exploration_radius=1.0).cloud
+        assert stepper_counts["steps"] == 5 and stepper_counts["rhs"] == 133 and len(singles) == 7
+
+        def fail(*args, **kwargs):
+            raise flow_module.StepUnderflow("every row alone")
+
+        monkeypatch.setattr(flow_module, "_stacked_letter", fail)
+        ref = orbit_sample(fam, lb, x, 80, 8, 0, tol=TOL, exploration_radius=1.0).cloud
+        assert [(w, f) for _, w, f in got] == [(w, f) for _, w, f in ref]
+        assert sum(f for _, _, f in got) == 3
+        for (p, _, _), (q, _, _) in zip(got, ref):
+            assert np.abs(p - q).max() <= 10 * TOL * (1 + np.abs(q).max())
+
     def test_slice_takes_one_step_per_axis_letter(self, heis, heis_lb, stepper_counts):
         res = slice_grid(heis, heis_lb, np.array([0.2, -0.1, 0.3]), rho=0.3, grid_per_axis=4,
                          axes=[1, 0], tol=TOL)

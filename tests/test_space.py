@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orbitkit.errors import InvalidArgument
-from orbitkit.space import Ball, ChartSpace, L1Coefficients, ball, operator_norm, vector_norm
+from orbitkit.space import (Ball, ChartSpace, L1Coefficients, ball, max_operator_norm,
+                            operator_norm, vector_norm)
 
 
 class TestNorm1:
@@ -125,6 +126,82 @@ class TestChartSpace:
             assert max(vector_norm(m @ v, kind) for v in u) <= got[idx] * (1 + 1e-12)
         e = np.eye(4)
         assert operator_norm(e, kind) == pytest.approx(1.0)
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A stack of stacks (G, K, n, p) of random, rank-1 or zero matrices, or
+    a mix, at one of three magnitudes, possibly with a NaN or infinite
+    entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 5)),
+             draw(st.integers(1, 5)))
+    form = draw(st.sampled_from(["random", "rank-1", "zero", "mixed"]))
+    if form == "rank-1":
+        stack = rng.standard_normal(shape[:-1] + (1,)) * rng.standard_normal(shape[:-2] + (1, shape[-1]))
+    else:
+        stack = rng.standard_normal(shape)
+        if form == "zero":
+            stack[:] = 0.0
+        elif form == "mixed":  # zero matrices and rank-1 matrices among the random ones
+            stack[rng.random(shape[:2]) < 0.3] = 0.0
+            one = rng.random(shape[:2]) < 0.3
+            stack[one] = (rng.standard_normal(shape[-2:-1] + (1,)) * rng.standard_normal((1, shape[-1])))
+    stack *= draw(st.sampled_from([1e-170, 1.0, 1e150]))
+    bad = draw(st.sampled_from([None, np.nan, np.inf]))
+    if bad is not None:
+        stack[tuple(int(rng.integers(0, n)) for n in shape)] = bad
+    return stack
+
+
+class TestMaxOperatorNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_stacks(), st.sampled_from(["sup", "euclidean", "l1"]),
+           st.sampled_from(["zero", "below", "above"]))
+    def test_equals_the_maximum_of_the_stack_bit_for_bit(self, stack, kind, floor):
+        try:
+            norms = operator_norm(stack, kind)
+        except np.linalg.LinAlgError:  # a NaN entry: the SVD does not converge
+            with pytest.raises(np.linalg.LinAlgError):
+                max_operator_norm(stack, kind)
+            return
+        top = norms.max(axis=-1)
+        floors = {"zero": 0.0, "below": 0.5 * top, "above": 2.0 * top + 1e-300}[floor]
+        got = max_operator_norm(stack, kind, floors)
+        assert np.array_equal(got, np.maximum(floors, top), equal_nan=True)
+        # one stack gives a float, against a float floor
+        floor0 = float(np.ravel(floors)[0])
+        one = max_operator_norm(stack[0], kind, floor0)
+        assert isinstance(one, float)
+        assert np.array_equal(one, np.maximum(floor0, norms[0].max()), equal_nan=True)
+
+    def test_an_all_zero_stack_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD of a zero stack")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert max_operator_norm(np.zeros((5, 3, 3)), "euclidean") == 0.0
+        assert max_operator_norm(np.zeros((5, 3, 3)), "euclidean", 2.5) == 2.5
+
+    def test_rank_one_stacks_prune_all_but_the_largest(self, monkeypatch, rng):
+        # a rank-1 matrix's norm is its Frobenius norm, so the bracket rules
+        # out every matrix whose Frobenius norm is below the largest
+        stack = rng.standard_normal((200, 4, 1)) * rng.standard_normal((200, 1, 4))
+        seen, svd = [], np.linalg.svd
+
+        def counted(m, *args, **kwargs):
+            seen.append(len(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        got = max_operator_norm(stack, "euclidean")
+        monkeypatch.undo()
+        assert got == operator_norm(stack, "euclidean").max()
+        assert sum(seen) <= 3
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidArgument):
+            max_operator_norm(np.eye(2)[None], "l2")
 
 
 class TestBall:
