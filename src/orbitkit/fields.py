@@ -11,7 +11,8 @@ differentiated by finite differences, whose shifted points go through one
 ``eval_many`` per derivative, and along a single vector by
 :func:`finite_difference_jvp`.  A :class:`FieldFamily` is an ordered,
 indexed collection sharing a common domain.  :func:`eval_jet_norm` measures
-the size of a field's jet at a point up to order 3, and
+the size of a field's jet up to order 3, at a point or over a block of
+points, and
 :func:`estimate_lb_bound` turns a sampled (or declared) supremum of jet
 norms over a region into an :class:`LbRecord`, the bound record that powers
 every existence-radius guard downstream.
@@ -460,6 +461,12 @@ def _jet_order(s) -> int:
     return s
 
 
+def _paired(width: int) -> int:
+    """How many of a point's ``width`` directions every direction is paired
+    with at order 3: the first eighth of them, at least 4."""
+    return max(4, width // 8)
+
+
 def _block_size(space: ChartSpace, s: int, members: int) -> int:
     """Points per block of :func:`estimate_lb_bound`, at least one, such
     that the block's contraction stacks, and the random directions it draws
@@ -468,7 +475,7 @@ def _block_size(space: ChartSpace, s: int, members: int) -> int:
     if s < 2:
         return max(1, JET_STACK_ENTRIES // d ** (s + 1))
     width = MIN_UNIT_TUPLES + 2 * d  # directions per point
-    stack = width * d * d * (1 if s == 2 else max(4, width // 8))
+    stack = width * d * d * (1 if s == 2 else _paired(width))
     return max(1, JET_STACK_ENTRIES // max(stack, members * MIN_UNIT_TUPLES * d))
 
 
@@ -547,7 +554,7 @@ def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
             m2 = dirs @ jet[2].reshape(P, d * d, d).transpose(0, 2, 1)
             total = total + max_operator_norm(m2.reshape(P, -1, d, d), kind)
         if s >= 3 and jet[3].any():
-            w = dirs[:, :max(4, dirs.shape[1] // 8)]
+            w = dirs[:, :_paired(dirs.shape[1])]
             # t[p, w, k, (i, j)] = sum_l d3[p, i, j, k, l] w_l
             t = (jet[3].reshape(P, d ** 3, d) @ w.transpose(0, 2, 1)).reshape(P, d * d, d, -1)
             t = t.transpose(0, 3, 2, 1)

@@ -616,6 +616,7 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     region = region if region is not None else family.common_domain
     paths = [[start] for start in np.broadcast_to(x, (len(words), x.shape[-1]))]
     stops: list[Exception | None] = [None] * len(words)
+
     def alone(n: int, j: int) -> None:
         idx, t = words[n].letters[j]
         try:
