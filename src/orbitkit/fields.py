@@ -536,8 +536,6 @@ def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
     dom = field.domain
     if not (_row_norms(points - dom.center, dom.norm_kind) <= dom.radius + 1e-12).all():
         raise OutOfDomain(f"{field.label}: point outside domain")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     kind = space.norm_kind
     P, d = points.shape
@@ -547,6 +545,8 @@ def eval_jet_norm(field: VectorField, x: np.ndarray, s: int, space: ChartSpace,
         total = total + operator_norm(jet[1], kind)
     if s >= 2:
         if directions is None:
+            if rng is None:
+                rng = np.random.default_rng(0)
             directions = space.unit_vectors(rng, P * tuple_samples)
         dirs = _directions(space, np.asarray(directions, dtype=float).reshape(P, -1, d))
         if jet[2].any():
