@@ -94,15 +94,12 @@ def affine_l1(dim: int, count: int, decay: float = 0.5, linear_part: bool = Fals
         direction = np.zeros(dim)
         direction[a] = decay ** a
         amax = max(amax, float(np.sum(np.abs(direction))))
-        if linear_part:
-            def ev(x, d=direction.copy()):
-                return x + d
-            # x + d: the identity on the degree-1 monomials plus a constant row
-            table = MonomialTable.from_rows(np.vstack([np.zeros(dim), np.eye(dim)]),
-                                            np.vstack([direction, np.eye(dim)]))
-            members.append(VectorField(domain=dom, eval_fn=ev, label=f"A{a}", table=table))
-        else:
-            members.append(constant_field(dom, direction, label=f"A{a}"))
+        # a constant row d and, with the linear part, the identity on the
+        # degree-1 monomials: x + d
+        linear = np.eye(dim)[:dim if linear_part else 0]
+        table = MonomialTable.from_rows(np.vstack([np.zeros(dim), linear]),
+                                        np.vstack([direction, linear]))
+        members.append(VectorField(domain=dom, eval_fn=table, label=f"A{a}", table=table))
     if linear_part:
         declared = {s: radius + amax + (1.0 if s >= 1 else 0.0) for s in range(4)}
     else:

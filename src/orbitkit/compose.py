@@ -3,7 +3,7 @@
 Turns a summable coefficient family tau into a bang-bang control that walks
 the indexed fields one at a time, integrates the resulting flow to realize
 the limit composition and its inverse, and differentiates the parameter-to-
-endpoint chart map by accumulating variational matrices along the word.
+endpoint chart map by carrying one tangent vector along the word.
 :func:`extract_l1_curve` replays a realized word as a sampled curve, in the
 region the word ran in.
 
@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgument, TailNotSummable
 from .fields import FieldFamily, LbRecord
-# flow_single stays bound here so that tracing can wrap every binding of it
-from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, flow_control,  # noqa: F401
+from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, flow_control,
                    flow_single, guard)
 from .space import Ball, L1Coefficients
 
@@ -211,14 +210,13 @@ def d_psi(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
           unsafe: bool = False) -> np.ndarray:
     """Directional derivative of the chart map at tau along sigma.
 
-    Walks the merged support in index order, accumulating the prefix
-    variational matrices P_p of the word (indices only in sigma are
-    zero-duration letters).  Each sigma term contributes
-    ``sigma_p * P_p^{-1} X_p(x_p)`` (the backward-transported field value at
-    the prefix endpoint) and the sum is pushed forward through the full-word
-    variational matrix.  At tau = 0 every prefix matrix is exactly the
-    identity and the result is the plain coefficient combination of the
-    fields at x.
+    Walks the merged support in index order (indices only in sigma are
+    zero-duration letters) in one forward sweep, carrying a single tangent
+    vector v through the word: each letter's flow moves v by its
+    derivative, and after letter p, v gains ``sigma_p X_p(x_p)``, the
+    derivative of the letter's endpoint x_p in its duration.  At tau = 0
+    every letter is the identity and the result is the plain coefficient
+    combination of the fields at x.
 
     Only tau is subject to the smallness guard: sigma is the direction of a
     linear differential, so its magnitude scales the output rather than
@@ -228,16 +226,15 @@ def d_psi(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
     kept, _, _, _ = _plan(family, lb, tau, x, tol, None, unsafe)
     _require_members(family, sigma)
     tau_map = dict(kept.entries)
-    word = FlowWord(tuple((i, tau_map.get(i, 0.0))
-                          for i in sorted(set(tau_map) | set(sigma.support))))
-    P = np.eye(x.size)
-    acc = np.zeros(x.size)
-    legs = word.legs(family.members, x, tol, lb.region, tangents=P)
-    for (idx, _), (x_cur, P) in zip(word.letters, legs):
+    v = np.zeros(x.size)
+    for idx in sorted(set(tau_map) | set(sigma.support)):
+        X = family.members[idx]
+        res = flow_single(X, x, tau_map.get(idx, 0.0), tol=tol, tangents=v, region=lb.region)
+        x, v = res.endpoint, res.tangents
         s = sigma.get(idx)
         if s != 0.0:
-            acc += s * np.linalg.solve(P, family.members[idx](x_cur))
-    return P @ acc
+            v = v + s * X(x)
+    return v
 
 
 def extract_l1_curve(result: CompositionResult, samples_per_piece: int) -> L1Curve:

@@ -54,10 +54,9 @@ from .errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
                      StepUnderflow, WordNotIntegrable)
 from .fields import (FD_STEP_1, FieldFamily, LbRecord, MonomialTable, VectorField,
                      finite_difference_jvp)
-from .space import Ball, L1Coefficients, _row_norms
+from .space import Ball, L1Coefficients
 
 DEFAULT_TOL = 1e-9
-DOMAIN_INFLATE = 1e-12
 
 # Dormand-Prince 5(4) tableau (FSAL: stage 7 equals stage 1 of the next step,
 # and its input is the fifth-order solution, since row 7 of A is the B5 row).
@@ -266,6 +265,8 @@ class _Rhs:
         one = y.size == self.width
         if type(terms) is _Tables:
             if one and terms.coefficients.ndim == 2:
+                # one point by monomials_at: measured faster than a one-row
+                # batch (see MonomialTable.monomials_at)
                 x = y[:d]
                 value = terms.value.monomials_at(x).dot(terms.coefficients)
                 if not k:
@@ -282,6 +283,8 @@ class _Rhs:
             return np.concatenate((value, dW), axis=1).ravel()
         out = np.zeros(y.size)
         if one:
+            # one point in scalars: without this branch, evaluating a wave
+            # enlarged field took 1,442 us against 861 us (2-core Xeon, best of 5)
             x = y[:d]
             for m, w in terms:
                 out[:d] += w * m(x)
@@ -331,8 +334,7 @@ def _derivative_along(m: VectorField, x: np.ndarray, W: np.ndarray) -> np.ndarra
 def _outside(region: Ball, y: np.ndarray, rows: int, dim: int) -> np.ndarray:
     """Which of the ``rows`` rows stored back to back in ``y`` have their
     point outside the region (a NaN point is outside)."""
-    points = y.reshape(rows, -1)[:, :dim]
-    return ~(_row_norms(points - region.center, region.norm_kind) <= region.radius + DOMAIN_INFLATE)
+    return ~region.contains_rows(y.reshape(rows, -1)[:, :dim])
 
 
 def _left_domain(y: np.ndarray, rows: int, dim: int, outside: np.ndarray, t,

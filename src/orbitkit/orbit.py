@@ -205,15 +205,13 @@ def distribution_at(family: FieldFamily, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     fields_all = tuple(family.members) + tuple(include_enlarged)
     cols = []
-    labels = []
     for f in fields_all:
-        if not f.domain.contains(x, inflate=1e-12):
+        if not f.domain.contains(x):
             raise OutOfDomain(f"{f.label}: anchor outside domain")
         cols.append(f(x))
-        labels.append(f.label)
     vectors = np.stack(cols, axis=1) if cols else np.zeros((x.size, 0))
-    return DistributionBasis(anchor=x.copy(), vectors=vectors,
-                             source_labels=tuple(labels), source_fields=fields_all)
+    return DistributionBasis(anchor=x.copy(), vectors=vectors, source_fields=fields_all,
+                             source_labels=tuple(f.label for f in fields_all))
 
 
 def trivialization_eval(basis: DistributionBasis, family: FieldFamily,
@@ -226,7 +224,7 @@ def trivialization_eval(basis: DistributionBasis, family: FieldFamily,
         if idx >= len(basis.source_fields):
             raise InvalidArgument(f"coefficient index {idx} beyond basis size")
         f = basis.source_fields[idx]
-        if not f.domain.contains(y, inflate=1e-12):
+        if not f.domain.contains(y):
             raise OutOfDomain(f"{f.label}: evaluation point outside domain")
         out += val * f(y)
     return out

@@ -71,15 +71,14 @@ def strip_timestamp(text: str) -> str:
     return "\n".join(ln for ln in text.splitlines() if not ln.strip().startswith("timestamp "))
 
 
-def write_point_cloud(path, points: np.ndarray, labels: list[str] | None = None) -> None:
-    """Delimited text, one point per row, header row, 17 significant digits."""
+def write_point_cloud(path, points: np.ndarray) -> None:
+    """Delimited text, one point per row, a header row naming the
+    coordinates ``x0 x1 ...``, 17 significant digits."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array")
-    if labels is None:
-        labels = [f"x{i}" for i in range(pts.shape[1])]
     with open(path, "w") as fh:
-        fh.write(" ".join(labels) + "\n")
+        fh.write(" ".join(f"x{i}" for i in range(pts.shape[1])) + "\n")
         for row in pts:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 

@@ -27,11 +27,13 @@ argument tokens; a trailing ``{`` opens a nested section closed by a lone
 single spaces, shortest round-trip floats), so parse -> emit -> parse -> emit
 is byte-stable.
 
-``SCHEMA`` is the one table of options: it maps the ``space``, ``lb`` and
-``defaults`` sections, each builtin's parameters and each command to its
-options, each an :class:`Opt` with a kind and a default.  :func:`read_options`
-applies a table to a section and returns the typed values; anything the table
-does not accept is a :class:`ParseError`.  :func:`parse_scenario` reads every
+``SCHEMA`` is the one table of options: it maps the ``space``, ``family``,
+``lb`` and ``defaults`` sections, each builtin's parameters and each command
+to its options, each an :class:`Opt` with a kind and a default.
+:func:`read_options` applies a table to a section and returns the typed
+values, reading a nested section (a ball, a builtin, a ``poly`` field and
+its components) through its own table; anything the table does not accept
+is a :class:`ParseError`.  :func:`parse_scenario` reads every
 section and builds the family once (``Scenario.family``).  Commands are read
 by :func:`read_command`: ``orbitkit check`` reads them all up front, and
 ``orbitkit run`` reads each as it runs it, so that a bad command gets its
@@ -67,9 +69,6 @@ class Node:
             if c.key == key:
                 return c
         return None
-
-    def all(self, key: str) -> list["Node"]:
-        return [c for c in self.children or [] if c.key == key]
 
 
 def format_float(x: float) -> str:
@@ -193,9 +192,16 @@ def _declared(n: Node, *_) -> str | float:
     return word if word in ("auto", "off") else _floats(n, 1)[0]
 
 
-def _point(n: Node, space: ChartSpace, _members) -> np.ndarray:
+def _dimension(n: Node, space: ChartSpace | None) -> int:
+    """The chart dimension that entry ``n`` is read in."""
+    if space is None:
+        raise ParseError(f"'{n.key}' needs a 'space' section")
+    return space.dimension
+
+
+def _point(n: Node, space: ChartSpace | None, _members) -> np.ndarray:
     vals = _floats(n)
-    if len(vals) != space.dimension:
+    if len(vals) != _dimension(n, space):
         raise DimensionMismatch(f"'{n.key}' needs {space.dimension} coordinates")
     return np.array(vals)
 
@@ -227,10 +233,42 @@ def _matrix_term(n: Node, *_) -> tuple[float, tuple[int, ...], int, int]:
     return vals[0], tuple(vals[1:-2]), _integer(vals[-2], n.key), _integer(vals[-1], n.key)
 
 
-def _ball(n: Node, space: ChartSpace, _members=0) -> Ball:
+def _ball(n: Node, space: ChartSpace | None, _members) -> Ball:
     """A ``center``/``radius`` section as a ball of the chart norm."""
     p = read_options(n, _BALL, space)
     return _built(ball, p["center"], p["radius"], space.norm_kind)
+
+
+def _builtin(n: Node, *_) -> FieldFamily:
+    """A ``builtin <name>`` section as the builtin family, built from its
+    parameters (``SCHEMA["builtin"][name]``)."""
+    name = _word(n)
+    if name not in SCHEMA["builtin"]:
+        raise UnknownBuiltin(f"no builtin named {name!r}")
+    params = {k.replace("-", "_"): v for k, v in read_options(
+        n, SCHEMA["builtin"][name]).items() if v is not None}
+    if "matrix_term" in params:  # the builder's keyword is plural
+        params["matrix_terms"] = params.pop("matrix_term")
+    return _built(build, name, **params)
+
+
+def _poly(n: Node, space: ChartSpace | None, _members) -> tuple[str, list]:
+    """A ``poly <label>`` section as its label and, per chart coordinate,
+    the ``(coefficient, exponents)`` terms of that component."""
+    label = _word(n)
+    components: list[list] = [[] for _ in range(_dimension(n, space))]
+    for i, terms in read_options(n, _POLY, space)["component"]:
+        components[i] += terms
+    return label, components
+
+
+def _component(n: Node, space: ChartSpace, _members) -> tuple[int, list]:
+    """A ``component <i>`` section as its index and its ``(coefficient,
+    exponents)`` terms; :func:`polynomial_field` checks the exponents."""
+    i = _integer(_floats(n, 1)[0], n.key)
+    if not 0 <= i < space.dimension:
+        raise DimensionMismatch(f"component index {i} out of range")
+    return i, [(v[0], v[1:]) for v in read_options(n, _COMPONENT)["term"]]
 
 
 _KINDS = {
@@ -239,10 +277,13 @@ _KINDS = {
     "int": lambda n, *_: _integer(_floats(n, 1)[0], n.key),
     "word": _word, "flag": _flag, "declared": _declared, "point": _point,
     "indices": _indices, "entry": _entry, "piece": _piece, "matrix-term": _matrix_term,
-    "ball": _ball,
+    "term": lambda n, *_: _floats(n), "ball": _ball, "builtin": _builtin, "poly": _poly, "component": _component,
 }
-_REPEATED = ("entry", "piece", "matrix-term")
+_REPEATED = ("entry", "piece", "matrix-term", "term", "poly", "component")
+_SECTIONS = ("ball", "builtin", "poly", "component")  # the kinds that open a section
 _BALL = {"center": Opt("point", REQUIRED), "radius": Opt("float", REQUIRED)}
+_POLY = {"component": Opt("component")}
+_COMPONENT = {"term": Opt("term")}
 
 _RADIUS = {"radius": Opt("float"), "norm-kind": Opt("word")}
 _SHAPE = {"dim": Opt("int", REQUIRED), "count": Opt("int", REQUIRED),
@@ -260,6 +301,8 @@ SCHEMA = {
            "region": Opt("ball")},
     "defaults": {"tol": Opt("positive", DEFAULT_TOL), "seed": Opt("int", 0),
                  "samples": Opt("int", 200), "safety": Opt("float", DEFAULT_SAFETY)},
+    # one builtin, or poly fields on a domain over the space section's chart
+    "family": {"builtin": Opt("builtin"), "domain": Opt("ball"), "poly": Opt("poly")},
     # a builtin parameter left out takes the catalog builder's default
     "builtin": {
         "heisenberg": _RADIUS, "heisenberg-full": _RADIUS, "grushin": _RADIUS,
@@ -294,8 +337,9 @@ def read_options(node: Node | None, table: dict[str, Opt], space: ChartSpace | N
     (``None``: an absent section).  Points have ``space``'s dimension and
     indices name one of ``members`` family members.  Raises
     :class:`ParseError` for an unknown or repeated key, a missing or extra
-    value, a value of the wrong kind, a word outside the option's words or a
-    missing required option."""
+    value, a value of the wrong kind, a word outside the option's words, a
+    missing required option, or an option that opens a section where its
+    kind is not one of ``_SECTIONS``, or the other way round."""
     where = " ".join([node.key, *node.args]) if node else ""
     given: dict[str, list[Node]] = {}
     for c in (node.children or []) if node else []:
@@ -304,9 +348,9 @@ def read_options(node: Node | None, table: dict[str, Opt], space: ChartSpace | N
             raise ParseError(f"unknown option '{c.key}' in '{where}'")
         if c.key in given and opt.kind not in _REPEATED:
             raise ParseError(f"'{c.key}' given twice in '{where}'")
-        if (c.children is not None) != (opt.kind == "ball"):
+        if (c.children is not None) != (opt.kind in _SECTIONS):
             raise ParseError(f"'{c.key}' in '{where}' "
-                             + ("must open a section" if opt.kind == "ball" else "takes no section"))
+                             + ("must open a section" if opt.kind in _SECTIONS else "takes no section"))
         if not c.args and opt.kind != "ball":
             raise ParseError(f"'{c.key}' in '{where}' needs a value")
         given.setdefault(c.key, []).append(c)
@@ -339,93 +383,43 @@ class Scenario:
 
     # -- sections ----------------------------------------------------------
     def _section(self, key: str) -> Node | None:
-        for n in self.tree:
-            if n.key == key:
-                return n
-        return None
+        return Node("", children=self.tree).child(key)
 
     def defaults(self) -> dict:
         return read_options(self._section("defaults"), SCHEMA["defaults"])
 
     def build_family(self) -> FieldFamily:
+        """The family of the ``family`` section, read through
+        ``SCHEMA["family"]`` over the chart of the ``space`` section: one
+        builtin, or ``poly`` fields with distinct labels on the ``domain``
+        ball, which need the ``space`` section."""
         fam_sec = self._section("family")
         if fam_sec is None:
             raise ParseError("scenario needs a 'family' section")
-        space_sec = self._section("space")
-        declared_space = None
-        if space_sec is not None:
+        space = None
+        if (space_sec := self._section("space")) is not None:
             s = read_options(space_sec, SCHEMA["space"])
-            declared_space = _built(ChartSpace, s["dim"], norm_kind=s["norm"],
-                                    truncation_of_l1=s["l1-truncation"])
-
-        for c in fam_sec.children or []:
-            if c.key not in ("builtin", "poly", "domain"):
-                raise ParseError(f"unknown family entry '{c.key}'")
-        builtins = fam_sec.all("builtin")
-        polys = fam_sec.all("poly")
-        if builtins and polys:
+            space = _built(ChartSpace, s["dim"], norm_kind=s["norm"],
+                           truncation_of_l1=s["l1-truncation"])
+        f = read_options(fam_sec, SCHEMA["family"], space)
+        family, polys, dom = f["builtin"], f["poly"], f["domain"]
+        if family is not None and polys:
             raise ParseError("family mixes 'builtin' and 'poly' entries")
-        if builtins:
-            if len(builtins) != 1:
-                raise ParseError("family takes a single 'builtin' entry")
-            family = self._build_builtin(builtins[0])
-        elif polys:
-            family = self._build_poly(polys, fam_sec, declared_space)
-        else:
-            raise ParseError("family needs a 'builtin' or 'poly' entry")
-        if declared_space is not None and declared_space.dimension != family.space.dimension:
+        if family is None:
+            if not polys:
+                raise ParseError("family needs a 'builtin' or 'poly' entry")
+            if dom is None:
+                raise ParseError("polynomial families need a 'domain' section")
+            labels = [label for label, _ in polys]
+            for i, label in enumerate(labels):
+                if label in labels[:i]:
+                    raise ParseError(f"duplicate field label '{label}'")
+            family = FieldFamily(space=space, common_domain=dom, members=tuple(
+                _built(polynomial_field, dom, comps, label=label) for label, comps in polys))
+        if space is not None and space.dimension != family.space.dimension:
             raise DimensionMismatch(
-                f"space dim {declared_space.dimension} != family dim {family.space.dimension}")
+                f"space dim {space.dimension} != family dim {family.space.dimension}")
         return family
-
-    def _build_builtin(self, node: Node) -> FieldFamily:
-        if not node.args:
-            raise ParseError("'builtin' needs a name")
-        name = node.args[0]
-        if name not in SCHEMA["builtin"]:
-            raise UnknownBuiltin(f"no builtin named {name!r}")
-        params = {k.replace("-", "_"): v for k, v in read_options(
-            node, SCHEMA["builtin"][name]).items() if v is not None}
-        if "matrix_term" in params:  # the builder's keyword is plural
-            params["matrix_terms"] = params.pop("matrix_term")
-        return _built(build, name, **params)
-
-    def _build_poly(self, polys: list[Node], fam_sec: Node,
-                    declared_space: ChartSpace | None) -> FieldFamily:
-        if declared_space is None:
-            raise ParseError("polynomial families need a 'space' section")
-        dim = declared_space.dimension
-        dom_sec = fam_sec.child("domain")
-        if dom_sec is None:
-            raise ParseError("polynomial families need a 'domain' section")
-        dom = _ball(dom_sec, declared_space)
-
-        members = []
-        labels = set()
-        for p in polys:
-            if not p.args:
-                raise ParseError("'poly' needs a label")
-            label = p.args[0]
-            if label in labels:
-                raise ParseError(f"duplicate field label '{label}'")
-            labels.add(label)
-            comps: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(dim)]
-            for c in p.children or []:
-                if c.key != "component":
-                    raise ParseError(f"unknown poly entry '{c.key}'")
-                ci = _integer(_floats(c, 1)[0], c.key)
-                if not 0 <= ci < dim:
-                    raise DimensionMismatch(f"component index {ci} out of range")
-                for t in c.children or []:
-                    if t.key != "term":
-                        raise ParseError(f"unknown component entry '{t.key}'")
-                    vals = _floats(t)
-                    if not vals:
-                        raise ParseError("'term' needs a coefficient")
-                    comps[ci].append((vals[0], tuple(vals[1:])))
-            # polynomial_field checks each term's exponents
-            members.append(_built(polynomial_field, dom, comps, label=label))
-        return FieldFamily(space=declared_space, members=tuple(members), common_domain=dom)
 
     def lb_params(self) -> dict:
         """The ``lb`` section; its ``region`` is a ball of the family's chart

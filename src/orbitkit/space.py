@@ -21,6 +21,10 @@ import numpy as np
 from .errors import InvalidArgument
 
 NORM_KINDS = ("sup", "euclidean", "l1")
+# The one boundary rule: a point is in a ball when its distance to the center
+# is within the radius plus this slack, which absorbs the rounding of a point
+# computed to lie on the boundary.
+BOUNDARY_SLACK = 1e-12
 
 
 def vector_norm(v: np.ndarray, kind: str) -> float:
@@ -180,9 +184,15 @@ class Ball:
         if self.norm_kind not in NORM_KINDS:
             raise InvalidArgument(f"unknown norm kind {self.norm_kind!r}")
 
-    def contains(self, point: np.ndarray, inflate: float = 0.0) -> bool:
-        d = vector_norm(np.asarray(point) - self.center, self.norm_kind)
-        return d <= self.radius + inflate
+    def contains(self, point: np.ndarray) -> bool:
+        """Whether the point (d,) lies in the ball, as :meth:`contains_rows`."""
+        return bool(self.contains_rows(np.asarray(point, dtype=float)[None])[0])
+
+    def contains_rows(self, points: np.ndarray) -> np.ndarray:
+        """Whether each row of ``points`` (N, d) lies in the ball: within the
+        radius plus ``BOUNDARY_SLACK`` of the center.  A row with a NaN lies
+        outside."""
+        return _row_norms(points - self.center, self.norm_kind) <= self.radius + BOUNDARY_SLACK
 
     def distance_to_boundary(self, point: np.ndarray) -> float:
         """radius - ||point - center||; negative outside the ball."""
@@ -190,7 +200,7 @@ class Ball:
 
     def contains_ball(self, other: "Ball") -> bool:
         d = vector_norm(other.center - self.center, self.norm_kind)
-        return d + other.radius <= self.radius + 1e-12
+        return d + other.radius <= self.radius + BOUNDARY_SLACK
 
 
 def ball(center, radius: float, norm_kind: str = "euclidean") -> Ball:

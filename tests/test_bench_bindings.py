@@ -48,7 +48,9 @@ def test_word_runs_reach_the_traced_flow_single(monkeypatch, heis, heis_lb):
         calls.append(np.shape(args[1]))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "flow_single", counted)
+    # d_psi runs its letters through compose's binding of flow_single
+    for module in (flow, compose):
+        monkeypatch.setattr(module, "flow_single", counted)
     shapes = {}
     for name, run in runs.items():
         calls.clear()

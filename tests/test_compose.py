@@ -7,7 +7,7 @@ from orbitkit.errors import GuardViolated, InvalidArgument, TailNotSummable
 from orbitkit.compose import (compose_flows, compose_inverse, d_psi, extract_l1_curve,
                               gamma_control, psi_chart)
 from orbitkit.fields import LbRecord, estimate_lb_bound
-from orbitkit.flow import flow_control, guard
+from orbitkit.flow import FlowWord, flow_control, guard
 from orbitkit.space import L1Coefficients
 
 TOL = 1e-9
@@ -286,6 +286,49 @@ class TestChartDifferential:
             an = d_psi(heis, heis_lb, x, tau, sigma, tol=TOL)
             scale = max(1.0, float(np.abs(an).max()))
             assert np.abs(fd - an).max() <= 1e-4 * scale
+
+
+def frame_and_solve_d_psi(family, lb, x, tau, sigma, tol=TOL):
+    """The chart differential from the prefix variational matrices P_p of
+    the word: ``P_n sum_p sigma_p P_p^{-1} X_p(x_p)``, one identity frame
+    carried through the word and one solve per sigma letter."""
+    tau_map = dict(tau.entries)
+    word = FlowWord(tuple((i, tau_map.get(i, 0.0))
+                          for i in sorted(set(tau_map) | set(sigma.support))))
+    P, acc = np.eye(x.size), np.zeros(x.size)
+    legs = word.legs(family.members, x, tol, lb.region, tangents=P)
+    for (idx, _), (y, P) in zip(word.letters, legs):
+        if sigma.get(idx):
+            acc += sigma.get(idx) * np.linalg.solve(P, family.members[idx](y))
+    return P @ acc
+
+
+class TestForwardSweep:
+    @pytest.mark.parametrize("name", ["heisenberg", "grushin", "affine-l1"])
+    def test_matches_the_frame_and_solve_reference(self, name, rng):
+        family = {"heisenberg": heisenberg(), "grushin": grushin(),
+                  "affine-l1": affine_l1(8, 8, 0.5, linear_part=True)}[name]
+        lb = estimate_lb_bound(family, family.common_domain, 1, 20, force_sampled=True)
+        m, d = len(family), family.space.dimension
+        for _ in range(10):
+            x = rng.uniform(-0.1, 0.1, d)
+            tau = L1Coefficients.from_pairs((int(i), float(rng.uniform(-0.3, 0.3)) / lb.bound_k)
+                                            for i in rng.choice(m, min(m, 3), replace=False))
+            sigma = L1Coefficients.from_pairs((int(i), float(rng.normal()))
+                                              for i in rng.choice(m, min(m, 2), replace=False))
+            got = d_psi(family, lb, x, tau, sigma)
+            ref = frame_and_solve_d_psi(family, lb, x, tau, sigma)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), (name, tau, sigma)
+
+    def test_heisenberg_closed_form(self, heis, heis_lb, rng):
+        # psi(tau) = (a + t0, b + t1, c + t1 (a + t0)) from (a, b, c)
+        for _ in range(10):
+            a, b, c = x = rng.uniform(-0.1, 0.1, 3)
+            t0, t1, s0, s1 = rng.uniform(-0.2, 0.2, 4)
+            tau = L1Coefficients(((0, t0), (1, t1)))
+            got = d_psi(heis, heis_lb, x, tau, L1Coefficients(((0, s0), (1, s1))))
+            expected = np.array([s0, s1, s1 * (a + t0) + t1 * s0])
+            assert np.abs(got - expected).max() <= 1e-14
 
 
 class TestL1Curve:

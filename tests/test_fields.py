@@ -28,11 +28,16 @@ def ysq_field(domain):
     return polynomial_field(domain, [((1.0, (0, 2)),), ()], label="Ysq")
 
 
+def _draws(space, seed, count=MIN_UNIT_TUPLES):
+    """``count`` random unit directions, drawn from a stream seeded with ``seed``."""
+    return space.unit_vectors(np.random.default_rng(seed), count)
+
+
 class TestEvalJetNorm:
     def test_constant_field(self, plane):
         dom = ball([0, 0], 5.0)
         X = constant_field(dom, [3.0, 4.0])
-        assert eval_jet_norm(X, np.zeros(2), 2, plane) == pytest.approx(5.0)
+        assert eval_jet_norm(X, np.zeros(2), 2, plane, directions=_draws(plane, 0)) == pytest.approx(5.0)
 
     def test_linear_identity(self, plane):
         dom = ball([0, 0], 10.0)
@@ -43,7 +48,7 @@ class TestEvalJetNorm:
     def test_second_order(self, plane):
         dom = ball([0, 2], 3.0)
         X = ysq_field(dom)
-        got = eval_jet_norm(X, np.array([0.0, 2.0]), 2, plane)
+        got = eval_jet_norm(X, np.array([0.0, 2.0]), 2, plane, directions=_draws(plane, 0))
         # value 4 + Jacobian norm 4 + second-derivative norm 2
         assert got == pytest.approx(10.0, abs=1e-3)
 
@@ -64,6 +69,14 @@ class TestEvalJetNorm:
         X = constant_field(ball([0, 0], 1.0), [1.0, 0.0])
         with pytest.raises(InvalidArgument):
             eval_jet_norm(X, np.zeros(2), s, plane)
+
+    def test_orders_two_and_three_need_directions(self, plane):
+        X = ysq_field(ball([0, 2], 3.0))
+        x = np.array([0.0, 2.0])
+        assert eval_jet_norm(X, x, 1, plane) == pytest.approx(8.0)  # value 4, Jacobian 4
+        for s in (2, 3):
+            with pytest.raises(InvalidArgument):
+                eval_jet_norm(X, x, s, plane)
 
     def test_a_block_gives_one_norm_per_point(self, plane):
         X = ysq_field(ball([0, 2], 3.0))
@@ -148,7 +161,7 @@ class TestTensorJets:
             for x in points:
                 for m in fam.members:
                     seed = int(rng.integers(0, 2 ** 31))
-                    got = eval_jet_norm(m, x, s, fam.space, rng=np.random.default_rng(seed))
+                    got = eval_jet_norm(m, x, s, fam.space, directions=_draws(fam.space, seed))
                     ref = reference_jet_norm(m, x, s, fam.space, np.random.default_rng(seed))
                     assert got == pytest.approx(ref, rel=rel), (m.label, x, s)
 
@@ -156,7 +169,7 @@ class TestTensorJets:
     def test_enlarged_field_matches_reference(self, heis, heis_lb, s, rel):
         Z = enlarge_field(heis, FlowWord(((0, 0.4), (1, -0.3))), 1, 1.5, heis_lb)
         x = np.array([0.2, -0.1, 0.3])
-        got = eval_jet_norm(Z, x, s, heis.space, rng=np.random.default_rng(3), tuple_samples=8)
+        got = eval_jet_norm(Z, x, s, heis.space, directions=_draws(heis.space, 3, 8))
         ref = reference_jet_norm(Z, x, s, heis.space, np.random.default_rng(3), tuple_samples=8)
         assert got == pytest.approx(ref, rel=rel)
 
@@ -181,7 +194,7 @@ class TestTensorJets:
                     + max(operator_norm(d2 @ v, kind) for v in dirs)
                     + max(operator_norm(d3 @ w @ v, kind)
                           for v in dirs for w in dirs[: max(4, len(dirs) // 8)]))
-        got = eval_jet_norm(X, x, 3, space, rng=np.random.default_rng(11))
+        got = eval_jet_norm(X, x, 3, space, directions=_draws(space, 11))
         assert got == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("kind", ["euclidean", "l1", "sup"])
@@ -358,11 +371,34 @@ class TestFamilyTable:
             assert _close(values[:, a], member.table.derivative.eval_many(points), 1e-13)
         assert _close(values, family.table.derivative.eval_many(points), 1e-13)
 
+    @pytest.mark.parametrize("family", CATALOG_FAMILIES + [affine_l1(16, 16, linear_part=True)],
+                             ids=lambda f: "-".join(m.label for m in f.members))
+    def test_derivative_table_is_the_merged_member_derivatives_bit_for_bit(self, family, rng):
+        D = family.derivative_table
+        ref = fields._merge_tables([m.table.derivative for m in family.members])
+        assert np.array_equal(D.exponents, ref.exponents)
+        assert D.coefficients.tobytes() == ref.coefficients.tobytes()
+        weights = rng.normal(size=(4, len(family)))
+        for w in (weights, weights[0]):
+            assert D.weighted(w).tobytes() == ref.weighted(w).tobytes()
+
     def test_an_untabled_member_leaves_no_family_table(self, heis):
         members = (heis.members[0], replace(heis.members[1], table=None))
         fam = FieldFamily(space=heis.space, members=members, common_domain=heis.common_domain)
         assert fam.table is None
         assert fam.derivative_table is None
+
+
+def test_affine_members_with_a_linear_part_are_x_plus_their_direction(rng):
+    # the members evaluate by their table, which is x + decay^a e_a bit for bit
+    fam = affine_l1(16, 10, 0.7, linear_part=True)
+    points = rng.uniform(-0.25, 0.25, (200, 16))  # inside the l1 ball of radius 4
+    for a, member in enumerate(fam.members):
+        direction = np.zeros(16)
+        direction[a] = 0.7 ** a
+        assert member.eval_fn is member.table
+        assert all(np.array_equal(member(x), x + direction) for x in points)
+        assert np.array_equal(member.table.eval_many(points), points + direction)
 
 
 def _dense_derivative(table):
@@ -519,12 +555,13 @@ class TestJetBlocks:
         P = np.array(sample_in_ball(ball(np.zeros(d), 0.5), fam.space, rng, 5))
         for m in fam.members + (replace(fam.members[-1], table=None),):
             for s in (0, 1, 2, 3):
-                got = eval_jet_norm(m, P, s, fam.space, rng=np.random.default_rng(s))
+                got = eval_jet_norm(m, P, s, fam.space, directions=_draws(
+                    fam.space, s, len(P) * MIN_UNIT_TUPLES).reshape(len(P), -1, d))
                 one = np.random.default_rng(s)
                 ref = [per_point_jet_norm(m, x, s, fam.space, one) for x in P]
                 assert got.shape == (len(P),)
                 assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (m.label, s)
-                assert eval_jet_norm(m, P[0], s, fam.space, rng=np.random.default_rng(s)) == got[0]
+                assert eval_jet_norm(m, P[0], s, fam.space, directions=_draws(fam.space, s)) == got[0]
 
     @pytest.mark.parametrize("cubic", [False, True])
     def test_grushin_order_three_stacks_stay_under_the_cap(self, cubic, monkeypatch):
@@ -620,6 +657,26 @@ class TestEstimateLbBound:
             rec = estimate_lb_bound(fam, ball(np.zeros(fam.space.dimension), 1.0),
                                     s, 25, force_sampled=True)
             assert np.isfinite(rec.bound_k) and rec.bound_k > 0
+
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_a_field_undefined_on_part_of_the_region_gets_no_record(self, s):
+        # (sqrt(x0), 1) is NaN where x0 < 0, about half of the samples: no
+        # sampled bound holds there, at any order and in the euclidean norm
+        dom = ball([0, 0], 1.0)
+        X = VectorField(dom, lambda x: np.array([np.sqrt(x[0]), 1.0]), label="Sqrt")
+        fam = FieldFamily(ChartSpace(2), (X,), dom)
+        with pytest.raises(OutOfDomain, match="Sqrt"):
+            estimate_lb_bound(fam, dom, s, 50, force_sampled=True)
+
+    def test_a_jet_that_overflows_gets_no_record(self):
+        # x0^400 overflows where |x0| > 5.9 or so, inside the domain
+        dom = ball([0, 0], 10.0)
+        fam = FieldFamily(ChartSpace(2), (polynomial_field(dom, [((1.0, (400, 0)),), ()], "P"),),
+                          dom)
+        with pytest.raises(OutOfDomain, match="P"):
+            estimate_lb_bound(fam, dom, 1, 200)
+        # a point where the jet is finite still gets its norm
+        assert eval_jet_norm(fam.members[0], np.array([1.0, 0.0]), 1, fam.space) == 401.0
 
     def test_operator_family_bounded_jets(self):
         from orbitkit.catalog import operator_family

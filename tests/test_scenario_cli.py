@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orbitkit import scenario
 from orbitkit.catalog import BUILTINS
 from orbitkit.cli import main, run_scenario
 from orbitkit.errors import DimensionMismatch, ParseError, UnknownBuiltin
@@ -427,6 +428,74 @@ class TestBadScenarios:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "lb region" in err
         assert not (tmp_path / "out").exists()
+
+
+_DOMAIN = "  domain {\n    center 0 0\n    radius 4\n  }\n"
+_X1 = "  poly X1 {\n    component 0 {\n      term 1.0 0 0\n    }\n  }\n"
+_HEIS = "  builtin heisenberg {\n    radius 8\n  }\n"
+
+
+def _family(body, space="space {\n  dim 2\n}\n"):
+    return f"{space}family {{\n{body}}}\ncommand check-lb {{\n}}\n"
+
+
+# family sections that are rejected, each with the exact class it raises
+BAD_FAMILIES = {
+    "unknown-entry": (_family(_DOMAIN + _X1 + "  wat 3\n"), ParseError),
+    "builtin-plus-poly": (_family(_HEIS + _DOMAIN + _X1), ParseError),
+    "two-builtins": (_family(_HEIS + _HEIS, ""), ParseError),
+    "poly-without-space": (_family(_DOMAIN + _X1, ""), ParseError),
+    "poly-without-domain": (_family(_X1), ParseError),
+    "duplicate-label": (_family(_DOMAIN + _X1 + _X1), ParseError),
+    "component-out-of-range": (_family(_DOMAIN + _X1.replace("component 0", "component 2")),
+                               DimensionMismatch),
+    "term-without-coefficient": (_family(_DOMAIN + _X1.replace("term 1.0 0 0", "term")),
+                                 ParseError),
+    "unknown-poly-entry": (_family(_DOMAIN + "  poly X1 {\n    wat 3\n  }\n"), ParseError),
+    "unknown-component-entry": (_family(
+        _DOMAIN + "  poly X1 {\n    component 0 {\n      wat 3\n    }\n  }\n"), ParseError),
+    "unknown-builtin": (_family("  builtin nosuch {\n  }\n", ""), UnknownBuiltin),
+}
+
+
+@pytest.mark.parametrize("text, kind", BAD_FAMILIES.values(), ids=BAD_FAMILIES.keys())
+def test_bad_family_sections_raise_their_class(text, kind):
+    with pytest.raises((ParseError, UnknownBuiltin)) as info:
+        parse_scenario(text)
+    assert type(info.value) is kind
+
+
+def test_every_section_but_version_and_command_is_read_through_the_schema(monkeypatch):
+    read = []
+    original = scenario.read_options
+
+    def spy(node, table, *args, **kwargs):
+        read.append((node.key if node else None, id(table)))
+        return original(node, table, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "read_options", spy)
+    for text in (POLY_SCENARIO.replace("family {", "lb {\n  order 1\n}\ndefaults {\n"
+                                       "  seed 3\n}\nfamily {"), HEIS_SCENARIO):
+        read.clear()
+        sc = parse_scenario(text)
+        sections = {n.key for n in sc.tree} - {"version", "command"}
+        assert sections >= {"family", "lb", "defaults"}
+        for key in sections:
+            assert (key, id(SCHEMA[key])) in read, key
+
+
+def test_a_jet_that_overflows_gives_error_reports_not_a_traceback(tmp_path):
+    # x0^400 overflows inside the domain of radius 10: the lb record is
+    # refused, and every command, check-lb included, reports why
+    text = (_poly(domain_radius="10", term="1 400 0") + "lb {\n  order 1\n}\n"
+            "command bracket-chain {\n  point 0 0\n}\n")
+    p = tmp_path / "s.okit"
+    p.write_text(text)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+    reports = sorted((tmp_path / "out").glob("report-*.txt"))
+    assert [r.name for r in reports] == ["report-01-check-lb.txt", "report-02-bracket-chain.txt"]
+    for r in reports:
+        assert "type OutOfDomain" in r.read_text(), r.name
 
 
 def test_reports_name_the_calculus(tmp_path):
