@@ -7,14 +7,17 @@ options are read through ``scenario.read_command`` when it runs, so a bad
 command gets its own error report and the rest still run.  ``orbitkit
 catalog`` lists the builtin systems; ``orbitkit check <scenario>`` parses
 the scenario and reads every command's options without running any.  Exit
-codes: 0 success, 1 any command errored, 2 parse error (for ``check``, also
-a command the option table rejects).
+codes: 0 success, 1 any command errored, 2 parse error, a scenario file
+that cannot be read or an output path that cannot be written (for
+``check``, also a command the option table rejects).  Each command's report
+comes from its runner in ``COMMANDS``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ from . import algebra, compose, flow, orbit
 from .catalog import BUILTIN_SUMMARIES
 from .errors import OrbitKitError, ParseError
 from .fields import FieldFamily, LbRecord, calculus, estimate_lb_bound
-from .flow import Control, ExistenceCertificate
+from .flow import Control
 from .report import Report, leaf, section, vector_leaf, write_point_cloud
 from .scenario import Node, Scenario, parse_scenario, positive_float, read_command
 from .space import L1Coefficients
@@ -57,140 +60,144 @@ def _configuration(family: FieldFamily, lb: LbRecord | None, defaults: dict,
     return cfg
 
 
-def _guarded(cmd: Node, cfg: list[Node], cert: ExistenceCertificate,
-             results: list[Node]) -> Report:
-    """A report whose configuration ends with the guard the library enforced."""
-    guard = section("guard", [leaf(key, float(getattr(cert, key)))
-                              for key in ("r", "k", "c", "T0", "margin")]
-                    + [leaf("unsafe", cert.unsafe)])
-    return Report(cmd, cfg + [guard], results)
+def _calculus(family: FieldFamily) -> Node:
+    return leaf("calculus", calculus(family.members))
 
 
-def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
-                out_dir: Path, index: int, unsafe: bool) -> Report:
-    name = cmd.args[0]
-    o = read_command(cmd, family)
-    tol = defaults["tol"] if o["tol"] is None else o["tol"]
-    unsafe = unsafe or o["unsafe"]
-    x0 = o.get("point")
-    cfg = _configuration(family, lb, defaults, tol)
+def _cloud(out_dir: Path, name: str | None, points: np.ndarray,
+           key: str = "cloud-file") -> list[Node]:
+    """Write ``points`` to the cloud file ``name`` and name it in a leaf;
+    nothing without a name."""
+    if name is None:
+        return []
+    write_point_cloud(out_dir / name, points)
+    return [leaf(key, name)]
 
-    if name == "check-lb":
-        order = lb.order_s if o["order"] is None else o["order"]
-        samples = defaults["samples"] if o["samples"] is None else o["samples"]
-        rec = estimate_lb_bound(family, lb.region, order, samples,
-                                rng_seed=defaults["seed"], safety=defaults["safety"],
-                                force_sampled=o["force-sampled"])
-        results = [leaf("bound-k", rec.bound_k), leaf("order", rec.order_s),
-                   leaf("method", rec.method), leaf("region-radius", rec.region.radius),
-                   leaf("samples", samples), leaf("calculus", calculus(family.members))]
-        return Report(cmd, cfg, results)
 
-    if name == "flow":
-        T0 = o["duration"]
-        control = Control(pieces=tuple((a, b, L1Coefficients.from_pairs(pairs))
-                                       for a, b, pairs in o["piece"]))
-        variational = np.eye(family.space.dimension) if o["variational"] else None
-        res = flow.flow_control(family, control, x0, o["t0"], T0,
-                                tangents=variational, tol=tol, lb=lb, unsafe=unsafe)
-        results = [vector_leaf("endpoint", res.endpoint),
-                   leaf("endpoint-tolerance", tol * (1.0 + abs(T0))),
-                   leaf("steps", res.steps_taken),
-                   leaf("unsafe", res.certificate.unsafe)]
-        if o["variational"]:
-            for i, row in enumerate(res.tangents):
-                results.append(vector_leaf(f"variational-row-{i}", row))
-        return _guarded(cmd, cfg, res.certificate, results)
+# Each runner takes a command's options, the family, the lb, the defaults, the
+# command's tol and unsafe and the output directory, and returns the
+# certificate of the guard it enforced (None: unguarded) and its results.
 
-    if name in ("compose", "invert"):
-        tau = L1Coefficients.from_pairs(o["entry"], o["tail"])
-        trunc = o["truncation"]
-        if name == "compose":
-            res = compose.compose_flows(family, lb, tau, x0, tol=tol, truncation_n=trunc,
-                                        path=o["path"], unsafe=unsafe)
-        else:
-            res = compose.compose_inverse(family, lb, tau, x0, tol=tol, truncation_n=trunc,
-                                          path=o["path"], unsafe=unsafe)
-        results = [vector_leaf("endpoint", res.endpoint),
-                   leaf("endpoint-tolerance", tol * (1.0 + tau.norm1)),
-                   leaf("truncation-n", res.truncation_n),
-                   leaf("tail-error-bound", res.tail_error_bound),
-                   leaf("tail-factor-note", *compose.TAIL_FACTOR_NOTE.split()),
-                   leaf("unsafe", res.certificate.unsafe)]
-        results.extend(leaf("letter", int(i), float(d)) for i, d in res.word)
-        if o.get("out") is not None and o["curve-samples"] > 0:
-            curve = compose.extract_l1_curve(res, o["curve-samples"])
-            write_point_cloud(out_dir / o["out"], curve.points)
-            results.append(leaf("curve-file", o["out"]))
-            results.append(leaf("curve-samples", curve.points.shape[0]))
-        return _guarded(cmd, cfg, res.certificate, results)
+def _check_lb(o, family, lb, defaults, tol, unsafe, out_dir):
+    order = lb.order_s if o["order"] is None else o["order"]
+    samples = defaults["samples"] if o["samples"] is None else o["samples"]
+    rec = estimate_lb_bound(family, lb.region, order, samples,
+                            rng_seed=defaults["seed"], safety=defaults["safety"],
+                            force_sampled=o["force-sampled"])
+    return None, [leaf("bound-k", rec.bound_k), leaf("order", rec.order_s),
+                  leaf("method", rec.method), leaf("region-radius", rec.region.radius),
+                  leaf("samples", samples), _calculus(family)]
 
-    if name == "slice":
-        rho, axes = o["rho"], o["axes"]
-        res = orbit.slice_grid(family, lb, x0, rho, o["grid"], axes, tol=tol, unsafe=unsafe)
-        results = [leaf("rank-at-zero", res.jacobian_rank_at_zero),
-                   leaf("axes", *axes), leaf("rho", rho),
-                   leaf("points", res.points.shape[0]),
-                   leaf("point-tolerance", tol * (1.0 + rho * len(axes)))]
-        if o["out"] is not None:
-            write_point_cloud(out_dir / o["out"], res.points)
-            results.append(leaf("cloud-file", o["out"]))
-        return _guarded(cmd, cfg, res.certificate, results)
 
-    if name == "bracket-chain":
-        chain = algebra.bracket_chain(family, x0, o["k-max"])
-        results = [leaf("ranks", *chain.rank_profile),
-                   leaf("rank-tolerance", orbit.RANK_REL_TOL),
-                   leaf("generations", len(chain.generations)),
-                   leaf("final-rank", chain.final_rank),
-                   leaf("calculus", calculus(family.members))]
-        return Report(cmd, cfg, results)
+def _flow(o, family, lb, defaults, tol, unsafe, out_dir):
+    control = Control(pieces=tuple((a, b, L1Coefficients.from_pairs(pairs))
+                                   for a, b, pairs in o["piece"]))
+    variational = np.eye(family.space.dimension) if o["variational"] else None
+    res = flow.flow_control(family, control, o["point"], o["t0"], o["duration"],
+                            tangents=variational, tol=tol, lb=lb, unsafe=unsafe)
+    results = [vector_leaf("endpoint", res.endpoint),
+               leaf("endpoint-tolerance", tol * (1.0 + abs(o["duration"]))),
+               leaf("steps", res.steps_taken), leaf("unsafe", res.certificate.unsafe)]
+    if o["variational"]:
+        results += [vector_leaf(f"variational-row-{i}", row)
+                    for i, row in enumerate(res.tangents)]
+    return res.certificate, results
 
-    if name == "certify-hprime":
-        rep = algebra.certify_h_prime(family, lb.region, grid_size=o["grid"], tol=o["tolerance"])
-        results = [leaf("certified", rep.certified),
-                   leaf("bound-C", rep.bound_C),
-                   leaf("max-residual", float(rep.residuals.max(initial=0.0))),
-                   leaf("tolerance", rep.tolerance),
-                   leaf("grid-points", rep.grid.shape[0]),
-                   leaf("rank-deficient-points", len(rep.rank_deficient_points)),
-                   leaf("calculus", calculus(family.members)),
-                   leaf("note", *rep.note.split())]
-        return Report(cmd, cfg, results)
 
-    if name == "orbit-sample":
-        mode = o["mode"]
-        samp = orbit.orbit_sample(family, lb, x0, o["budget"], o["max-word-len"],
-                                  defaults["seed"], tol=tol, mode=mode,
-                                  exploration_radius=o["exploration-radius"])
-        pts = samp.points()
-        truncated = sum(1 for _, _, t in samp.cloud if t)
-        results = [leaf("points", pts.shape[0]),
-                   leaf("d-max", samp.d_max),
-                   leaf("mode", mode),
-                   leaf("truncated-words", truncated),
-                   leaf("replay-tolerance", 10.0 * tol)]
-        if o["spot-check"]:
-            gap = orbit.spot_check_sample(family, samp, tol=tol)
-            results.append(leaf("spot-check-max-gap", gap))
-        if o["out"] is not None:
-            write_point_cloud(out_dir / o["out"], pts)
-            results.append(leaf("cloud-file", o["out"]))
-        return _guarded(cmd, cfg, samp.certificate, results)
+def _compose(o, family, lb, defaults, tol, unsafe, out_dir, inverse=False):
+    tau = L1Coefficients.from_pairs(o["entry"], o["tail"])
+    run = compose.compose_inverse if inverse else compose.compose_flows
+    res = run(family, lb, tau, o["point"], tol=tol, truncation_n=o["truncation"],
+              path=o["path"], unsafe=unsafe)
+    results = [vector_leaf("endpoint", res.endpoint),
+               leaf("endpoint-tolerance", tol * (1.0 + tau.norm1)),
+               leaf("truncation-n", res.truncation_n),
+               leaf("tail-error-bound", res.tail_error_bound),
+               leaf("tail-factor-note", *compose.TAIL_FACTOR_NOTE.split()),
+               leaf("unsafe", res.certificate.unsafe)]
+    results += [leaf("letter", int(i), float(d)) for i, d in res.word]
+    if o.get("out") is not None and o["curve-samples"] > 0:  # invert has no curve
+        points = compose.extract_l1_curve(res, o["curve-samples"]).points
+        results += _cloud(out_dir, o["out"], points, "curve-file")
+        results.append(leaf("curve-samples", points.shape[0]))
+    return res.certificate, results
 
-    # verdict: read_command accepts no other name
-    v = orbit.accessibility_verdict(family, x0, o["k-max"])
-    results = [leaf("kind", v.kind),
-               leaf("ranks", *v.rank_profile),
-               leaf("dimension", v.dimension),
-               leaf("rank-tolerance", orbit.RANK_REL_TOL),
-               leaf("calculus", calculus(family.members))]
+
+def _slice(o, family, lb, defaults, tol, unsafe, out_dir):
+    rho, axes = o["rho"], o["axes"]
+    res = orbit.slice_grid(family, lb, o["point"], rho, o["grid"], axes, tol=tol,
+                           unsafe=unsafe)
+    return res.certificate, [
+        leaf("rank-at-zero", res.jacobian_rank_at_zero), leaf("axes", *axes),
+        leaf("rho", rho), leaf("points", res.points.shape[0]),
+        leaf("point-tolerance", tol * (1.0 + rho * len(axes))),
+        *_cloud(out_dir, o["out"], res.points)]
+
+
+def _bracket_chain(o, family, lb, defaults, tol, unsafe, out_dir):
+    chain = algebra.bracket_chain(family, o["point"], o["k-max"])
+    return None, [leaf("ranks", *chain.rank_profile), leaf("rank-tolerance", orbit.RANK_REL_TOL),
+                  leaf("generations", len(chain.generations)),
+                  leaf("final-rank", chain.final_rank), _calculus(family)]
+
+
+def _certify_hprime(o, family, lb, defaults, tol, unsafe, out_dir):
+    rep = algebra.certify_h_prime(family, lb.region, grid_size=o["grid"], tol=o["tolerance"])
+    return None, [leaf("certified", rep.certified), leaf("bound-C", rep.bound_C),
+                  leaf("max-residual", float(rep.residuals.max(initial=0.0))),
+                  leaf("tolerance", rep.tolerance), leaf("grid-points", rep.grid.shape[0]),
+                  leaf("rank-deficient-points", len(rep.rank_deficient_points)),
+                  _calculus(family), leaf("note", *rep.note.split())]
+
+
+def _orbit_sample(o, family, lb, defaults, tol, unsafe, out_dir):
+    samp = orbit.orbit_sample(family, lb, o["point"], o["budget"], o["max-word-len"],
+                              defaults["seed"], tol=tol, mode=o["mode"],
+                              exploration_radius=o["exploration-radius"])
+    pts = samp.points()
+    results = [leaf("points", pts.shape[0]), leaf("d-max", samp.d_max),
+               leaf("mode", o["mode"]),
+               leaf("truncated-words", sum(1 for _, _, t in samp.cloud if t)),
+               leaf("replay-tolerance", 10.0 * tol)]
+    if o["spot-check"]:
+        results.append(leaf("spot-check-max-gap", orbit.spot_check_sample(family, samp, tol=tol)))
+    return samp.certificate, results + _cloud(out_dir, o["out"], pts)
+
+
+def _verdict(o, family, lb, defaults, tol, unsafe, out_dir):
+    v = orbit.accessibility_verdict(family, o["point"], o["k-max"])
+    results = [leaf("kind", v.kind), leaf("ranks", *v.rank_profile),
+               leaf("dimension", v.dimension), leaf("rank-tolerance", orbit.RANK_REL_TOL),
+               _calculus(family)]
     if v.saturation_k is not None:
         results.append(leaf("saturation-k", v.saturation_k))
     if v.final_rank is not None:
         results.append(leaf("final-rank", v.final_rank))
     if v.truncation_ranks is not None:
         results.append(leaf("truncation-ranks", *v.truncation_ranks))
+    return None, results
+
+
+# the output twin of SCHEMA["command"]: each command's runner
+COMMANDS = {"check-lb": _check_lb, "flow": _flow, "compose": _compose,
+            "invert": partial(_compose, inverse=True), "slice": _slice,
+            "bracket-chain": _bracket_chain, "certify-hprime": _certify_hprime,
+            "orbit-sample": _orbit_sample, "verdict": _verdict}
+
+
+def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
+                out_dir: Path, unsafe: bool) -> Report:
+    """One command's report; the configuration ends with the guard the
+    library enforced when the command is guarded."""
+    o = read_command(cmd, family)
+    tol = defaults["tol"] if o["tol"] is None else o["tol"]
+    cert, results = COMMANDS[cmd.args[0]](o, family, lb, defaults, tol,
+                                          unsafe or o["unsafe"], out_dir)
+    cfg = _configuration(family, lb, defaults, tol)
+    if cert is not None:
+        cfg.append(section("guard", [leaf(key, float(getattr(cert, key)))
+                                     for key in ("r", "k", "c", "T0", "margin")]
+                           + [leaf("unsafe", cert.unsafe)]))
     return Report(cmd, cfg, results)
 
 
@@ -213,17 +220,14 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
     out_dir.mkdir(parents=True, exist_ok=True)
     any_error = False
     for i, cmd in enumerate(scenario.commands(), start=1):
-        error = lb_error
-        if error is None:
-            try:
-                report = run_command(cmd, family, lb, defaults, out_dir, i, unsafe)
-            except OrbitKitError as exc:
-                error = exc
-        if error is not None:
+        try:
+            if lb_error is not None:
+                raise lb_error
+            report = run_command(cmd, family, lb, defaults, out_dir, unsafe)
+        except OrbitKitError as exc:
             any_error = True
             report = Report(cmd, _configuration(family, lb, defaults, defaults["tol"]), [],
-                            status="error",
-                            error=(type(error).__name__, str(error)))
+                            error=(type(exc).__name__, str(exc)))
         path = out_dir / f"report-{i:02d}-{cmd.args[0]}.txt"
         path.write_text(report.render(timestamp=timestamp))
     return 1 if any_error else 0
@@ -253,33 +257,31 @@ def main(argv=None) -> int:
             print(f"{name:22s} {BUILTIN_SUMMARIES[name]}")
         return 0
 
-    text = Path(args.scenario).read_text()
+    # a file that cannot be read and an output path that cannot be a
+    # directory are errors in the input, as a parse error is
     try:
-        scenario = parse_scenario(text)
-        tol = getattr(args, "tol", None)
-        tol = None if tol is None else positive_float(tol, "--tol")
-    except OrbitKitError as exc:
+        scenario = parse_scenario(Path(args.scenario).read_text())
+        if args.action == "run":
+            tol = None if args.tol is None else positive_float(args.tol, "--tol")
+            out_dir = Path(args.out) if args.out else Path(args.scenario).with_suffix(".out")
+            code = run_scenario(scenario, out_dir, seed=args.seed, unsafe=args.unsafe, tol=tol)
+            print(f"reports written to {out_dir}")
+            return code
+    except (OrbitKitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.action == "check":
-        bad = 0
-        for i, cmd in enumerate(scenario.commands(), start=1):
-            try:
-                read_command(cmd, scenario.family)
-            except ParseError as exc:
-                print(f"error: command {i} '{cmd.args[0]}': {exc}", file=sys.stderr)
-                bad += 1
-        if bad:
-            return 2
-        print(f"ok: {len(scenario.commands())} command(s)")
-        return 0
-
-    out_dir = Path(args.out) if args.out else Path(args.scenario).with_suffix(".out")
-    code = run_scenario(scenario, out_dir, seed=args.seed, unsafe=args.unsafe, tol=tol)
-    print(f"reports written to {out_dir}")
-    return code
-
+    bad = 0
+    for i, cmd in enumerate(scenario.commands(), start=1):
+        try:
+            read_command(cmd, scenario.family)
+        except ParseError as exc:
+            print(f"error: command {i} '{cmd.args[0]}': {exc}", file=sys.stderr)
+            bad += 1
+    if bad:
+        return 2
+    print(f"ok: {len(scenario.commands())} command(s)")
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -53,13 +53,9 @@ class InvalidArgument(OrbitKitError, ValueError):
 class ParseError(OrbitKitError):
     """Scenario text failed to parse."""
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.column = column
 
 
 class UnknownBuiltin(OrbitKitError):

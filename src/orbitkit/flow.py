@@ -146,9 +146,12 @@ class ExistenceCertificate:
     k: float
     c: float
     T0: float
-    satisfied: bool
     margin: float
     unsafe: bool = False
+
+    @property
+    def satisfied(self) -> bool:
+        return self.margin > 0
 
     def enforce(self, unsafe: bool = False) -> "ExistenceCertificate":
         """The one enforcement step: raise :class:`GuardViolated` when the
@@ -181,7 +184,7 @@ def guard(lb: LbRecord, x: np.ndarray, c: float, T0: float) -> ExistenceCertific
     r = existence_radius(lb, np.asarray(x, dtype=float))
     k = lb.bound_k
     margin = (math.inf if c == 0.0 else r / (k * c)) - T0
-    return ExistenceCertificate(r=r, k=k, c=c, T0=T0, satisfied=margin > 0, margin=margin)
+    return ExistenceCertificate(r=r, k=k, c=c, T0=T0, margin=margin)
 
 
 @dataclass(frozen=True)

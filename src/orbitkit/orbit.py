@@ -90,7 +90,8 @@ class DistributionBasis:
         s = np.linalg.svd(v, compute_uv=False) if v.size else np.array([])
         object.__setattr__(self, "rank", int(rank_of_singular_values(s)))
         nonzero = s[s > 0]
-        cond = float(nonzero[0] / nonzero[-1]) if nonzero.size else float("inf")
+        # Python floats: a tiny singular value gives inf, not numpy's overflow warning
+        cond = float(nonzero[0]) / float(nonzero[-1]) if nonzero.size else float("inf")
         object.__setattr__(self, "condition", cond)
 
     def coefficient_solver(self, target: np.ndarray) -> tuple[np.ndarray, float]:

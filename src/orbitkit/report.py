@@ -23,8 +23,8 @@ def leaf(key: str, *args) -> Node:
     return Node(key=key, args=[_tok(a) for a in args])
 
 
-def section(key: str, children: list[Node], *args) -> Node:
-    return Node(key=key, args=[_tok(a) for a in args], children=children)
+def section(key: str, children: list[Node]) -> Node:
+    return Node(key=key, children=children)
 
 
 def _tok(a) -> str:
@@ -41,12 +41,12 @@ def vector_leaf(key: str, v: np.ndarray) -> Node:
 
 @dataclass
 class Report:
-    """One command's outcome as a canonical tree."""
+    """One command's outcome as a canonical tree; its status is ``ok``, or
+    ``error`` when it carries an error."""
 
     command_echo: Node
     configuration: list[Node]
     results: list[Node]
-    status: str = "ok"
     error: tuple[str, str] | None = None  # (type, message)
 
     def render(self, timestamp: str | None = None) -> str:
@@ -62,7 +62,7 @@ class Report:
         if self.error is not None:
             children.append(section("error", [leaf("type", self.error[0]),
                                               leaf("message-words", *self.error[1].split())]))
-        children.append(leaf("status", self.status))
+        children.append(leaf("status", "ok" if self.error is None else "error"))
         return emit_tree([section("report", children)]) + "\n"
 
 

@@ -391,8 +391,8 @@ class Scenario:
     def build_family(self) -> FieldFamily:
         """The family of the ``family`` section, read through
         ``SCHEMA["family"]`` over the chart of the ``space`` section: one
-        builtin, or ``poly`` fields with distinct labels on the ``domain``
-        ball, which need the ``space`` section."""
+        builtin, which takes no ``domain``, or ``poly`` fields with distinct
+        labels on the ``domain`` ball, which need the ``space`` section."""
         fam_sec = self._section("family")
         if fam_sec is None:
             raise ParseError("scenario needs a 'family' section")
@@ -403,8 +403,9 @@ class Scenario:
                            truncation_of_l1=s["l1-truncation"])
         f = read_options(fam_sec, SCHEMA["family"], space)
         family, polys, dom = f["builtin"], f["poly"], f["domain"]
-        if family is not None and polys:
-            raise ParseError("family mixes 'builtin' and 'poly' entries")
+        if family is not None and (polys or dom is not None):
+            # a builtin's own 'radius' sets its domain
+            raise ParseError("a 'builtin' family takes no 'poly' or 'domain' entry")
         if family is None:
             if not polys:
                 raise ParseError("family needs a 'builtin' or 'poly' entry")

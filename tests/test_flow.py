@@ -52,6 +52,14 @@ class TestGuard:
         assert cert.satisfied
         assert cert.margin == np.inf
 
+    def test_satisfied_is_read_from_the_margin(self):
+        lb = LbRecord(order_s=2, bound_k=1.25, region=ball([0, 0], 4.0))
+        late = replace(guard(lb, np.zeros(2), 1.0, 1.0), margin=-0.5)
+        assert not late.satisfied
+        with pytest.raises(GuardViolated):
+            late.enforce()
+        assert late.enforce(unsafe=True).unsafe
+
     def test_domain_too_small(self):
         lb = LbRecord(order_s=2, bound_k=1.25, region=ball([0, 0], 1.0))
         with pytest.raises(DomainTooSmall):

@@ -78,6 +78,13 @@ class TestDistributionAt:
         assert np.array_equal(coeff, [0.0, 0.0])
         assert residual == pytest.approx(math.sqrt(5.0))
 
+    def test_a_subnormal_singular_value_gives_an_infinite_condition(self):
+        # a bracket chain at the point (2.2e-313, 0) of the poly family
+        # (X1, X2) = (e0, x0 e1) builds this basis
+        basis = DistributionBasis(np.zeros(2), np.diag([1.0, 2.2250738585e-313]), ("a", "b"))
+        assert basis.rank == 1
+        assert basis.condition == math.inf
+
     @pytest.mark.parametrize("vectors, target, l1", [
         ([[1.0, 1.0], [0.0, 0.0]], [2.0, 0.0], 2.0),  # duplicate columns
         ([[0.0, 2.0], [0.0, 1.0]], [4.0, 2.0], 2.0),  # a zero column beside a nonzero one

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbitkit import scenario
+from orbitkit import cli, scenario
 from orbitkit.catalog import BUILTINS
 from orbitkit.cli import main, run_scenario
 from orbitkit.errors import DimensionMismatch, ParseError, UnknownBuiltin
-from orbitkit.report import read_point_cloud, strip_timestamp
+from orbitkit.report import Report, read_point_cloud, strip_timestamp
 from orbitkit.scenario import (REQUIRED, SCHEMA, Node, emit_tree, parse_scenario, parse_tree,
                                read_command)
 
@@ -455,6 +455,9 @@ BAD_FAMILIES = {
     "unknown-component-entry": (_family(
         _DOMAIN + "  poly X1 {\n    component 0 {\n      wat 3\n    }\n  }\n"), ParseError),
     "unknown-builtin": (_family("  builtin nosuch {\n  }\n", ""), UnknownBuiltin),
+    # a builtin's size is its own radius
+    "builtin-plus-domain": (_family(_HEIS + "  domain {\n    center 0 0 0\n    radius 1\n  }\n",
+                                    "space {\n  dim 3\n}\n"), ParseError),
 }
 
 
@@ -552,6 +555,24 @@ class TestCliEntry:
         p.write_text("family {\n  wat\n")
         assert main(["check", str(p)]) == 2
         assert main(["run", str(p)]) == 2
+
+    @pytest.mark.parametrize("content", [None, b"\xff"], ids=["missing", "not-utf-8"])
+    def test_an_unreadable_scenario_file_is_an_error_not_a_traceback(self, content, tmp_path,
+                                                                       capsys):
+        p = tmp_path / "s.okit"
+        if content is not None:
+            p.write_bytes(content)
+        for argv in (["check", str(p)], ["run", str(p), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_output_path_that_is_a_file_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        p = tmp_path / "s.okit"
+        p.write_text(HEIS_SCENARIO)
+        (tmp_path / "taken").write_text("")
+        assert main(["run", str(p), "--out", str(tmp_path / "taken")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_run_writes_reports(self, tmp_path, capsys):
         p = tmp_path / "s.okit"
@@ -827,6 +848,15 @@ def test_error_reports_carry_the_configuration(tmp_path):
     assert {"norm", "dimension", "members", "l1-truncation", "tol", "seed", "lb"} == set(cfg)
     assert _leaves(report.child("error"))["type"] == ["GuardViolated"]
     assert report.child("status").args == ["error"]
+    # the status is read from the error: a report that carries one says so
+    echo = report.child("command")
+    for error, status in ((None, "ok"), (("GuardViolated", "margin -1"), "error")):
+        rendered = parse_tree(Report(echo, [], [], error=error).render())[0]
+        assert rendered.child("status").args == [status]
+
+
+def test_every_command_of_the_option_table_has_one_runner():
+    assert set(cli.COMMANDS) == set(SCHEMA["command"])
 
 
 @pytest.mark.parametrize("out", [None, "curve.txt"])
