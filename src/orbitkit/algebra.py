@@ -129,7 +129,7 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
     the screen.
     """
     if nu <= 0:
-        raise ValueError("scale must be positive")
+        raise InvalidArgument("scale must be positive")
     if isinstance(base_index, EnlargedField):
         inner = base_index
         return enlarge_field(family, inner.word.then(word), inner.base_index,
@@ -251,18 +251,15 @@ def bracket_chain(family: FieldFamily, x: np.ndarray, k_max: int) -> BracketChai
     columns: list[np.ndarray] = [f(x) for f in members]
     new_fields: list[VectorField] = list(members)
     generations: list[DistributionBasis] = []
-    ranks: list[int] = []
 
     def basis() -> DistributionBasis:
         return DistributionBasis(anchor=x.copy(), vectors=np.stack(columns, axis=1),
                                  source_labels=tuple(f.label for f in fields_acc),
                                  source_fields=tuple(fields_acc))
 
-    gen = basis()
-    generations.append(gen)
-    ranks.append(gen.rank)
+    generations.append(basis())
     for k in range(2, k_max + 1):
-        if ranks[-1] >= dim:
+        if generations[-1].rank >= dim:
             break
         created: list[VectorField] = []
         for i, X in enumerate(members):
@@ -277,14 +274,11 @@ def bracket_chain(family: FieldFamily, x: np.ndarray, k_max: int) -> BracketChai
         if created:
             fields_acc = fields_acc + created
             columns = columns + [f(x) for f in created]
-            gen = basis()
         new_fields = created
-        generations.append(gen)
-        ranks.append(gen.rank)
+        generations.append(basis() if created else generations[-1])
         if len(members) == 1:
             break  # a lone field brackets with nothing
-    return BracketChain(anchor=x.copy(), generations=tuple(generations),
-                        rank_profile=tuple(ranks))
+    return BracketChain(anchor=x.copy(), generations=tuple(generations))
 
 
 @dataclass(frozen=True)

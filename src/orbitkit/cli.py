@@ -11,6 +11,12 @@ codes: 0 success, 1 any command errored, 2 parse error, a scenario file
 that cannot be read or an output path that cannot be written (for
 ``check``, also a command the option table rejects).  Each command's report
 comes from its runner in ``COMMANDS``.
+
+One defaults rule: an option that a command or the ``lb`` section leaves out
+takes the value of the same name in the ``defaults`` section (``tol``,
+``samples``, ``seed``, ``safety``), after ``--seed`` and ``--tol`` have
+replaced theirs.  A command's ``out`` is a file name inside the output
+directory.
 """
 
 from __future__ import annotations
@@ -32,27 +38,31 @@ from .scenario import Node, Scenario, parse_scenario, positive_float, read_comma
 from .space import L1Coefficients
 
 
-def _build_lb(scenario: Scenario, family: FieldFamily, defaults: dict) -> LbRecord:
-    p = scenario.lb_params()
+def _with_defaults(options: dict, defaults: dict) -> dict:
+    """``options`` with each one left out (``None``) or absent taking the
+    value of the same name in ``defaults``."""
+    return {**options, **{k: v for k, v in defaults.items() if options.get(k) is None}}
+
+
+def _build_lb(p: dict, family: FieldFamily) -> LbRecord:
+    """The lb of the ``lb`` section ``p``, read with the defaults rule."""
     region = p["region"] or family.common_domain
-    samples = defaults["samples"] if p["samples"] is None else p["samples"]
     if p["declared"] not in ("auto", "off"):
         return LbRecord(order_s=p["order"], bound_k=p["declared"],
                         region=region, method="declared")
-    return estimate_lb_bound(family, region, p["order"], samples,
-                             rng_seed=defaults["seed"], safety=defaults["safety"],
-                             force_sampled=p["declared"] == "off")
+    return estimate_lb_bound(family, region, p["order"], p["samples"], rng_seed=p["seed"],
+                             safety=p["safety"], force_sampled=p["declared"] == "off")
 
 
-def _configuration(family: FieldFamily, lb: LbRecord | None, defaults: dict,
-                   tol: float) -> list[Node]:
+def _configuration(family: FieldFamily, lb: LbRecord | None, o: dict) -> list[Node]:
+    """The configuration section, with the ``tol`` and ``seed`` of ``o``."""
     cfg = [
         leaf("norm", family.space.norm_kind),
         leaf("dimension", family.space.dimension),
         leaf("members", len(family.members)),
         leaf("l1-truncation", family.space.truncation_of_l1),
-        leaf("tol", float(tol)),
-        leaf("seed", defaults["seed"]),
+        leaf("tol", float(o["tol"])),
+        leaf("seed", o["seed"]),
     ]
     if lb is not None:
         cfg.append(section("lb", [leaf("k", float(lb.bound_k)), leaf("order", lb.order_s),
@@ -64,37 +74,36 @@ def _calculus(family: FieldFamily) -> Node:
     return leaf("calculus", calculus(family.members))
 
 
-def _cloud(out_dir: Path, name: str | None, points: np.ndarray,
-           key: str = "cloud-file") -> list[Node]:
-    """Write ``points`` to the cloud file ``name`` and name it in a leaf;
-    nothing without a name."""
-    if name is None:
+def _cloud(path: Path | None, points: np.ndarray, key: str = "cloud-file") -> list[Node]:
+    """Write ``points`` to the cloud file ``path`` and name it in a leaf;
+    nothing without a path."""
+    if path is None:
         return []
-    write_point_cloud(out_dir / name, points)
-    return [leaf(key, name)]
+    write_point_cloud(path, points)
+    return [leaf(key, path.name)]
 
 
-# Each runner takes a command's options, the family, the lb, the defaults, the
-# command's tol and unsafe and the output directory, and returns the
-# certificate of the guard it enforced (None: unguarded) and its results.
+# Each runner takes a command's options, read with the defaults rule (its
+# ``unsafe`` is on when the run's is, its ``out`` is a path in the output
+# directory), the family and the lb, and returns the certificate of the guard
+# it enforced (None: unguarded) and its results.
 
-def _check_lb(o, family, lb, defaults, tol, unsafe, out_dir):
+def _check_lb(o, family, lb):
     order = lb.order_s if o["order"] is None else o["order"]
-    samples = defaults["samples"] if o["samples"] is None else o["samples"]
-    rec = estimate_lb_bound(family, lb.region, order, samples,
-                            rng_seed=defaults["seed"], safety=defaults["safety"],
-                            force_sampled=o["force-sampled"])
+    rec = estimate_lb_bound(family, lb.region, order, o["samples"], rng_seed=o["seed"],
+                            safety=o["safety"], force_sampled=o["force-sampled"])
     return None, [leaf("bound-k", rec.bound_k), leaf("order", rec.order_s),
                   leaf("method", rec.method), leaf("region-radius", rec.region.radius),
-                  leaf("samples", samples), _calculus(family)]
+                  leaf("samples", o["samples"]), _calculus(family)]
 
 
-def _flow(o, family, lb, defaults, tol, unsafe, out_dir):
+def _flow(o, family, lb):
+    tol = o["tol"]
     control = Control(pieces=tuple((a, b, L1Coefficients.from_pairs(pairs))
                                    for a, b, pairs in o["piece"]))
     variational = np.eye(family.space.dimension) if o["variational"] else None
     res = flow.flow_control(family, control, o["point"], o["t0"], o["duration"],
-                            tangents=variational, tol=tol, lb=lb, unsafe=unsafe)
+                            tangents=variational, tol=tol, lb=lb, unsafe=o["unsafe"])
     results = [vector_leaf("endpoint", res.endpoint),
                leaf("endpoint-tolerance", tol * (1.0 + abs(o["duration"]))),
                leaf("steps", res.steps_taken), leaf("unsafe", res.certificate.unsafe)]
@@ -104,11 +113,11 @@ def _flow(o, family, lb, defaults, tol, unsafe, out_dir):
     return res.certificate, results
 
 
-def _compose(o, family, lb, defaults, tol, unsafe, out_dir, inverse=False):
-    tau = L1Coefficients.from_pairs(o["entry"], o["tail"])
+def _compose(o, family, lb, inverse=False):
+    tol, tau = o["tol"], L1Coefficients.from_pairs(o["entry"], o["tail"])
     run = compose.compose_inverse if inverse else compose.compose_flows
     res = run(family, lb, tau, o["point"], tol=tol, truncation_n=o["truncation"],
-              path=o["path"], unsafe=unsafe)
+              path=o["path"], unsafe=o["unsafe"])
     results = [vector_leaf("endpoint", res.endpoint),
                leaf("endpoint-tolerance", tol * (1.0 + tau.norm1)),
                leaf("truncation-n", res.truncation_n),
@@ -118,30 +127,30 @@ def _compose(o, family, lb, defaults, tol, unsafe, out_dir, inverse=False):
     results += [leaf("letter", int(i), float(d)) for i, d in res.word]
     if o.get("out") is not None and o["curve-samples"] > 0:  # invert has no curve
         points = compose.extract_l1_curve(res, o["curve-samples"]).points
-        results += _cloud(out_dir, o["out"], points, "curve-file")
+        results += _cloud(o["out"], points, "curve-file")
         results.append(leaf("curve-samples", points.shape[0]))
     return res.certificate, results
 
 
-def _slice(o, family, lb, defaults, tol, unsafe, out_dir):
-    rho, axes = o["rho"], o["axes"]
+def _slice(o, family, lb):
+    tol, rho, axes = o["tol"], o["rho"], o["axes"]
     res = orbit.slice_grid(family, lb, o["point"], rho, o["grid"], axes, tol=tol,
-                           unsafe=unsafe)
+                           unsafe=o["unsafe"])
     return res.certificate, [
         leaf("rank-at-zero", res.jacobian_rank_at_zero), leaf("axes", *axes),
         leaf("rho", rho), leaf("points", res.points.shape[0]),
         leaf("point-tolerance", tol * (1.0 + rho * len(axes))),
-        *_cloud(out_dir, o["out"], res.points)]
+        *_cloud(o["out"], res.points)]
 
 
-def _bracket_chain(o, family, lb, defaults, tol, unsafe, out_dir):
+def _bracket_chain(o, family, lb):
     chain = algebra.bracket_chain(family, o["point"], o["k-max"])
     return None, [leaf("ranks", *chain.rank_profile), leaf("rank-tolerance", orbit.RANK_REL_TOL),
                   leaf("generations", len(chain.generations)),
                   leaf("final-rank", chain.final_rank), _calculus(family)]
 
 
-def _certify_hprime(o, family, lb, defaults, tol, unsafe, out_dir):
+def _certify_hprime(o, family, lb):
     rep = algebra.certify_h_prime(family, lb.region, grid_size=o["grid"], tol=o["tolerance"])
     return None, [leaf("certified", rep.certified), leaf("bound-C", rep.bound_C),
                   leaf("max-residual", float(rep.residuals.max(initial=0.0))),
@@ -150,9 +159,10 @@ def _certify_hprime(o, family, lb, defaults, tol, unsafe, out_dir):
                   _calculus(family), leaf("note", *rep.note.split())]
 
 
-def _orbit_sample(o, family, lb, defaults, tol, unsafe, out_dir):
+def _orbit_sample(o, family, lb):
+    tol = o["tol"]
     samp = orbit.orbit_sample(family, lb, o["point"], o["budget"], o["max-word-len"],
-                              defaults["seed"], tol=tol, mode=o["mode"],
+                              o["seed"], tol=tol, mode=o["mode"],
                               exploration_radius=o["exploration-radius"])
     pts = samp.points()
     results = [leaf("points", pts.shape[0]), leaf("d-max", samp.d_max),
@@ -161,10 +171,10 @@ def _orbit_sample(o, family, lb, defaults, tol, unsafe, out_dir):
                leaf("replay-tolerance", 10.0 * tol)]
     if o["spot-check"]:
         results.append(leaf("spot-check-max-gap", orbit.spot_check_sample(family, samp, tol=tol)))
-    return samp.certificate, results + _cloud(out_dir, o["out"], pts)
+    return samp.certificate, results + _cloud(o["out"], pts)
 
 
-def _verdict(o, family, lb, defaults, tol, unsafe, out_dir):
+def _verdict(o, family, lb):
     v = orbit.accessibility_verdict(family, o["point"], o["k-max"])
     results = [leaf("kind", v.kind), leaf("ranks", *v.rank_profile),
                leaf("dimension", v.dimension), leaf("rank-tolerance", orbit.RANK_REL_TOL),
@@ -189,11 +199,12 @@ def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                 out_dir: Path, unsafe: bool) -> Report:
     """One command's report; the configuration ends with the guard the
     library enforced when the command is guarded."""
-    o = read_command(cmd, family)
-    tol = defaults["tol"] if o["tol"] is None else o["tol"]
-    cert, results = COMMANDS[cmd.args[0]](o, family, lb, defaults, tol,
-                                          unsafe or o["unsafe"], out_dir)
-    cfg = _configuration(family, lb, defaults, tol)
+    o = _with_defaults(read_command(cmd, family), defaults)
+    o["unsafe"] |= unsafe
+    if o.get("out") is not None:
+        o["out"] = out_dir / o["out"]
+    cert, results = COMMANDS[cmd.args[0]](o, family, lb)
+    cfg = _configuration(family, lb, o)
     if cert is not None:
         cfg.append(section("guard", [leaf(key, float(getattr(cert, key)))
                                      for key in ("r", "k", "c", "T0", "margin")]
@@ -214,7 +225,7 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
     # an lb that cannot be built (a declared bound of -3 or `samples 0`, say)
     # fails every command, each with its own error report
     try:
-        lb, lb_error = _build_lb(scenario, family, defaults), None
+        lb, lb_error = _build_lb(_with_defaults(scenario.lb_params(), defaults), family), None
     except OrbitKitError as exc:
         lb, lb_error = None, exc
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +237,7 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
             report = run_command(cmd, family, lb, defaults, out_dir, unsafe)
         except OrbitKitError as exc:
             any_error = True
-            report = Report(cmd, _configuration(family, lb, defaults, defaults["tol"]), [],
+            report = Report(cmd, _configuration(family, lb, defaults), [],
                             error=(type(exc).__name__, str(exc)))
         path = out_dir / f"report-{i:02d}-{cmd.args[0]}.txt"
         path.write_text(report.render(timestamp=timestamp))

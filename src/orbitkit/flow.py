@@ -323,11 +323,9 @@ class _Rhs:
 
 
 def _derivative_along(m: VectorField, x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """``DX(x) W`` at each row of x for the blocks W (N, d, k): from the
-    monomial table's derivative, or by one central difference per column,
-    which takes two evaluations where a finite-difference Jacobian takes 2d."""
-    if m.table is not None:
-        return m.table.derivative.eval_many(x) @ W
+    """``DX(x) W`` at each row of x for the blocks W (N, d, k) of an
+    untabled field, by one central difference per column, which takes two
+    evaluations where a finite-difference Jacobian takes 2d."""
     n, d, k = W.shape
     columns = W.transpose(0, 2, 1).reshape(n * k, d)
     dW = finite_difference_jvp(m, np.repeat(x, k, axis=0), columns)
@@ -496,7 +494,7 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
         raise InvalidArgument(f"flow times must be finite, not t0={t0!r}, T0={T0!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.size != family.space.dimension:
-        raise ValueError("start point dimension mismatch")
+        raise InvalidArgument("start point dimension mismatch")
 
     certificate = None
     if lb is not None:

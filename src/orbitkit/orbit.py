@@ -75,14 +75,15 @@ class DistributionBasis:
     ``vectors`` is a (dim, m) matrix whose columns are the field values at
     ``anchor``; ``source_labels`` names the producing fields and
     ``source_fields`` keeps them evaluable for downstream trivializations.
+    ``rank`` and ``condition`` are read from the vectors' singular values.
     """
 
     anchor: np.ndarray
     vectors: np.ndarray
     source_labels: tuple[str, ...]
     source_fields: tuple[VectorField, ...] = field(compare=False, repr=False, default=())
-    rank: int = 0
-    condition: float = float("inf")
+    rank: int = field(init=False)
+    condition: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
@@ -147,7 +148,11 @@ class BracketChain:
 
     anchor: np.ndarray
     generations: tuple[DistributionBasis, ...]
-    rank_profile: tuple[int, ...]
+
+    @property
+    def rank_profile(self) -> tuple[int, ...]:
+        """The rank of each generation."""
+        return tuple(g.rank for g in self.generations)
 
     @property
     def final_rank(self) -> int:

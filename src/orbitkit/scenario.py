@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import PurePath
 
 import numpy as np
 
@@ -180,6 +181,14 @@ def _word(n: Node, *_) -> str:
     return n.args[0]
 
 
+def _file(n: Node, *_) -> str:
+    """A plain file name, such as a command's ``out``: no directory part."""
+    name = _word(n)
+    if PurePath(name).name != name or name in (".", ".."):
+        raise ParseError(f"'{n.key}' takes a file name without a directory, not '{name}'")
+    return name
+
+
 def _flag(n: Node, *_) -> bool:
     if _word(n) not in ("on", "off"):
         raise ParseError(f"'{n.key}' takes on or off")
@@ -275,7 +284,7 @@ _KINDS = {
     "float": lambda n, *_: _floats(n, 1)[0],
     "positive": lambda n, *_: positive_float(_word(n), n.key),
     "int": lambda n, *_: _integer(_floats(n, 1)[0], n.key),
-    "word": _word, "flag": _flag, "declared": _declared, "point": _point,
+    "word": _word, "file": _file, "flag": _flag, "declared": _declared, "point": _point,
     "indices": _indices, "entry": _entry, "piece": _piece, "matrix-term": _matrix_term,
     "term": lambda n, *_: _floats(n), "ball": _ball, "builtin": _builtin, "poly": _poly, "component": _component,
 }
@@ -316,16 +325,16 @@ SCHEMA = {
                      "force-sampled": Opt("flag", False)},
         "flow": {**_POINT, "t0": Opt("float", 0.0), "duration": Opt("float", 1.0),
                  "piece": Opt("piece", REQUIRED), "variational": Opt("flag", False)},
-        "compose": {**_COMPOSE, "curve-samples": Opt("int", 0), "out": Opt("word")},
+        "compose": {**_COMPOSE, "curve-samples": Opt("int", 0), "out": Opt("file")},
         "invert": _COMPOSE,
         "slice": {**_POINT, "rho": Opt("positive", 0.1), "grid": Opt("int", 5),
-                  "axes": Opt("indices", (0,)), "out": Opt("word")},
+                  "axes": Opt("indices", (0,)), "out": Opt("file")},
         "bracket-chain": {**_POINT, "k-max": Opt("int", 3)},
         "certify-hprime": {"grid": Opt("int", 5), "tolerance": Opt("float", 1e-8)},
         "orbit-sample": {**_POINT, "budget": Opt("int", 1000), "max-word-len": Opt("int", 8),
                          "mode": Opt("word", "explore", ("explore", "independent")),
                          "exploration-radius": Opt("positive"),
-                         "spot-check": Opt("flag", False), "out": Opt("word")},
+                         "spot-check": Opt("flag", False), "out": Opt("file")},
         "verdict": {**_POINT, "k-max": Opt("int", 3)},
     }.items()},
 }

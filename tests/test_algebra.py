@@ -9,7 +9,7 @@ from orbitkit.errors import InvalidArgument, OutOfDomain, WordNotIntegrable
 from orbitkit.fields import (FieldFamily, LbRecord, MonomialTable, VectorField,
                              estimate_lb_bound, polynomial_field)
 from orbitkit.flow import flow_single
-from orbitkit.orbit import accessibility_verdict, numerical_rank
+from orbitkit.orbit import BracketChain, accessibility_verdict, numerical_rank
 from orbitkit.space import ChartSpace, ball
 
 TOL = 1e-9
@@ -235,6 +235,11 @@ class TestEnlargement:
         assert not Y.in_enlargement
         assert Y.screen_jet > heis_lb.bound_k
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0])
+    def test_a_scale_that_is_not_positive_is_an_invalid_argument(self, heis, heis_lb, nu):
+        with pytest.raises(InvalidArgument, match="scale must be positive"):
+            enlarge_field(heis, FlowWord(()), 0, nu, heis_lb)
+
     def test_word_not_integrable(self):
         from orbitkit.errors import WordNotIntegrable
         from orbitkit.fields import FieldFamily, LbRecord
@@ -269,6 +274,12 @@ class TestBracketChain:
         chain = bracket_chain(heis, np.zeros(3), 2)
         g1, g2 = chain.generations
         assert g2.source_labels[:len(g1.source_labels)] == g1.source_labels
+
+    def test_the_rank_profile_is_read_from_the_generations(self, heis):
+        chain = bracket_chain(heis, np.zeros(3), 3)
+        assert chain.rank_profile == tuple(g.rank for g in chain.generations) == (2, 3)
+        with pytest.raises(TypeError):
+            BracketChain(chain.anchor, chain.generations, rank_profile=(2, 3))
 
 
 def chain_family(dim, coeffs=None):

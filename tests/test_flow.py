@@ -143,6 +143,28 @@ class TestFlowControl:
         with pytest.raises(LeftDomain):
             flow_control(fam, u, np.zeros(2), 0.0, 5.0)
 
+    def test_a_start_point_of_another_dimension_is_an_invalid_argument(self, heis):
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 0.1)
+        with pytest.raises(InvalidArgument, match="start point dimension"):
+            flow_control(heis, u, np.zeros(2), 0.0, 0.1)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 3, 1)])
+    def test_tangents_of_another_shape_are_an_invalid_argument(self, heis, shape):
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 0.1)
+        with pytest.raises(InvalidArgument, match="tangents"):
+            flow_control(heis, u, np.zeros(3), 0.0, 0.1, tangents=np.zeros(shape))
+        with pytest.raises(InvalidArgument, match="tangents"):
+            flow_single(heis.members[0], np.zeros(3), 0.1, tangents=np.zeros(shape))
+
+    def test_a_start_point_outside_the_region_is_refused(self, heis):
+        x = np.array([9.0, 0.0, 0.0])  # heis lives on the radius-8 ball
+        u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 0.1)
+        for run in (lambda: flow_control(heis, u, x, 0.0, 0.1),
+                    lambda: flow_single(heis.members[0], x, 0.1)):
+            with pytest.raises(LeftDomain, match="start point outside the working region") as info:
+                run()
+            assert np.array_equal(info.value.last_point, x)
+
     def test_gap_means_zero_control(self):
         fam = commuting_constants(2, 2)
         u = Control(pieces=((0.0, 1.0, L1Coefficients(((0, 1.0),))),

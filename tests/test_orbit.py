@@ -85,6 +85,12 @@ class TestDistributionAt:
         assert basis.rank == 1
         assert basis.condition == math.inf
 
+    def test_rank_and_condition_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            DistributionBasis(np.zeros(2), np.eye(2), ("a", "b"), rank=5)
+        with pytest.raises(TypeError):
+            DistributionBasis(np.zeros(2), np.eye(2), ("a", "b"), condition=1.0)
+
     @pytest.mark.parametrize("vectors, target, l1", [
         ([[1.0, 1.0], [0.0, 0.0]], [2.0, 0.0], 2.0),  # duplicate columns
         ([[0.0, 2.0], [0.0, 1.0]], [4.0, 2.0], 2.0),  # a zero column beside a nonzero one

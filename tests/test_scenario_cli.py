@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from orbitkit import cli, scenario
+from orbitkit import cli, orbit, scenario
 from orbitkit.catalog import BUILTINS
 from orbitkit.cli import main, run_scenario
 from orbitkit.errors import DimensionMismatch, ParseError, UnknownBuiltin
@@ -905,6 +905,73 @@ def test_unguarded_commands_run_outside_the_lb_region(tmp_path):
         assert _leaves(report.child("results"))["ranks"] == ["2", "3"], path.name
 
 
+def test_a_run_tol_replaces_the_defaults_tol_and_a_command_tol_wins(tmp_path, capsys):
+    flow = "point 0 0 0\n  duration 0.2\n  piece 0 0.2 0 1"
+    text = HEIS_HEADER + "".join(f"command {name} {{\n  {body}\n}}\n" for name, body in (
+        ("flow", flow), ("flow", flow + "\n  tol 1e-05"), ("verdict", "bogus 1")))
+    p = tmp_path / "s.okit"
+    p.write_text(text)
+    runs = {"api": lambda out: run_scenario(parse_scenario(text), out, tol=1e-6),
+            "cli": lambda out: main(["run", str(p), "--out", str(out), "--tol", "1e-6"])}
+    for how, run in runs.items():
+        assert run(tmp_path / how) == 1
+        reports = [_report(path) for path in sorted((tmp_path / how).glob("report-*.txt"))]
+        # the error report of the bad verdict carries the run's tol too
+        assert [float(r.child("configuration").child("tol").args[0]) for r in reports] \
+            == [1e-6, 1e-5, 1e-6], how
+        assert [float(_leaves(r.child("results"))["endpoint-tolerance"][0])
+                for r in reports[:2]] == [1e-6 * 1.2, 1e-5 * 1.2], how
+        assert reports[2].child("status").args == ["error"]
+
+
+def test_a_verdict_on_a_truncated_l1_chart_reports_its_truncation_ranks(tmp_path):
+    text = ("space {\n  dim 16\n  norm l1\n  l1-truncation on\n}\n"
+            "family {\n  builtin affine-l1 {\n    dim 16\n    count 3\n  }\n}\n"
+            "command verdict {\n  point" + " 0" * 16 + "\n}\n")
+    sc = parse_scenario(text)
+    assert run_scenario(sc, tmp_path / "out") == 0
+    results = _leaves(_report(tmp_path / "out" / "report-01-verdict.txt").child("results"))
+    v = orbit.accessibility_verdict(sc.family, np.zeros(16), 3)
+    assert v.kind == "approximately_controllable"
+    assert results["kind"] == [v.kind]
+    assert results["truncation-ranks"] == [str(r) for r in v.truncation_ranks] == ["3", "8", "13"]
+
+
+# a command's `out` is a file name inside the output directory
+OUT_COMMANDS = {"compose": "point 0 0 0\n  entry 0 0.1\n  curve-samples 2",
+                "slice": "point 0 0 0\n  rho 0.05\n  grid 2",
+                "orbit-sample": "point 0 0 0\n  budget 5"}
+PATH_NAMES = ["../escaped.txt", "nodir/x.txt", "ABS", ".", "..", "cloud.txt/"]
+
+
+@pytest.mark.parametrize("name", PATH_NAMES)
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_an_out_that_names_a_path_fails_check(command, name, tmp_path, capsys):
+    name = str(tmp_path / "abs.txt") if name == "ABS" else name
+    assert _check(_one_command(command, OUT_COMMANDS[command] + f"\n  out {name}"), tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: command 1 '{command}': 'out' takes a file name") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", PATH_NAMES)
+def test_an_out_that_names_a_path_gets_an_error_report_and_the_run_goes_on(name, tmp_path):
+    name = str(tmp_path / "abs.txt") if name == "ABS" else name
+    text = HEIS_HEADER + "".join(f"command {command} {{\n  {body}\n  out {name}\n}}\n"
+                                 for command, body in sorted(OUT_COMMANDS.items()))
+    (tmp_path / "run").mkdir()
+    p = tmp_path / "run" / "s.okit"
+    p.write_text(text + "command slice {\n  point 0 0 0\n  rho 0.05\n  grid 2\n  out ok.txt\n}\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "run" / "out")]) == 1
+    assert sorted(q.name for q in tmp_path.rglob("*")) == sorted(
+        ["run", "s.okit", "out", "ok.txt", "report-01-compose.txt", "report-02-orbit-sample.txt",
+         "report-03-slice.txt", "report-04-slice.txt"])
+    reports = [_report(path) for path in sorted((tmp_path / "run" / "out").glob("report-*.txt"))]
+    for report in reports[:3]:
+        assert _leaves(report.child("error"))["type"] == ["ParseError"]
+    assert reports[3].child("status").args == ["ok"]
+    assert _leaves(reports[3].child("results"))["cloud-file"] == ["ok.txt"]
+
+
 # -- properties of the grammar ----------------------------------------------------
 
 HEIS_FAMILY = parse_scenario(HEIS_SCENARIO).family
@@ -921,6 +988,7 @@ def _valid_args(opt, dim, members):
         "positive": st.tuples(st.sampled_from(["1e-09", "1e-06", "0.5"])),
         "int": st.tuples(st.integers(-3, 60).map(str)),
         "word": st.tuples(st.sampled_from(opt.words or ["control", "explore", "cloud.txt"])),
+        "file": st.tuples(st.sampled_from(["cloud.txt", "curve.txt"])),
         "flag": st.tuples(st.sampled_from(["on", "off"])),
         "point": st.lists(NUMBERS, min_size=dim, max_size=dim),
         "indices": st.lists(index, min_size=1, max_size=3, unique=True),
