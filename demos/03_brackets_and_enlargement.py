@@ -18,12 +18,16 @@ b_an = lie_bracket(fam.members[0], fam.members[1], x)
 b_fl = lie_bracket_via_flows(fam.members[0], fam.members[1], x)
 print(f"bracket analytic {np.round(b_an, 8)} vs flow-limit {np.round(b_fl, 8)}")
 
-# Enlargement: push the shear member through a unit translation.  The
-# conjugation identity ties its flow to the conjugated flow of the base.
+# Enlargement: push the shear member through a unit translation.  Both
+# members are polynomial, so the pushforward is the Lie series
+# X2 - [X1, X2] = (0, 1, x - 1), a tabled field of its own; the conjugation
+# identity ties its flow to the conjugated flow of the base, computed here
+# independently from the flows of the members.
 word = FlowWord(((0, 1.0),))
 Y = enlarge_field(fam, word, 1, 1.0, lb)
 print(f"enlarged field at (0.5,0,0): {np.round(Y(np.array([0.5, 0, 0])), 8)} "
       f"(member of the enlargement: {Y.in_enlargement}, screen jet {Y.screen_jet:.3f})")
+print(f"tabled by its Lie series: {Y.table is not None} ({len(Y.table.exponents)} monomials)")
 t = 0.25
 lhs = flow_single(Y, x, t, tol=1e-8).endpoint
 rhs = word.apply(fam, flow_single(fam.members[1], word.inverse().apply(fam, x), t).endpoint)

@@ -9,16 +9,27 @@ evaluates the whole grid in batches.  Brackets of any other field are
 evaluated by finite differences of Jacobian-vector products.
 
 Enlarged fields are pushforwards of scaled members through finite flow
-words.  Their evaluation runs the inverse word to find the source point and
-then the word from there, carrying the scaled member value as one tangent
-column through the linearised flow (never the full variational matrix), so
-the conjugation identity between their flows and the conjugated flows is
-testable rather than assumed.  Both runs are :meth:`FlowWord.end` over a
-stack of points, each letter one ``flow_single`` call whose rows share a
-step sequence (:meth:`EnlargedField.eval_many`); that is how their
-finite-difference Jacobians and jet screens evaluate all their shifted
-points at once.  :func:`lie_bracket_via_flows` likewise carries the single
-tangent ``Y`` through the flow of ``X``.
+words.  When every member carries a monomial table, the pushforward is a
+table too: each letter ``(a, t)`` pushes a field Y by the Lie series
+``(phi^X_t)_* Y = sum_k (-t)^k / k! ad_X^k Y`` with ``ad_X Y = [X, Y]`` and
+X the letter's member, which stops after a few brackets on nilpotent
+families (Agrachev and Sachkov, *Control Theory from the Geometric
+Viewpoint*, ch. 2).  Such a field is exact wherever it is evaluated:
+flowing it, its derivatives, its brackets and its values in distributions
+all come from the table.  Where the series does not stop within
+``SERIES_MAX_BRACKETS`` brackets per letter (affine-l1 with a linear part),
+or a member is untabled (the callable families), the field is evaluated by
+nested flows: the inverse word finds the source point, and the word from
+there carries the scaled member value as one tangent column through the
+linearised flow (never the full variational matrix).  Both runs are
+:meth:`FlowWord.end` over a stack of points, each letter one
+``flow_single`` call whose rows share a step sequence
+(:meth:`EnlargedField.eval_many`); that is how their finite-difference
+Jacobians and jet screens evaluate all their shifted points at once.  The
+conjugation identity between the flow of an enlarged field and the
+conjugated flows is testable on either path rather than assumed.
+:func:`lie_bracket_via_flows` likewise carries the single tangent ``Y``
+through the flow of ``X``.
 """
 
 from __future__ import annotations
@@ -29,8 +40,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
-from .fields import (FieldFamily, LbRecord, VectorField, _row_keys, calculus, eval_jet_norm,
-                     finite_difference_jvp)
+from .fields import (FieldFamily, LbRecord, MonomialTable, VectorField, _row_keys, calculus,
+                     eval_jet_norm, finite_difference_jvp)
 from .flow import DEFAULT_TOL, FlowWord, flow_single
 from .orbit import BracketChain, DistributionBasis, rank_of_singular_values
 from .orbit import numerical_rank  # noqa: F401  (perfbench's tracer wraps algebra.numerical_rank)
@@ -40,6 +51,13 @@ from .space import Ball
 # of the span of the fields already in a chain is dropped.  It sits far
 # below orbit.RANK_REL_TOL, so no rank decision can depend on it.
 SPAN_REL_TOL = 1e-12
+
+# Brackets of the pushforward series taken per letter before a tabled
+# enlarged field is given up for nested flows.  Every member pair of
+# heisenberg, heisenberg-full, grushin, a 7-dimensional chain family and
+# affine-l1 without a linear part stops within 6; affine-l1 with a linear
+# part never stops.
+SERIES_MAX_BRACKETS = 10
 
 
 def _check_domains(fields, x: np.ndarray) -> None:
@@ -75,15 +93,43 @@ def lie_bracket_via_flows(X: VectorField, Y: VectorField, x: np.ndarray) -> np.n
     return (pushed(-t) - pushed(t)) / (2.0 * t)
 
 
+def _pushforward_table(members, word: FlowWord, table: MonomialTable) -> MonomialTable | None:
+    """``table`` pushed forward through ``word``, letter by letter: a letter
+    ``(a, t)`` adds ``(-t)^k / k! ad_X^k Y`` to Y for k = 1, 2, ... with X
+    member a, until a term has no rows.  ``None`` when a letter's term is
+    still nonzero after ``SERIES_MAX_BRACKETS`` brackets."""
+    for index, t in word.letters:
+        X = members[index].table
+        term, terms = table, [table]
+        for k in range(1, SERIES_MAX_BRACKETS + 1):
+            exponents, coefficients = X.bracket_rows(term)
+            term = MonomialTable.from_rows(exponents, coefficients * (-t / k))
+            if not len(term.exponents):
+                break
+            terms.append(term)
+        else:
+            return None
+        table = MonomialTable.from_rows(np.concatenate([s.exponents for s in terms]),
+                                        np.concatenate([s.coefficients for s in terms]))
+    return table
+
+
 @dataclass(frozen=True)
 class EnlargedField(VectorField):
     """A member pushed forward through a flow word and scaled.
 
+    A tabled enlarged field carries the pushforward series as its ``table``
+    (:func:`enlarge_field`), which evaluates it: it is the exact pushforward
+    of the members' polynomial fields at every point of the region, and it
+    agrees with the conjugated flow wherever the word stays inside the
+    region.  An untabled one is evaluated by nested flows, which raise
+    :class:`WordNotIntegrable` where the word leaves the region.
+
     ``in_enlargement`` records whether the jet-norm screening at the region
     anchor stayed within the family bound; fields failing the screen are
-    still returned for study.  Jet screening is numerical and stops at
-    order 3.  ``family`` and ``tol`` are what the word runs with, so that
-    :meth:`eval_many` can run it over a stack of points.
+    still returned for study.  Jet screening stops at order 3, and is exact
+    for a tabled field.  ``family`` and ``tol`` are what the word runs with,
+    so that :meth:`eval_many` can run it over a stack of points.
     """
 
     base_index: int = 0
@@ -95,17 +141,22 @@ class EnlargedField(VectorField):
     tol: float = DEFAULT_TOL
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Values at the rows of ``points`` (N, d) from two runs of the word
-        over the whole stack: the inverse word, run plain, gives the source
-        points z; the word run from z carries the tangents
-        ``scale X_base(z)`` to the values.  Any row whose word leaves the
-        region raises :class:`WordNotIntegrable`."""
+        """Values at the rows of ``points`` (N, d): one table evaluation for a
+        tabled field.  Otherwise two runs of the word over the whole stack:
+        the inverse word, run plain, gives the source points z; the word run
+        from z carries the tangents ``scale X_base(z)`` to the values.  Any
+        row whose word leaves the region then raises
+        :class:`WordNotIntegrable`."""
+        if self.table is not None:
+            return super().eval_many(points)
         points = np.asarray(points, dtype=float)
         members, tol, region = self.family.members, self.tol, self.domain
         try:
             # FlowWord.end, not run_words: through run_words a Heisenberg
             # enlarged evaluation ran 1.1-1.4x slower, and enlarge_field 1.4x
-            # (2-core Xeon, best of 5)
+            # (2-core Xeon, best of 5), measured before tabled families took
+            # the series: of the benchmark's families only the wave family,
+            # whose members are untabled, still runs here
             z, _ = self.word.inverse().end(members, points, tol, region)
             tangents = self.scale * members[self.base_index].eval_many(z)
             _, values = self.word.end(members, z, tol, region, tangents)
@@ -119,14 +170,24 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
                   lb: LbRecord, tol: float = DEFAULT_TOL) -> EnlargedField:
     """Pushforward of ``nu`` times a member through ``word``.
 
-    eval(x) runs the inverse word from x to its source point z, then the
-    word from z carrying the tangent vector ``nu X_base(z)``, whose end value
-    is the pushforward; :meth:`EnlargedField.eval_many` does both runs over
-    a stack of points at once.  Membership screening compares the jet
-    norm at the region center against the family bound; its
-    finite-difference Jacobian and derivative tensors evaluate their shifted
-    points through ``eval_many``, and any of them leaving the region fails
-    the screen.
+    When every member carries a monomial table, the scaled base table is
+    pushed through the word by the Lie series (:func:`_pushforward_table`),
+    and the field carries the result as its ``table``: it is the exact
+    pushforward of the members' polynomial fields at every point of the
+    region, and agrees with the conjugated flow wherever the word stays
+    inside the region.  Otherwise, or when a letter's series does not stop
+    within ``SERIES_MAX_BRACKETS`` brackets, eval(x) runs the inverse word
+    from x to its source point z, then the word from z carrying the tangent
+    vector ``nu X_base(z)``, whose end value is the pushforward;
+    :meth:`EnlargedField.eval_many` does both runs over a stack of points at
+    once, and only this nested path raises :class:`WordNotIntegrable` where
+    the word leaves the region.  An enlarged ``base_index`` composes the
+    words and takes the path of its family.
+
+    Membership screening compares the jet norm at the region center against
+    the family bound: from the table's exact derivatives for a tabled field,
+    else from finite-difference tensors whose shifted points go through
+    ``eval_many``, any of them leaving the region failing the screen.
     """
     if nu <= 0:
         raise InvalidArgument("scale must be positive")
@@ -136,12 +197,16 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
                              nu * inner.scale, lb, tol=tol)
     base = family.members[base_index]
     region = lb.region
+    table = None
+    if calculus(family.members) == "exact":
+        table = _pushforward_table(family.members, word,
+                                   MonomialTable(base.table.exponents, nu * base.table.coefficients))
 
     def ev(x: np.ndarray) -> np.ndarray:
         return probe.eval_many(x[None])[0]
 
-    probe = EnlargedField(domain=region, eval_fn=ev,
-                          label=f"({base.label}|w{len(word.letters)},nu={nu:g})",
+    probe = EnlargedField(domain=region, eval_fn=ev if table is None else table,
+                          label=f"({base.label}|w{len(word.letters)},nu={nu:g})", table=table,
                           base_index=base_index, word=word, scale=nu,
                           in_enlargement=True, screen_jet=float("nan"), family=family, tol=tol)
     order = min(lb.order_s, 3)

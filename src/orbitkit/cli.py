@@ -198,13 +198,18 @@ COMMANDS = {"check-lb": _check_lb, "flow": _flow, "compose": _compose,
 def run_command(cmd: Node, family: FieldFamily, lb: LbRecord, defaults: dict,
                 out_dir: Path, unsafe: bool) -> Report:
     """One command's report; the configuration ends with the guard the
-    library enforced when the command is guarded."""
+    library enforced when the command is guarded.  A command that fails
+    once its options are read gets an error report with the ``tol`` and
+    ``seed`` it resolved; options that cannot be read raise."""
     o = _with_defaults(read_command(cmd, family), defaults)
     o["unsafe"] |= unsafe
     if o.get("out") is not None:
         o["out"] = out_dir / o["out"]
-    cert, results = COMMANDS[cmd.args[0]](o, family, lb)
     cfg = _configuration(family, lb, o)
+    try:
+        cert, results = COMMANDS[cmd.args[0]](o, family, lb)
+    except OrbitKitError as exc:
+        return Report(cmd, cfg, [], error=(type(exc).__name__, str(exc)))
     if cert is not None:
         cfg.append(section("guard", [leaf(key, float(getattr(cert, key)))
                                      for key in ("r", "k", "c", "T0", "margin")]
@@ -235,10 +240,10 @@ def run_scenario(scenario: Scenario, out_dir: Path, seed: int | None = None,
             if lb_error is not None:
                 raise lb_error
             report = run_command(cmd, family, lb, defaults, out_dir, unsafe)
-        except OrbitKitError as exc:
-            any_error = True
+        except OrbitKitError as exc:  # the lb or the command's options
             report = Report(cmd, _configuration(family, lb, defaults), [],
                             error=(type(exc).__name__, str(exc)))
+        any_error |= report.error is not None
         path = out_dir / f"report-{i:02d}-{cmd.args[0]}.txt"
         path.write_text(report.render(timestamp=timestamp))
     return 1 if any_error else 0

@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from orbitkit import flow as flow_module
 
 from orbitkit.catalog import (affine_l1, commuting_constants, grushin, heisenberg,
                               heisenberg_full, operator_family)
 from orbitkit.algebra import (FlowWord, _grid_in_region, bracket_chain, bracket_field,
                               certify_h_prime, enlarge_field, lie_bracket, lie_bracket_via_flows)
+from orbitkit.algebra import SERIES_MAX_BRACKETS, _pushforward_table
 from orbitkit.errors import InvalidArgument, OutOfDomain, WordNotIntegrable
-from orbitkit.fields import (FieldFamily, LbRecord, MonomialTable, VectorField,
+from orbitkit.fields import (FieldFamily, LbRecord, MonomialTable, VectorField, calculus,
                              estimate_lb_bound, polynomial_field)
 from orbitkit.flow import flow_single
-from orbitkit.orbit import BracketChain, accessibility_verdict, numerical_rank
+from orbitkit.orbit import BracketChain, accessibility_verdict, distribution_at, numerical_rank
 from orbitkit.space import ChartSpace, ball
 
 TOL = 1e-9
@@ -44,9 +49,27 @@ def wave_family(dim, rng):
     return FieldFamily(space=ChartSpace(dim), members=members, common_domain=dom)
 
 
+def _stripped(family):
+    """The family with every member's table removed, whose enlarged fields
+    take the nested path."""
+    return replace(family, members=tuple(replace(m, table=None) for m in family.members))
+
+
+def _translation_family(*members):
+    """On the unit disc: X1 = (1, 0), and xdy = (0, x) when ``members`` asks
+    for both, from the given list of labels."""
+    dom = ball([0, 0], 1.0)
+    fields = {"X1": polynomial_field(dom, [((1.0, (0, 0)),), ()], label="X1"),
+              "xdy": polynomial_field(dom, [(), ((1.0, (1, 0)),)], label="xdy")}
+    return FieldFamily(space=ChartSpace(2), members=tuple(fields[m] for m in members),
+                       common_domain=dom)
+
+
 def _enlargement_cases(heis, heis_lb, rng):
-    """Heisenberg and wave families of dimensions 2 to 4, each with its lb."""
+    """Heisenberg (tabled, and stripped to the nested path) and wave
+    families of dimensions 2 to 4, each with its lb."""
     yield heis, heis_lb
+    yield _stripped(heis), heis_lb
     for dim in (2, 3, 4):
         fam = wave_family(dim, rng)
         yield fam, estimate_lb_bound(fam, fam.common_domain, 2, 5, force_sampled=True)
@@ -199,12 +222,9 @@ class TestEnlargement:
                     assert np.abs(Y(x) - ref).max() <= 10 * ftol * (1 + np.abs(v).max())
 
     def test_a_row_leaving_the_region_fails_the_stack(self):
-        dom = ball([0, 0], 1.0)
-        fam = FieldFamily(space=ChartSpace(2),
-                          members=(polynomial_field(dom, [((1.0, (0, 0)),), ()], label="X1"),
-                                   polynomial_field(dom, [(), ((1.0, (1, 0)),)], label="xdy")),
-                          common_domain=dom)
-        lb = LbRecord(order_s=2, bound_k=100.0, region=dom)
+        # the nested path, on members without tables
+        fam = _stripped(_translation_family("X1", "xdy"))
+        lb = LbRecord(order_s=2, bound_k=100.0, region=fam.common_domain)
         # the backward word moves every point by -0.9995 along the first axis
         Z = enlarge_field(fam, FlowWord(((0, 0.9995),)), 1, 1.0, lb)
         assert np.allclose(Z(np.zeros(2)), [0.0, -0.9995], atol=1e-8)
@@ -215,6 +235,19 @@ class TestEnlargement:
         # the order-2 screen's shifted points at the center include such rows
         assert Z.screen_jet == float("inf")
         assert not Z.in_enlargement
+
+    def test_a_tabled_field_is_exact_where_the_nested_word_leaves(self):
+        # the same pushforward from tables is the series Y - t [X1, Y], the
+        # closed form (0, x - 0.9995) at every point of the region, the rows
+        # whose word leaves it included
+        fam = _translation_family("X1", "xdy")
+        lb = LbRecord(order_s=2, bound_k=100.0, region=fam.common_domain)
+        Z = enlarge_field(fam, FlowWord(((0, 0.9995),)), 1, 1.0, lb)
+        assert Z.table is not None
+        P = np.array([[0.0, 0.0], [-0.01, 0.0], [0.0, 0.01], [-0.9, 0.3]])
+        assert np.allclose(Z.eval_many(P), [[0.0, x - 0.9995] for x in P[:, 0]], atol=1e-15)
+        assert np.allclose(Z(P[1]), [0.0, -1.0095], atol=1e-15)
+        assert np.isfinite(Z.screen_jet) and Z.in_enlargement
 
     def test_idempotence_composes_words(self, heis, heis_lb):
         ftol = 1e-8
@@ -241,18 +274,93 @@ class TestEnlargement:
             enlarge_field(heis, FlowWord(()), 0, nu, heis_lb)
 
     def test_word_not_integrable(self):
-        from orbitkit.errors import WordNotIntegrable
-        from orbitkit.fields import FieldFamily, LbRecord
-        from orbitkit.space import ChartSpace
-        dom = ball([0, 0], 1.0)
-        fam = FieldFamily(space=ChartSpace(2),
-                          members=(polynomial_field(dom, [((1.0, (0, 0)),), ()],
-                                                    label="X1"),),
-                          common_domain=dom)
-        lb = LbRecord(order_s=2, bound_k=1.25, region=dom)
+        # the nested path, on a member without a table
+        fam = _stripped(_translation_family("X1"))
+        lb = LbRecord(order_s=2, bound_k=1.25, region=fam.common_domain)
         Z = enlarge_field(fam, FlowWord(((0, 0.2),)), 0, 1.0, lb)
         with pytest.raises(WordNotIntegrable):
             Z(np.array([-0.95, 0.0]))  # backward word exits the unit ball
+
+
+class TestLieSeries:
+    """Enlarged fields of tabled families carry the pushforward series as a
+    table; the nested flows of the stripped family are the reference."""
+
+    @pytest.mark.parametrize("build", [heisenberg, heisenberg_full, grushin])
+    def test_series_matches_the_nested_path(self, build, rng):
+        fam = build()
+        stripped = _stripped(fam)
+        lb = estimate_lb_bound(fam, fam.common_domain, 2, 8)
+        ftol = 1e-10
+        for _ in range(30):
+            word = _random_word(fam, rng)
+            base = int(rng.integers(0, len(fam)))
+            nu = float(rng.uniform(0.5, 2.0))
+            Y = enlarge_field(fam, word, base, nu, lb, tol=ftol)
+            assert Y.table is not None
+            P = rng.uniform(-0.3, 0.3, (20, fam.space.dimension))
+            ref = enlarge_field(stripped, word, base, nu, lb, tol=ftol).eval_many(P)
+            got = Y.eval_many(P)
+            assert np.all(np.abs(got - ref) <= 10 * ftol * (1 + np.abs(ref)))
+
+    def test_series_that_does_not_stop_runs_nested(self, rng, monkeypatch):
+        fam = affine_l1(6, 5, 0.7, linear_part=True)
+        lb = estimate_lb_bound(fam, fam.common_domain, 2, 8)
+        wave = wave_family(3, rng)
+        wave_lb = estimate_lb_bound(wave, wave.common_domain, 2, 5, force_sampled=True)
+        fields = [enlarge_field(fam, FlowWord(((0, 0.3), (1, -0.2))), 1, 1.0, lb),
+                  enlarge_field(wave, FlowWord(((0, 0.3), (1, -0.2))), 1, 1.0, wave_lb)]
+        runs, single = [], flow_module.flow_single
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "flow_single", counted)
+        for Y in fields:
+            assert Y.table is None
+            runs.clear()
+            Y.eval_many(np.zeros((2, Y.domain.center.size)))
+            assert len(runs) == 4  # the inverse word and the word, two letters each
+
+    @pytest.mark.parametrize("n", [SERIES_MAX_BRACKETS - 1, SERIES_MAX_BRACKETS])
+    def test_the_cap_bounds_the_brackets_per_letter(self, n):
+        # ad_X^k of Y = x^n e1 along X = e0 is nonzero for k <= n, so the
+        # series stops at bracket n + 1; pushed along X for t = -0.5 it is
+        # (x + 0.5)^n e1
+        dom = ball([0, 0], 2.0)
+        X = polynomial_field(dom, [((1.0, (0, 0)),), ()], label="X")
+        Y = polynomial_field(dom, [(), ((1.0, (n, 0)),)], label="Y")
+        table = _pushforward_table((X, Y), FlowWord(((0, -0.5),)), Y.table)
+        if n == SERIES_MAX_BRACKETS:
+            assert table is None
+        else:
+            x = np.array([0.7, -0.4])
+            assert np.allclose(table(x), [0.0, (x[0] + 0.5) ** n], rtol=1e-13, atol=0.0)
+
+    def test_an_enlarged_base_gives_the_direct_table(self, heis, heis_lb, rng):
+        w1, w2 = FlowWord(((0, 0.5), (1, -0.2))), FlowWord(((1, 0.3),))
+        inner = enlarge_field(heis, w1, 1, 2.0, heis_lb)
+        outer = enlarge_field(heis, w2, inner, 1.5, heis_lb)
+        direct = enlarge_field(heis, w1.then(w2), 1, 3.0, heis_lb)
+        assert outer.table is not None and outer.word == direct.word
+        P = rng.uniform(-1.0, 1.0, (10, 3))
+        assert np.allclose(outer.eval_many(P), direct.eval_many(P), rtol=0.0, atol=1e-14)
+
+    def test_brackets_and_distributions_of_a_tabled_field_are_exact(self, heis, heis_lb):
+        Y = enlarge_field(heis, FlowWord(((0, 0.4),)), 1, 1.0, heis_lb)
+        fam = FieldFamily(space=heis.space, members=(heis.members[0], Y),
+                          common_domain=heis.common_domain)
+        x = np.array([0.2, -0.1, 0.3])
+        assert calculus(fam.members) == "exact"
+        chain = bracket_chain(fam, x, 2)
+        assert chain.rank_profile == (2, 3)
+        assert calculus(chain.generations[-1].source_fields) == "exact"
+        basis = distribution_at(heis, x, [Y])
+        assert calculus(basis.source_fields) == "exact"
+        # X2 pushed along X1 for 0.4 is (0, 1, x - 0.4), and [X1, Y] = (0, 0, 1)
+        assert np.allclose(basis.vectors[:, 2], [0.0, 1.0, x[0] - 0.4], atol=1e-15)
+        assert np.allclose(lie_bracket(heis.members[0], Y, x), [0.0, 0.0, 1.0], atol=1e-15)
 
 
 class TestBracketChain:

@@ -3,6 +3,7 @@
 benchmark run fails at start-up."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,11 @@ def test_every_traced_binding_exists():
 
 
 def test_word_runs_reach_the_traced_flow_single(monkeypatch, heis, heis_lb):
-    # the tracer counts flows at flow_single, so every word run must call it
-    enlarged = enlarge_field(heis, FlowWord(((0, 0.3), (1, -0.2))), 1, 1.0, heis_lb)
+    # the tracer counts flows at flow_single, so every word run must call it;
+    # an enlarged field of tabled members runs no word, so this one is built
+    # on the members stripped of their tables, which takes the nested path
+    stripped = replace(heis, members=tuple(replace(m, table=None) for m in heis.members))
+    enlarged = enlarge_field(stripped, FlowWord(((0, 0.3), (1, -0.2))), 1, 1.0, heis_lb)
     tau = L1Coefficients(((0, 0.2), (1, -0.1)))
     runs = {
         "EnlargedField.eval_many": lambda: enlarged.eval_many(np.zeros((4, 3))),

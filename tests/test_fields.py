@@ -317,7 +317,12 @@ class TestMonomialTable:
 
     def test_calculus_names_the_derivatives_used(self, heis, heis_lb):
         assert calculus(heis.members) == "exact"
+        # an enlarged field of tabled members carries its series as a table
         Z = enlarge_field(heis, FlowWord(((0, 0.4),)), 1, 1.0, heis_lb)
+        assert calculus(heis.members + (Z,)) == "exact"
+        # on members stripped of their tables it is evaluated by nested flows
+        stripped = replace(heis, members=tuple(replace(m, table=None) for m in heis.members))
+        Z = enlarge_field(stripped, FlowWord(((0, 0.4),)), 1, 1.0, heis_lb)
         assert calculus(heis.members + (Z,)) == "finite-difference"
 
 

@@ -437,6 +437,8 @@ class TestStepBudget:
     segment of these quadratic flows.  The counts are exact, so a regression
     in the start rule fails here without a timing run."""
 
+    STACK = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.2], [1.0, 1.0, -1.0], [-0.3, 0.4, 0.1]])
+
     def test_switching_rectangle(self, heis, heis_lb, stepper_counts):
         res = flow_control(heis, heisenberg_rectangle_control(), np.zeros(3), 0.0, 4.0,
                            tangents=np.eye(3), lb=heis_lb, unsafe=True)
@@ -455,13 +457,21 @@ class TestStepBudget:
         assert stepper_counts["steps"] <= 12 and stepper_counts["rhs"] <= 84
 
     def test_enlarged_field_over_a_stack(self, heis, heis_lb, stepper_counts):
+        # a tabled enlarged field is its pushforward table: no word runs
         Y = enlarge_field(heis, FlowWord(((0, 0.3), (1, -0.2), (0, 0.25))), 1, 1.0, heis_lb)
         stepper_counts.update(steps=0, rhs=0)  # count the evaluation, not the screening
-        P = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.2], [1.0, 1.0, -1.0], [-0.3, 0.4, 0.1]])
-        values = Y.eval_many(P)
+        values = Y.eval_many(self.STACK)
+        assert np.allclose(values, [[0.0, 1.0, x - 0.55] for x in self.STACK[:, 0]], atol=1e-12)
+        assert stepper_counts["steps"] == 0 and stepper_counts["rhs"] == 0
+
+    def test_nested_enlarged_field_over_a_stack(self, heis, heis_lb, stepper_counts):
+        Y = enlarge_field(_stripped(heis), FlowWord(((0, 0.3), (1, -0.2), (0, 0.25))), 1, 1.0,
+                          heis_lb)
+        stepper_counts.update(steps=0, rhs=0)  # count the evaluation, not the screening
+        values = Y.eval_many(self.STACK)
         # X2 pushed through the word is (0, 1, x - 0.55): two word runs of
         # three letters
-        assert np.allclose(values, [[0.0, 1.0, x - 0.55] for x in P[:, 0]], atol=1e-12)
+        assert np.allclose(values, [[0.0, 1.0, x - 0.55] for x in self.STACK[:, 0]], atol=1e-12)
         assert stepper_counts["steps"] <= 6 and stepper_counts["rhs"] <= 42
 
     def test_stacked_independent_sample(self, heis, heis_lb, stepper_counts):

@@ -924,6 +924,15 @@ def test_a_run_tol_replaces_the_defaults_tol_and_a_command_tol_wins(tmp_path, ca
         assert reports[2].child("status").args == ["error"]
 
 
+def test_an_error_report_carries_the_tol_its_command_resolved(tmp_path):
+    # the guard fails (r/k = 0.441 < 0.5) after the command's own tol is read
+    text = _one_command("flow", "point 0 0 0\n  duration 0.5\n  piece 0 0.5 0 1\n  tol 1e-05")
+    assert run_scenario(parse_scenario(text), tmp_path / "out", tol=1e-6) == 1
+    report = _report(tmp_path / "out" / "report-01-flow.txt")
+    assert _leaves(report.child("error"))["type"] == ["GuardViolated"]
+    assert _leaves(report.child("configuration"))["tol"] == ["1e-05"]
+
+
 def test_a_verdict_on_a_truncated_l1_chart_reports_its_truncation_ranks(tmp_path):
     text = ("space {\n  dim 16\n  norm l1\n  l1-truncation on\n}\n"
             "family {\n  builtin affine-l1 {\n    dim 16\n    count 3\n  }\n}\n"
