@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from orbitkit import flow as flow_module
-
 from orbitkit.catalog import (affine_l1, commuting_constants, grushin, heisenberg,
                               heisenberg_full, operator_family)
 from orbitkit.algebra import (FlowWord, _grid_in_region, bracket_chain, bracket_field,
@@ -56,8 +55,8 @@ def _stripped(family):
 
 
 def _translation_family(*members):
-    """On the unit disc: X1 = (1, 0), and xdy = (0, x) when ``members`` asks
-    for both, from the given list of labels."""
+    """The fields named in ``members``, of X1 = (1, 0) and xdy = (0, x), as
+    a family on the unit disc."""
     dom = ball([0, 0], 1.0)
     fields = {"X1": polynomial_field(dom, [((1.0, (0, 0)),), ()], label="X1"),
               "xdy": polynomial_field(dom, [(), ((1.0, (1, 0)),)], label="xdy")}
