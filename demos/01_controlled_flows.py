@@ -8,7 +8,7 @@ Run:  python3 demos/01_controlled_flows.py
 import numpy as np
 
 from orbitkit import (Control, FlowWord, L1Coefficients, ball, estimate_lb_bound,
-                      flow_control, flow_single, guard)
+                      flow_control, flow_single, guard, run_words)
 from orbitkit.catalog import heisenberg
 
 fam = heisenberg(radius=8.0)
@@ -38,14 +38,15 @@ print("endpoint sensitivity to the start point:")
 print(np.round(res.tangents, 6))
 
 # A stack of start points runs as one integration whose rows share a step
-# sequence; each row here carries one tangent vector.  A word runs letter by
-# letter the same way, and FlowWord.end is its last leg.
+# sequence; each row here carries one tangent vector.  run_words runs a word
+# from every row the same way, one stack per letter, and returns each row's
+# path, the error that stopped it (None here) and its carried tangents.
 starts = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.2], [1.0, 1.0, -1.0]])
 e1 = np.tile([1.0, 0.0, 0.0], (3, 1))
 stack = flow_single(fam.members[1], starts, 1.0, tangents=e1)
 print(f"stacked endpoints:\n{np.round(stack.endpoint, 6)}")
 print(f"pushed e1 per row:\n{np.round(stack.tangents, 6)}")
-ends, pushed = FlowWord(((0, 0.5), (1, 0.5))).end(fam.members, starts, tangents=e1)
+paths, stops, pushed = run_words(fam, [FlowWord(((0, 0.5), (1, 0.5)))] * 3, starts, tangents=e1)
 print(f"a two-letter word pushes e1 to:\n{np.round(pushed, 6)}")
 
 # Single-field convenience: negative time runs the reversed field.

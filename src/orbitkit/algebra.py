@@ -22,8 +22,8 @@ or a member is untabled (the callable families), the field is evaluated by
 nested flows: the inverse word finds the source point, and the word from
 there carries the scaled member value as one tangent column through the
 linearised flow (never the full variational matrix).  Both runs are
-:meth:`FlowWord.end` over a stack of points, each letter one
-``flow_single`` call whose rows share a step sequence
+:func:`~orbitkit.flow.run_words` of the word from every point of a stack,
+each letter one ``flow_single`` call whose rows share a step sequence
 (:meth:`EnlargedField.eval_many`); that is how their finite-difference
 Jacobians and jet screens evaluate all their shifted points at once.  The
 conjugation identity between the flow of an enlarged field and the
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
 from .fields import (FieldFamily, LbRecord, MonomialTable, VectorField, _row_keys, calculus,
                      eval_jet_norm, finite_difference_jvp)
-from .flow import DEFAULT_TOL, FlowWord, flow_single
+from .flow import DEFAULT_TOL, FlowWord, _raise_first, flow_single, run_words
 from .orbit import BracketChain, DistributionBasis, rank_of_singular_values
 from .orbit import numerical_rank  # noqa: F401  (perfbench's tracer wraps algebra.numerical_rank)
 from .space import Ball
@@ -150,18 +150,17 @@ class EnlargedField(VectorField):
         if self.table is not None:
             return super().eval_many(points)
         points = np.asarray(points, dtype=float)
-        members, tol, region = self.family.members, self.tol, self.domain
+        family, tol, region, n = self.family, self.tol, self.domain, len(points)
         try:
-            # FlowWord.end, not run_words: through run_words a Heisenberg
-            # enlarged evaluation ran 1.1-1.4x slower, and enlarge_field 1.4x
-            # (2-core Xeon, best of 5), measured before tabled families took
-            # the series: of the benchmark's families only the wave family,
-            # whose members are untabled, still runs here
-            z, _ = self.word.inverse().end(members, points, tol, region)
-            tangents = self.scale * members[self.base_index].eval_many(z)
-            _, values = self.word.end(members, z, tol, region, tangents)
+            # each word runs from every row: one flow_single call per letter
+            paths, stops, _ = run_words(family, [self.word.inverse()] * n, points, tol, region)
+            _raise_first(stops)
+            z = np.array([path[-1] for path in paths])
+            tangents = self.scale * family.members[self.base_index].eval_many(z)
+            _, stops, values = run_words(family, [self.word] * n, z, tol, region, tangents)
+            _raise_first(stops)
         except (LeftDomain, StepUnderflow) as exc:
-            where = points[0] if len(points) == 1 else f"one of {len(points)} points"
+            where = points[0] if n == 1 else f"one of {n} points"
             raise WordNotIntegrable(f"conjugating word not integrable from {where}") from exc
         return values
 
@@ -195,6 +194,8 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
         inner = base_index
         return enlarge_field(family, inner.word.then(word), inner.base_index,
                              nu * inner.scale, lb, tol=tol)
+    if not 0 <= base_index < len(family) or any(a >= len(family) for a, _ in word.letters):
+        raise InvalidArgument(f"a base or letter index names no member of a family of {len(family)}")
     base = family.members[base_index]
     region = lb.region
     table = None

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InvalidArgument, TailNotSummable
 from .fields import FieldFamily, LbRecord
-from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, flow_control,
-                   flow_single, guard)
+from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, _raise_first,
+                   flow_control, flow_single, guard, run_words)
 from .space import Ball, L1Coefficients
 
 TAIL_FACTOR_NOTE = "k*exp(k*norm1(tau)) times dropped l1 mass"
@@ -255,8 +255,8 @@ def extract_l1_curve(result: CompositionResult, samples_per_piece: int) -> L1Cur
         letters.extend((idx, b - a) for a, b in zip(sub, sub[1:]))
         times.extend(t_base + abs(s) for s in sub[1:])
         t_base += abs(dur)
-    legs = FlowWord(letters).legs(result.family.members, x, result.tol, result.region)
-    points = np.asarray([x.copy()] + [y for y, _ in legs])
+    (points,), stops, _ = run_words(result.family, [FlowWord(letters)], x, result.tol, result.region)
+    _raise_first(stops)
     times = np.asarray(times)
     return L1Curve(times=times, points=points, knot_times=times[::samples_per_piece],
                    knot_points=points[::samples_per_piece])

@@ -34,12 +34,14 @@ tables.  Rows that flow different letters of a tabled family are one evaluation 
 family's merged :attr:`FieldFamily.table` against per-row coefficients,
 and each row's error scale is multiplied by the time its coefficients
 stand for, so that flowing ``t X`` over unit time takes the steps of
-flowing X over time t.  :func:`run_words` is the word runner: it runs many
-words from one point, or each word from its own, each letter position of
-a tabled family one such unit-time segment, each row flowing its own
-letter.  Its one-word case is :meth:`FlowWord.legs`, one
-:func:`flow_single` call over the whole stack per letter;
-:meth:`FlowWord.end` is its last leg.
+flowing X over time t.  :func:`run_words` is the one word runner: it runs
+many words from one point, or each word from its own, carrying tangent
+columns on demand.  At each letter position, rows that share one letter
+are one :func:`flow_single` call over their stack, rows with different
+letters of a tabled family one such unit-time segment, each row flowing
+its own letter, and rows of an untabled family one at a time.
+:meth:`FlowWord.apply` and :meth:`FlowWord.apply_with_variational` run one
+word through it.
 """
 
 from __future__ import annotations
@@ -545,8 +547,10 @@ class FlowWord:
     letters: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "letters",
-                           tuple((int(i), float(t)) for i, t in self.letters))
+        letters = tuple((int(i), float(t)) for i, t in self.letters)
+        if not all(i >= 0 and math.isfinite(t) for i, t in letters):
+            raise InvalidArgument(f"letters need member indices >= 0 and finite times: {letters}")
+        object.__setattr__(self, "letters", letters)
 
     def inverse(self) -> "FlowWord":
         return FlowWord(tuple((i, -t) for i, t in reversed(self.letters)))
@@ -555,107 +559,114 @@ class FlowWord:
         """Composition applying ``self`` first, then ``other``."""
         return FlowWord(self.letters + other.letters)
 
-    def legs(self, members, x: np.ndarray, tol: float = DEFAULT_TOL,
-             region: Ball | None = None, tangents: np.ndarray | None = None):
-        """Run this one word, the one-word case of :func:`run_words`: flow
-        ``members[i]`` for ``t`` per letter, each letter one
-        :func:`flow_single` call over a start point or a stack of them, and
-        yield ``(points, tangents)`` after each.  The
-        tangents are carried as in :func:`flow_single` (``None`` without);
-        from the identity they are the variational matrix of the word
-        prefix."""
-        y = np.asarray(x, dtype=float)
-        for idx, t in self.letters:
-            res = flow_single(members[idx], y, t, tol=tol, tangents=tangents, region=region)
-            y, tangents = res.endpoint, res.tangents
-            yield y, tangents
-
-    def end(self, members, x: np.ndarray, tol: float = DEFAULT_TOL,
-            region: Ball | None = None, tangents: np.ndarray | None = None):
-        """The last leg of :meth:`legs`, or the start points and the given
-        tangents for the empty word."""
-        last = (np.asarray(x, dtype=float), tangents)
-        for last in self.legs(members, x, tol, region, tangents):
-            pass
-        return last
-
     def apply(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
               region: Ball | None = None) -> np.ndarray:
-        return self.end(family.members, x, tol, region)[0]
+        """Endpoint of this word from x (:func:`run_words`), raising the
+        error that stops it."""
+        paths, stops, _ = run_words(family, [self], x, tol, region)
+        _raise_first(stops)
+        return paths[0][-1]
 
     def apply_with_variational(self, family: FieldFamily, x: np.ndarray,
                                tol: float = DEFAULT_TOL,
                                region: Ball | None = None) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        return self.end(family.members, x, tol, region, np.eye(x.size))
+        """Endpoint and variational matrix of this word from x."""
+        paths, stops, tangents = run_words(family, [self], x, tol, region, np.eye(np.size(x)))
+        _raise_first(stops)
+        return paths[0][-1], tangents[0]
+
+
+def _raise_first(stops) -> None:
+    """Raise the first error of :func:`run_words`'s ``stops``, if any."""
+    for stop in filter(None, stops):
+        raise stop
 
 
 def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TOL,
-              region: Ball | None = None) -> tuple[list[np.ndarray], list[Exception | None]]:
+              region: Ball | None = None, tangents: np.ndarray | None = None):
     """Run many words of ``family`` from one start point x (d,), or word n
-    from row n of a stack x (N, d).  Words may differ in length.  When
-    every member has a monomial table, letter position j of every word
-    that has one is one unit-time segment over the stack: row n flows
+    from row n of a stack x (N, d).  Words may differ in length, and the
+    rows carry ``tangents`` as :func:`flow_single` does: a vector or d×k
+    columns per start point, or ``None``.
+
+    Letter position j runs the rows of every word that has one.  Rows that
+    share one letter are one :func:`flow_single` run over their stack, in
+    any family.  Rows with different letters of a tabled family are one
+    unit-time segment over the stack (:func:`_stacked_letter`): row n flows
     ``t_n X_{a_n}`` for its letter ``(a_n, t_n)``, its right-hand side the
     family's merged table weighted by row (:class:`_Rhs`), with its error
     scale multiplied by ``|t_n|``, so that each row is integrated to the
-    tolerance of its own flow.  Otherwise, and at a position with one row,
-    each row runs as :meth:`FlowWord.legs` does, one :func:`flow_single`
-    call per letter.  When a row of a stacked position leaves the region,
-    that row runs alone and the others are stacked again, so a word stops
-    at its own exit, as if it had run alone; a stacked position that raises
-    :class:`StepUnderflow`, or a :class:`LeftDomain` that names no row,
-    runs each of its rows alone.  ``region`` defaults to the family's common
-    domain.
+    tolerance of its own flow.  Rows with different letters of an untabled
+    family run one at a time.  A one-row run that leaves the region or
+    underflows stops its word.  When a row of a stacked run leaves the
+    region, that row runs alone and the others are stacked again, so a word
+    stops at its own exit, as if it had run alone; a stacked run that
+    raises :class:`StepUnderflow`, or a :class:`LeftDomain` that names no
+    row, runs each of its rows alone.  ``region`` defaults to the family's
+    common domain.
 
-    Returns ``(paths, stops)``: ``paths[n]`` holds word n's start point and
-    its endpoint after each letter it ran, ``(1 + letters run, d)``, and
-    ``stops[n]`` is the :class:`LeftDomain` or :class:`StepUnderflow` of
-    the letter that ended word n early, or ``None``.
+    Returns ``(paths, stops, tangents)``: ``paths[n]`` holds word n's start
+    point and its endpoint after each letter it ran, ``(1 + letters run,
+    d)``; ``stops[n]`` is the :class:`LeftDomain` or :class:`StepUnderflow`
+    of the letter that ended word n early, or ``None``; ``tangents[n]`` are
+    word n's tangents where its path ends (``None`` without tangents).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2 and len(x) != len(words):
-        raise InvalidArgument(f"{len(x)} start points for {len(words)} words")
+    n = len(words)
+    if x.ndim == 2 and len(x) != n:
+        raise InvalidArgument(f"{len(x)} start points for {n} words")
+    if any(a >= len(family) for w in words for a, _ in w.letters):
+        raise InvalidArgument(f"a letter names no member of a family of {len(family)}")
     region = region if region is not None else family.common_domain
-    paths = [[start] for start in np.broadcast_to(x, (len(words), x.shape[-1]))]
-    stops: list[Exception | None] = [None] * len(words)
-
-    def alone(n: int, j: int) -> None:
-        idx, t = words[n].letters[j]
-        try:
-            paths[n].append(flow_single(family.members[idx], paths[n][-1], t, tol=tol,
-                                        region=region).endpoint)
-        except (LeftDomain, StepUnderflow) as exc:
-            stops[n] = exc
-
-    for j in range(max((len(w.letters) for w in words), default=0)):
-        rows = [n for n, w in enumerate(words) if stops[n] is None and j < len(w.letters)]
-        while family.table is not None and len(rows) > 1:
+    y, W = x, None if tangents is None else np.asarray(tangents, dtype=float)
+    if x.ndim == 1:  # every word from the one start point
+        y, W = x[None].repeat(n, 0), None if W is None else W[None].repeat(n, 0)
+    track, ran, stops = [y], [len(w.letters) for w in words], [None] * n  # ran: letters run
+    for j in range(max(ran, default=0)):
+        pending = [[i for i in range(n) if stops[i] is None and j < ran[i]]]  # runs to make at j
+        while pending and pending[-1]:
+            rows = pending.pop()
+            mine = [words[i].letters[j] for i in rows]
+            same = mine.count(mine[0]) == len(mine)
+            if not (same or family.table is not None):
+                pending += [[i] for i in rows]
+                continue
+            # a run of every row takes the stack as it is, a single row runs as one point (d,)
+            i = slice(None) if len(rows) == n else rows[0] if len(rows) == 1 else rows
+            carried = None if W is None else W[i]
             try:
-                ends = _stacked_letter(family, [words[n].letters[j] for n in rows],
-                                       np.array([paths[n][-1] for n in rows]), tol, region)
-            except LeftDomain as exc:
-                if exc.row is None:
-                    break
-                alone(rows.pop(exc.row), j)  # the row that left, then the others restacked
-            except StepUnderflow:
-                break
-            else:
-                for n, y in zip(rows, ends):
-                    paths[n].append(y)
-                rows = []
-        for n in rows:  # each row on its own
-            alone(n, j)
-    return [np.array(p) for p in paths], stops
+                res = (flow_single(family.members[mine[0][0]], y[i], mine[0][1], tol=tol,
+                                   tangents=carried, region=region) if same else
+                       _stacked_letter(family, mine, y[i], tol, region, carried))
+            except (LeftDomain, StepUnderflow) as exc:
+                if len(rows) == 1:
+                    stops[rows[0]], ran[rows[0]] = exc, j
+                elif isinstance(exc, LeftDomain) and exc.row is not None:
+                    # the row that left runs alone, then the others are restacked
+                    pending += [rows[:exc.row] + rows[exc.row + 1:], [rows[exc.row]]]
+                else:
+                    pending += [[i] for i in rows]
+                continue
+            if len(rows) == n:
+                y, W = res.endpoint, res.tangents
+                continue
+            if y is track[-1]:  # the first run of some rows at j writes into a copy
+                y, W = y.copy(), None if W is None else W.copy()
+            y[i] = res.endpoint
+            if W is not None:
+                W[i] = res.tangents
+        track.append(y)
+    T = np.array(track)
+    return [T[:m + 1, i] for i, m in enumerate(ran)], stops, W
 
 
 def _stacked_letter(family: FieldFamily, letters, points: np.ndarray, tol: float,
-                    region: Ball) -> np.ndarray:
-    """Endpoints of the rows of ``points`` (N, d), row n flowing
-    ``t_n X_{a_n}`` over unit time for ``(a_n, t_n) = letters[n]``, over the
-    family's merged table."""
+                    region: Ball, tangents: np.ndarray | None = None) -> FlowResult:
+    """The rows of ``points`` (N, d), row n flowing ``t_n X_{a_n}`` over
+    unit time for ``(a_n, t_n) = letters[n]`` and carrying its tangents,
+    over the family's merged table."""
     index, times = (np.array(column) for column in zip(*letters))
     weights = np.zeros((len(letters), len(family)))
     weights[np.arange(len(letters)), index] = times
-    return _flow(points, [(0.0, 1.0, _family_terms(family, weights, None))], None, tol, region,
-                 None, span=np.abs(times)).endpoint
+    return _flow(points, [(0.0, 1.0, _family_terms(family, weights, tangents))], tangents, tol,
+                 region, None, span=np.abs(times))

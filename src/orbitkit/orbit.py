@@ -32,7 +32,8 @@ from .errors import InvalidArgument, OutOfDomain
 # compose_flows stays bound here so that tracing can wrap every binding of it
 from .compose import compose_flows  # noqa: F401
 from .fields import FieldFamily, LbRecord, VectorField
-from .flow import DEFAULT_TOL, ExistenceCertificate, FlowWord, flow_single, guard, run_words
+from .flow import (DEFAULT_TOL, ExistenceCertificate, FlowWord, _raise_first, flow_single, guard,
+                   run_words)
 from .space import Ball, L1Coefficients
 
 RANK_REL_TOL = 1e-8
@@ -281,19 +282,12 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
     params = np.stack([g.ravel() for g in grids], axis=1)
     order = np.argsort(axes)
     words = [FlowWord(tuple((axes[i], w[i]) for i in order)) for w in params]
-    paths, stops = run_words(family, words, x, tol, lb.region)
+    paths, stops, _ = run_words(family, words, x, tol, lb.region)
     _raise_first(stops)
     base_vectors = np.stack([family.members[a](x) for a in axes], axis=1)
     rank0 = numerical_rank(base_vectors)
     return SliceGrid(params=params, points=np.array([p[-1] for p in paths]), axes=axes,
                      jacobian_rank_at_zero=rank0, certificate=cert)
-
-
-def _raise_first(stops) -> None:
-    """Raise the first error of :func:`run_words`'s ``stops``, if any."""
-    for stop in stops:
-        if stop is not None:
-            raise stop
 
 
 def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
@@ -364,7 +358,7 @@ def _sample_explore(family, lb, x, budget, max_word_len, rng_seed, tol, d_max,
         d2[:, full] = np.inf
         parents = np.argmin(d2, axis=1)
         letters = [(idx, dur) for _, idx, dur in draws]
-        paths, stops = run_words(family, [FlowWord((letter,)) for letter in letters],
+        paths, stops, _ = run_words(family, [FlowWord((letter,)) for letter in letters],
                                  pts[parents], tol, lb.region)
         for pi, letter, path, stop in zip(parents, letters, paths, stops):
             if stop is not None:
@@ -383,7 +377,7 @@ def _sample_independent(family, lb, x, budget, max_word_len, rng_seed, tol, d_ma
     m = len(family.members)
     words = [FlowWord([(int(rng.integers(0, m)), float(rng.uniform(-d_max, d_max)))
                        for _ in range(max_word_len)]) for _ in range(budget)]
-    paths, stops = run_words(family, words, x, tol, lb.region)
+    paths, stops, _ = run_words(family, words, x, tol, lb.region)
     cloud = [(x.copy(), FlowWord(()), False)]
     for word, path, stop in zip(words, paths, stops):
         prefixes = [FlowWord(word.letters[:j]) for j in range(len(path))]
@@ -407,7 +401,7 @@ def spot_check_sample(family: FieldFamily, sample: OrbitSample, tol: float = 1e-
     (:func:`run_words`), and return the largest distance between a stored
     point and its replay."""
     checked = sample.cloud[::20]
-    paths, stops = run_words(family, [word for _, word, _ in checked], sample.seed, tol,
+    paths, stops, _ = run_words(family, [word for _, word, _ in checked], sample.seed, tol,
                              sample.region)
     _raise_first(stops)
     return max((float(np.linalg.norm(path[-1] - point))

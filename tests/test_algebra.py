@@ -141,6 +141,19 @@ class TestEnlargement:
         assert np.allclose(Y(x), heis.members[1](x), atol=1e-12)
         assert Y.in_enlargement
 
+    @pytest.mark.parametrize("stripped", [False, True], ids=["tabled", "nested"])
+    def test_a_letter_or_base_outside_the_family_is_refused(self, heis, heis_lb, stripped):
+        # an index past the family, or below it, used to push along another
+        # member or raise a bare IndexError
+        fam = replace(heis, members=tuple(replace(m, table=None) for m in heis.members)) \
+            if stripped else heis
+        for word, base in [(((2, 0.2),), 0), (((0, 0.2), (5, 0.1)), 1), (((0, 0.2),), -1),
+                           (((0, 0.2),), 2), ((), 3)]:
+            with pytest.raises(InvalidArgument):
+                enlarge_field(fam, FlowWord(word), base, 1.0, heis_lb)
+        with pytest.raises(InvalidArgument):
+            enlarge_field(fam, FlowWord(((-1, 0.2),)), 0, 1.0, heis_lb)
+
     def test_translation_word_pushforward(self):
         # pushing the shear field through a unit translation shifts its
         # coefficient: eval(x, y) = (0, x - 1)

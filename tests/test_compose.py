@@ -7,7 +7,7 @@ from orbitkit.errors import GuardViolated, InvalidArgument, TailNotSummable
 from orbitkit.compose import (compose_flows, compose_inverse, d_psi, extract_l1_curve,
                               gamma_control, psi_chart)
 from orbitkit.fields import LbRecord, estimate_lb_bound
-from orbitkit.flow import FlowWord, flow_control, guard
+from orbitkit.flow import FlowWord, flow_control, flow_single, guard
 from orbitkit.space import L1Coefficients
 
 TOL = 1e-9
@@ -295,9 +295,10 @@ def frame_and_solve_d_psi(family, lb, x, tau, sigma, tol=TOL):
     tau_map = dict(tau.entries)
     word = FlowWord(tuple((i, tau_map.get(i, 0.0))
                           for i in sorted(set(tau_map) | set(sigma.support))))
-    P, acc = np.eye(x.size), np.zeros(x.size)
-    legs = word.legs(family.members, x, tol, lb.region, tangents=P)
-    for (idx, _), (y, P) in zip(word.letters, legs):
+    y, P, acc = x, np.eye(x.size), np.zeros(x.size)
+    for idx, t in word.letters:
+        res = flow_single(family.members[idx], y, t, tol=tol, tangents=P, region=lb.region)
+        y, P = res.endpoint, res.tangents
         if sigma.get(idx):
             acc += sigma.get(idx) * np.linalg.solve(P, family.members[idx](y))
     return P @ acc

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from orbitkit.algebra import bracket_field, enlarge_field
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, operator_family
 from orbitkit.compose import compose_flows
 from orbitkit.errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
-                             OutOfDomain, WordNotIntegrable)
+                             OutOfDomain, StepUnderflow, WordNotIntegrable)
 from orbitkit.fields import FieldFamily, LbRecord, VectorField, constant_field, polynomial_field
-from orbitkit.flow import Control, FlowWord, flow_control, flow_single, guard, run_words
+from orbitkit.flow import (Control, FlowWord, _raise_first, flow_control, flow_single, guard,
+                           run_words)
 from orbitkit.orbit import orbit_sample, slice_grid
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
@@ -557,7 +559,9 @@ class TestStackedRuns:
                                   for _ in range(3)))
             P = rng.uniform(-0.5, 0.5, (4, 3))
             V = rng.normal(size=(4, 3))
-            ends, W = word.end(heis.members, P, TOL, tangents=V)
+            paths, stops, W = run_words(heis, [word] * len(P), P, TOL, tangents=V)
+            assert stops == [None] * len(P)
+            ends = [path[-1] for path in paths]
             for x, v, end, w in zip(P, V, ends, W):
                 ref_end, M = x, np.eye(3)
                 for idx, t in word.letters:
@@ -586,14 +590,26 @@ class TestStackedRuns:
         fam = commuting_constants(2, 2)
         P = np.array([[0.0, 0.0], [7.5, 0.0]])
         with pytest.raises(LeftDomain) as info:
-            FlowWord(((0, 1.0),)).end(fam.members, P, TOL, region=ball([0, 0], 8.0))
+            _, stops, _ = run_words(fam, [FlowWord(((0, 1.0),))] * 2, P, TOL, ball([0, 0], 8.0))
+            _raise_first(stops)
         assert info.value.last_point[0] > 8.0
+
+
+def _chained(family, word, x, tol=TOL):
+    """The start point and the endpoint after each letter of ``word``, one
+    flow_single call per letter."""
+    path = [x]
+    for idx, t in word.letters:
+        path.append(flow_single(family.members[idx], path[-1], t, tol=tol).endpoint)
+    return path
 
 
 class TestStackedWords:
     def test_a_row_of_a_stack_takes_the_steps_of_flow_single(self, rng, stepper_counts):
-        # two equal rows: each flows t X over unit time with its error scale
-        # times |t|, which is the flow of X over time t step for step
+        # a row beside a resting row (a letter of time 0): each flows t X
+        # over unit time with its error scale times |t|, which is the flow of
+        # X over time t step for step, and the resting row does not limit
+        # the step
         families = [affine_l1(6, 5, 0.7, linear_part=True), heisenberg(), grushin()]
         for _ in range(60):
             fam = families[int(rng.integers(0, len(families)))]
@@ -604,10 +620,11 @@ class TestStackedWords:
             tol = float(10.0 ** rng.uniform(-12, -6))
             one = flow_single(fam.members[a], x, t, tol=tol)
             stepper_counts.update(steps=0)
-            (path, twin), stops = run_words(fam, [FlowWord(((a, t),))] * 2, x, tol)
+            (path, rest), stops, _ = run_words(fam, [FlowWord(((a, t),)), FlowWord(((a, 0.0),))],
+                                               x, tol)
             assert stops == [None, None]
             assert stepper_counts["steps"] == one.steps_taken
-            assert np.array_equal(path, twin)
+            assert np.array_equal(rest, [x, x])
             assert np.abs(path[-1] - one.endpoint).max() <= 1e-13 * (1 + np.abs(x).max())
 
     def test_words_of_several_lengths_and_members(self, rng):
@@ -615,16 +632,16 @@ class TestStackedWords:
         x = rng.uniform(-0.2, 0.2, 5)
         words = [FlowWord(tuple((int(rng.integers(0, 4)), float(rng.uniform(-0.3, 0.3)))
                                 for _ in range(n))) for n in (0, 3, 1, 4, 2, 4)]
-        paths, stops = run_words(fam, words, x, TOL)
+        paths, stops, _ = run_words(fam, words, x, TOL)
         assert stops == [None] * len(words)
         for word, path in zip(words, paths):
             assert path.shape == (1 + len(word.letters), 5)
-            ref = [x] + [y for y, _ in word.legs(fam.members, x, TOL)]
+            ref = _chained(fam, word, x)
             assert np.abs(path - ref).max() <= 10 * TOL
 
     def test_untabled_words_run_row_by_row(self, rng, monkeypatch):
         # no family table: every letter of every word is its own one-point
-        # flow_single run, as FlowWord.legs runs the word
+        # flow_single run, as the chained reference runs the word
         base = affine_l1(4, 3, 0.8, linear_part=True)
         fam = FieldFamily(space=base.space,
                           members=tuple(replace(m, table=None) for m in base.members),
@@ -640,10 +657,10 @@ class TestStackedWords:
         monkeypatch.setattr(flow_module, "flow_single", one_run)
         words = [FlowWord(((0, 0.2), (1, 0.1))), FlowWord(((2, -0.1),)), FlowWord(((0, 0.05),))]
         x = rng.uniform(-0.2, 0.2, 4)
-        paths, stops = run_words(fam, words, x, TOL)
+        paths, stops, _ = run_words(fam, words, x, TOL)
         assert stops == [None] * 3 and starts == [(4,)] * 4
         for word, path in zip(words, paths):
-            assert np.array_equal(path, [x] + [y for y, _ in word.legs(fam.members, x, TOL)])
+            assert np.array_equal(path, _chained(fam, word, x))
             assert np.abs(path[-1] - word.apply(base, x, TOL)).max() <= 10 * TOL
 
     def test_a_word_stops_at_its_own_exit(self):
@@ -653,11 +670,96 @@ class TestStackedWords:
         region = ball([0, 0], 1.0)
         words = [FlowWord(((0, 0.5), (1, 0.2))), FlowWord(((0, 0.3), (0, 0.9))),
                  FlowWord(((1, -0.4), (0, 0.1)))]
-        paths, stops = run_words(fam, words, np.zeros(2), TOL, region)
+        paths, stops, _ = run_words(fam, words, np.zeros(2), TOL, region)
         assert stops[0] is None and stops[2] is None
         assert isinstance(stops[1], LeftDomain)
         assert paths[1].shape == (2, 2) and np.allclose(paths[1][-1], [0.3, 0.0])
         assert np.allclose(paths[0][-1], [0.5, 0.2]) and np.allclose(paths[2][-1], [0.1, -0.4])
+
+
+class TestStackedTangents:
+    @pytest.mark.parametrize("family", [heisenberg(), affine_l1(6, 5, 0.8, linear_part=True),
+                                        grushin()], ids=["heisenberg", "affine-l1", "grushin"])
+    def test_a_mixed_letter_stack_carries_tangents(self, family, rng, monkeypatch):
+        # rows with different letters of a tabled family run as one merged
+        # table segment per position, their tangent columns moved by the
+        # merged derivative table weighted per row
+        d, m = family.space.dimension, len(family)
+        stacked, run = [], flow_module._stacked_letter
+
+        def counted(*args, **kwargs):
+            stacked.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "_stacked_letter", counted)
+        words = [FlowWord(tuple((int(rng.integers(0, m)), float(rng.uniform(-0.3, 0.3)))
+                                for _ in range(n))) for n in (3, 2, 3, 0, 1)]
+        starts = rng.uniform(-0.2, 0.2, (len(words), d))
+        V = rng.normal(size=(len(words), d, 2))
+        paths, stops, W = run_words(family, words, starts, TOL, tangents=V)
+        assert stops == [None] * len(words) and stacked and W.shape == V.shape
+        for word, start, v, path, w in zip(words, starts, V, paths, W):
+            end, M = start, np.eye(d)
+            for idx, t in word.letters:
+                res = flow_single(family.members[idx], end, t, tol=TOL, tangents=np.eye(d))
+                end, M = res.endpoint, res.tangents @ M
+            assert np.abs(path[-1] - end).max() <= 10 * TOL * (1 + np.abs(end).max())
+            assert np.abs(w - M @ v).max() <= 10 * TOL * (1 + np.abs(w).max())
+
+    def test_one_start_point_gives_every_word_its_tangents(self, heis):
+        words = [FlowWord(((0, 0.3), (1, -0.2))), FlowWord(((1, 0.1),)), FlowWord(())]
+        x = np.array([0.2, -0.1, 0.3])
+        paths, stops, W = run_words(heis, words, x, TOL, tangents=np.eye(3))
+        assert stops == [None] * 3 and W.shape == (3, 3, 3)
+        for word, path, M in zip(words, paths, W):
+            end, ref = word.apply_with_variational(heis, x, TOL)
+            assert np.abs(path[-1] - end).max() <= 10 * TOL
+            assert np.abs(M - ref).max() <= 10 * TOL
+        assert np.array_equal(W[2], np.eye(3))
+
+    @pytest.mark.parametrize("carried", [False, True], ids=["plain", "tangents"])
+    def test_a_stacked_letter_that_underflows_runs_each_row_alone(self, carried, monkeypatch):
+        # x0' = x0^2 from x0 = 1 blows up at t = 1, inside a region too wide
+        # to leave: the stacked letter underflows, and then so does word 0
+        # alone, while word 1 runs alone to its end
+        dom = ball([0, 0], 1e30)
+        fam = FieldFamily(space=ChartSpace(2), common_domain=dom,
+                          members=(polynomial_field(dom, [((1.0, (2, 0)),), ()], label="X0"),
+                                   constant_field(dom, [0.0, 1.0], label="X1")))
+        raised, run = [], flow_module._stacked_letter
+
+        def recorded(*args, **kwargs):
+            try:
+                return run(*args, **kwargs)
+            except Exception as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(flow_module, "_stacked_letter", recorded)
+        x = np.array([1.0, 0.0])
+        words = [FlowWord(((0, 2.0),)), FlowWord(((1, 0.5),))]
+        paths, stops, W = run_words(fam, words, x, 1e-9, tangents=np.eye(2) if carried else None)
+        assert raised == [StepUnderflow]
+        assert isinstance(stops[0], StepUnderflow) and stops[1] is None
+        assert np.array_equal(paths[0], [x])
+        assert np.allclose(paths[1], [x, [1.0, 0.5]], rtol=0.0, atol=1e-12)
+        if carried:
+            assert np.array_equal(W[0], np.eye(2)) and np.allclose(W[1], np.eye(2))
+        else:
+            assert W is None
+
+
+class TestBadLetters:
+    @pytest.mark.parametrize("letter", [(-1, 0.1), (0, math.inf), (1, -math.inf), (0, math.nan)])
+    def test_a_word_refuses_a_negative_index_or_a_time_that_is_not_finite(self, letter):
+        with pytest.raises(InvalidArgument):
+            FlowWord(((0, 0.1), letter))
+
+    def test_run_words_refuses_an_index_beyond_the_family(self, heis):
+        with pytest.raises(InvalidArgument):
+            run_words(heis, [FlowWord(((5, 0.1),)), FlowWord(((0, 0.1),))], np.zeros(3))
+        with pytest.raises(InvalidArgument):
+            FlowWord(((2, 0.1),)).apply(heis, np.zeros(3))
 
 
 def _stripped(family):
@@ -736,7 +838,7 @@ class TestStartPointPerWord:
         words = [FlowWord(tuple((int(rng.integers(0, m)), float(rng.uniform(-0.3, 0.3)))
                                 for _ in range(n))) for n in (3, 1, 0, 2, 3)]
         starts = rng.uniform(-0.2, 0.2, (len(words), d))
-        paths, stops = run_words(family, words, starts, TOL)
+        paths, stops, _ = run_words(family, words, starts, TOL)
         assert stops == [None] * len(words)
         for word, start, path in zip(words, starts, paths):
             ref = [start]
@@ -750,7 +852,7 @@ class TestStartPointPerWord:
         starts = np.array([[0.0, 0.0], [0.8, 0.0], [0.0, -0.5]])
         words = [FlowWord(((0, 0.5), (1, 0.2))), FlowWord(((0, 0.5), (1, 0.1))),
                  FlowWord(((1, 0.3),))]
-        paths, stops = run_words(fam, words, starts, TOL, ball([0, 0], 1.0))
+        paths, stops, _ = run_words(fam, words, starts, TOL, ball([0, 0], 1.0))
         assert stops[0] is None and stops[2] is None and isinstance(stops[1], LeftDomain)
         assert np.array_equal(paths[1], starts[1:2])
         assert np.allclose(paths[0][-1], [0.5, 0.2]) and np.allclose(paths[2][-1], [0.0, -0.2])

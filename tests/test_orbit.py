@@ -307,7 +307,9 @@ def _per_word_sample(family, lb, x, budget, max_word_len, rng_seed, tol):
                          for _ in range(max_word_len)])
         y, executed = x, FlowWord(())
         try:
-            for letter, (y, _) in zip(word.letters, word.legs(family.members, x, tol, lb.region)):
+            for letter in word.letters:
+                y = flow_single(family.members[letter[0]], y, letter[1], tol=tol,
+                                region=lb.region).endpoint
                 executed = executed.then(FlowWord((letter,)))
                 cloud.append((y, executed, False))
         except (LeftDomain, StepUnderflow):
