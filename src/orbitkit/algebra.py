@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -149,20 +150,21 @@ class EnlargedField(VectorField):
         :class:`WordNotIntegrable`."""
         if self.table is not None:
             return super().eval_many(points)
-        points = np.asarray(points, dtype=float)
         family, tol, region, n = self.family, self.tol, self.domain, len(points)
         try:
             # each word runs from every row: one flow_single call per letter
-            paths, stops, _ = run_words(family, [self.word.inverse()] * n, points, tol, region)
-            _raise_first(stops)
+            paths, _ = _raise_first(run_words(family, [self.inverse_word] * n, points, tol, region))
             z = np.array([path[-1] for path in paths])
             tangents = self.scale * family.members[self.base_index].eval_many(z)
-            _, stops, values = run_words(family, [self.word] * n, z, tol, region, tangents)
-            _raise_first(stops)
+            return _raise_first(run_words(family, [self.word] * n, z, tol, region, tangents))[1]
         except (LeftDomain, StepUnderflow) as exc:
             where = points[0] if n == 1 else f"one of {n} points"
             raise WordNotIntegrable(f"conjugating word not integrable from {where}") from exc
-        return values
+
+    @cached_property
+    def inverse_word(self) -> FlowWord:
+        """The inverse word, built once: every nested evaluation runs it."""
+        return self.word.inverse()
 
 
 def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: float,

@@ -246,7 +246,6 @@ def extract_l1_curve(result: CompositionResult, samples_per_piece: int) -> L1Cur
     """
     if samples_per_piece < 1:
         raise InvalidArgument("samples_per_piece must be >= 1")
-    x = result.seed_point
     letters = []
     times = [0.0]
     t_base = 0.0
@@ -255,8 +254,8 @@ def extract_l1_curve(result: CompositionResult, samples_per_piece: int) -> L1Cur
         letters.extend((idx, b - a) for a, b in zip(sub, sub[1:]))
         times.extend(t_base + abs(s) for s in sub[1:])
         t_base += abs(dur)
-    (points,), stops, _ = run_words(result.family, [FlowWord(letters)], x, result.tol, result.region)
-    _raise_first(stops)
+    (points,), _ = _raise_first(run_words(result.family, [FlowWord(letters)], result.seed_point,
+                                          result.tol, result.region))
     times = np.asarray(times)
     return L1Curve(times=times, points=points, knot_times=times[::samples_per_piece],
                    knot_points=points[::samples_per_piece])

@@ -39,7 +39,9 @@ many words from one point, or each word from its own, carrying tangent
 columns on demand.  At each letter position, rows that share one letter
 are one :func:`flow_single` call over their stack, rows with different
 letters of a tabled family one such unit-time segment, each row flowing
-its own letter, and rows of an untabled family one at a time.
+its own letter, and rows with different letters of an untabled family one
+at a time; when every row runs the same word, each letter is one
+:func:`flow_single` call over the whole stack until a call fails.
 :meth:`FlowWord.apply` and :meth:`FlowWord.apply_with_variational` run one
 word through it.
 """
@@ -547,10 +549,9 @@ class FlowWord:
     letters: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        letters = tuple((int(i), float(t)) for i, t in self.letters)
-        if not all(i >= 0 and math.isfinite(t) for i, t in letters):
-            raise InvalidArgument(f"letters need member indices >= 0 and finite times: {letters}")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", tuple((int(i), float(t)) for i, t in self.letters))
+        if not all(i >= 0 and math.isfinite(t) for i, t in self.letters):
+            raise InvalidArgument(f"letters need indices >= 0 and finite times: {self.letters}")
 
     def inverse(self) -> "FlowWord":
         return FlowWord(tuple((i, -t) for i, t in reversed(self.letters)))
@@ -563,23 +564,22 @@ class FlowWord:
               region: Ball | None = None) -> np.ndarray:
         """Endpoint of this word from x (:func:`run_words`), raising the
         error that stops it."""
-        paths, stops, _ = run_words(family, [self], x, tol, region)
-        _raise_first(stops)
+        paths, _ = _raise_first(run_words(family, [self], x, tol, region))
         return paths[0][-1]
 
-    def apply_with_variational(self, family: FieldFamily, x: np.ndarray,
-                               tol: float = DEFAULT_TOL,
+    def apply_with_variational(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
                                region: Ball | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint and variational matrix of this word from x."""
-        paths, stops, tangents = run_words(family, [self], x, tol, region, np.eye(np.size(x)))
-        _raise_first(stops)
-        return paths[0][-1], tangents[0]
+        (path,), (M,) = _raise_first(run_words(family, [self], x, tol, region, np.eye(np.size(x))))
+        return path[-1], M
 
 
-def _raise_first(stops) -> None:
-    """Raise the first error of :func:`run_words`'s ``stops``, if any."""
-    for stop in filter(None, stops):
+def _raise_first(run) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Raise the first error of a :func:`run_words` run's ``stops``, if any;
+    otherwise return its paths and tangents."""
+    for stop in filter(None, run[1]):
         raise stop
+    return run[0], run[2]
 
 
 def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TOL,
@@ -591,7 +591,11 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
 
     Letter position j runs the rows of every word that has one.  Rows that
     share one letter are one :func:`flow_single` run over their stack, in
-    any family.  Rows with different letters of a tabled family are one
+    any family; when every row runs the same word (one word from one start
+    point, which runs as a one-row stack (1, d), or ``[word] * N``), each
+    letter is one such run of the whole stack with no per-row bookkeeping,
+    until a run fails.  A row run alone runs as one point (d,).  Rows with
+    different letters of a tabled family are one
     unit-time segment over the stack (:func:`_stacked_letter`): row n flows
     ``t_n X_{a_n}`` for its letter ``(a_n, t_n)``, its right-hand side the
     family's merged table weighted by row (:class:`_Rhs`), with its error
@@ -615,49 +619,51 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     n = len(words)
     if x.ndim == 2 and len(x) != n:
         raise InvalidArgument(f"{len(x)} start points for {n} words")
-    if any(a >= len(family) for w in words for a, _ in w.letters):
+    uniform = n > 0 and words[:1] * n == words  # one word from every row
+    letters = words[0].letters if uniform else [letter for w in set(words) for letter in w.letters]
+    if max(letters, default=(-1,))[0] >= len(family):
         raise InvalidArgument(f"a letter names no member of a family of {len(family)}")
     region = region if region is not None else family.common_domain
-    y, W = x, None if tangents is None else np.asarray(tangents, dtype=float)
-    if x.ndim == 1:  # every word from the one start point
-        y, W = x[None].repeat(n, 0), None if W is None else W[None].repeat(n, 0)
+    W = None if tangents is None else np.asarray(tangents, dtype=float)
+    # every word from one start point x (d,): each row starts there, with the tangents
+    y, W = (x, W) if x.ndim > 1 else (x[None].repeat(n, 0), W if W is None else W[None].repeat(n, 0))
     track, ran, stops = [y], [len(w.letters) for w in words], [None] * n  # ran: letters run
-    for j in range(max(ran, default=0)):
-        pending = [[i for i in range(n) if stops[i] is None and j < ran[i]]]  # runs to make at j
+    if uniform:  # each letter is one flow_single run of the whole stack
+        try:
+            for a, t in words[0].letters:
+                res = flow_single(family.members[a], y, t, tol=tol, tangents=W, region=region)
+                y, W = res.endpoint, res.tangents
+                track.append(y)
+            return list(np.array(track).swapaxes(0, 1)), stops, W
+        except (LeftDomain, StepUnderflow):
+            pass  # the letter that failed runs again below, under the exit rule
+    for j in range(len(track) - 1, max(ran, default=0)):
+        y, W = y.copy(), None if W is None else W.copy()
+        pending = [[i for i in range(n) if j < ran[i]]]  # runs to make at j
+        if family.table is None and len({words[i].letters[j] for i in pending[0]}) > 1:
+            pending = [[i] for i in pending[0]]  # different letters of an untabled family
         while pending and pending[-1]:
             rows = pending.pop()
             mine = [words[i].letters[j] for i in rows]
-            same = mine.count(mine[0]) == len(mine)
-            if not (same or family.table is not None):
-                pending += [[i] for i in rows]
-                continue
-            # a run of every row takes the stack as it is, a single row runs as one point (d,)
-            i = slice(None) if len(rows) == n else rows[0] if len(rows) == 1 else rows
+            i = rows[0] if len(rows) == 1 else rows  # a single row runs as one point (d,)
             carried = None if W is None else W[i]
-            try:
+            try:  # rows that share one letter are one flow_single run
                 res = (flow_single(family.members[mine[0][0]], y[i], mine[0][1], tol=tol,
-                                   tangents=carried, region=region) if same else
+                                   tangents=carried, region=region) if len(set(mine)) == 1 else
                        _stacked_letter(family, mine, y[i], tol, region, carried))
             except (LeftDomain, StepUnderflow) as exc:
                 if len(rows) == 1:
                     stops[rows[0]], ran[rows[0]] = exc, j
-                elif isinstance(exc, LeftDomain) and exc.row is not None:
-                    # the row that left runs alone, then the others are restacked
-                    pending += [rows[:exc.row] + rows[exc.row + 1:], [rows[exc.row]]]
-                else:
+                elif getattr(exc, "row", None) is None:  # an underflow, or an exit naming no row
                     pending += [[i] for i in rows]
+                else:  # the row that left runs alone, and the others are restacked
+                    pending += [rows[:exc.row] + rows[exc.row + 1:], [rows[exc.row]]]
                 continue
-            if len(rows) == n:
-                y, W = res.endpoint, res.tangents
-                continue
-            if y is track[-1]:  # the first run of some rows at j writes into a copy
-                y, W = y.copy(), None if W is None else W.copy()
             y[i] = res.endpoint
             if W is not None:
                 W[i] = res.tangents
         track.append(y)
-    T = np.array(track)
-    return [T[:m + 1, i] for i, m in enumerate(ran)], stops, W
+    return [path[:m + 1] for path, m in zip(np.array(track).swapaxes(0, 1), ran)], stops, W
 
 
 def _stacked_letter(family: FieldFamily, letters, points: np.ndarray, tol: float,
@@ -666,7 +672,6 @@ def _stacked_letter(family: FieldFamily, letters, points: np.ndarray, tol: float
     unit time for ``(a_n, t_n) = letters[n]`` and carrying its tangents,
     over the family's merged table."""
     index, times = (np.array(column) for column in zip(*letters))
-    weights = np.zeros((len(letters), len(family)))
-    weights[np.arange(len(letters)), index] = times
+    weights = np.eye(len(family))[index] * times[:, None]  # row n: t_n at member a_n
     return _flow(points, [(0.0, 1.0, _family_terms(family, weights, tangents))], tangents, tol,
                  region, None, span=np.abs(times))

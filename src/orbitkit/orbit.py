@@ -282,8 +282,7 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
     params = np.stack([g.ravel() for g in grids], axis=1)
     order = np.argsort(axes)
     words = [FlowWord(tuple((axes[i], w[i]) for i in order)) for w in params]
-    paths, stops, _ = run_words(family, words, x, tol, lb.region)
-    _raise_first(stops)
+    paths, _ = _raise_first(run_words(family, words, x, tol, lb.region))
     base_vectors = np.stack([family.members[a](x) for a in axes], axis=1)
     rank0 = numerical_rank(base_vectors)
     return SliceGrid(params=params, points=np.array([p[-1] for p in paths]), axes=axes,
@@ -401,9 +400,8 @@ def spot_check_sample(family: FieldFamily, sample: OrbitSample, tol: float = 1e-
     (:func:`run_words`), and return the largest distance between a stored
     point and its replay."""
     checked = sample.cloud[::20]
-    paths, stops, _ = run_words(family, [word for _, word, _ in checked], sample.seed, tol,
-                             sample.region)
-    _raise_first(stops)
+    paths, _ = _raise_first(run_words(family, [word for _, word, _ in checked], sample.seed, tol,
+                                      sample.region))
     return max((float(np.linalg.norm(path[-1] - point))
                 for (point, _, _), path in zip(checked, paths)), default=0.0)
 

@@ -590,9 +590,23 @@ class TestStackedRuns:
         fam = commuting_constants(2, 2)
         P = np.array([[0.0, 0.0], [7.5, 0.0]])
         with pytest.raises(LeftDomain) as info:
-            _, stops, _ = run_words(fam, [FlowWord(((0, 1.0),))] * 2, P, TOL, ball([0, 0], 8.0))
-            _raise_first(stops)
+            _raise_first(run_words(fam, [FlowWord(((0, 1.0),))] * 2, P, TOL, ball([0, 0], 8.0)))
         assert info.value.last_point[0] > 8.0
+
+    def test_one_word_from_every_row_runs_on_after_a_row_leaves(self):
+        # every row runs one word, a letter per stacked run, until row 1
+        # leaves at the second letter: from there the exit rule stops row 1
+        # at its own exit, and the other rows end the word
+        fam = commuting_constants(2, 2)
+        P = np.array([[0.0, 0.0], [6.5, 0.0], [0.0, 1.0]])
+        word = FlowWord(((1, 0.5), (0, 2.0), (1, -0.5)))
+        V = np.repeat(np.eye(2)[None], 3, axis=0)
+        paths, stops, W = run_words(fam, [word] * 3, P, TOL, ball([0, 0], 8.0), tangents=V)
+        assert stops[0] is None and stops[2] is None and isinstance(stops[1], LeftDomain)
+        assert np.allclose(paths[1], [[6.5, 0.0], [6.5, 0.5]], rtol=0.0, atol=1e-12)
+        for i in (0, 2):
+            assert np.allclose(paths[i], _chained(fam, word, P[i]), rtol=0.0, atol=1e-12)
+        assert np.allclose(W, V, rtol=0.0, atol=1e-12)
 
 
 def _chained(family, word, x, tol=TOL):

@@ -2,14 +2,12 @@
 
 A code line is a non-blank line that holds a token outside comments and
 docstrings (the docstrings of modules, classes and functions).  Standard
-library only.  Run from the repository root:
+library only.  Run from anywhere:
 
-    python tools/code_lines.py            # src/orbitkit
-    python tools/code_lines.py PATH ...   # other files or directories
+    python tools/code_lines.py
 """
 
 import ast
-import sys
 import tokenize
 from pathlib import Path
 
@@ -40,17 +38,15 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    roots = [Path(a) for a in argv] or [Path(__file__).resolve().parents[1] / "src" / "orbitkit"]
-    files = sorted(p for r in roots for p in ([r] if r.is_file() else r.rglob("*.py")))
+def main() -> None:
+    files = sorted((Path(__file__).resolve().parents[1] / "src" / "orbitkit").rglob("*.py"))
     total = 0
     for path in files:
         n = code_lines(path)
         total += n
-        print(f"{n:6d}  {path}")
+        print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  code lines in {len(files)} files")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
