@@ -21,9 +21,10 @@ all come from the table.  Where the series does not stop within
 or a member is untabled (the callable families), the field is evaluated by
 nested flows: the inverse word finds the source point, and the word from
 there carries the scaled member value as one tangent column through the
-linearised flow (never the full variational matrix).  Both runs are
-:func:`~orbitkit.flow.run_words` of the word from every point of a stack,
-each letter one ``flow_single`` call whose rows share a step sequence
+linearised flow (never the full variational matrix).  Both runs take the
+one-word path of :func:`~orbitkit.flow.run_words` over a stack of points,
+each letter one ``flow_single`` call whose rows share a step sequence, and
+raise at the first letter that leaves the region
 (:meth:`EnlargedField.eval_many`); that is how their finite-difference
 Jacobians and jet screens evaluate all their shifted points at once.  The
 conjugation identity between the flow of an enlarged field and the
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
 from .fields import (FieldFamily, LbRecord, MonomialTable, VectorField, _row_keys, calculus,
                      eval_jet_norm, finite_difference_jvp)
-from .flow import DEFAULT_TOL, FlowWord, _raise_first, flow_single, run_words
+from .flow import DEFAULT_TOL, FlowWord, _stacked_word, flow_single
 from .orbit import BracketChain, DistributionBasis, rank_of_singular_values
 from .orbit import numerical_rank  # noqa: F401  (perfbench's tracer wraps algebra.numerical_rank)
 from .space import Ball
@@ -145,18 +146,17 @@ class EnlargedField(VectorField):
         """Values at the rows of ``points`` (N, d): one table evaluation for a
         tabled field.  Otherwise two runs of the word over the whole stack:
         the inverse word, run plain, gives the source points z; the word run
-        from z carries the tangents ``scale X_base(z)`` to the values.  Any
-        row whose word leaves the region then raises
+        from z carries the tangents ``scale X_base(z)`` to the values.  The
+        first letter whose run leaves the region raises
         :class:`WordNotIntegrable`."""
         if self.table is not None:
             return super().eval_many(points)
         family, tol, region, n = self.family, self.tol, self.domain, len(points)
         try:
             # each word runs from every row: one flow_single call per letter
-            paths, _ = _raise_first(run_words(family, [self.inverse_word] * n, points, tol, region))
-            z = np.array([path[-1] for path in paths])
+            *_, (z, _) = _stacked_word(family, self.inverse_word.letters, points, tol, region)
             tangents = self.scale * family.members[self.base_index].eval_many(z)
-            return _raise_first(run_words(family, [self.word] * n, z, tol, region, tangents))[1]
+            return list(_stacked_word(family, self.word.letters, z, tol, region, tangents))[-1][1]
         except (LeftDomain, StepUnderflow) as exc:
             where = points[0] if n == 1 else f"one of {n} points"
             raise WordNotIntegrable(f"conjugating word not integrable from {where}") from exc

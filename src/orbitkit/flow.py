@@ -42,13 +42,14 @@ letters of a tabled family one such unit-time segment, each row flowing
 its own letter, and rows with different letters of an untabled family one
 at a time; when every row runs the same word, each letter is one
 :func:`flow_single` call over the whole stack until a call fails.
-:meth:`FlowWord.apply` and :meth:`FlowWord.apply_with_variational` run one
-word through it.
+That one-word path, which raises at the first letter that fails, is all
+that :meth:`FlowWord.apply` and :meth:`FlowWord.apply_with_variational` run.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -562,16 +563,15 @@ class FlowWord:
 
     def apply(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
               region: Ball | None = None) -> np.ndarray:
-        """Endpoint of this word from x (:func:`run_words`), raising the
-        error that stops it."""
-        paths, _ = _raise_first(run_words(family, [self], x, tol, region))
-        return paths[0][-1]
+        """Endpoint of this word from x, one :func:`flow_single` call per
+        letter (the one-word path of :func:`run_words`), raising the error
+        of the first letter that fails."""
+        return list(_stacked_word(family, self.letters, x, tol, region))[-1][0]
 
     def apply_with_variational(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
                                region: Ball | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint and variational matrix of this word from x."""
-        (path,), (M,) = _raise_first(run_words(family, [self], x, tol, region, np.eye(np.size(x))))
-        return path[-1], M
+        """Endpoint and variational matrix of this word from x, as :meth:`apply`."""
+        return list(_stacked_word(family, self.letters, x, tol, region, np.eye(np.size(x))))[-1]
 
 
 def _raise_first(run) -> tuple[list[np.ndarray], np.ndarray | None]:
@@ -615,28 +615,21 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     of the letter that ended word n early, or ``None``; ``tangents[n]`` are
     word n's tangents where its path ends (``None`` without tangents).
     """
-    x = np.asarray(x, dtype=float)
-    n = len(words)
+    x, n = np.asarray(x, dtype=float), len(words)
     if x.ndim == 2 and len(x) != n:
         raise InvalidArgument(f"{len(x)} start points for {n} words")
-    uniform = n > 0 and words[:1] * n == words  # one word from every row
-    letters = words[0].letters if uniform else [letter for w in set(words) for letter in w.letters]
-    if max(letters, default=(-1,))[0] >= len(family):
-        raise InvalidArgument(f"a letter names no member of a family of {len(family)}")
+    uniform = n > 0 and words[:1] * n == words  # one word from every row; _stacked_word checks it
+    _check_letters(family, () if uniform else [letter for w in set(words) for letter in w.letters])
     region = region if region is not None else family.common_domain
     W = None if tangents is None else np.asarray(tangents, dtype=float)
     # every word from one start point x (d,): each row starts there, with the tangents
     y, W = (x, W) if x.ndim > 1 else (x[None].repeat(n, 0), W if W is None else W[None].repeat(n, 0))
-    track, ran, stops = [y], [len(w.letters) for w in words], [None] * n  # ran: letters run
-    if uniform:  # each letter is one flow_single run of the whole stack
-        try:
-            for a, t in words[0].letters:
-                res = flow_single(family.members[a], y, t, tol=tol, tangents=W, region=region)
-                y, W = res.endpoint, res.tangents
-                track.append(y)
-            return list(np.array(track).swapaxes(0, 1)), stops, W
-        except (LeftDomain, StepUnderflow):
-            pass  # the letter that failed runs again below, under the exit rule
+    track, ran, stops = [], [len(w.letters) for w in words], [None] * n  # ran: letters run
+    # one word from every row: each letter is one flow_single run of the whole stack;
+    # the letter whose run fails, and the letters after it, run below under the exit rule
+    with suppress(LeftDomain, StepUnderflow):
+        for y, W in _stacked_word(family, words[0].letters if uniform else (), y, tol, region, W):
+            track.append(y)
     for j in range(len(track) - 1, max(ran, default=0)):
         y, W = y.copy(), None if W is None else W.copy()
         pending = [[i for i in range(n) if j < ran[i]]]  # runs to make at j
@@ -664,6 +657,27 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
                 W[i] = res.tangents
         track.append(y)
     return [path[:m + 1] for path, m in zip(np.array(track).swapaxes(0, 1), ran)], stops, W
+
+
+def _check_letters(family: FieldFamily, letters) -> None:
+    if max(letters, default=(-1,))[0] >= len(family):
+        raise InvalidArgument(f"a letter names no member of a family of {len(family)}")
+
+
+def _stacked_word(family: FieldFamily, letters, y, tol: float, region: Ball | None, W=None):
+    """The one-word path of :func:`run_words`: run every row of y, one
+    point (d,) or a stack (N, d), through ``letters``, carrying the tangents
+    W, each letter one :func:`flow_single` run of the whole stack.  Yields
+    ``(y, W)`` at the start and after each letter; the first letter whose
+    run leaves the region or underflows raises its error.  ``region``
+    defaults to the family's common domain."""
+    _check_letters(family, letters)
+    y, region = np.asarray(y, dtype=float), family.common_domain if region is None else region
+    yield y, W
+    for a, t in letters:
+        res = flow_single(family.members[a], y, t, tol=tol, tangents=W, region=region)
+        y, W = res.endpoint, res.tangents
+        yield y, W
 
 
 def _stacked_letter(family: FieldFamily, letters, points: np.ndarray, tol: float,
