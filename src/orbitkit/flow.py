@@ -660,6 +660,7 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
 
 
 def _check_letters(family: FieldFamily, letters) -> None:
+    """Refuse a letter whose index names no member of ``family``."""
     if max(letters, default=(-1,))[0] >= len(family):
         raise InvalidArgument(f"a letter names no member of a family of {len(family)}")
 

@@ -293,6 +293,23 @@ class TestEnlargement:
         with pytest.raises(WordNotIntegrable):
             Z(np.array([-0.95, 0.0]))  # backward word exits the unit ball
 
+    def test_a_stack_that_leaves_raises_at_the_first_stop(self, monkeypatch):
+        # every row's inverse word leaves the unit ball at its second letter:
+        # the stack raises there, with no row run again alone
+        fam = _stripped(_translation_family("X1", "xdy"))
+        lb = LbRecord(order_s=2, bound_k=1.25, region=fam.common_domain)
+        Z = enlarge_field(fam, FlowWord(((0, 0.2), (1, 0.3))), 0, 1.0, lb)
+        calls, original = [], flow_module.flow_single
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "flow_single", counted)
+        with pytest.raises(WordNotIntegrable):
+            Z.eval_many(np.column_stack([np.full(6, -0.95), np.linspace(-0.3, -0.2, 6)]))
+        assert calls == [(6, 2), (6, 2)]
+
 
 class TestLieSeries:
     """Enlarged fields of tabled families carry the pushforward series as a
