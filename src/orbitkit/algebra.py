@@ -21,10 +21,10 @@ all come from the table.  Where the series does not stop within
 or a member is untabled (the callable families), the field is evaluated by
 nested flows: the inverse word finds the source point, and the word from
 there carries the scaled member value as one tangent column through the
-linearised flow (never the full variational matrix).  Both runs take the
-one-word path of :func:`~orbitkit.flow.run_words` over a stack of points,
-each letter one ``flow_single`` call whose rows share a step sequence, and
-raise at the first letter that leaves the region
+linearised flow (never the full variational matrix).  Both runs are
+:func:`~orbitkit.flow._stacked_word` over a stack of points, each letter
+one ``flow_single`` call whose rows share a step sequence, and raise at the
+first letter that leaves the region
 (:meth:`EnlargedField.eval_many`); that is how their finite-difference
 Jacobians and jet screens evaluate all their shifted points at once.  The
 conjugation identity between the flow of an enlarged field and the
@@ -196,8 +196,7 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
         inner = base_index
         return enlarge_field(family, inner.word.then(word), inner.base_index,
                              nu * inner.scale, lb, tol=tol)
-    if not 0 <= base_index < len(family) or any(a >= len(family) for a, _ in word.letters):
-        raise InvalidArgument(f"a base or letter index names no member of a family of {len(family)}")
+    family.check_members([base_index, *(a for a, _ in word.letters)])
     base = family.members[base_index]
     region = lb.region
     table = None

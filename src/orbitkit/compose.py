@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InvalidArgument, TailNotSummable
 from .fields import FieldFamily, LbRecord
-from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, _raise_first,
-                   flow_control, flow_single, guard, run_words)
+from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, _stacked_word,
+                   flow_control, flow_single, guard)
 from .space import Ball, L1Coefficients
 
 TAIL_FACTOR_NOTE = "k*exp(k*norm1(tau)) times dropped l1 mass"
@@ -119,13 +119,6 @@ def _choose_truncation(tau: L1Coefficients, factor: float, tol: float) -> int:
     return n
 
 
-def _require_members(family: FieldFamily, coefficients: L1Coefficients) -> None:
-    """Raise :class:`InvalidArgument` when an index has no family member."""
-    if coefficients.entries and coefficients.entries[-1][0] >= len(family):
-        raise InvalidArgument(f"index {coefficients.entries[-1][0]} has no family member "
-                              f"(the family has {len(family)})")
-
-
 def _plan(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray, tol: float,
           truncation_n: int | None, unsafe: bool
           ) -> tuple[L1Coefficients, float, int, ExistenceCertificate]:
@@ -142,7 +135,7 @@ def _plan(family: FieldFamily, lb: LbRecord, tau: L1Coefficients, x: np.ndarray,
     if truncation_n is None:
         truncation_n = _choose_truncation(tau, factor, tol)
     kept, tail = tau.truncate(truncation_n)
-    _require_members(family, kept)
+    family.check_members(kept.support)
     # a composition that drops no mass is exact, even under an infinite factor
     return kept, factor * tail if tail else 0.0, truncation_n, cert
 
@@ -224,7 +217,7 @@ def d_psi(family: FieldFamily, lb: LbRecord, x: np.ndarray, tau: L1Coefficients,
     """
     x = np.asarray(x, dtype=float)
     kept, _, _, _ = _plan(family, lb, tau, x, tol, None, unsafe)
-    _require_members(family, sigma)
+    family.check_members(sigma.support)
     tau_map = dict(kept.entries)
     v = np.zeros(x.size)
     for idx in sorted(set(tau_map) | set(sigma.support)):
@@ -254,8 +247,8 @@ def extract_l1_curve(result: CompositionResult, samples_per_piece: int) -> L1Cur
         letters.extend((idx, b - a) for a, b in zip(sub, sub[1:]))
         times.extend(t_base + abs(s) for s in sub[1:])
         t_base += abs(dur)
-    (points,), _ = _raise_first(run_words(result.family, [FlowWord(letters)], result.seed_point,
-                                          result.tol, result.region))
+    points = np.array([y for y, _ in _stacked_word(result.family, letters, result.seed_point,
+                                                   result.tol, result.region)])
     times = np.asarray(times)
     return L1Curve(times=times, points=points, knot_times=times[::samples_per_piece],
                    knot_points=points[::samples_per_piece])

@@ -400,6 +400,15 @@ class FieldFamily:
     def labels(self) -> tuple[str, ...]:
         return tuple(m.label for m in self.members)
 
+    def check_members(self, indices: Sequence[int]) -> None:
+        """The one member-index rule: every index of a word, a control piece,
+        a coefficient family or an axis list names a member, ``0 <= i <
+        len(self)``; :class:`InvalidArgument` otherwise."""
+        low, high = min(indices, default=0), max(indices, default=0)
+        if low < 0 or high >= len(self.members):
+            raise InvalidArgument(f"index {low if low < 0 else high} has no family member "
+                                  f"(the family has {len(self.members)})")
+
     @cached_property
     def table(self) -> MonomialTable | None:
         """The members' tables merged (:func:`_merge_tables`), coefficients

@@ -40,16 +40,15 @@ columns on demand.  At each letter position, rows that share one letter
 are one :func:`flow_single` call over their stack, rows with different
 letters of a tabled family one such unit-time segment, each row flowing
 its own letter, and rows with different letters of an untabled family one
-at a time; when every row runs the same word, each letter is one
-:func:`flow_single` call over the whole stack until a call fails.
-That one-word path, which raises at the first letter that fails, is all
-that :meth:`FlowWord.apply` and :meth:`FlowWord.apply_with_variational` run.
+at a time.  A caller that needs only a word's end runs :func:`_stacked_word`,
+one :func:`flow_single` call per letter over the whole stack, which raises
+at the first letter that fails: :meth:`FlowWord.apply` and
+:meth:`FlowWord.apply_with_variational` are that run.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -500,6 +499,7 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
     x0 = np.asarray(x0, dtype=float)
     if x0.size != family.space.dimension:
         raise InvalidArgument("start point dimension mismatch")
+    family.check_members([i for _, _, coeff in u.pieces for i, _ in coeff.entries])
 
     certificate = None
     if lb is not None:
@@ -564,8 +564,8 @@ class FlowWord:
     def apply(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
               region: Ball | None = None) -> np.ndarray:
         """Endpoint of this word from x, one :func:`flow_single` call per
-        letter (the one-word path of :func:`run_words`), raising the error
-        of the first letter that fails."""
+        letter (:func:`_stacked_word`), raising the error of the first
+        letter that fails."""
         return list(_stacked_word(family, self.letters, x, tol, region))[-1][0]
 
     def apply_with_variational(self, family: FieldFamily, x: np.ndarray, tol: float = DEFAULT_TOL,
@@ -591,23 +591,20 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
 
     Letter position j runs the rows of every word that has one.  Rows that
     share one letter are one :func:`flow_single` run over their stack, in
-    any family; when every row runs the same word (one word from one start
-    point, which runs as a one-row stack (1, d), or ``[word] * N``), each
-    letter is one such run of the whole stack with no per-row bookkeeping,
-    until a run fails.  A row run alone runs as one point (d,).  Rows with
-    different letters of a tabled family are one
-    unit-time segment over the stack (:func:`_stacked_letter`): row n flows
-    ``t_n X_{a_n}`` for its letter ``(a_n, t_n)``, its right-hand side the
-    family's merged table weighted by row (:class:`_Rhs`), with its error
-    scale multiplied by ``|t_n|``, so that each row is integrated to the
-    tolerance of its own flow.  Rows with different letters of an untabled
-    family run one at a time.  A one-row run that leaves the region or
-    underflows stops its word.  When a row of a stacked run leaves the
-    region, that row runs alone and the others are stacked again, so a word
-    stops at its own exit, as if it had run alone; a stacked run that
-    raises :class:`StepUnderflow`, or a :class:`LeftDomain` that names no
-    row, runs each of its rows alone.  ``region`` defaults to the family's
-    common domain.
+    any family, and a row run alone runs as one point (d,).  Rows with
+    different letters of a tabled family are one unit-time segment over the
+    stack (:func:`_stacked_letter`): row n flows ``t_n X_{a_n}`` for its
+    letter ``(a_n, t_n)``, its right-hand side the family's merged table
+    weighted by row (:class:`_Rhs`), with its error scale multiplied by
+    ``|t_n|``, so that each row is integrated to the tolerance of its own
+    flow.  Rows with different letters of an untabled family run one at a
+    time.  A one-row run that leaves the region or underflows stops its
+    word.  When a row of a stacked run leaves the region, that row runs
+    alone and the others are stacked again, so a word stops at its own
+    exit, as if it had run alone; a stacked run that raises
+    :class:`StepUnderflow`, or a :class:`LeftDomain` that names no row, runs
+    each of its rows alone.  ``region`` defaults to the family's common
+    domain.
 
     Returns ``(paths, stops, tangents)``: ``paths[n]`` holds word n's start
     point and its endpoint after each letter it ran, ``(1 + letters run,
@@ -618,19 +615,13 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     x, n = np.asarray(x, dtype=float), len(words)
     if x.ndim == 2 and len(x) != n:
         raise InvalidArgument(f"{len(x)} start points for {n} words")
-    uniform = n > 0 and words[:1] * n == words  # one word from every row; _stacked_word checks it
-    _check_letters(family, () if uniform else [letter for w in set(words) for letter in w.letters])
+    family.check_members([a for w in set(words) for a, _ in w.letters])
     region = region if region is not None else family.common_domain
     W = None if tangents is None else np.asarray(tangents, dtype=float)
     # every word from one start point x (d,): each row starts there, with the tangents
     y, W = (x, W) if x.ndim > 1 else (x[None].repeat(n, 0), W if W is None else W[None].repeat(n, 0))
-    track, ran, stops = [], [len(w.letters) for w in words], [None] * n  # ran: letters run
-    # one word from every row: each letter is one flow_single run of the whole stack;
-    # the letter whose run fails, and the letters after it, run below under the exit rule
-    with suppress(LeftDomain, StepUnderflow):
-        for y, W in _stacked_word(family, words[0].letters if uniform else (), y, tol, region, W):
-            track.append(y)
-    for j in range(len(track) - 1, max(ran, default=0)):
+    track, ran, stops = [y], [len(w.letters) for w in words], [None] * n  # ran: letters run
+    for j in range(max(ran, default=0)):
         y, W = y.copy(), None if W is None else W.copy()
         pending = [[i for i in range(n) if j < ran[i]]]  # runs to make at j
         if family.table is None and len({words[i].letters[j] for i in pending[0]}) > 1:
@@ -659,20 +650,14 @@ def run_words(family: FieldFamily, words, x: np.ndarray, tol: float = DEFAULT_TO
     return [path[:m + 1] for path, m in zip(np.array(track).swapaxes(0, 1), ran)], stops, W
 
 
-def _check_letters(family: FieldFamily, letters) -> None:
-    """Refuse a letter whose index names no member of ``family``."""
-    if max(letters, default=(-1,))[0] >= len(family):
-        raise InvalidArgument(f"a letter names no member of a family of {len(family)}")
-
-
 def _stacked_word(family: FieldFamily, letters, y, tol: float, region: Ball | None, W=None):
-    """The one-word path of :func:`run_words`: run every row of y, one
-    point (d,) or a stack (N, d), through ``letters``, carrying the tangents
-    W, each letter one :func:`flow_single` run of the whole stack.  Yields
-    ``(y, W)`` at the start and after each letter; the first letter whose
-    run leaves the region or underflows raises its error.  ``region``
-    defaults to the family's common domain."""
-    _check_letters(family, letters)
+    """Run every row of y, one point (d,) or a stack (N, d), through one
+    word's ``letters``, carrying the tangents W, each letter one
+    :func:`flow_single` run of the whole stack.  Yields ``(y, W)`` at the
+    start and after each letter; the first letter whose run leaves the
+    region or underflows raises its error.  ``region`` defaults to the
+    family's common domain."""
+    family.check_members([a for a, _ in letters])
     y, region = np.asarray(y, dtype=float), family.common_domain if region is None else region
     yield y, W
     for a, t in letters:

@@ -271,8 +271,7 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
         raise InvalidArgument("at most 3 grid axes are supported")
     if len(set(axes)) < len(axes):
         raise InvalidArgument(f"slice axes must be distinct, not {axes}")
-    if not all(0 <= a < len(family) for a in axes):
-        raise InvalidArgument(f"slice axes must name family members (0..{len(family) - 1})")
+    family.check_members(axes)
     if not 0 < rho < np.inf:
         raise InvalidArgument(f"rho must be positive and finite, not {rho!r}")
     if grid_per_axis < 1:
@@ -309,10 +308,12 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     round's extensions are one stacked run, stored in draw order.
     ``mode="independent"`` integrates ``budget`` unrelated words of
     ``max_word_len`` legs each, storing every leg endpoint in generation
-    order.
+    order.  ``budget`` and ``max_word_len`` must be at least 1.
     """
     if budget < 1:
         raise InvalidArgument("budget must be >= 1")
+    if max_word_len < 1:
+        raise InvalidArgument("max_word_len must be >= 1")
     if exploration_radius is not None and not 0 < exploration_radius < math.inf:
         raise InvalidArgument(f"exploration radius must be positive and finite, "
                               f"not {exploration_radius!r}")
@@ -456,6 +457,7 @@ def invariance_residual(family: FieldFamily, x: np.ndarray, flow_index: int, t: 
     non-invariant one shows order-one residuals exactly where the rank
     jumps.
     """
+    family.check_members((flow_index,))
     x = np.asarray(x, dtype=float)
     src = distribution_at(family, x, include_enlarged)
     # the flow's derivative carries the source vectors as tangent columns

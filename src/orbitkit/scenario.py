@@ -135,7 +135,7 @@ def _integer(v: float, key: str, members: int | None = None) -> int:
     if not v.is_integer():
         raise ParseError(f"'{key}' takes integers")
     if members is not None and not 0 <= v < members:
-        raise ParseError(f"'{key}' index {int(v)} has no family member")
+        raise ParseError(f"'{key}' index {int(v)} names no family member")
     return int(v)
 
 

@@ -13,6 +13,7 @@ and the tail bound dominates everything that was dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -212,7 +213,7 @@ class L1Coefficients:
     """Finitely supported coefficients with an explicit summable tail bound.
 
     ``entries`` is a sorted tuple of ``(index, value)`` pairs with no
-    duplicate indices and no stored zeros.  ``tail_bound`` dominates the mass
+    duplicate indices, and every value finite and nonzero.  ``tail_bound`` dominates the mass
     of everything beyond the stored support (0 for exactly finite support).
     ``norm1``, the sum of absolute stored values plus the tail bound, is
     computed once on construction.
@@ -226,6 +227,8 @@ class L1Coefficients:
         ent = tuple((int(i), float(v)) for i, v in self.entries)
         if any(v == 0.0 for _, v in ent):
             raise InvalidArgument("stored zero value")
+        if not all(math.isfinite(v) for _, v in ent):
+            raise InvalidArgument("values must be finite")
         idx = [i for i, _ in ent]
         if sorted(idx) != idx or len(set(idx)) != len(idx):
             raise InvalidArgument("entries must be sorted by index with no duplicates")

@@ -7,13 +7,13 @@ import pytest
 from orbitkit import flow as flow_module
 from orbitkit.algebra import bracket_field, enlarge_field
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, operator_family
-from orbitkit.compose import compose_flows
+from orbitkit.compose import compose_flows, compose_inverse, d_psi
 from orbitkit.errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
                              OutOfDomain, StepUnderflow, WordNotIntegrable)
 from orbitkit.fields import FieldFamily, LbRecord, VectorField, constant_field, polynomial_field
 from orbitkit.flow import (Control, FlowWord, _raise_first, flow_control, flow_single, guard,
                            run_words)
-from orbitkit.orbit import orbit_sample, slice_grid
+from orbitkit.orbit import invariance_residual, orbit_sample, slice_grid
 from orbitkit.space import ChartSpace, L1Coefficients, ball
 
 TOL = 1e-9
@@ -763,6 +763,33 @@ class TestStackedTangents:
             assert W is None
 
 
+def _one(index, value=0.1):
+    return L1Coefficients(((index, value),))
+
+
+# every entry point that takes a member index, called with index i
+_INDEXED = {
+    "flow_control": lambda f, lb, i: flow_control(f, one_piece(_one(i), 0.0, 0.5), np.zeros(3),
+                                                  0.0, 0.5, tangents=np.eye(3)),
+    "run_words": lambda f, lb, i: run_words(f, [FlowWord(((0, 0.1),)), FlowWord(((i, 0.1),))],
+                                            np.zeros(3)),
+    "apply": lambda f, lb, i: FlowWord(((0, 0.1), (i, 0.1))).apply(f, np.zeros(3)),
+    "apply_with_variational": lambda f, lb, i: FlowWord(((i, 0.1),)).apply_with_variational(
+        f, np.zeros(3)),
+    "compose_flows": lambda f, lb, i: compose_flows(f, lb, _one(i), np.zeros(3)),
+    "compose_inverse": lambda f, lb, i: compose_inverse(f, lb, _one(i), np.zeros(3),
+                                                        path="sequential"),
+    "d_psi_tau": lambda f, lb, i: d_psi(f, lb, np.zeros(3), _one(i), _one(0)),
+    "d_psi_sigma": lambda f, lb, i: d_psi(f, lb, np.zeros(3), _one(0), _one(i)),
+    "enlarge_field_letter": lambda f, lb, i: enlarge_field(f, FlowWord(((i, 0.1),)), 0, 1.0, lb),
+    "enlarge_field_base": lambda f, lb, i: enlarge_field(f, FlowWord(((0, 0.1),)), i, 1.0, lb),
+    "slice_grid": lambda f, lb, i: slice_grid(f, lb, np.zeros(3), 0.1, 2, (0, i)),
+    "invariance_residual": lambda f, lb, i: invariance_residual(f, np.zeros(3), i, 0.2, lb),
+}
+# the entry points that take the index as a plain int, where -1 gets as far as them
+_RAW_INDEX = ("enlarge_field_base", "slice_grid", "invariance_residual")
+
+
 class TestBadLetters:
     @pytest.mark.parametrize("letter", [(-1, 0.1), (0, math.inf), (1, -math.inf), (0, math.nan)])
     def test_a_word_refuses_a_negative_index_or_a_time_that_is_not_finite(self, letter):
@@ -774,6 +801,18 @@ class TestBadLetters:
             run_words(heis, [FlowWord(((5, 0.1),)), FlowWord(((0, 0.1),))], np.zeros(3))
         with pytest.raises(InvalidArgument):
             FlowWord(((2, 0.1),)).apply(heis, np.zeros(3))
+
+    @pytest.mark.parametrize("stripped", [False, True], ids=["tabled", "untabled"])
+    @pytest.mark.parametrize("entry", list(_INDEXED))
+    def test_every_entry_point_refuses_an_index_with_no_member(self, heis, heis_lb, entry,
+                                                               stripped):
+        # flow_control raised a bare IndexError, and invariance_residual
+        # flowed the last member for -1
+        family = _stripped(heis) if stripped else heis
+        for index in (len(family), -1) if entry in _RAW_INDEX else (len(family),):
+            with pytest.raises(InvalidArgument, match=f"index {index} has no family member"):
+                _INDEXED[entry](family, heis_lb, index)
+
 
 
 def _stripped(family):

@@ -244,10 +244,13 @@ class TestSliceGrid:
 
 class TestOrbitSample:
     def test_budget_one_word_length_zero(self, grush, grush_lb):
-        samp = orbit_sample(grush, grush_lb, np.zeros(2), budget=1, max_word_len=0,
-                            rng_seed=1)
-        assert len(samp.cloud) == 1
-        assert np.array_equal(samp.cloud[0][0], np.zeros(2))
+        # a word length below 1 used to give the seed alone as the cloud,
+        # whatever the budget asked for
+        for mode in ("explore", "independent"):
+            for max_word_len in (0, -1):
+                with pytest.raises(InvalidArgument, match="max_word_len"):
+                    orbit_sample(grush, grush_lb, np.zeros(2), budget=1,
+                                 max_word_len=max_word_len, rng_seed=1, mode=mode)
 
     @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan"), float("inf")])
     def test_exploration_radius_must_be_positive_and_finite(self, grush, grush_lb, radius):

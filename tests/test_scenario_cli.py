@@ -186,6 +186,8 @@ command compose {
         ("compose", "point 0 0 0\n  entry nan 0.1", "ParseError"),
         ("compose", "point 0 0 0\n  entry 0 0.1\n  curve-samples 3\n  out", "ParseError"),
         ("orbit-sample", "point 0 0 0\n  budget 0", "InvalidArgument"),
+        ("orbit-sample", "point 0 0 0\n  budget 20\n  max-word-len 0", "InvalidArgument"),
+        ("orbit-sample", "point 0 0 0\n  mode independent\n  max-word-len -1", "InvalidArgument"),
         ("orbit-sample", "point 0 0 0\n  budget", "ParseError"),
         ("orbit-sample", "point 0 0 0\n  budget nan", "ParseError"),
         ("orbit-sample", "point 0 0 0\n  mode", "ParseError"),

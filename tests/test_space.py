@@ -74,6 +74,15 @@ class TestL1CoefficientsValidation:
         with pytest.raises(InvalidArgument):
             L1Coefficients(((0, 1.0),), tail)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_value_that_is_not_finite(self, value):
+        # a NaN value used to reach the flows: compose_flows returned the
+        # start point, d_psi NaNs and flow_control a StepUnderflow
+        with pytest.raises(InvalidArgument):
+            L1Coefficients(((0, 1.0), (1, value)))
+        with pytest.raises(InvalidArgument):
+            L1Coefficients.from_pairs([(1, value)])
+
     def test_rejects_a_negative_truncation(self):
         with pytest.raises(InvalidArgument):
             L1Coefficients(((0, 1.0),)).truncate(-1)
