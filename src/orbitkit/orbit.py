@@ -310,9 +310,10 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     ``max_word_len`` legs each, storing every leg endpoint in generation
     order.  ``budget`` and ``max_word_len`` must be at least 1.
     """
-    if budget < 1:
+    # `not >= 1` refuses NaN too
+    if not budget >= 1:
         raise InvalidArgument("budget must be >= 1")
-    if max_word_len < 1:
+    if not max_word_len >= 1:
         raise InvalidArgument("max_word_len must be >= 1")
     if exploration_radius is not None and not 0 < exploration_radius < math.inf:
         raise InvalidArgument(f"exploration radius must be positive and finite, "

@@ -247,10 +247,13 @@ class TestOrbitSample:
         # a word length below 1 used to give the seed alone as the cloud,
         # whatever the budget asked for
         for mode in ("explore", "independent"):
-            for max_word_len in (0, -1):
+            for max_word_len in (0, -1, math.nan):
                 with pytest.raises(InvalidArgument, match="max_word_len"):
                     orbit_sample(grush, grush_lb, np.zeros(2), budget=1,
                                  max_word_len=max_word_len, rng_seed=1, mode=mode)
+        # a NaN budget raised a bare TypeError
+        with pytest.raises(InvalidArgument, match="budget"):
+            orbit_sample(grush, grush_lb, np.zeros(2), budget=math.nan, max_word_len=1, rng_seed=1)
 
     @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan"), float("inf")])
     def test_exploration_radius_must_be_positive_and_finite(self, grush, grush_lb, radius):

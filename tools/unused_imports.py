@@ -2,11 +2,11 @@
 never references, and exit 1 if there are any.
 
 A name counts as referenced when it appears as a name anywhere in the
-module's code, string annotations included; a mention in a docstring or a
-comment does not count.  ``__init__.py`` is skipped (its imports are the
-package's re-exports), and so is an import line marked ``# noqa: F401``
-(a binding kept on purpose, such as one that a tracer wraps).  Standard
-library only.  Run from anywhere:
+module's code; a mention in a docstring, a comment or a string does not
+count.  ``__init__.py`` is skipped (its imports are the package's
+re-exports), and so is an import line marked ``# noqa: F401`` (a binding
+kept on purpose, such as one that a tracer wraps).  Standard library only.
+Run from anywhere:
 
     python tools/unused_imports.py
 """
@@ -16,37 +16,13 @@ import sys
 from pathlib import Path
 
 
-def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
-    """The names an import statement binds in its module."""
-    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
-
-
-def _annotation_names(tree: ast.AST) -> set[str]:
-    """The names inside string annotations, such as ``"FieldFamily"``."""
-    names = set()
-    for node in ast.walk(tree):
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for annotation in filter(None, annotations):
-            for const in ast.walk(annotation):
-                if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                    names.update(n.id for n in ast.walk(ast.parse(const.value, mode="eval"))
-                                 if isinstance(n, ast.Name))
-    return names
-
-
 def unused_imports(path: Path) -> list[tuple[int, str]]:
     """``(line, name)`` of each module-level import of ``path`` that the
     module never references."""
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = []
     for node in tree.body:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -55,7 +31,9 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
             continue
         if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
             continue
-        unused += [(node.lineno, name) for name in _bound_names(node) if name not in used]
+        # ``import a.b`` binds ``a``
+        names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        unused += [(node.lineno, name) for name in names if name not in used]
     return unused
 
 
