@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, TailNotSummable
-from .fields import FieldFamily, LbRecord
+from .fields import FieldFamily, LbRecord, _integer
 from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, _stacked_word,
                    flow_control, flow_single, guard)
 from .space import Ball, L1Coefficients
@@ -237,8 +237,7 @@ def extract_l1_curve(result: CompositionResult, samples_per_piece: int) -> L1Cur
 
     The subdivision knots are the cumulative absolute durations.
     """
-    if samples_per_piece < 1:
-        raise InvalidArgument("samples_per_piece must be >= 1")
+    samples_per_piece = _integer(samples_per_piece, "samples_per_piece", 1)
     letters = []
     times = [0.0]
     t_base = 0.0

@@ -2,7 +2,15 @@
 piecewise-constant controls, with existence-radius guards and tangent
 vectors (first-order sensitivities) co-integrated on demand.
 
-The integrator is an adaptive embedded Dormand-Prince 5(4) pair.  The
+A flow of an affine table (degree at most 1, a field ``A x + b``) is exact:
+in homogeneous coordinates every segment is one matrix exponential of its
+augmented matrix ``h [[A, b], [0, 0]]``, and all segments of a call go
+through one scaling-and-squaring Taylor kernel as one stack.  Each exact
+step is split in quarters whose points meet the region check; from the
+first segment with a point outside, or too long for the kernel, the flow
+runs on the stepper.  Every other flow runs on the stepper.
+
+The stepper is an adaptive embedded Dormand-Prince 5(4) pair.  The
 first trial step of each segment is the whole segment, and the error
 estimate sizes the steps after it; a trial stage that raises
 :class:`LeftDomain`, :class:`WordNotIntegrable` or :class:`OutOfDomain`, or
@@ -27,11 +35,12 @@ vector, or the d columns of a variational matrix, which is the block that
 starts at the identity.  All rows share one step sequence, sized by the
 worst row, and every row is checked against the working region.
 
-A flow of tabled fields has one right-hand side: a monomial table against
-flat coefficients, and its derivative table against theirs for the
-tangents; :func:`flow_single` of a tabled field uses the field's own
-tables.  Rows that flow different letters of a tabled family are one evaluation of the
-family's merged :attr:`FieldFamily.table` against per-row coefficients,
+On the stepper, a flow of tabled fields has one right-hand side: a
+monomial table against flat coefficients, and its derivative table against
+theirs for the tangents; :func:`flow_single` of a tabled field uses the
+field's own tables.  Rows that flow different letters of a tabled family
+are one evaluation of the family's merged :attr:`FieldFamily.table`
+against per-row coefficients,
 and each row's error scale is multiplied by the time its coefficients
 stand for, so that flowing ``t X`` over unit time takes the steps of
 flowing X over time t.  :func:`run_words` is the one word runner: it runs
@@ -198,8 +207,9 @@ class FlowResult:
     ``endpoint`` has the shape of the start points.  ``tangents`` are the
     given tangent columns moved by the derivative of the endpoint map, in
     the shape they were given (``None`` without); from the identity they
-    are its variational matrix.  ``certificate`` is ``None`` for an
-    unguarded flow.
+    are its variational matrix.  ``steps_taken`` counts the accepted
+    stepper steps, and an exact step counts one.  ``certificate`` is
+    ``None`` for an unguarded flow.
     """
 
     endpoint: np.ndarray
@@ -209,32 +219,18 @@ class FlowResult:
 
 
 class _Tables(NamedTuple):
-    """``sum_a w_a X_a`` of tabled members: the monomial table ``value``
-    against flat ``coefficients``, (T, d) shared by every row or (N, T, d)
-    one per row, and, when tangent columns are carried, the derivative
-    table against its coefficients, (T', d*d) or (N, T', d*d)."""
+    """``sum_a w_a X_a`` of tabled members: a vector field's own ``table``
+    (``weights`` None), or a family's merged table weighted by ``weights``,
+    (m,) shared by every row or (N, m) one set per row."""
 
-    value: MonomialTable
-    coefficients: np.ndarray
-    derivative: MonomialTable | None
-    derivative_coefficients: np.ndarray | None
+    table: MonomialTable
+    weights: np.ndarray | None
 
 
-def _field_terms(X: VectorField, tangents) -> tuple | _Tables:
-    """The terms of flowing X alone: its table and its table's derivative
-    as they are, or the member pair of an untabled X."""
-    if X.table is None:
-        return ((X, 1.0),)
-    D = None if tangents is None else X.table.derivative
-    return _Tables(X.table, X.table.flat, D, None if D is None else D.flat)
-
-
-def _family_terms(family: FieldFamily, weights: np.ndarray, tangents) -> _Tables:
-    """The terms of ``sum_a w_a X_a`` over a tabled family for weights (m,),
-    or for one set of weights per row (N, m)."""
-    D = None if tangents is None else family.derivative_table
-    return _Tables(family.table, family.table.weighted(weights), D,
-                   None if D is None else D.weighted(weights))
+def _field_terms(X: VectorField) -> tuple | _Tables:
+    """The terms of flowing X alone: its own table, or the member pair of an
+    untabled X."""
+    return ((X, 1.0),) if X.table is None else _Tables(X.table, None)
 
 
 def _weigh(table: MonomialTable, coefficients: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -255,37 +251,44 @@ class _Rhs:
     ``terms`` is either :class:`_Tables`, one table evaluation for the value
     and one for J whatever the number of members, or the ``(member,
     weight)`` pairs of a run with an untabled member, summed member by
-    member.
+    member.  ``tables`` holds the table against its flat coefficients and,
+    when tangents are carried, its derivative table against theirs.
     A single row is evaluated point by point, which is faster than a
     one-row batch.  Autonomous: it reads the state only."""
 
-    __slots__ = ("terms", "dim", "k", "width")
+    __slots__ = ("terms", "tables", "dim", "k", "width")
 
     def __init__(self, terms, dim: int, k: int):
         self.terms = terms
         self.dim = dim
         self.k = k
         self.width = dim * (1 + k)
+        if type(terms) is _Tables:
+            tables = (terms.table, terms.table.derivative)[:2 if k else 1]
+            self.tables = [(t, t.flat if terms.weights is None else t.weighted(terms.weights))
+                           for t in tables]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         d, k, terms = self.dim, self.k, self.terms
         one = y.size == self.width
         if type(terms) is _Tables:
-            if one and terms.coefficients.ndim == 2:
+            table, coefficients = self.tables[0]
+            if one and coefficients.ndim == 2:
                 # one point by monomials_at: measured faster than a one-row
                 # batch (see MonomialTable.monomials_at)
                 x = y[:d]
-                value = terms.value.monomials_at(x).dot(terms.coefficients)
+                value = table.monomials_at(x).dot(coefficients)
                 if not k:
                     return value
-                J = terms.derivative.monomials_at(x).dot(terms.derivative_coefficients)
+                D, DC = self.tables[1]
+                J = D.monomials_at(x).dot(DC)
                 return np.concatenate((value, J.reshape(d, d).dot(y[d:].reshape(d, k)).ravel()))
             Y = y.reshape(-1, self.width)
             X = Y[:, :d]
-            value = _weigh(terms.value, terms.coefficients, X)
+            value = _weigh(table, coefficients, X)
             if not k:
                 return value.ravel()
-            J = _weigh(terms.derivative, terms.derivative_coefficients, X).reshape(-1, d, d)
+            J = _weigh(*self.tables[1], X).reshape(-1, d, d)
             dW = (J @ Y[:, d:].reshape(-1, d, k)).reshape(-1, d * k)
             return np.concatenate((value, dW), axis=1).ravel()
         out = np.zeros(y.size)
@@ -437,6 +440,114 @@ def _integrate_segment(rhs, t0: float, t1: float, y0: np.ndarray, rows: int, dim
     return y
 
 
+# Exact flows of affine tables.  An affine field A x + b moves (x, 1) by its
+# augmented matrix M = [[A, b], [0, 0]], so a segment of length h maps a
+# point and its tangent columns (W, 0) by e^(hM).  The kernel splits hM into
+# 2^s equal steps, and each step into four quarter steps, whose points meet
+# the region check as the stepper's quarter points do.
+_MAX_HALVINGS = 6  # at most 2^6 exact steps per segment; longer ones use the stepper
+_ROUNDOFF = 2.0 ** -53
+
+
+def _quarter_powers(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For matrices A (S, n, D, D) with a zero last row, n per segment: per
+    segment, the halvings s (S,), NaN or inf where a matrix is not finite;
+    and per matrix the powers Q, Q^2, Q^3, Q^4 (4, S, n, D, D) of the
+    quarter step Q = e^(A / 2^(s+2)).  A is scaled in place.
+
+    Q is the Taylor series of A / 2^(s+2), s the least with ||A||_1 <= 2^s
+    for every matrix of the segment; halving by powers of two is exact.
+    The series stops where its terms vanish: a nilpotent segment (a
+    Heisenberg piece, a constant field) is summed exactly, needs no
+    halving, and its Q is squared back to s = 0.  Otherwise the series is
+    cut at the first degree q whose remainder bound theta^(q+1)/(q+1)! is
+    within the unit roundoff, theta = min(1, max ||A||_1)/4 bounding every
+    quarter-step norm.  The series is summed inside the output, so a call
+    holds five stacks of matrices."""
+    quarters = np.empty((4,) + A.shape)
+    Q, term, product = quarters[:3]
+    with np.errstate(all="ignore"):  # a matrix that is not finite gives NaN halvings
+        norms = np.abs(A).sum(axis=2).max(axis=2)
+        halvings = np.ceil(np.log2(np.maximum(norms.max(axis=1), 1.0)))
+        theta = min(1.0, float(norms.max())) / 4  # 1/4 where a norm is not finite
+        q, bound = 1, theta * theta / 2
+        while bound > _ROUNDOFF:
+            q += 1
+            bound *= theta / (q + 1)
+        s = np.where(halvings <= _MAX_HALVINGS, halvings, 0.0).astype(int)
+        A *= np.ldexp(0.25, -s)[:, None, None, None]
+        term[...] = A
+        np.add(A, np.eye(A.shape[-1]), out=Q)
+        for j in range(2, q + 1):
+            if not term.any():
+                break
+            np.matmul(term, A, out=product)
+            np.multiply(product, 1.0 / j, out=term)
+            Q += term
+    stopped = ~term.any(axis=(1, 2, 3))
+    halvings[stopped] = 0.0
+    squarings = np.where(stopped, s, 0)
+    for i in range(squarings.max()):  # back to one exact step
+        again = squarings > i
+        Q[again] = Q[again] @ Q[again]
+    np.matmul(Q, Q, out=quarters[1])
+    np.matmul(quarters[1], Q, out=quarters[2])
+    np.matmul(quarters[1], quarters[1], out=quarters[3])
+    return quarters, halvings
+
+
+def _segment_matrices(segments, dim: int) -> np.ndarray:
+    """The augmented matrices h M of segments of one affine table, (S, n,
+    d+1, d+1): n = 1 shared by the rows, or one per row."""
+    weights = [terms.weights for _, _, terms in segments]
+    top = segments[0][2].table.augmented(None if weights[0] is None else np.array(weights))
+    top = top.reshape(len(segments), -1, dim, dim + 1)
+    A = np.zeros(top.shape[:2] + (dim + 1, dim + 1))
+    np.multiply(top, np.array([b - a for a, b, _ in segments])[:, None, None, None],
+                out=A[:, :, :dim])
+    return A
+
+
+def _exact_segments(points: np.ndarray, segments, dim: int, k: int, region: Ball,
+                    stats: dict) -> tuple[np.ndarray, int]:
+    """Flow the rows ``points`` (rows, d*(1+k)), each a point and its k
+    tangent columns, exactly through the segments of one affine table:
+    every segment's matrices go through :func:`_quarter_powers` as one
+    stack, and each exact step is one product of the four quarter powers
+    with the rows in homogeneous form, (d+1)×(1+k) each.  All rows share
+    the steps of a segment, and each exact step counts one in
+    ``stats["steps"]``.
+
+    Returns the rows after the segments flowed and how many those are: the
+    segments before the first one with a quarter point outside the region
+    (a non-finite point is outside) or more than 2^``_MAX_HALVINGS`` steps.
+    """
+    rows = len(points)
+    powers, halvings = _quarter_powers(_segment_matrices(segments, dim))
+    fits = halvings <= _MAX_HALVINGS  # False where NaN
+    count = len(segments) if fits.all() else int(np.argmin(fits))
+    steps = 2 ** halvings[:count].astype(int)
+    Z = np.zeros((rows, dim + 1, 1 + k))
+    Z[:, :dim, 0] = points[:, :dim]
+    Z[:, dim, 0] = 1.0
+    Z[:, :dim, 1:] = points[:, dim:].reshape(rows, dim, k)
+    starts, path, n = [], np.empty((steps.sum(), 4, rows, dim)), 0
+    for i in range(count):
+        starts.append(Z.copy())  # not a view that keeps a whole step's output
+        P = powers[:, i]
+        for _ in range(steps[i]):
+            out = P @ Z  # (4, rows, d+1, 1+k): the state at each quarter of the step
+            path[n] = out[:, :, :dim, 0]
+            Z, n = out[3], n + 1
+    outside = ~region.contains_rows(path.reshape(-1, dim))  # a NaN point is outside
+    if outside.any():  # the segment of the first step with a point outside
+        count = int(np.searchsorted(np.cumsum(steps), np.argmax(outside) // (4 * rows),
+                                    side="right"))
+        Z = starts[count]
+    stats["steps"] += int(steps[:count].sum())
+    return np.concatenate([Z[:, :dim, 0], Z[:, :dim, 1:].reshape(rows, dim * k)], axis=1), count
+
+
 def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
           certificate: ExistenceCertificate | None, span=1.0) -> FlowResult:
     """The one integration core behind :func:`flow_control`,
@@ -451,6 +562,12 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
     :class:`_Rhs`); the state is stationary between them.  ``span`` is
     passed to every segment (see :func:`_integrate_segment`).  A flow
     without segments returns its start points without stepping.
+
+    The segments of one flow weigh one table, or sum untabled members.  When
+    that table is affine (:attr:`MonomialTable.degree` at most 1), the
+    segments are flowed exactly (:func:`_exact_segments`) up to the first
+    one that leaves the region or is too long for the kernel; that segment
+    and every later one run on the stepper.
     """
     if not 0 < tol < math.inf:
         raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
@@ -468,9 +585,12 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
         if outside.any():
             raise _left_domain(points, rows, dim, outside, segments[0][0],
                                "start point outside the working region")
-    y = points.ravel().copy()
     stats = {"steps": 0}
-    for a, b, terms in segments:
+    exact = 0
+    if segments and type(segments[0][2]) is _Tables and segments[0][2].table.degree <= 1:
+        points, exact = _exact_segments(points, segments, dim, k, region, stats)
+    y = points.ravel().copy()
+    for a, b, terms in segments[exact:]:
         y = _integrate_segment(_Rhs(terms, dim, k), a, b, y, rows, dim, tol, region, stats, span)
     Y = y.reshape(rows, -1)
     return FlowResult(endpoint=Y[:, :dim].reshape(x0.shape),
@@ -518,7 +638,7 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
                 weights = np.zeros(len(family))
                 index, values = zip(*coeff.entries)
                 weights[list(index)] = values
-                terms = _family_terms(family, weights, tangents)
+                terms = _Tables(family.table, weights)
             segments.append((a, b, terms))
         end = max(end, b)
     if T0 < 0:
@@ -538,7 +658,7 @@ def flow_single(X: VectorField, x0: np.ndarray, t: float, tol: float = DEFAULT_T
     """
     if not math.isfinite(t):
         raise InvalidArgument(f"flow time must be finite, not {t!r}")
-    segments = [(0.0, t, _field_terms(X, tangents))] if t else []
+    segments = [(0.0, t, _field_terms(X))] if t else []
     return _flow(np.asarray(x0, dtype=float), segments, tangents, tol,
                  region if region is not None else X.domain, None)
 
@@ -673,5 +793,5 @@ def _stacked_letter(family: FieldFamily, letters, points: np.ndarray, tol: float
     over the family's merged table."""
     index, times = (np.array(column) for column in zip(*letters))
     weights = np.eye(len(family))[index] * times[:, None]  # row n: t_n at member a_n
-    return _flow(points, [(0.0, 1.0, _family_terms(family, weights, tangents))], tangents, tol,
+    return _flow(points, [(0.0, 1.0, _Tables(family.table, weights))], tangents, tol,
                  region, None, span=np.abs(times))

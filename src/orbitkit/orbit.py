@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidArgument, OutOfDomain
 # compose_flows stays bound here so that tracing can wrap every binding of it
 from .compose import compose_flows  # noqa: F401
-from .fields import FieldFamily, LbRecord, VectorField
+from .fields import FieldFamily, LbRecord, VectorField, _integer
 from .flow import (DEFAULT_TOL, ExistenceCertificate, FlowWord, _raise_first, flow_single, guard,
                    run_words)
 from .space import Ball, L1Coefficients
@@ -266,16 +266,15 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
     wherever the slice is a genuine local parametrization.
     """
     x = np.asarray(x, dtype=float)
+    family.check_members(axes)
     axes = tuple(int(a) for a in axes)
     if len(axes) > 3:
         raise InvalidArgument("at most 3 grid axes are supported")
     if len(set(axes)) < len(axes):
         raise InvalidArgument(f"slice axes must be distinct, not {axes}")
-    family.check_members(axes)
     if not 0 < rho < np.inf:
         raise InvalidArgument(f"rho must be positive and finite, not {rho!r}")
-    if grid_per_axis < 1:
-        raise InvalidArgument("grid_per_axis must be >= 1")
+    grid_per_axis = _integer(grid_per_axis, "grid_per_axis", 1)
     cert = guard(lb, x, 1.0, rho).enforce(unsafe)
     grids = np.meshgrid(*[np.linspace(-rho, rho, grid_per_axis)] * len(axes), indexing="ij")
     params = np.stack([g.ravel() for g in grids], axis=1)
@@ -310,11 +309,7 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     ``max_word_len`` legs each, storing every leg endpoint in generation
     order.  ``budget`` and ``max_word_len`` must be at least 1.
     """
-    # `not >= 1` refuses NaN too
-    if not budget >= 1:
-        raise InvalidArgument("budget must be >= 1")
-    if not max_word_len >= 1:
-        raise InvalidArgument("max_word_len must be >= 1")
+    budget, max_word_len = _integer(budget, "budget", 1), _integer(max_word_len, "max_word_len", 1)
     if exploration_radius is not None and not 0 < exploration_radius < math.inf:
         raise InvalidArgument(f"exploration radius must be positive and finite, "
                               f"not {exploration_radius!r}")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitkit import flow as flow_module
 from orbitkit.algebra import bracket_field, enlarge_field
@@ -10,7 +11,8 @@ from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg
 from orbitkit.compose import compose_flows, compose_inverse, d_psi
 from orbitkit.errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
                              OutOfDomain, StepUnderflow, WordNotIntegrable)
-from orbitkit.fields import FieldFamily, LbRecord, VectorField, constant_field, polynomial_field
+from orbitkit.fields import (FieldFamily, LbRecord, MonomialTable, VectorField, constant_field,
+                             polynomial_field)
 from orbitkit.flow import (Control, FlowWord, _raise_first, flow_control, flow_single, guard,
                            run_words)
 from orbitkit.orbit import invariance_residual, orbit_sample, slice_grid
@@ -30,6 +32,44 @@ def heisenberg_rectangle_control():
         (2.0, 3.0, L1Coefficients(((0, -1.0),))),
         (3.0, 4.0, L1Coefficients(((1, -1.0),))),
     ))
+
+
+def quadratic_heisenberg(c=0.1, radius=8.0):
+    """X1 = e0 + c x1^2 e2 and X2 = e1 + (x0 + c x0^2) e2: a tabled pair that
+    is not affine, so its flows run on the stepper, and whose flows are
+    cubic in time, so that the whole-segment first trial integrates each
+    piece in one step, as it did Heisenberg's quadratic flows."""
+    dom = ball([0.0, 0.0, 0.0], radius)
+    x1 = polynomial_field(dom, [((1.0, (0, 0, 0)),), (), ((c, (0, 2, 0)),)], label="X1")
+    x2 = polynomial_field(dom, [(), ((1.0, (0, 0, 0)),), ((1.0, (1, 0, 0)), (c, (2, 0, 0)))],
+                          label="X2")
+    return FieldFamily(space=ChartSpace(3), members=(x1, x2), common_domain=dom)
+
+
+def quadratic_plane():
+    """Two quadratic fields on the plane."""
+    dom = ball([0.0, 0.0], 8.0)
+    swirl = polynomial_field(dom, [((-1.0, (0, 1)), (0.3, (2, 0))),
+                                   ((1.0, (1, 0)), (-0.2, (1, 1)))], label="swirl")
+    sink = polynomial_field(dom, [((-0.5, (1, 0)), (0.2, (0, 2))),
+                                  ((-1.0, (0, 1)), (0.1, (1, 1)))], label="sink")
+    return FieldFamily(space=ChartSpace(2), members=(swirl, sink), common_domain=dom)
+
+
+def quadratic_operator_family():
+    return operator_family(3, 3, [(1.0, (1, 0, 0), 0, 1), (-0.5, (0, 2, 0), 2, 0),
+                                  (2.0, (0, 0, 0), 1, 2), (0.3, (1, 1, 0), 2, 2)])
+
+
+def chain_family(dim):
+    """X1 = e1, X2 = e2 + sum_k c_k x0^k e_{k+2}, a tabled family of degree dim - 2."""
+    dom = ball(np.zeros(dim), 1.5)
+    zero = (0,) * dim
+    comps2 = [(), ((1.0, zero),)] + [(((-1.0) ** k * (0.5 + 0.2 * k), (k,) + zero[1:]),)
+                                     for k in range(1, dim - 1)]
+    members = (polynomial_field(dom, [((1.0, zero),)] + [()] * (dim - 1), "X1"),
+               polynomial_field(dom, comps2, "X2"))
+    return FieldFamily(space=ChartSpace(dim), members=members, common_domain=dom)
 
 
 class TestGuard:
@@ -338,9 +378,17 @@ def _reference_flow(X, x0, t, tol):
     return y[:d], y[d:].reshape(d, d), steps
 
 
+def _stepper_catalog():
+    """Tabled fields that are not affine, which flow on the stepper."""
+    riccati = polynomial_field(ball([0.0], 10.0), [((-1.0, (1,)), (-0.5, (2,)))], label="riccati")
+    fields = [*quadratic_heisenberg(c=0.5).members, riccati, *quadratic_plane().members,
+              *quadratic_operator_family().members, *chain_family(5).members]
+    return [X for X in fields if X.table.degree > 1]
+
+
 class TestStepperReference:
     def test_matches_scalar_tableau_loops(self, rng):
-        fields = _law_catalog()
+        fields = _stepper_catalog()
         for _ in range(20):
             X = fields[int(rng.integers(0, len(fields)))]
             x = rng.uniform(-0.5, 0.5, X.domain.center.size)
@@ -355,8 +403,10 @@ class TestStepperReference:
     @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 3.0])
     def test_a_quadratic_flow_takes_one_step(self, heis, t):
         # X2 = (0, 1, x) moves (x, y, z) to (x, y + t, z + x t), which the
-        # whole-segment first trial integrates exactly
-        res = flow_single(heis.members[1], np.array([0.1, 0.2, 0.3]), t, tol=TOL)
+        # whole-segment first trial integrates exactly; without its table
+        # the field flows on the stepper
+        res = flow_single(replace(heis.members[1], table=None), np.array([0.1, 0.2, 0.3]), t,
+                          tol=TOL)
         assert res.steps_taken == 1
         assert np.abs(res.endpoint - [0.1, 0.2 + t, 0.3 + 0.1 * t]).max() <= 1e-15 * (1 + t)
 
@@ -436,22 +486,25 @@ def stepper_counts(monkeypatch):
 class TestStepBudget:
     """Step and evaluation counts of fixed flows stay at most those of the
     whole-segment first trial step, one step of seven evaluations per
-    segment of these quadratic flows.  The counts are exact, so a regression
-    in the start rule fails here without a timing run."""
+    segment of these cubic flows of the quadratic Heisenberg pair, which
+    flow on the stepper.  The counts are exact, so a regression in the
+    start rule fails here without a timing run."""
 
     STACK = np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 0.2], [1.0, 1.0, -1.0], [-0.3, 0.4, 0.1]])
+    PAIR = quadratic_heisenberg()
 
-    def test_switching_rectangle(self, heis, heis_lb, stepper_counts):
-        res = flow_control(heis, heisenberg_rectangle_control(), np.zeros(3), 0.0, 4.0,
+    def test_switching_rectangle(self, heis_lb, stepper_counts):
+        res = flow_control(self.PAIR, heisenberg_rectangle_control(), np.zeros(3), 0.0, 4.0,
                            tangents=np.eye(3), lb=heis_lb, unsafe=True)
         assert np.allclose(res.endpoint, [0.0, 0.0, 1.0], atol=1e-12)
         assert stepper_counts["steps"] <= 4 and stepper_counts["rhs"] <= 28
 
     @pytest.mark.parametrize("path", ["control", "sequential"])
-    def test_twelve_letter_composition(self, heis, heis_lb, stepper_counts, path):
-        # the Heisenberg pair six times over: twelve members, one letter each
-        fam = FieldFamily(space=heis.space, members=heis.members * 6,
-                          common_domain=heis.common_domain)
+    def test_twelve_letter_composition(self, heis_lb, stepper_counts, path):
+        # the quadratic pair six times over: twelve members, one letter each
+        pair = self.PAIR
+        fam = FieldFamily(space=pair.space, members=pair.members * 6,
+                          common_domain=pair.common_domain)
         tau = L1Coefficients(tuple((i, (-1) ** i * 0.015 * (1 + i % 3)) for i in range(12)))
         res = compose_flows(fam, heis_lb, tau, np.array([0.2, -0.1, 0.3]), tol=TOL,
                             truncation_n=12, path=path)
@@ -476,29 +529,29 @@ class TestStepBudget:
         assert np.allclose(values, [[0.0, 1.0, x - 0.55] for x in self.STACK[:, 0]], atol=1e-12)
         assert stepper_counts["steps"] <= 6 and stepper_counts["rhs"] <= 42
 
-    def test_stacked_independent_sample(self, heis, heis_lb, stepper_counts):
+    def test_stacked_independent_sample(self, heis_lb, stepper_counts):
         # every letter position of the twelve words is one stacked segment,
         # integrated exactly in one step of seven evaluations
-        samp = orbit_sample(heis, heis_lb, np.array([0.2, -0.1, 0.3]), budget=12, max_word_len=5,
-                            rng_seed=3, mode="independent", tol=TOL)
+        samp = orbit_sample(self.PAIR, heis_lb, np.array([0.2, -0.1, 0.3]), budget=12,
+                            max_word_len=5, rng_seed=3, mode="independent", tol=TOL)
         assert len(samp.cloud) == 1 + 12 * 5
         assert stepper_counts["steps"] == 5 and stepper_counts["rhs"] == 35
 
-    def test_explore_sample_takes_one_step_per_round(self, heis, heis_lb, stepper_counts):
+    def test_explore_sample_takes_one_step_per_round(self, heis_lb, stepper_counts):
         # two rounds of sixteen targets, each round one stacked letter; one
         # run per target took 32 steps and 224 evaluations
-        samp = orbit_sample(heis, heis_lb, np.array([0.2, -0.1, 0.3]), budget=32, max_word_len=5,
+        samp = orbit_sample(self.PAIR, heis_lb, np.array([0.2, -0.1, 0.3]), budget=32, max_word_len=5,
                             rng_seed=3, mode="explore", tol=TOL)
         assert len(samp.cloud) == 1 + 32
         assert stepper_counts["steps"] == 2 and stepper_counts["rhs"] == 14
 
     def test_an_exit_reruns_only_the_row_that_left(self, stepper_counts, monkeypatch):
-        # the heisenberg explore cloud of TestStackedSample (lb region radius
-        # 1), three of whose words leave the region in three rounds: the row
-        # that left runs alone and the others are stacked again.  Rerunning
-        # every row of those rounds alone took 43 steps, 371 evaluations and
-        # 48 single-row runs.
-        fam, lb = heisenberg(), LbRecord(2, 0.5, ball([0, 0, 0], 1.0), "declared")
+        # the explore cloud of TestStackedSample (lb region radius 1), on
+        # the quadratic pair, three of whose words leave the region in three
+        # rounds: the row that left runs alone and the others are stacked
+        # again.  On Heisenberg, rerunning every row of those rounds alone
+        # took 43 steps, 371 evaluations and 48 single-row runs.
+        fam, lb = self.PAIR, LbRecord(2, 0.5, ball([0, 0, 0], 1.0), "declared")
         x = np.array([0.2, -0.1, 0.1])
         singles, single = [], flow_module.flow_single
 
@@ -520,8 +573,8 @@ class TestStepBudget:
         for (p, _, _), (q, _, _) in zip(got, ref):
             assert np.abs(p - q).max() <= 10 * TOL * (1 + np.abs(q).max())
 
-    def test_slice_takes_one_step_per_axis_letter(self, heis, heis_lb, stepper_counts):
-        res = slice_grid(heis, heis_lb, np.array([0.2, -0.1, 0.3]), rho=0.3, grid_per_axis=4,
+    def test_slice_takes_one_step_per_axis_letter(self, heis_lb, stepper_counts):
+        res = slice_grid(self.PAIR, heis_lb, np.array([0.2, -0.1, 0.3]), rho=0.3, grid_per_axis=4,
                          axes=[1, 0], tol=TOL)
         assert res.points.shape == (16, 3)
         assert stepper_counts["steps"] == 2 and stepper_counts["rhs"] == 14
@@ -624,7 +677,7 @@ class TestStackedWords:
         # over unit time with its error scale times |t|, which is the flow of
         # X over time t step for step, and the resting row does not limit
         # the step
-        families = [affine_l1(6, 5, 0.7, linear_part=True), heisenberg(), grushin()]
+        families = [quadratic_heisenberg(c=0.5), quadratic_plane()]
         for _ in range(60):
             fam = families[int(rng.integers(0, len(families)))]
             a = int(rng.integers(0, len(fam)))
@@ -823,12 +876,13 @@ def _stripped(family):
 
 @pytest.fixture
 def rhs_terms(monkeypatch):
-    """The terms of every right-hand side built while the test holds it."""
+    """The terms of every right-hand side built while the test holds it: the
+    member pairs, or the right-hand side itself for a tabled run."""
     terms, init = [], flow_module._Rhs.__init__
 
     def recorded(self, t, dim, k):
-        terms.append(t)
         init(self, t, dim, k)
+        terms.append(self if type(t) is flow_module._Tables else t)
 
     monkeypatch.setattr(flow_module._Rhs, "__init__", recorded)
     return terms
@@ -844,11 +898,9 @@ def _random_control(rng, members, pieces, width):
 
 
 class TestTablePath:
-    @pytest.mark.parametrize("family", [
-        heisenberg(), affine_l1(16, 6, 0.8, linear_part=True),
-        operator_family(3, 3, [(1.0, (1, 0, 0), 0, 1), (-0.5, (0, 2, 0), 2, 0),
-                               (2.0, (0, 0, 0), 1, 2), (0.3, (1, 1, 0), 2, 2)]),
-    ], ids=["heisenberg", "affine-l1", "operator-family"])
+    @pytest.mark.parametrize("family", [quadratic_heisenberg(c=0.5), chain_family(6),
+                                        quadratic_operator_family()],
+                             ids=["quadratic-heisenberg", "chain", "operator-family"])
     def test_weighted_table_matches_the_member_loop(self, family, rng, rhs_terms):
         d = family.space.dimension
         loop = _stripped(family)
@@ -857,7 +909,7 @@ class TestTablePath:
             x = rng.uniform(-0.3, 0.3, d)
             rhs_terms.clear()
             got = flow_control(family, u, x, t0, T0, tangents=np.eye(d), tol=TOL)
-            assert rhs_terms and all(type(t) is flow_module._Tables for t in rhs_terms)
+            assert rhs_terms and all(type(t) is flow_module._Rhs for t in rhs_terms)
             rhs_terms.clear()
             ref = flow_control(loop, u, x, t0, T0, tangents=np.eye(d), tol=TOL)
             assert rhs_terms and all(type(t) is tuple for t in rhs_terms)
@@ -874,13 +926,134 @@ class TestTablePath:
         assert np.abs(got.endpoint - ref.endpoint).max() <= 10 * TOL
         assert np.abs(got.tangents - ref.tangents).max() <= 1e-9
 
-    def test_a_tabled_field_flows_on_its_own_tables(self, heis, rhs_terms):
-        X = heis.members[1]
+    def test_a_tabled_field_flows_on_its_own_tables(self, rhs_terms):
+        X = quadratic_heisenberg().members[1]
         flow_single(X, np.zeros(3), 0.5, tangents=np.eye(3))
         flow_single(X, np.zeros(3), 0.5)
         (with_tangents, plain) = rhs_terms
-        assert with_tangents.value is X.table and with_tangents.derivative is X.table.derivative
-        assert plain.value is X.table and plain.derivative is None
+        assert [t for t, _ in with_tangents.tables] == [X.table, X.table.derivative]
+        assert [t for t, _ in plain.tables] == [X.table]
+
+
+def _random_affine_family(rng, dim, members, radius=100.0):
+    """Members X_a(x) = A_a x + b_a with entries in [-1, 1], as tables."""
+    dom = ball(np.zeros(dim), radius)
+    exponents = np.vstack([np.zeros(dim, dtype=int), np.eye(dim, dtype=int)])
+    fields = []
+    for a in range(members):
+        A, b = rng.uniform(-1.0, 1.0, (dim, dim)), rng.uniform(-1.0, 1.0, dim)
+        table = MonomialTable(exponents, np.vstack([b, A.T]))  # row 1 + j holds column j
+        fields.append(VectorField(domain=dom, eval_fn=table, label=f"A{a}", table=table))
+    return FieldFamily(space=ChartSpace(dim), members=tuple(fields), common_domain=dom)
+
+
+class TestExactFlows:
+    """A tabled family of degree at most 1 flows exactly: one matrix
+    exponential per segment, its rows and tangents carried by products."""
+
+    def test_the_heisenberg_rectangle_and_its_variational_matrix(self, heis, rhs_terms):
+        x = np.array([0.3, -0.2, 0.1])
+        res = flow_control(heis, heisenberg_rectangle_control(), x, 0.0, 4.0, tangents=np.eye(3))
+        # the rectangle is the translation by its commutator area
+        assert np.abs(res.endpoint - (x + [0.0, 0.0, 1.0])).max() <= 1e-15
+        assert np.abs(res.tangents - np.eye(3)).max() <= 1e-15
+        assert res.steps_taken == 4 and rhs_terms == []  # nilpotent: one exact step per piece
+
+    def test_heisenberg_pieces_match_the_closed_form(self, heis, rng):
+        # a X1 + b X2 over time t moves (x, y, z) to (x + a t, y + b t,
+        # z + b (x t + a t^2 / 2)), with derivative [[1, 0, 0], [0, 1, 0], [b t, 0, 1]]
+        edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 9))])
+        weights = rng.uniform(-1.0, 1.0, (9, 2))
+        x = rng.uniform(-0.5, 0.5, 3)
+        end, M = x.copy(), np.eye(3)
+        for (a, b), t in zip(weights, np.diff(edges)):
+            end = end + [a * t, b * t, b * (end[0] * t + a * t * t / 2)]
+            M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [b * t, 0.0, 1.0]]) @ M
+        u = Control(tuple((s, e, L1Coefficients(((0, a), (1, b)))) for s, e, (a, b)
+                          in zip(edges, edges[1:], weights)))
+        res = flow_control(heis, u, x, 0.0, edges[-1], tangents=np.eye(3))
+        assert res.steps_taken == 9
+        assert np.abs(res.endpoint - end).max() <= 1e-14 * (1 + np.abs(end).max())
+        assert np.abs(res.tangents - M).max() <= 1e-14 * (1 + np.abs(M).max())
+
+    @pytest.mark.parametrize("entries", [((0, 0.7), (2, -0.4)), ((1, 0.3), (3, -0.3))],
+                             ids=["growth", "balanced"])
+    def test_affine_l1_matches_the_closed_form(self, entries, rhs_terms):
+        # sum_a w_a (x + d_a) = sigma x + b flows x to e^(sigma t) x +
+        # (e^(sigma t) - 1)/sigma b, with derivative e^(sigma t) I; a balanced
+        # piece (sigma = 0) is the translation by t b
+        fam = affine_l1(8, 4, 0.7, linear_part=True)
+        x = np.linspace(-0.05, 0.08, 8)
+        sigma = sum(w for _, w in entries)
+        b = sum(w * 0.7 ** a * np.eye(8)[a] for a, w in entries)
+        for t in (0.4, -1.3, 2.0):
+            grow = math.exp(sigma * t)
+            end = grow * x + (math.expm1(sigma * t) / sigma if sigma else t) * b
+            res = flow_control(fam, one_piece(L1Coefficients(entries), 0.0, abs(t)), x,
+                               0.0 if t > 0 else abs(t), t, tangents=np.eye(8))
+            assert np.abs(res.endpoint - end).max() <= 1e-14 * (1 + np.abs(end).max())
+            assert np.abs(res.tangents - grow * np.eye(8)).max() <= 1e-14 * grow
+        assert rhs_terms == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_exact_flows_agree_with_the_stepper(self, seed):
+        rng = np.random.default_rng(seed)
+        fam = _random_affine_family(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        u = _random_control(rng, len(fam), int(rng.integers(1, 4)), min(2, len(fam)))
+        x = rng.uniform(-1.0, 1.0, fam.space.dimension)
+        tol = float(10.0 ** rng.uniform(-11, -7))
+        exact = flow_control(fam, u, x, 0.0, 1.5, tol=tol)
+        stepped = flow_control(_stripped(fam), u, x, 0.0, 1.5, tol=tol)
+        scale = 1 + np.abs(exact.endpoint).max()
+        assert np.abs(exact.endpoint - stepped.endpoint).max() <= 10 * tol * scale
+
+    def test_stacked_rows_equal_one_row_runs(self, heis, rng):
+        for family in (heis, affine_l1(6, 5, 0.8, linear_part=True)):
+            d, m = family.space.dimension, len(family)
+            P = rng.uniform(-0.3, 0.3, (5, d))
+            V = rng.normal(size=(5, d, 2))
+            letters = [(int(rng.integers(0, m)), float(rng.uniform(-1.5, 1.5))) for _ in P]
+            # rows with different letters are one merged-table segment
+            paths, stops, W = run_words(family, [FlowWord((letter,)) for letter in letters], P,
+                                        TOL, tangents=V)
+            assert stops == [None] * len(P)
+            shared = flow_single(family.members[0], P, 0.9, tangents=V)
+            for i, (a, t) in enumerate(letters):
+                one = flow_single(family.members[a], P[i], t, tangents=V[i])
+                scale = 1 + np.abs(one.tangents).max()
+                assert np.abs(paths[i][-1] - one.endpoint).max() <= 1e-14 * scale
+                assert np.abs(W[i] - one.tangents).max() <= 1e-14 * scale
+                alone = flow_single(family.members[0], P[i], 0.9, tangents=V[i])
+                assert np.array_equal(shared.endpoint[i], alone.endpoint)
+                assert np.array_equal(shared.tangents[i], alone.tangents)
+
+    def test_a_quarter_point_outside_hands_the_piece_to_the_stepper(self, heis):
+        # X1 + X2 from (-4, -4, -5) leaves the radius-8 domain at t = 4 -
+        # sqrt(14) and is back at t = 8, where its exact step ends; its
+        # quarter point (0, 0, -13) is outside, so the piece runs on the
+        # stepper and raises what the stepper raises, naming row 1
+        V = polynomial_field(heis.common_domain, [((1.0, (0, 0, 0)),), ((1.0, (0, 0, 0)),),
+                                                  ((1.0, (1, 0, 0)),)], label="X1+X2")
+        P = np.array([[-4.0, -4.0, 3.0], [-4.0, -4.0, -5.0]])
+        with pytest.raises(LeftDomain) as got:
+            flow_single(V, P, 8.0, tol=TOL)
+        rhs = flow_module._Rhs(flow_module._Tables(V.table, None), 3, 0)
+        with pytest.raises(LeftDomain) as ref:
+            flow_module._integrate_segment(rhs, 0.0, 8.0, P.ravel().copy(), 2, 3, TOL, V.domain,
+                                           {"steps": 0})
+        assert got.value.row == ref.value.row == 1
+        assert got.value.last_time == ref.value.last_time
+        assert np.array_equal(got.value.last_point, ref.value.last_point)
+
+    def test_a_segment_too_long_for_the_kernel_runs_on_the_stepper(self, rhs_terms):
+        # x' = -x from 1: 2^6 exact steps cover t = 60, and t = 70 would need 2^7
+        X = polynomial_field(ball([0.0], 10.0), [((-1.0, (1,)),)], label="decay")
+        res = flow_single(X, np.ones(1), 60.0, tol=TOL)
+        assert res.steps_taken == 64 and rhs_terms == []
+        assert res.endpoint[0] == pytest.approx(math.exp(-60.0), rel=1e-12)
+        res = flow_single(X, np.ones(1), 70.0, tol=TOL)
+        assert rhs_terms and abs(res.endpoint[0] - math.exp(-70.0)) <= 10 * TOL
 
 
 class TestStartPointPerWord:

@@ -7,7 +7,7 @@ import pytest
 from orbitkit import orbit
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, operator_family
 from orbitkit.algebra import FlowWord, enlarge_field
-from orbitkit.compose import compose_flows
+from orbitkit.compose import compose_flows, extract_l1_curve
 from orbitkit.errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
 from orbitkit.flow import flow_single, guard
 from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
@@ -240,6 +240,25 @@ class TestSliceGrid:
         assert res.certificate.T0 == 1.0
         for w, p in zip(res.params, res.points):
             assert np.allclose(p, [w[0], w[1], w[0] * w[1]], atol=1e-7)
+
+
+# calls whose index or count is not an integer: the first two raised a bare
+# TypeError or truncated the axis, the others raised a bare TypeError
+_NOT_INTEGERS = {
+    "invariance_residual index": lambda f, lb: invariance_residual(f, np.zeros(3), 1.5, 0.2, lb),
+    "slice_grid axis": lambda f, lb: slice_grid(f, lb, np.zeros(3), 0.1, 2, (0, 1.5)),
+    "orbit_sample budget": lambda f, lb: orbit_sample(f, lb, np.zeros(3), budget=2.5,
+                                                      max_word_len=2, rng_seed=1),
+    "slice_grid grid_per_axis": lambda f, lb: slice_grid(f, lb, np.zeros(3), 0.1, 2.5, (0, 1)),
+    "extract_l1_curve samples_per_piece": lambda f, lb: extract_l1_curve(
+        compose_flows(f, lb, L1Coefficients(((0, 0.1),)), np.zeros(3)), 2.5),
+}
+
+
+@pytest.mark.parametrize("call", list(_NOT_INTEGERS))
+def test_an_index_or_count_that_is_not_an_integer_is_refused(heis, heis_lb, call):
+    with pytest.raises(InvalidArgument, match="integer"):
+        _NOT_INTEGERS[call](heis, heis_lb)
 
 
 class TestOrbitSample:

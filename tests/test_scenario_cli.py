@@ -514,12 +514,21 @@ def test_reports_name_the_calculus(tmp_path):
 
 
 def test_importing_the_cli_leaves_the_lp_solver_unloaded():
-    code = ("import sys, orbitkit.cli; "
-            "print('scipy.optimize' in sys.modules)")
+    # nor do exact affine flows load scipy.linalg: a variational
+    # flow_control and a stacked run_words letter of affine-l1
+    code = ("import sys, numpy as np, orbitkit.cli\n"
+            "from orbitkit.catalog import affine_l1\n"
+            "from orbitkit.flow import Control, FlowWord, flow_control, run_words\n"
+            "from orbitkit.space import L1Coefficients\n"
+            "fam = affine_l1(8, 4, 0.7, linear_part=True)\n"
+            "u = Control(((0.0, 0.5, L1Coefficients(((0, 0.4), (2, -0.3)))),))\n"
+            "flow_control(fam, u, np.zeros(8), 0.0, 0.5, tangents=np.eye(8))\n"
+            "run_words(fam, [FlowWord(((a, 0.1),)) for a in range(4)], np.zeros(8))\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.optimize' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_a_small_least_l1_solve_leaves_the_lp_solver_unloaded():
