@@ -464,10 +464,10 @@ def _quarter_powers(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     within the unit roundoff, theta = min(1, max ||A||_1)/4 bounding every
     quarter-step norm.  The series is summed inside the output, so a call
     holds five stacks of matrices."""
-    quarters = np.empty((4,) + A.shape)
-    Q, term, product = quarters[:3]
     with np.errstate(all="ignore"):  # a matrix that is not finite gives NaN halvings
         norms = np.abs(A).sum(axis=2).max(axis=2)
+        quarters = np.empty((4,) + A.shape)
+        Q, term, product = quarters[:3]
         halvings = np.ceil(np.log2(np.maximum(norms.max(axis=1), 1.0)))
         theta = min(1.0, float(norms.max())) / 4  # 1/4 where a norm is not finite
         q, bound = 1, theta * theta / 2
@@ -508,6 +508,21 @@ def _segment_matrices(segments, dim: int) -> np.ndarray:
     return A
 
 
+def _chain(powers: np.ndarray, steps, Z: np.ndarray, path: np.ndarray | None = None) -> np.ndarray:
+    """The rows Z (rows, d+1, 1+k) after the exact steps of the first
+    ``len(steps)`` segments, ``steps[i]`` of them with the quarter powers
+    ``powers[:, i]`` (4, n, d+1, d+1): one product per step.  ``path``
+    (steps, 4, rows, d), when given, receives the points at the quarters."""
+    n, dim = 0, Z.shape[1] - 1
+    for i, count in enumerate(steps):
+        for _ in range(count):
+            out = powers[:, i] @ Z  # (4, rows, d+1, 1+k): the state at each quarter
+            if path is not None:
+                path[n] = out[:, :, :dim, 0]
+            Z, n = out[3], n + 1
+    return Z
+
+
 def _exact_segments(points: np.ndarray, segments, dim: int, k: int, region: Ball,
                     stats: dict) -> tuple[np.ndarray, int]:
     """Flow the rows ``points`` (rows, d*(1+k)), each a point and its k
@@ -527,23 +542,17 @@ def _exact_segments(points: np.ndarray, segments, dim: int, k: int, region: Ball
     fits = halvings <= _MAX_HALVINGS  # False where NaN
     count = len(segments) if fits.all() else int(np.argmin(fits))
     steps = 2 ** halvings[:count].astype(int)
-    Z = np.zeros((rows, dim + 1, 1 + k))
-    Z[:, :dim, 0] = points[:, :dim]
-    Z[:, dim, 0] = 1.0
-    Z[:, :dim, 1:] = points[:, dim:].reshape(rows, dim, k)
-    starts, path, n = [], np.empty((steps.sum(), 4, rows, dim)), 0
-    for i in range(count):
-        starts.append(Z.copy())  # not a view that keeps a whole step's output
-        P = powers[:, i]
-        for _ in range(steps[i]):
-            out = P @ Z  # (4, rows, d+1, 1+k): the state at each quarter of the step
-            path[n] = out[:, :, :dim, 0]
-            Z, n = out[3], n + 1
+    start = np.zeros((rows, dim + 1, 1 + k))
+    start[:, :dim, 0] = points[:, :dim]
+    start[:, dim, 0] = 1.0
+    start[:, :dim, 1:] = points[:, dim:].reshape(rows, dim, k)
+    path = np.empty((steps.sum(), 4, rows, dim))
+    Z = _chain(powers, steps[:count], start, path)
     outside = ~region.contains_rows(path.reshape(-1, dim))  # a NaN point is outside
-    if outside.any():  # the segment of the first step with a point outside
+    if outside.any():  # the segment of the first step with a point outside, run again to its start
         count = int(np.searchsorted(np.cumsum(steps), np.argmax(outside) // (4 * rows),
                                     side="right"))
-        Z = starts[count]
+        Z = _chain(powers, steps[:count], start)
     stats["steps"] += int(steps[:count].sum())
     return np.concatenate([Z[:, :dim, 0], Z[:, :dim, 1:].reshape(rows, dim * k)], axis=1), count
 
