@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, OrderTooHigh, OutOfDomain
-from .space import Ball, ChartSpace, _row_norms, max_operator_norm, operator_norm
+from .space import Ball, ChartSpace, _row_norms, max_operator_norm, member_index, operator_norm
 
 # Finite-difference steps per derivative order (relative, scaled by 1+|x|):
 # standard truncation/round-off balance for first, second, third order.
@@ -435,8 +435,7 @@ class FieldFamily:
         a coefficient family or an axis list is an integer that names a
         member, ``0 <= i < len(self)``; :class:`InvalidArgument` otherwise."""
         for i in indices:
-            if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
-                raise InvalidArgument(f"index {i!r} is not an integer")
+            member_index(i)
         low, high = min(indices, default=0), max(indices, default=0)
         if low < 0 or high >= len(self.members):
             raise InvalidArgument(f"index {low if low < 0 else high} has no family member "

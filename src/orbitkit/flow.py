@@ -5,8 +5,11 @@ vectors (first-order sensitivities) co-integrated on demand.
 A flow of an affine table (degree at most 1, a field ``A x + b``) is exact:
 in homogeneous coordinates every segment is one matrix exponential of its
 augmented matrix ``h [[A, b], [0, 0]]``, and all segments of a call go
-through one scaling-and-squaring Taylor kernel as one stack.  Each exact
-step is split in quarters whose points meet the region check; from the
+through one scaling-and-squaring Taylor kernel as one stack.  A call of
+one segment of one step (a :func:`flow_single` or a stacked letter,
+mostly) whose rows carry at most half as many columns as the matrix sums
+the series on its rows instead, with no matrix powers.  Each exact step
+is split in quarters whose points meet the region check; from the
 first segment with a point outside, or too long for the kernel, the flow
 runs on the stepper.  Every other flow runs on the stepper.
 
@@ -67,7 +70,7 @@ from .errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
                      StepUnderflow, WordNotIntegrable)
 from .fields import (FD_STEP_1, FieldFamily, LbRecord, MonomialTable, VectorField,
                      finite_difference_jvp)
-from .space import Ball, L1Coefficients
+from .space import Ball, L1Coefficients, member_index
 
 DEFAULT_TOL = 1e-9
 
@@ -449,31 +452,42 @@ _MAX_HALVINGS = 6  # at most 2^6 exact steps per segment; longer ones use the st
 _ROUNDOFF = 2.0 ** -53
 
 
-def _quarter_powers(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For matrices A (S, n, D, D) with a zero last row, n per segment: per
-    segment, the halvings s (S,), NaN or inf where a matrix is not finite;
-    and per matrix the powers Q, Q^2, Q^3, Q^4 (4, S, n, D, D) of the
-    quarter step Q = e^(A / 2^(s+2)).  A is scaled in place.
+def _taylor_degree(theta: float) -> int:
+    """The first degree q whose Taylor remainder bound theta^(q+1)/(q+1)!
+    is within the unit roundoff, for a matrix of norm at most theta <= 1."""
+    q, bound = 1, theta * theta / 2
+    while bound > _ROUNDOFF:
+        q += 1
+        bound *= theta / (q + 1)
+    return q
+
+
+# _QUARTER_TAYLOR[j]: the weights (i/4)^j / j! of Taylor term j at the four
+# quarter points i = 1..4, shaped (4, 1, 1, 1) to scale a stack of rows
+_QUARTER_TAYLOR = np.array([[(i / 4) ** j / math.factorial(j) for i in range(1, 5)]
+                            for j in range(_taylor_degree(1.0) + 1)])[:, :, None, None, None]
+
+
+def _quarter_powers(A: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For matrices A (S, n, D, D) with a zero last row, n per segment, and
+    their 1-norms (S, n): per segment, the halvings s (S,), NaN or inf
+    where a matrix is not finite; and per matrix the powers Q, Q^2, Q^3,
+    Q^4 (4, S, n, D, D) of the quarter step Q = e^(A / 2^(s+2)).  A is
+    scaled in place.
 
     Q is the Taylor series of A / 2^(s+2), s the least with ||A||_1 <= 2^s
     for every matrix of the segment; halving by powers of two is exact.
     The series stops where its terms vanish: a nilpotent segment (a
     Heisenberg piece, a constant field) is summed exactly, needs no
-    halving, and its Q is squared back to s = 0.  Otherwise the series is
-    cut at the first degree q whose remainder bound theta^(q+1)/(q+1)! is
-    within the unit roundoff, theta = min(1, max ||A||_1)/4 bounding every
-    quarter-step norm.  The series is summed inside the output, so a call
-    holds five stacks of matrices."""
+    halving, and its Q is squared back to s = 0.  Otherwise it is cut at
+    :func:`_taylor_degree` of theta = min(1, max ||A||_1)/4, which bounds
+    every quarter-step norm.  The series is summed inside the output, so a
+    call holds five stacks of matrices."""
     with np.errstate(all="ignore"):  # a matrix that is not finite gives NaN halvings
-        norms = np.abs(A).sum(axis=2).max(axis=2)
         quarters = np.empty((4,) + A.shape)
         Q, term, product = quarters[:3]
         halvings = np.ceil(np.log2(np.maximum(norms.max(axis=1), 1.0)))
-        theta = min(1.0, float(norms.max())) / 4  # 1/4 where a norm is not finite
-        q, bound = 1, theta * theta / 2
-        while bound > _ROUNDOFF:
-            q += 1
-            bound *= theta / (q + 1)
+        q = _taylor_degree(min(1.0, float(norms.max())) / 4)  # 1/4 where a norm is not finite
         s = np.where(halvings <= _MAX_HALVINGS, halvings, 0.0).astype(int)
         A *= np.ldexp(0.25, -s)[:, None, None, None]
         term[...] = A
@@ -494,6 +508,27 @@ def _quarter_powers(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.matmul(quarters[1], Q, out=quarters[2])
     np.matmul(quarters[1], quarters[1], out=quarters[3])
     return quarters, halvings
+
+
+def _quarter_points(A: np.ndarray, Z: np.ndarray, theta: float) -> np.ndarray:
+    """The rows Z (rows, D, c) moved by e^(tau A) at tau = 1/4, 1/2, 3/4, 1,
+    (4, rows, D, c), for one segment's matrices A (n, D, D), n = 1 shared
+    or one per row, of 1-norm at most theta <= 1: the Taylor series acting
+    on the rows, one product of A with the (D, c) blocks per term instead
+    of one with A.  It is cut at :func:`_taylor_degree` of theta, or where
+    its terms vanish, and each term is added to the four points in turn, so
+    a row's points do not depend on the other rows."""
+    out = np.empty((4,) + Z.shape)
+    out[...] = Z
+    weighted = np.empty_like(out)
+    term = Z
+    for j in range(1, _taylor_degree(theta) + 1):
+        term = A @ term
+        if not np.count_nonzero(term):
+            break
+        np.multiply(_QUARTER_TAYLOR[j], term, out=weighted)
+        out += weighted
+    return out
 
 
 def _segment_matrices(segments, dim: int) -> np.ndarray:
@@ -526,28 +561,40 @@ def _chain(powers: np.ndarray, steps, Z: np.ndarray, path: np.ndarray | None = N
 def _exact_segments(points: np.ndarray, segments, dim: int, k: int, region: Ball,
                     stats: dict) -> tuple[np.ndarray, int]:
     """Flow the rows ``points`` (rows, d*(1+k)), each a point and its k
-    tangent columns, exactly through the segments of one affine table:
-    every segment's matrices go through :func:`_quarter_powers` as one
-    stack, and each exact step is one product of the four quarter powers
-    with the rows in homogeneous form, (d+1)×(1+k) each.  All rows share
-    the steps of a segment, and each exact step counts one in
-    ``stats["steps"]``.
+    tangent columns, exactly through the segments of one affine table, in
+    homogeneous form, (d+1)×(1+k) each.  One segment of one exact step
+    (``||hM||_1 <= 1``: a :func:`flow_single` or a stacked letter, mostly)
+    moves rows of at most (d+1)/2 columns by :func:`_quarter_points`.
+    Otherwise every segment's matrices go through :func:`_quarter_powers`
+    as one stack, and each exact step is one product of the four quarter
+    powers with the rows.  All rows share the steps of a segment, and each
+    exact step counts one in ``stats["steps"]``.
 
     Returns the rows after the segments flowed and how many those are: the
     segments before the first one with a quarter point outside the region
     (a non-finite point is outside) or more than 2^``_MAX_HALVINGS`` steps.
     """
     rows = len(points)
-    powers, halvings = _quarter_powers(_segment_matrices(segments, dim))
-    fits = halvings <= _MAX_HALVINGS  # False where NaN
-    count = len(segments) if fits.all() else int(np.argmin(fits))
-    steps = 2 ** halvings[:count].astype(int)
+    A = _segment_matrices(segments, dim)
+    with np.errstate(all="ignore"):  # a norm that is not finite runs on the stepper
+        norms = np.abs(A).sum(axis=2).max(axis=2)
     start = np.zeros((rows, dim + 1, 1 + k))
     start[:, :dim, 0] = points[:, :dim]
     start[:, dim, 0] = 1.0
     start[:, :dim, 1:] = points[:, dim:].reshape(rows, dim, k)
-    path = np.empty((steps.sum(), 4, rows, dim))
-    Z = _chain(powers, steps[:count], start, path)
+    # a series term costs a product with the rows' blocks, a kernel term one
+    # with the matrices: the series measured faster up to about half width
+    if len(segments) == 1 and 2 * (1 + k) <= dim + 1 and norms.max() <= 1.0:
+        quarters = _quarter_points(A[0], start, float(norms.max()))
+        powers, steps, count, Z = None, np.ones(1, dtype=int), 1, quarters[3]
+        path = quarters[:, :, :dim, 0]
+    else:
+        powers, halvings = _quarter_powers(A, norms)
+        fits = halvings <= _MAX_HALVINGS  # False where NaN
+        count = len(segments) if fits.all() else int(np.argmin(fits))
+        steps = 2 ** halvings[:count].astype(int)
+        path = np.empty((steps.sum(), 4, rows, dim))
+        Z = _chain(powers, steps, start, path)
     outside = ~region.contains_rows(path.reshape(-1, dim))  # a NaN point is outside
     if outside.any():  # the segment of the first step with a point outside, run again to its start
         count = int(np.searchsorted(np.cumsum(steps), np.argmax(outside) // (4 * rows),
@@ -679,7 +726,8 @@ class FlowWord:
     letters: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple((int(i), float(t)) for i, t in self.letters))
+        object.__setattr__(self, "letters",
+                           tuple((member_index(i), float(t)) for i, t in self.letters))
         if not all(i >= 0 and math.isfinite(t) for i, t in self.letters):
             raise InvalidArgument(f"letters need indices >= 0 and finite times: {self.letters}")
 

@@ -14,6 +14,7 @@ and the tail bound dominates everything that was dropped.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -208,6 +209,15 @@ def ball(center, radius: float, norm_kind: str = "euclidean") -> Ball:
     return Ball(np.asarray(center, dtype=float), float(radius), norm_kind)
 
 
+def member_index(i) -> int:
+    """``i`` as an int, which it must be (a Python or numpy integer, not a
+    bool): the rule that a member index of a word, a coefficient family or
+    an axis list is an integer, before any conversion could truncate it."""
+    if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
+        raise InvalidArgument(f"index {i!r} is not an integer")
+    return int(i)
+
+
 @dataclass(frozen=True)
 class L1Coefficients:
     """Finitely supported coefficients with an explicit summable tail bound.
@@ -224,7 +234,7 @@ class L1Coefficients:
     norm1: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ent = tuple((int(i), float(v)) for i, v in self.entries)
+        ent = tuple((member_index(i), float(v)) for i, v in self.entries)
         if any(v == 0.0 for _, v in ent):
             raise InvalidArgument("stored zero value")
         if not all(math.isfinite(v) for _, v in ent):
@@ -243,7 +253,8 @@ class L1Coefficients:
     def from_pairs(cls, pairs: Iterable[tuple[int, float]], tail_bound: float = 0.0) -> "L1Coefficients":
         acc: dict[int, float] = {}
         for i, v in pairs:
-            acc[int(i)] = acc.get(int(i), 0.0) + float(v)
+            index = member_index(i)
+            acc[index] = acc.get(index, 0.0) + float(v)
         ent = tuple(sorted((i, v) for i, v in acc.items() if v != 0.0))
         return cls(ent, float(tail_bound))
 

@@ -849,6 +849,13 @@ class TestBadLetters:
         with pytest.raises(InvalidArgument):
             FlowWord(((0, 0.1), letter))
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, False])
+    def test_a_word_refuses_an_index_that_is_not_an_integer(self, index):
+        # int() truncated it: FlowWord(((1.5, 0.1),)) flowed member 1
+        with pytest.raises(InvalidArgument, match="is not an integer"):
+            FlowWord(((0, 0.1), (index, 0.1)))
+        assert FlowWord(((np.int64(1), 0.1),)).letters == ((1, 0.1),)
+
     def test_run_words_refuses_an_index_beyond_the_family(self, heis):
         with pytest.raises(InvalidArgument):
             run_words(heis, [FlowWord(((5, 0.1),)), FlowWord(((0, 0.1),))], np.zeros(3))
@@ -993,6 +1000,10 @@ class TestExactFlows:
                                0.0 if t > 0 else abs(t), t, tangents=np.eye(8))
             assert np.abs(res.endpoint - end).max() <= 1e-14 * (1 + np.abs(end).max())
             assert np.abs(res.tangents - grow * np.eye(8)).max() <= 1e-14 * grow
+            # without tangents, a piece with ||hM||_1 <= 1 sums its series on the point
+            res = flow_control(fam, one_piece(L1Coefficients(entries), 0.0, abs(t)), x,
+                               0.0 if t > 0 else abs(t), t)
+            assert np.abs(res.endpoint - end).max() <= 1e-14 * (1 + np.abs(end).max())
         assert rhs_terms == []
 
     @settings(max_examples=25, deadline=None)
@@ -1045,6 +1056,38 @@ class TestExactFlows:
         assert got.value.row == ref.value.row == 1
         assert got.value.last_time == ref.value.last_time
         assert np.array_equal(got.value.last_point, ref.value.last_point)
+
+    def test_a_quarter_point_outside_a_one_step_segment_hands_it_to_the_stepper(self):
+        # the rotation (-y, x) over t = 1 (||hM||_1 = 1: one step, its series
+        # summed on the rows) carries the angle from -1/2 to 1/2; the ball of
+        # radius 1.95 about (-1, 0) holds both ends but not the quarter points
+        region = ball(np.array([-1.0, 0.0]), 1.95)
+        V = polynomial_field(region, [((-1.0, (0, 1)),), ((1.0, (1, 0)),)], label="rotation")
+        P = np.array([[-0.5, 0.0], [math.cos(0.5), -math.sin(0.5)]])
+        with pytest.raises(LeftDomain) as got:
+            flow_single(V, P, 1.0, tol=TOL)
+        rhs = flow_module._Rhs(flow_module._Tables(V.table, None), 2, 0)
+        with pytest.raises(LeftDomain) as ref:
+            flow_module._integrate_segment(rhs, 0.0, 1.0, P.ravel().copy(), 2, 2, TOL, region,
+                                           {"steps": 0})
+        assert got.value.row == ref.value.row == 1
+        assert got.value.last_time == ref.value.last_time
+        assert np.array_equal(got.value.last_point, ref.value.last_point)
+
+    def test_the_row_series_matches_the_quarter_powers(self, rng):
+        # one segment of one step: the series summed on the rows and the
+        # kernel's quarter powers applied to them give the same four points
+        for n, rows, columns in ((1, 1, 1), (1, 4, 3), (5, 5, 1), (5, 5, 4)):
+            A = np.zeros((1, n, 6, 6))
+            A[:, :, :5] = rng.uniform(-1.0, 1.0, (1, n, 5, 6))
+            norms = np.abs(A).sum(axis=2).max(axis=2)
+            A /= norms.max()
+            Z = rng.normal(size=(rows, 6, columns))
+            Z[:, 5] = np.eye(columns)[0]
+            points = flow_module._quarter_points(A[0], Z, 1.0)
+            powers, halvings = flow_module._quarter_powers(A.copy(), norms / norms.max())
+            assert halvings[0] == 0
+            assert np.abs(points - powers[:, 0] @ Z).max() <= 1e-14 * np.abs(Z).max()
 
     def test_a_segment_too_long_for_the_kernel_runs_on_the_stepper(self, rhs_terms):
         # x' = -x from 1: 2^6 exact steps cover t = 60, and t = 70 would need 2^7

@@ -83,6 +83,20 @@ class TestL1CoefficientsValidation:
         with pytest.raises(InvalidArgument):
             L1Coefficients.from_pairs([(1, value)])
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, True, "1"])
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        # int() truncated it: entries ((1.7, 0.2),) were ((1, 0.2),), and a
+        # composition flowed member 1
+        with pytest.raises(InvalidArgument, match="is not an integer"):
+            L1Coefficients(((index, 0.2),))
+        with pytest.raises(InvalidArgument, match="is not an integer"):
+            L1Coefficients.from_pairs([(index, 0.2)])
+
+    def test_accepts_numpy_integer_indices(self):
+        c = L1Coefficients(((np.int64(1), 0.2),))
+        assert c.entries == ((1, 0.2),) and type(c.entries[0][0]) is int
+        assert L1Coefficients.from_pairs([(np.int32(2), 0.5)]).entries == ((2, 0.5),)
+
     def test_rejects_a_negative_truncation(self):
         with pytest.raises(InvalidArgument):
             L1Coefficients(((0, 1.0),)).truncate(-1)
