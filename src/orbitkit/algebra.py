@@ -41,13 +41,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
+from .errors import LeftDomain, OutOfDomain, StepUnderflow, WordNotIntegrable
 from .fields import (FieldFamily, LbRecord, MonomialTable, VectorField, _row_keys, calculus,
                      eval_jet_norm, finite_difference_jvp)
 from .flow import DEFAULT_TOL, FlowWord, _stacked_word, flow_single
 from .orbit import BracketChain, DistributionBasis, rank_of_singular_values
 from .orbit import numerical_rank  # noqa: F401  (perfbench's tracer wraps algebra.numerical_rank)
-from .space import Ball
+from .space import Ball, integer, positive
 
 # A tabled bracket whose coefficient vector is within this relative distance
 # of the span of the fields already in a chain is dropped.  It sits far
@@ -71,14 +71,19 @@ def _check_domains(fields, x: np.ndarray) -> None:
 def lie_bracket(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
     """[X, Y](x) = DY(x) X(x) - DX(x) Y(x).
 
-    Uses the exact Jacobians when both fields carry monomial tables;
-    otherwise central differences of the Jacobian-vector products.
+    Each side's derivative is exact, from its Jacobian, when that field
+    carries a monomial table; otherwise it is a central difference of the
+    Jacobian-vector product.
     """
     x = np.asarray(x, dtype=float)
     _check_domains((X, Y), x)
-    if X.table is not None and Y.table is not None:
-        return Y.jacobian(x) @ X(x) - X.jacobian(x) @ Y(x)
-    return finite_difference_jvp(Y, x, X(x)) - finite_difference_jvp(X, x, Y(x))
+    return _derivative(Y, x, X(x)) - _derivative(X, x, Y(x))
+
+
+def _derivative(X: VectorField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """DX(x) v: exact from the table of a tabled field, else a central
+    difference along v."""
+    return X.jacobian(x) @ v if X.table is not None else finite_difference_jvp(X, x, v)
 
 
 def lie_bracket_via_flows(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
@@ -190,8 +195,7 @@ def enlarge_field(family: FieldFamily, word: FlowWord, base_index: int, nu: floa
     else from finite-difference tensors whose shifted points go through
     ``eval_many``, any of them leaving the region failing the screen.
     """
-    if nu <= 0:
-        raise InvalidArgument("scale must be positive")
+    nu = positive(nu, "scale")
     if isinstance(base_index, EnlargedField):
         inner = base_index
         return enlarge_field(family, inner.word.then(word), inner.base_index,
@@ -302,8 +306,7 @@ def bracket_chain(family: FieldFamily, x: np.ndarray, k_max: int) -> BracketChai
     generation's span changes, and the chain still emits one generation per
     step.  Raises :class:`OutOfDomain` when x lies outside a member's domain.
     """
-    if k_max < 1:
-        raise InvalidArgument("k_max must be >= 1")
+    k_max = integer(k_max, "k_max", 1)
     x = np.asarray(x, dtype=float)
     _check_domains(family.members, x)
     dim = family.space.dimension
@@ -388,10 +391,10 @@ def certify_h_prime(family: FieldFamily, region: Ball, grid_size: int = 5,
     decisions and least-squares solves then share one stacked SVD, with the
     cutoffs of :func:`numerical_rank` and ``np.linalg.lstsq``.  Not raising
     on rank-deficient dictionaries: such points are flagged in the report
-    instead.  Raises :class:`InvalidArgument` for a grid size below 1.
+    instead.  Raises :class:`InvalidArgument` for a grid size that is not
+    an integer of at least 1.
     """
-    if grid_size < 1:
-        raise InvalidArgument("grid_size must be >= 1")
+    grid_size = integer(grid_size, "grid_size", 1)
     if not family.common_domain.contains_ball(region):
         raise OutOfDomain("region not contained in the family's common domain")
     dim = family.space.dimension

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidArgument, UnknownBuiltin
 from .fields import (FieldFamily, MonomialTable, VectorField, _exponents, constant_field,
                      polynomial_field)
-from .space import ChartSpace, ball
+from .space import ChartSpace, ball, integer
 
 
 def heisenberg(radius: float = 8.0, norm_kind: str | None = None) -> FieldFamily:
@@ -59,9 +59,9 @@ def grushin(radius: float = 4.0, norm_kind: str | None = None) -> FieldFamily:
 def commuting_constants(dim: int, span: int, radius: float = 4.0,
                         norm_kind: str | None = None) -> FieldFamily:
     """Constant canonical fields e_1..e_span on R^dim; all brackets vanish."""
-    if not 1 <= span <= dim:
-        raise ValueError("span must be between 1 and dim")
     space = ChartSpace(dim, norm_kind=norm_kind)
+    if integer(span, "span", 1) > dim:
+        raise InvalidArgument("span must be between 1 and dim")
     dom = ball(np.zeros(dim), radius, space.norm_kind)
     members = []
     for i in range(span):
@@ -82,11 +82,11 @@ def affine_l1(dim: int, count: int, decay: float = 0.5, linear_part: bool = Fals
     through its factory, which is what the approximate-controllability
     heuristic drives.
     """
-    if not 1 <= count <= dim:
-        raise ValueError("count must be between 1 and dim")
+    space = ChartSpace(dim, truncation_of_l1=True)
+    if integer(count, "count", 1) > dim:
+        raise InvalidArgument("count must be between 1 and dim")
     if not math.isfinite(decay):
         raise InvalidArgument("decay must be finite")
-    space = ChartSpace(dim, truncation_of_l1=True)
     dom = ball(np.zeros(dim), radius, space.norm_kind)
     members = []
     amax = 0.0
@@ -122,11 +122,11 @@ def operator_family(dim: int, count: int,
     per coordinate; directions are a_a = decay^a e_a.  Jet bounds are
     sampled, not declared.
     """
-    if not 1 <= count <= dim:
-        raise ValueError("count must be between 1 and dim")
+    space = ChartSpace(dim)
+    if integer(count, "count", 1) > dim:
+        raise InvalidArgument("count must be between 1 and dim")
     if not math.isfinite(decay):
         raise InvalidArgument("decay must be finite")
-    space = ChartSpace(dim)
     dom = ball(np.zeros(dim), radius, space.norm_kind)
     terms = [(float(c), _exponents(exps, dim), int(r), int(col))
              for c, exps, r, col in matrix_terms]

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, TailNotSummable
-from .fields import FieldFamily, LbRecord, _integer
+from .fields import FieldFamily, LbRecord
 from .flow import (DEFAULT_TOL, Control, ExistenceCertificate, FlowWord, _stacked_word,
                    flow_control, flow_single, guard)
-from .space import Ball, L1Coefficients
+from .space import Ball, L1Coefficients, integer
 
 TAIL_FACTOR_NOTE = "k*exp(k*norm1(tau)) times dropped l1 mass"
 
@@ -237,7 +237,7 @@ def extract_l1_curve(result: CompositionResult, samples_per_piece: int) -> L1Cur
 
     The subdivision knots are the cumulative absolute durations.
     """
-    samples_per_piece = _integer(samples_per_piece, "samples_per_piece", 1)
+    samples_per_piece = integer(samples_per_piece, "samples_per_piece", 1)
     letters = []
     times = [0.0]
     t_base = 0.0

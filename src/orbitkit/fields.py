@@ -20,7 +20,6 @@ every existence-radius guard downstream.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -28,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, OrderTooHigh, OutOfDomain
-from .space import Ball, ChartSpace, _row_norms, max_operator_norm, member_index, operator_norm
+from .space import (Ball, ChartSpace, _row_norms, integer, max_operator_norm, operator_norm,
+                    positive)
 
 # Finite-difference steps per derivative order (relative, scaled by 1+|x|):
 # standard truncation/round-off balance for first, second, third order.
@@ -402,9 +402,9 @@ class FieldFamily:
     through instead of sampling.  ``truncation_factory``, when present, maps
     a member count to the corresponding truncation of a countable family.
     :attr:`table` merges the members' monomial tables on one monomial list,
-    and :attr:`derivative_table` their derivatives, so that any weighted
-    sum of the members, shared by a stack of rows or one per row, is one
-    table evaluation.
+    and its derivative their derivatives, so that any weighted sum of the
+    members, shared by a stack of rows or one per row, is one table
+    evaluation.
     """
 
     space: ChartSpace
@@ -433,13 +433,12 @@ class FieldFamily:
     def check_members(self, indices: Sequence[int]) -> None:
         """The one member-index rule: every index of a word, a control piece,
         a coefficient family or an axis list is an integer that names a
-        member, ``0 <= i < len(self)``; :class:`InvalidArgument` otherwise."""
+        member, ``0 <= i < len(self)`` (:func:`~orbitkit.space.integer`);
+        :class:`InvalidArgument` otherwise."""
         for i in indices:
-            member_index(i)
-        low, high = min(indices, default=0), max(indices, default=0)
-        if low < 0 or high >= len(self.members):
-            raise InvalidArgument(f"index {low if low < 0 else high} has no family member "
-                                  f"(the family has {len(self.members)})")
+            if not 0 <= integer(i, "index") < len(self.members):
+                raise InvalidArgument(f"index {i} has no family member "
+                                      f"(the family has {len(self.members)})")
 
     @cached_property
     def table(self) -> MonomialTable | None:
@@ -450,13 +449,6 @@ class FieldFamily:
         if any(m.table is None for m in self.members):
             return None
         return _merge_tables([m.table for m in self.members])
-
-    @property
-    def derivative_table(self) -> MonomialTable | None:
-        """The derivative of :attr:`table`, which holds the members'
-        derivatives merged the same way, coefficients ``(T', m, d, d)``;
-        ``None`` with :attr:`table`."""
-        return None if self.table is None else self.table.derivative
 
 
 @dataclass(frozen=True)
@@ -475,8 +467,7 @@ class LbRecord:
     method: str = "sampled"
 
     def __post_init__(self):
-        if self.order_s < 0:
-            raise InvalidArgument("order must be >= 0")
+        object.__setattr__(self, "order_s", integer(self.order_s, "order", 0))
         if not self.bound_k > 0:
             raise InvalidArgument("bound must be positive")
         if self.method not in ("sampled", "declared"):
@@ -493,18 +484,9 @@ def _directions(space: ChartSpace, random: np.ndarray) -> np.ndarray:
                           axis=-2)
 
 
-def _integer(value, what: str, lowest: int) -> int:
-    """``value`` as an int, which it must be, at least ``lowest``: the one
-    check of a count argument (a jet order, a sample count, a budget, a word
-    length, a grid size)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
-        raise InvalidArgument(f"{what} must be an integer >= {lowest}, not {value!r}")
-    return int(value)
-
-
 def _jet_order(s) -> int:
     """The jet order s, checked: an integer from 0 to ``MAX_JET_ORDER``."""
-    s = _integer(s, "jet order", 0)
+    s = integer(s, "jet order", 0)
     if s > MAX_JET_ORDER:
         raise OrderTooHigh(f"jet order {s} > {MAX_JET_ORDER}: jet norms are estimated up to "
                            f"order {MAX_JET_ORDER}")
@@ -653,7 +635,8 @@ def estimate_lb_bound(family: FieldFamily, region: Ball, s: int, samples: int,
     whose jet is not finite at a sample point, so that no sampled bound
     holds there, raises :class:`OutOfDomain` (:func:`eval_jet_norm`).
     """
-    s, samples = _integer(s, "jet order", 0), _integer(samples, "samples", 1)
+    s, samples = integer(s, "jet order", 0), integer(samples, "samples", 1)
+    safety = positive(safety, "safety")
     if not family.common_domain.contains_ball(region):
         raise OutOfDomain("region not contained in the family's common domain")
     if family.declared_lb and not force_sampled and s in family.declared_lb:

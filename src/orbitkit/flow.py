@@ -70,7 +70,7 @@ from .errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
                      StepUnderflow, WordNotIntegrable)
 from .fields import (FD_STEP_1, FieldFamily, LbRecord, MonomialTable, VectorField,
                      finite_difference_jvp)
-from .space import Ball, L1Coefficients, member_index
+from .space import Ball, L1Coefficients, integer, positive
 
 DEFAULT_TOL = 1e-9
 
@@ -625,8 +625,7 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
     one that leaves the region or is too long for the kernel; that segment
     and every later one run on the stepper.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidArgument(f"tol must be positive and finite, not {tol!r}")
+    tol = positive(tol, "tol")
     points = x0.reshape(-1, x0.shape[-1])
     rows, dim = points.shape
     k = 0
@@ -727,9 +726,9 @@ class FlowWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters",
-                           tuple((member_index(i), float(t)) for i, t in self.letters))
-        if not all(i >= 0 and math.isfinite(t) for i, t in self.letters):
-            raise InvalidArgument(f"letters need indices >= 0 and finite times: {self.letters}")
+                           tuple((integer(i, "index", 0), float(t)) for i, t in self.letters))
+        if not all(math.isfinite(t) for _, t in self.letters):
+            raise InvalidArgument(f"letters need finite times: {self.letters}")
 
     def inverse(self) -> "FlowWord":
         return FlowWord(tuple((i, -t) for i, t in reversed(self.letters)))

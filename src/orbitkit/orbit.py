@@ -31,10 +31,10 @@ import numpy as np
 from .errors import InvalidArgument, OutOfDomain
 # compose_flows stays bound here so that tracing can wrap every binding of it
 from .compose import compose_flows  # noqa: F401
-from .fields import FieldFamily, LbRecord, VectorField, _integer
+from .fields import FieldFamily, LbRecord, VectorField
 from .flow import (DEFAULT_TOL, ExistenceCertificate, FlowWord, _raise_first, flow_single, guard,
                    run_words)
-from .space import Ball, L1Coefficients
+from .space import Ball, L1Coefficients, integer, positive
 
 RANK_REL_TOL = 1e-8
 # coefficient_solver enumerates the supports of a basis with at most this many
@@ -272,9 +272,7 @@ def slice_grid(family: FieldFamily, lb: LbRecord, x: np.ndarray, rho: float,
         raise InvalidArgument("at most 3 grid axes are supported")
     if len(set(axes)) < len(axes):
         raise InvalidArgument(f"slice axes must be distinct, not {axes}")
-    if not 0 < rho < np.inf:
-        raise InvalidArgument(f"rho must be positive and finite, not {rho!r}")
-    grid_per_axis = _integer(grid_per_axis, "grid_per_axis", 1)
+    rho, grid_per_axis = positive(rho, "rho"), integer(grid_per_axis, "grid_per_axis", 1)
     cert = guard(lb, x, 1.0, rho).enforce(unsafe)
     grids = np.meshgrid(*[np.linspace(-rho, rho, grid_per_axis)] * len(axes), indexing="ij")
     params = np.stack([g.ravel() for g in grids], axis=1)
@@ -309,10 +307,9 @@ def orbit_sample(family: FieldFamily, lb: LbRecord, x: np.ndarray, budget: int,
     ``max_word_len`` legs each, storing every leg endpoint in generation
     order.  ``budget`` and ``max_word_len`` must be at least 1.
     """
-    budget, max_word_len = _integer(budget, "budget", 1), _integer(max_word_len, "max_word_len", 1)
-    if exploration_radius is not None and not 0 < exploration_radius < math.inf:
-        raise InvalidArgument(f"exploration radius must be positive and finite, "
-                              f"not {exploration_radius!r}")
+    budget, max_word_len = integer(budget, "budget", 1), integer(max_word_len, "max_word_len", 1)
+    if exploration_radius is not None:
+        exploration_radius = positive(exploration_radius, "exploration radius")
     x = np.asarray(x, dtype=float)
     d_max = 0.5 * guard(lb, x, 1.0, 0.0).margin
     cert = guard(lb, x, 1.0, d_max)

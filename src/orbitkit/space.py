@@ -1,4 +1,8 @@
-"""Ambient chart model and l1 coefficient arithmetic.
+"""Ambient chart model, l1 coefficient arithmetic and the argument rules.
+
+:func:`integer` and :func:`positive` are the library's two argument rules:
+every index, count and order goes through the first, every positive scale
+through the second, and both raise :class:`InvalidArgument`.
 
 A :class:`ChartSpace` is a coordinate space standing for an open set of a
 Banach space: plain R^n, or the first ``dimension`` coordinates of a summable
@@ -27,6 +31,37 @@ NORM_KINDS = ("sup", "euclidean", "l1")
 # is within the radius plus this slack, which absorbs the rounding of a point
 # computed to lie on the boundary.
 BOUNDARY_SLACK = 1e-12
+
+
+def integer(value, what: str, lowest: int | None = None) -> int:
+    """``value`` as an int, which it must be, at least ``lowest`` when that
+    is given: the one rule for an index or a count (a member index, a jet
+    order, a truncation level, a sample count, a grid size, a dimension).
+    A Python or numpy integer passes, a bool or a float does not, before
+    any conversion could truncate it; :class:`InvalidArgument` otherwise."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidArgument(f"{what} {value!r} is not an integer")
+        value = int(value)
+    if lowest is not None and value < lowest:
+        raise InvalidArgument(f"{what} must be >= {lowest}, not {value!r}")
+    return value
+
+
+def positive(value, what: str) -> float:
+    """``value`` as a float, which it must be, with 0 < value < inf: the one
+    rule for a positive scale (a radius, a tolerance, an enlargement
+    scale).  A real Python or numpy number passes, a bool does not;
+    :class:`InvalidArgument` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgument(f"{what} {value!r} is not a real number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the floats
+        number = math.inf
+    if not 0.0 < number < math.inf:
+        raise InvalidArgument(f"{what} must be positive and finite, not {value!r}")
+    return number
 
 
 def vector_norm(v: np.ndarray, kind: str) -> float:
@@ -138,8 +173,7 @@ class ChartSpace:
     truncation_of_l1: bool = False
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InvalidArgument("dimension must be >= 1")
+        object.__setattr__(self, "dimension", integer(self.dimension, "dimension", 1))
         if self.norm_kind is None:
             kind = "l1" if self.truncation_of_l1 else "euclidean"
             object.__setattr__(self, "norm_kind", kind)
@@ -181,8 +215,7 @@ class Ball:
         c = np.asarray(self.center, dtype=float)
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
-        if not 0 < self.radius < np.inf:
-            raise InvalidArgument("radius must be positive and finite")
+        object.__setattr__(self, "radius", positive(self.radius, "radius"))
         if self.norm_kind not in NORM_KINDS:
             raise InvalidArgument(f"unknown norm kind {self.norm_kind!r}")
 
@@ -206,16 +239,7 @@ class Ball:
 
 
 def ball(center, radius: float, norm_kind: str = "euclidean") -> Ball:
-    return Ball(np.asarray(center, dtype=float), float(radius), norm_kind)
-
-
-def member_index(i) -> int:
-    """``i`` as an int, which it must be (a Python or numpy integer, not a
-    bool): the rule that a member index of a word, a coefficient family or
-    an axis list is an integer, before any conversion could truncate it."""
-    if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
-        raise InvalidArgument(f"index {i!r} is not an integer")
-    return int(i)
+    return Ball(np.asarray(center, dtype=float), radius, norm_kind)
 
 
 @dataclass(frozen=True)
@@ -234,7 +258,7 @@ class L1Coefficients:
     norm1: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ent = tuple((member_index(i), float(v)) for i, v in self.entries)
+        ent = tuple((integer(i, "index", 0), float(v)) for i, v in self.entries)
         if any(v == 0.0 for _, v in ent):
             raise InvalidArgument("stored zero value")
         if not all(math.isfinite(v) for _, v in ent):
@@ -242,8 +266,6 @@ class L1Coefficients:
         idx = [i for i, _ in ent]
         if sorted(idx) != idx or len(set(idx)) != len(idx):
             raise InvalidArgument("entries must be sorted by index with no duplicates")
-        if any(i < 0 for i in idx):
-            raise InvalidArgument("indices must be non-negative")
         if not self.tail_bound >= 0:
             raise InvalidArgument("tail bound must be non-negative")
         object.__setattr__(self, "entries", ent)
@@ -253,7 +275,7 @@ class L1Coefficients:
     def from_pairs(cls, pairs: Iterable[tuple[int, float]], tail_bound: float = 0.0) -> "L1Coefficients":
         acc: dict[int, float] = {}
         for i, v in pairs:
-            index = member_index(i)
+            index = integer(i, "index")
             acc[index] = acc.get(index, 0.0) + float(v)
         ent = tuple(sorted((i, v) for i, v in acc.items() if v != 0.0))
         return cls(ent, float(tail_bound))
@@ -275,8 +297,7 @@ class L1Coefficients:
         i.e. the l1 mass of everything dropped plus the original tail bound.
         Mass is conserved: ``kept.norm1 + tail == self.norm1``.
         """
-        if n < 0:
-            raise InvalidArgument("n must be >= 0")
+        n = integer(n, "truncation", 0)
         kept = self.entries[:n]
         dropped = self.entries[n:]
         tail = sum(abs(v) for _, v in dropped) + self.tail_bound

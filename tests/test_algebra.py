@@ -11,7 +11,7 @@ from orbitkit.algebra import (FlowWord, _grid_in_region, bracket_chain, bracket_
 from orbitkit.algebra import SERIES_MAX_BRACKETS, _pushforward_table
 from orbitkit.errors import InvalidArgument, OutOfDomain, WordNotIntegrable
 from orbitkit.fields import (FieldFamily, LbRecord, MonomialTable, VectorField, calculus,
-                             estimate_lb_bound, polynomial_field)
+                             estimate_lb_bound, finite_difference_jvp, polynomial_field)
 from orbitkit.flow import flow_single
 from orbitkit.orbit import BracketChain, accessibility_verdict, distribution_at, numerical_rank
 from orbitkit.space import ChartSpace, ball
@@ -132,6 +132,19 @@ class TestLieBracket:
                  + lie_bracket(B, bracket_field(C, A), x)
                  + lie_bracket(C, bracket_field(A, B), x))
             assert np.abs(s).max() <= 1e-5
+
+    def test_a_tabled_side_takes_its_exact_jacobian_beside_an_untabled_one(self):
+        # a tabled X beside an untabled Y was differenced too: here 3.9e-10
+        # off the bracket with X's exact Jacobian
+        dom = ball([0, 0, 0], 8.0)
+        X = polynomial_field(dom, [((1.0, (5, 0, 0)),), ((2.0, (1, 3, 1)),), ((-1.0, (0, 2, 0)),)],
+                             label="X")
+        Y = replace(polynomial_field(dom, [((1.0, (0, 1, 0)),), ((1.0, (2, 0, 0)),), ()],
+                                     label="Y"), table=None)
+        x = np.array([1.1, 0.2, 0.3])
+        exact = finite_difference_jvp(Y, x, X(x)) - X.jacobian(x) @ Y(x)
+        assert lie_bracket(X, Y, x).tobytes() == exact.tobytes()
+        assert lie_bracket(Y, X, x).tobytes() == (-exact).tobytes()
 
 
 class TestEnlargement:

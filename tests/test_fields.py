@@ -354,7 +354,7 @@ class TestFamilyTable:
         m, d = len(family), family.space.dimension
         points = rng.uniform(-1.0, 1.0, (5, d))
         weights = rng.normal(size=(5, m))
-        for table, size in ((family.table, d), (family.derivative_table, d * d)):
+        for table, size in ((family.table, d), (family.table.derivative, d * d)):
             shared, per_row = table.weighted(weights[0]), table.weighted(weights)
             assert shared.shape == (len(table.exponents), size)
             assert per_row.shape == (5, len(table.exponents), size)
@@ -367,7 +367,7 @@ class TestFamilyTable:
     @pytest.mark.parametrize("family", CATALOG_FAMILIES,
                              ids=lambda f: "-".join(m.label for m in f.members))
     def test_derivative_table_merges_the_members_derivatives(self, family, rng):
-        D = family.derivative_table
+        D = family.table.derivative
         m, d = len(family), family.space.dimension
         assert D.coefficients.shape[1:] == (m, d, d)
         points = rng.uniform(-1.0, 1.0, (5, d))
@@ -379,7 +379,7 @@ class TestFamilyTable:
     @pytest.mark.parametrize("family", CATALOG_FAMILIES + [affine_l1(16, 16, linear_part=True)],
                              ids=lambda f: "-".join(m.label for m in f.members))
     def test_derivative_table_is_the_merged_member_derivatives_bit_for_bit(self, family, rng):
-        D = family.derivative_table
+        D = family.table.derivative
         ref = fields._merge_tables([m.table.derivative for m in family.members])
         assert np.array_equal(D.exponents, ref.exponents)
         assert D.coefficients.tobytes() == ref.coefficients.tobytes()
@@ -390,8 +390,8 @@ class TestFamilyTable:
     def test_an_untabled_member_leaves_no_family_table(self, heis):
         members = (heis.members[0], replace(heis.members[1], table=None))
         fam = FieldFamily(space=heis.space, members=members, common_domain=heis.common_domain)
+        # and with it no merged derivative, which is the table's
         assert fam.table is None
-        assert fam.derivative_table is None
 
 
 def test_affine_members_with_a_linear_part_are_x_plus_their_direction(rng):

@@ -1099,6 +1099,71 @@ class TestExactFlows:
         assert rhs_terms and abs(res.endpoint[0] - math.exp(-70.0)) <= 10 * TOL
 
 
+def _random_triangular_family(rng, radius=100.0):
+    """d = 2-4 and 2-3 polynomial members of degree at most 3 whose
+    component i depends on x_0..x_{i-1} only, so that they generate a
+    nilpotent algebra; one member has a term of degree 2 or 3, so that the
+    family's table is not affine and its flows run on the stepper."""
+    d, m = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    dom = ball(np.zeros(d), radius)
+    members = [[[(float(rng.uniform(-1.0, 1.0)), (0,) * d)] for _ in range(d)] for _ in range(m)]
+    for components in members:
+        for i in range(1, d):
+            for _ in range(int(rng.integers(0, 3))):
+                exps = np.zeros(d, dtype=int)
+                exps[:i] = rng.multinomial(int(rng.integers(1, 4)), np.full(i, 1.0 / i))
+                components[i].append((float(rng.uniform(-1.0, 1.0)), tuple(exps)))
+    exps = np.zeros(d, dtype=int)
+    exps[0] = rng.integers(2, 4)
+    members[int(rng.integers(0, m))][d - 1].append((float(rng.uniform(0.5, 1.0)), tuple(exps)))
+    fields = tuple(polynomial_field(dom, components, label=f"T{a}")
+                   for a, components in enumerate(members))
+    return FieldFamily(space=ChartSpace(d), members=fields, common_domain=dom)
+
+
+class TestTablePathProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_stack_of_mixed_letters_equals_each_letter_alone(self, seed):
+        # per-row weights, per-row error scales (span) and resting rows of
+        # time 0, on the stepper's merged-table path
+        rng = np.random.default_rng(seed)
+        fam = _random_triangular_family(rng)
+        assert fam.table.degree > 1
+        n, d = int(rng.integers(3, 7)), fam.space.dimension
+        P = rng.uniform(-0.5, 0.5, (n, d))
+        V = rng.normal(size=(n, d, 2))
+        letters = [(int(rng.integers(0, len(fam))),
+                    0.0 if rng.uniform() < 0.3 else float(rng.uniform(-1.0, 1.0))) for _ in P]
+        tol = float(10.0 ** rng.uniform(-10, -7))
+        paths, stops, W = run_words(fam, [FlowWord((letter,)) for letter in letters], P, tol,
+                                    tangents=V)
+        assert stops == [None] * n
+        for i, (a, t) in enumerate(letters):
+            one = flow_single(fam.members[a], P[i], t, tol=tol, tangents=V[i])
+            scale = 1 + max(np.abs(one.endpoint).max(), np.abs(one.tangents).max())
+            assert np.abs(paths[i][-1] - one.endpoint).max() <= 10 * tol * scale
+            assert np.abs(W[i] - one.tangents).max() <= 10 * tol * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_series_enlarged_field_equals_the_nested_one(self, seed):
+        rng = np.random.default_rng(seed)
+        fam = _random_triangular_family(rng)
+        d = fam.space.dimension
+        word = FlowWord(tuple((int(rng.integers(0, len(fam))), float(rng.uniform(-0.5, 0.5)))
+                              for _ in range(int(rng.integers(1, 4)))))
+        base, nu = int(rng.integers(0, len(fam))), float(rng.uniform(0.5, 2.0))
+        lb = LbRecord(order_s=0, bound_k=1e6, region=fam.common_domain)
+        tol = float(10.0 ** rng.uniform(-11, -8))
+        series = enlarge_field(fam, word, base, nu, lb, tol=tol)
+        nested = enlarge_field(_stripped(fam), word, base, nu, lb, tol=tol)
+        assert nested.table is None
+        P = rng.uniform(-0.5, 0.5, (5, d))
+        want = nested.eval_many(P)
+        assert np.abs(series.eval_many(P) - want).max() <= 10 * tol * (1 + np.abs(want).max())
+
+
 class TestStartPointPerWord:
     @pytest.mark.parametrize("family", [heisenberg(), affine_l1(6, 5, 0.8, linear_part=True)],
                              ids=["heisenberg", "affine-l1"])

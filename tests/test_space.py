@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitkit.algebra import bracket_chain, certify_h_prime, enlarge_field
+from orbitkit.catalog import affine_l1, commuting_constants
+from orbitkit.compose import compose_flows
 from orbitkit.errors import InvalidArgument
-from orbitkit.space import (Ball, ChartSpace, L1Coefficients, ball, max_operator_norm,
-                            operator_norm, vector_norm)
+from orbitkit.fields import LbRecord
+from orbitkit.flow import FlowWord
+from orbitkit.orbit import accessibility_verdict
+from orbitkit.space import (Ball, ChartSpace, L1Coefficients, ball, integer, max_operator_norm,
+                            operator_norm, positive, vector_norm)
 
 
 class TestNorm1:
@@ -110,6 +118,69 @@ class TestL1CoefficientsValidation:
         b = L1Coefficients(((0, -1.0), (1, 3.0)))
         c = a.combine(b)
         assert c.entries == ((1, 3.0), (2, 2.0))
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integer_takes_a_python_or_numpy_integer(self, value):
+        got = integer(value, "count", 1)
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [3.0, 2.5, True, np.bool_(True), "3", None, math.nan])
+    def test_integer_refuses_anything_else(self, value):
+        with pytest.raises(InvalidArgument, match="count .* is not an integer"):
+            integer(value, "count")
+
+    def test_integer_refuses_a_value_below_its_lowest(self):
+        assert integer(-4, "index") == -4
+        with pytest.raises(InvalidArgument, match="count must be >= 1, not 0"):
+            integer(0, "count", 1)
+
+    @pytest.mark.parametrize("value", [2, 0.5, np.float32(0.5), np.int64(2), 1e-300])
+    def test_positive_takes_a_positive_finite_real(self, value):
+        got = positive(value, "scale")
+        assert got == value and type(got) is float
+
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf, -math.inf, np.float32(math.inf),
+                                       10 ** 400])
+    def test_positive_refuses_a_value_outside_zero_to_inf(self, value):
+        with pytest.raises(InvalidArgument, match="scale must be positive and finite"):
+            positive(value, "scale")
+
+    @pytest.mark.parametrize("value", [True, "1", None, 1j, np.array([1.0])])
+    def test_positive_refuses_a_value_that_is_not_a_real_number(self, value):
+        with pytest.raises(InvalidArgument, match="is not a real number"):
+            positive(value, "scale")
+
+
+# arguments that slipped past every check: the first six ended in a bare
+# TypeError, the next four were accepted, and a NaN or infinite scale gave
+# a field of NaN values (with a RuntimeWarning for inf)
+_HOLES = {
+    "bracket_chain k_max 2.5": lambda f, lb: bracket_chain(f, np.zeros(3), 2.5),
+    "accessibility_verdict k_max 2.5": lambda f, lb: accessibility_verdict(f, np.zeros(3), 2.5),
+    "certify_h_prime grid_size 2.5": lambda f, lb: certify_h_prime(f, ball([0, 0, 0], 0.5),
+                                                                   grid_size=2.5),
+    "compose_flows truncation_n 1.5": lambda f, lb: compose_flows(
+        f, lb, L1Coefficients(((0, 0.1), (1, 0.1))), np.zeros(3), truncation_n=1.5),
+    "affine_l1 count 3.0": lambda f, lb: affine_l1(8, 3.0),
+    "commuting_constants span 2.0": lambda f, lb: commuting_constants(3, 2.0),
+    "compose_flows truncation_n True": lambda f, lb: compose_flows(
+        f, lb, L1Coefficients(((0, 0.1), (1, 0.1))), np.zeros(3), truncation_n=True),
+    "bracket_chain k_max True": lambda f, lb: bracket_chain(f, np.zeros(3), True),
+    "ChartSpace dimension 2.5": lambda f, lb: ChartSpace(2.5),
+    "LbRecord order 2.5": lambda f, lb: LbRecord(2.5, 1.0, f.common_domain),
+    "enlarge_field nu nan": lambda f, lb: enlarge_field(f, FlowWord(((0, 0.1),)), 1, math.nan, lb),
+    "enlarge_field nu inf": lambda f, lb: enlarge_field(f, FlowWord(((0, 0.1),)), 1, math.inf, lb),
+    # ball() converted its radius with float(), so True was a radius of 1
+    "ball radius True": lambda f, lb: ball([0, 0, 0], True),
+}
+
+
+@pytest.mark.parametrize("call", list(_HOLES))
+def test_an_index_count_or_scale_that_breaks_its_rule_is_an_invalid_argument(heis, heis_lb, call):
+    with pytest.raises(InvalidArgument):
+        _HOLES[call](heis, heis_lb)
 
 
 class TestChartSpace:
