@@ -128,8 +128,8 @@ def operator_family(dim: int, count: int,
     if not math.isfinite(decay):
         raise InvalidArgument("decay must be finite")
     dom = ball(np.zeros(dim), radius, space.norm_kind)
-    terms = [(float(c), _exponents(exps, dim), int(r), int(col))
-             for c, exps, r, col in matrix_terms]
+    terms = [(float(c), _exponents(exps, dim), integer(r, "matrix-term row"),
+              integer(col, "matrix-term column")) for c, exps, r, col in matrix_terms]
     if any(not (0 <= r < dim and 0 <= col < dim) for _, _, r, col in terms):
         raise InvalidArgument(f"matrix-term row and column must lie in 0..{dim - 1}")
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orbitkit import flow as flow_module
 from orbitkit.algebra import bracket_field, enlarge_field
@@ -1157,6 +1157,8 @@ class TestTablePathProperties:
         lb = LbRecord(order_s=0, bound_k=1e6, region=fam.common_domain)
         tol = float(10.0 ** rng.uniform(-11, -8))
         series = enlarge_field(fam, word, base, nu, lb, tol=tol)
+        # a series with terms left after SERIES_MAX_BRACKETS is nested too
+        assume(series.table is not None)
         nested = enlarge_field(_stripped(fam), word, base, nu, lb, tol=tol)
         assert nested.table is None
         P = rng.uniform(-0.5, 0.5, (5, d))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit.algebra import bracket_chain, certify_h_prime, enlarge_field
-from orbitkit.catalog import affine_l1, commuting_constants
+from orbitkit.catalog import affine_l1, commuting_constants, operator_family
 from orbitkit.compose import compose_flows
 from orbitkit.errors import InvalidArgument
 from orbitkit.fields import LbRecord
@@ -172,8 +172,10 @@ _HOLES = {
     "LbRecord order 2.5": lambda f, lb: LbRecord(2.5, 1.0, f.common_domain),
     "enlarge_field nu nan": lambda f, lb: enlarge_field(f, FlowWord(((0, 0.1),)), 1, math.nan, lb),
     "enlarge_field nu inf": lambda f, lb: enlarge_field(f, FlowWord(((0, 0.1),)), 1, math.inf, lb),
-    # ball() converted its radius with float(), so True was a radius of 1
+    # ball() converted its radius with float(), so True was a radius of 1,
+    # and operator_family truncated a matrix-term row of 1.5 to row 1
     "ball radius True": lambda f, lb: ball([0, 0, 0], True),
+    "operator_family row 1.5": lambda f, lb: operator_family(3, 2, [(1.0, (0, 0, 0), 1.5, 0)]),
 }
 
 
