@@ -635,11 +635,11 @@ def _flow(x0: np.ndarray, segments, tangents, tol: float, region: Ball,
             raise InvalidArgument("tangents must be a vector or columns per start point")
         k = tangents.size // points.size
         points = np.concatenate([points, tangents.reshape(rows, -1)], axis=1)
-    if segments:
-        outside = _outside(region, points, rows, dim)
-        if outside.any():
-            raise _left_domain(points, rows, dim, outside, segments[0][0],
-                               "start point outside the working region")
+    # the region's point-dimension rule holds for a flow without segments too
+    outside = _outside(region, points, rows, dim)
+    if segments and outside.any():
+        raise _left_domain(points, rows, dim, outside, segments[0][0],
+                           "start point outside the working region")
     stats = {"steps": 0}
     exact = 0
     if segments and type(segments[0][2]) is _Tables and segments[0][2].table.degree <= 1:
@@ -672,8 +672,6 @@ def flow_control(family: FieldFamily, u: Control, x0: np.ndarray, t0: float, T0:
     if not (math.isfinite(t0) and math.isfinite(T0)):
         raise InvalidArgument(f"flow times must be finite, not t0={t0!r}, T0={T0!r}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.size != family.space.dimension:
-        raise InvalidArgument("start point dimension mismatch")
     family.check_members([i for _, _, coeff in u.pieces for i, _ in coeff.entries])
 
     certificate = None

@@ -74,9 +74,12 @@ class DistributionBasis:
     """Spanning vectors of a pointwise distribution with provenance.
 
     ``vectors`` is a (dim, m) matrix whose columns are the field values at
-    ``anchor``; ``source_labels`` names the producing fields and
-    ``source_fields`` keeps them evaluable for downstream trivializations.
-    ``rank`` and ``condition`` are read from the vectors' singular values.
+    ``anchor``; the basis holds a read-only copy of it.  ``source_labels``
+    names the producing fields and ``source_fields`` keeps them evaluable
+    for downstream trivializations.  ``rank`` and ``condition`` are read
+    from the vectors' singular values.  A column that is not finite raises
+    :class:`OutOfDomain`, naming its source label (or its index), before
+    any singular value is taken.
     """
 
     anchor: np.ndarray
@@ -85,10 +88,18 @@ class DistributionBasis:
     source_fields: tuple[VectorField, ...] = field(compare=False, repr=False, default=())
     rank: int = field(init=False)
     condition: float = field(init=False)
+    # coefficient_solver's support tables and their pseudo-inverses by rank,
+    # filled on first use: most bases (a bracket chain's) are never solved
+    _supports: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
+        v = np.array(self.vectors, dtype=float)
+        v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
+        if not np.isfinite(v).all():
+            j = int(np.argmin(np.isfinite(v).all(axis=0)))
+            name = self.source_labels[j] if j < len(self.source_labels) else f"column {j}"
+            raise OutOfDomain(f"{name}: value is not finite at the anchor")
         s = np.linalg.svd(v, compute_uv=False) if v.size else np.array([])
         object.__setattr__(self, "rank", int(rank_of_singular_values(s)))
         nonzero = s[s > 0]
@@ -106,11 +117,14 @@ class DistributionBasis:
         its optimum is attained at a basic solution: one carried by r
         linearly independent columns, r the rank least squares found, with
         every other coefficient zero.  When there are at most
-        ``MAX_SUPPORTS`` supports of r columns, the solver solves the
-        projection on all of them in one batched least-squares call, which
-        yields every basic solution and so the exact optimum; a wider basis
-        goes to :func:`linprog`.  The least-squares coefficients are one more
-        candidate.  Of the candidates that reconstruct the projection to
+        ``MAX_SUPPORTS`` supports of r columns, the solver multiplies the
+        projection by the pseudo-inverses of all of them, which yields every
+        basic solution and so the exact optimum; a wider basis goes to
+        :func:`linprog`.  The supports of each rank and their stacked
+        pseudo-inverses are computed on the first solve at that rank and
+        kept on the basis, so later solves on it skip them.  The
+        least-squares coefficients are one more candidate.  Of the
+        candidates that reconstruct the projection to
         1e-9 * (1 + sup|proj|), it returns the first of least l1 norm, which
         is never heavier than least squares.  ``target`` must hold one finite
         number per chart coordinate.
@@ -126,11 +140,15 @@ class DistributionBasis:
         residual = float(np.linalg.norm(target - proj))
         count = math.comb(m, r)
         if count <= MAX_SUPPORTS:
-            supports = np.array(list(itertools.combinations(range(m), r)),
-                                dtype=int).reshape(count, r)
+            entry = self._supports.get(r)
+            if entry is None:
+                columns = np.array(list(itertools.combinations(range(m), r)),
+                                   dtype=int).reshape(count, r)
+                entry = self._supports[r] = (np.arange(count)[:, None], columns,
+                                             np.linalg.pinv(A[:, columns].transpose(1, 0, 2)))
+            rows, columns, inverses = entry
             candidates = np.zeros((count, m))
-            candidates[np.arange(count)[:, None], supports] = (
-                np.linalg.pinv(A[:, supports].transpose(1, 0, 2)) @ proj)
+            candidates[rows, columns] = inverses @ proj
         else:
             # min sum(c+ + c-)  s.t.  A (c+ - c-) = proj,  c+- >= 0
             res = linprog(np.ones(2 * m), A_eq=np.hstack([A, -A]), b_eq=proj,

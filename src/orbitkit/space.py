@@ -227,11 +227,19 @@ class Ball:
         """Whether each row of ``points`` (N, d) lies in the ball: within the
         radius plus ``BOUNDARY_SLACK`` of the center.  A row with a NaN lies
         outside."""
-        return _row_norms(points - self.center, self.norm_kind) <= self.radius + BOUNDARY_SLACK
+        return _row_norms(self._offsets(points), self.norm_kind) <= self.radius + BOUNDARY_SLACK
 
     def distance_to_boundary(self, point: np.ndarray) -> float:
         """radius - ||point - center||; negative outside the ball."""
-        return self.radius - vector_norm(np.asarray(point) - self.center, self.norm_kind)
+        return self.radius - vector_norm(self._offsets(np.asarray(point)), self.norm_kind)
+
+    def _offsets(self, points: np.ndarray) -> np.ndarray:
+        """``points - center``: the one point-dimension rule, a point whose
+        dimension is not the center's is an :class:`InvalidArgument`."""
+        if points.shape[-1:] != self.center.shape:
+            raise InvalidArgument(f"point dimension {points.shape[-1] if points.ndim else 0} "
+                                  f"is not the region's dimension {self.center.size}")
+        return points - self.center
 
     def contains_ball(self, other: "Ball") -> bool:
         d = vector_norm(other.center - self.center, self.norm_kind)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from orbitkit import flow as flow_module
-from orbitkit.algebra import bracket_field, enlarge_field
+from orbitkit.algebra import bracket_field, enlarge_field, lie_bracket, lie_bracket_via_flows
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, operator_family
 from orbitkit.compose import compose_flows, compose_inverse, d_psi
 from orbitkit.errors import (DomainTooSmall, GuardViolated, InvalidArgument, LeftDomain,
@@ -187,7 +187,7 @@ class TestFlowControl:
 
     def test_a_start_point_of_another_dimension_is_an_invalid_argument(self, heis):
         u = one_piece(L1Coefficients(((0, 1.0),)), 0.0, 0.1)
-        with pytest.raises(InvalidArgument, match="start point dimension"):
+        with pytest.raises(InvalidArgument, match="point dimension 2 is not"):
             flow_control(heis, u, np.zeros(2), 0.0, 0.1)
 
     @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 3, 1)])
@@ -1165,6 +1165,34 @@ class TestTablePathProperties:
         want = nested.eval_many(P)
         assert np.abs(series.eval_many(P) - want).max() <= 10 * tol * (1 + np.abs(want).max())
 
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_control_path_equals_the_sequential_one(self, seed):
+        rng = np.random.default_rng(seed)
+        fam = _random_triangular_family(rng)
+        d, m = fam.space.dimension, len(fam)
+        support = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+        tau = L1Coefficients(tuple((int(i), float(rng.uniform(-0.5, 0.5))) for i in support))
+        # the region's radius, about 50 from these points, keeps the guard far away
+        lb = LbRecord(order_s=0, bound_k=1.0, region=fam.common_domain)
+        x = rng.uniform(-0.5, 0.5, d)
+        tol = float(10.0 ** rng.uniform(-10, -7))
+        control = compose_flows(fam, lb, tau, x, tol=tol, path="control").endpoint
+        sequential = compose_flows(fam, lb, tau, x, tol=tol, path="sequential").endpoint
+        assert np.abs(control - sequential).max() <= 10 * tol * (1 + np.abs(control).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_bracket_of_tables_equals_the_bracket_through_flows(self, seed):
+        rng = np.random.default_rng(seed)
+        fam = _random_triangular_family(rng)
+        a, b = rng.choice(len(fam), size=2, replace=False)
+        X, Y = fam.members[a], fam.members[b]
+        x = rng.uniform(-0.5, 0.5, fam.space.dimension)
+        exact = lie_bracket(X, Y, x)
+        via_flows = lie_bracket_via_flows(X, Y, x)
+        assert np.abs(via_flows - exact).max() <= 1e-6 * (1 + np.abs(exact).max())
 
 class TestStartPointPerWord:
     @pytest.mark.parametrize("family", [heisenberg(), affine_l1(6, 5, 0.8, linear_part=True)],

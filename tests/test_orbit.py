@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,11 +7,11 @@ import pytest
 
 from orbitkit import orbit
 from orbitkit.catalog import affine_l1, commuting_constants, grushin, heisenberg, operator_family
-from orbitkit.algebra import FlowWord, enlarge_field
+from orbitkit.algebra import FlowWord, bracket_chain, enlarge_field
 from orbitkit.compose import compose_flows, extract_l1_curve
 from orbitkit.errors import GuardViolated, InvalidArgument, LeftDomain, OutOfDomain, StepUnderflow
 from orbitkit.flow import flow_single, guard
-from orbitkit.fields import FieldFamily, LbRecord, constant_field, estimate_lb_bound
+from orbitkit.fields import FieldFamily, LbRecord, VectorField, constant_field, estimate_lb_bound
 from orbitkit.orbit import (MAX_SUPPORTS, DistributionBasis, accessibility_verdict,
                             distribution_at, invariance_residual, numerical_rank,
                             orbit_sample, rank_of_singular_values, replay_word, slice_grid,
@@ -146,6 +147,124 @@ class TestDistributionAt:
         # the smallest number of columns whose supports of two exceed the cap
         m = next(m for m in range(3, 100) if math.comb(m, 2) > MAX_SUPPORTS)
         assert check(rng.standard_normal((2, m)), rng.standard_normal(2)) == (math.comb(m, 2), 1)
+
+
+def _per_call_solver(A, target):
+    """The least-l1 solver with its support table and pseudo-inverses
+    computed on every call, for a basis of at most MAX_SUPPORTS supports."""
+    ls, _, r, _ = np.linalg.lstsq(A, target, rcond=None)
+    proj = A @ ls
+    residual = float(np.linalg.norm(target - proj))
+    m = A.shape[1]
+    count = math.comb(m, r)
+    supports = np.array(list(itertools.combinations(range(m), r)), dtype=int).reshape(count, r)
+    candidates = np.zeros((count, m))
+    candidates[np.arange(count)[:, None], supports] = (
+        np.linalg.pinv(A[:, supports].transpose(1, 0, 2)) @ proj)
+    candidates = np.vstack([candidates, ls])
+    error = np.abs(candidates @ A.T - proj).max(axis=1, initial=0.0)
+    l1 = np.abs(candidates).sum(axis=1)
+    l1[error > 1e-9 * (1.0 + np.abs(proj).max(initial=0.0))] = np.inf
+    return candidates[np.argmin(l1)], residual
+
+
+def _random_basis_matrix(rng):
+    """A (d, m) matrix with d = 1-5 and m = 1-8: generic, of lower rank, or
+    with repeated and zero columns."""
+    d, m = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.standard_normal((d, m))
+    if kind == 1:
+        k = int(rng.integers(0, min(d, m)))
+        return rng.standard_normal((d, k)) @ rng.standard_normal((k, m))
+    A = rng.standard_normal((d, int(rng.integers(1, m + 1))))
+    return np.hstack([A, np.zeros((d, 1))])[:, rng.integers(0, A.shape[1] + 1, m)]
+
+
+class TestSolverCache:
+    def test_repeated_solves_equal_the_per_call_solver_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        matrices = []
+        while len(matrices) < 300:
+            A = _random_basis_matrix(rng)
+            if math.comb(A.shape[1], numerical_rank(A)) <= MAX_SUPPORTS:
+                matrices.append(A)
+        bases = [DistributionBasis(np.zeros(A.shape[0]), A, ()) for A in matrices]
+        # each round sends one target to every basis, so the solves on one
+        # basis are interleaved with the others'
+        for _ in range(4):
+            for A, basis in zip(matrices, bases):
+                target = rng.standard_normal(A.shape[0])
+                if rng.uniform() < 0.5:  # a target in the span
+                    target = A @ rng.standard_normal(A.shape[1])
+                coeff, residual = basis.coefficient_solver(target)
+                want, want_residual = _per_call_solver(A, target)
+                assert np.array_equal(coeff, want)
+                assert residual == want_residual
+
+    @pytest.mark.parametrize("vectors", [
+        [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]],  # rank 2 of 3 columns
+        [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],  # duplicate and zero columns, rank 1
+        [[0.0, 0.0], [0.0, 0.0]],  # rank 0
+    ])
+    def test_twelve_solves_take_one_pseudo_inverse_per_rank(self, monkeypatch, rng, vectors):
+        pinv, calls = np.linalg.pinv, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted)
+        basis = DistributionBasis(np.zeros(len(vectors)), np.array(vectors), ("a", "b", "c"))
+        assert calls == []  # nothing is factored before the first solve
+        for _ in range(12):
+            basis.coefficient_solver(rng.standard_normal(len(vectors)))
+        assert len(calls) == 1
+
+    def test_the_basis_keeps_a_read_only_copy_of_its_vectors(self):
+        A = np.eye(2)
+        basis = DistributionBasis(np.zeros(2), A, ("a", "b"))
+        A[0, 0] = 5.0
+        assert basis.vectors[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            basis.vectors[0, 0] = 5.0
+
+
+def _blowing_up(value):
+    """X1 = e0 and X2 = (0, value if x0 > 0.5 else x0) on the plane, as
+    callables."""
+    dom = ball([0, 0], 4.0)
+    members = (VectorField(dom, lambda x: np.array([1.0, 0.0]), label="X1"),
+               VectorField(dom, lambda x: np.array([0.0, value if x[0] > 0.5 else x[0]]),
+                           label="X2"))
+    return FieldFamily(space=ChartSpace(2), members=members, common_domain=dom)
+
+
+# calls whose basis at (1, 0) holds a column that is not finite: with inf,
+# distribution_at returned rank 0 and the others raised numpy's LinAlgError
+# (coefficient_solver after LAPACK errors on stderr); with NaN all of them
+# raised LinAlgError
+_NON_FINITE_AT = {
+    "distribution_at": lambda f, x: distribution_at(f, x),
+    "coefficient_solver": lambda f, x: distribution_at(f, x).coefficient_solver(np.ones(2)),
+    "bracket_chain": lambda f, x: bracket_chain(f, x, 2),
+    "accessibility_verdict": lambda f, x: accessibility_verdict(f, x, 2),
+    "invariance_residual": lambda f, x: invariance_residual(
+        f, x, 0, 0.1, LbRecord(0, 1.0, f.common_domain, "declared")),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("call", list(_NON_FINITE_AT))
+def test_a_basis_vector_that_is_not_finite_is_out_of_domain(call, value):
+    with pytest.raises(OutOfDomain, match="X2: value is not finite"):
+        _NON_FINITE_AT[call](_blowing_up(value), np.array([1.0, 0.0]))
+
+
+def test_a_non_finite_column_without_a_label_is_named_by_its_index():
+    with pytest.raises(OutOfDomain, match="column 1: value is not finite"):
+        DistributionBasis(np.zeros(2), np.array([[1.0, 0.0], [0.0, math.nan]]), ())
 
 
 class TestTrivialization:

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from orbitkit.algebra import bracket_chain, certify_h_prime, enlarge_field
 from orbitkit.catalog import affine_l1, commuting_constants, operator_family
-from orbitkit.compose import compose_flows
+from orbitkit.compose import compose_flows, d_psi
 from orbitkit.errors import InvalidArgument
-from orbitkit.fields import LbRecord
-from orbitkit.flow import FlowWord
-from orbitkit.orbit import accessibility_verdict
+from orbitkit.fields import LbRecord, eval_jet_norm
+from orbitkit.flow import Control, FlowWord, flow_control, flow_single, guard
+from orbitkit.orbit import (accessibility_verdict, distribution_at, invariance_residual,
+                            orbit_sample, slice_grid, trivialization_eval)
 from orbitkit.space import (Ball, ChartSpace, L1Coefficients, ball, integer, max_operator_norm,
                             operator_norm, positive, vector_norm)
 
@@ -320,6 +321,52 @@ class TestBall:
         b = ball([1.0, 2.0], 1.0)
         with pytest.raises(ValueError):
             b.center[0] = 5.0
+
+    @pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5]])
+    def test_a_point_of_another_dimension_is_an_invalid_argument(self, point):
+        b = ball([0, 0], 1.0)
+        with pytest.raises(InvalidArgument, match="point dimension"):
+            b.contains(point)
+        with pytest.raises(InvalidArgument, match="point dimension"):
+            b.contains_rows(np.array([point, point]))
+        with pytest.raises(InvalidArgument, match="point dimension"):
+            b.distance_to_boundary(point)
+
+
+# calls on heisenberg (R^3) from a point of another dimension: flow_control
+# checked the dimension itself, guard returned a certificate for a point
+# broadcast against the region, a flow_single of time 0 returned the point,
+# and the others raised a numpy ValueError or IndexError
+_AT_POINT = {
+    "flow_single": lambda f, lb, p: flow_single(f.members[0], p, 0.1),
+    "flow_single of time 0": lambda f, lb, p: flow_single(f.members[0], p, 0.0),
+    "flow_control": lambda f, lb, p: flow_control(
+        f, Control(((0.0, 0.1, L1Coefficients(((0, 1.0),))),)), p, 0.0, 0.1),
+    "flow_control with lb": lambda f, lb, p: flow_control(
+        f, Control(((0.0, 0.1, L1Coefficients(((0, 1.0),))),)), p, 0.0, 0.1, lb=lb),
+    "flow_control of length 0": lambda f, lb, p: flow_control(
+        f, Control(((0.0, 0.1, L1Coefficients(((0, 1.0),))),)), p, 0.0, 0.0),
+    "guard": lambda f, lb, p: guard(lb, p, 1.0, 0.1),
+    "orbit_sample": lambda f, lb, p: orbit_sample(f, lb, p, budget=2, max_word_len=2,
+                                                  rng_seed=1),
+    "slice_grid": lambda f, lb, p: slice_grid(f, lb, p, 0.1, 2, (0, 1)),
+    "d_psi": lambda f, lb, p: d_psi(f, lb, p, L1Coefficients(((0, 0.1),)),
+                                    L1Coefficients(((1, 1.0),))),
+    "eval_jet_norm": lambda f, lb, p: eval_jet_norm(f.members[0], p, 1, f.space),
+    "distribution_at": lambda f, lb, p: distribution_at(f, p),
+    "bracket_chain": lambda f, lb, p: bracket_chain(f, p, 2),
+    "invariance_residual": lambda f, lb, p: invariance_residual(f, p, 0, 0.1, lb),
+    "trivialization_eval": lambda f, lb, p: trivialization_eval(
+        distribution_at(f, np.zeros(3)), f, L1Coefficients(((0, 1.0),)), p),
+}
+
+
+@pytest.mark.parametrize("dimension", [1, 4])
+@pytest.mark.parametrize("call", list(_AT_POINT))
+def test_a_point_of_another_dimension_than_the_chart_is_an_invalid_argument(
+        heis, heis_lb, call, dimension):
+    with pytest.raises(InvalidArgument, match="point dimension"):
+        _AT_POINT[call](heis, heis_lb, np.full(dimension, 0.1))
 
 
 # finitely supported coefficients with a tail bound, for the properties below

@@ -15,6 +15,10 @@ dtype, shape and bytes, a float by its bits.  The classes are
   its ``spot_check_sample``;
 - ``enlarged``: values and screen jets of enlarged heisenberg fields,
   tabled and on table-stripped members (the nested path);
+- ``solver``: least-l1 coefficients and residuals on seeded bases (full
+  rank, rank-deficient, with duplicate columns and with a zero column,
+  each within ``MAX_SUPPORTS``), 12 targets each, solved in rounds that
+  interleave the bases, and ``invariance_residual`` reports on heisenberg;
 - ``scenarios``: the report and cloud files of a few scenarios run through
   ``cli.run_scenario`` with a fixed timestamp.
 
@@ -43,7 +47,8 @@ from orbitkit.cli import run_scenario  # noqa: E402
 from orbitkit.compose import compose_flows, compose_inverse, extract_l1_curve  # noqa: E402
 from orbitkit.fields import estimate_lb_bound  # noqa: E402
 from orbitkit.flow import FlowWord, guard, run_words  # noqa: E402
-from orbitkit.orbit import orbit_sample, slice_grid, spot_check_sample  # noqa: E402
+from orbitkit.orbit import (DistributionBasis, invariance_residual, orbit_sample,  # noqa: E402
+                            slice_grid, spot_check_sample)
 from orbitkit.scenario import parse_scenario  # noqa: E402
 from orbitkit.space import L1Coefficients  # noqa: E402
 
@@ -169,6 +174,41 @@ def enlarged(fams, rng):
     return results
 
 
+def solver(fams, rng):
+    def gauss(d):
+        return [rng.gauss(0.0, 1.0) for _ in range(d)]
+
+    def basis(columns):
+        rows = [list(row) for row in zip(*columns)]
+        return DistributionBasis([0.0] * len(rows), rows, ())
+
+    u, v = gauss(4), gauss(4)
+    dense, twin = [gauss(3) for _ in range(4)], gauss(3)
+    bases = [basis(dense),  # full rank, 4 supports of 3 columns
+             basis([gauss(2) for _ in range(5)]),  # full rank, 10 supports of 2
+             basis([[a * p + b * q for p, q in zip(u, v)]  # rank 2 of 4 columns
+                    for a, b in ((1.0, 0.5), (-0.3, 2.0), (0.7, 0.7), (2.0, -1.0))]),
+             basis([twin, gauss(3), twin, gauss(3)]),  # duplicate columns
+             basis([dense[0], dense[1], [0.0] * 3, dense[2]])]  # a zero column
+    results = []
+    for _ in range(12):  # one target per basis and round
+        for b in bases:
+            d, m = b.vectors.shape
+            if rng.random() < 0.5:  # a target in the span
+                weights = gauss(m)
+                target = [sum(b.vectors[i, j] * weights[j] for j in range(m)) for i in range(d)]
+            else:
+                target = gauss(d)
+            results += list(b.coefficient_solver(target))
+    family, lb = fams["heisenberg"]
+    for _ in range(3):
+        report = invariance_residual(family, point(rng, 3), rng.randrange(2),
+                                     rng.uniform(-0.5, 0.5), lb, tol=TOL)
+        results += [report.residuals, report.max_residual, report.rank_source,
+                    report.rank_target]
+    return results
+
+
 SCENARIOS = (
     """family {
   builtin heisenberg {
@@ -275,7 +315,7 @@ def scenarios(fams, rng):
 
 
 CLASSES = {"compose": compose, "run_words": words_run, "slice": slices, "clouds": clouds,
-           "enlarged": enlarged, "scenarios": scenarios}
+           "enlarged": enlarged, "solver": solver, "scenarios": scenarios}
 
 
 def main() -> None:
